@@ -60,27 +60,15 @@ pub fn prf_rank_truncated(
     omega: &dyn WeightFunction,
     h: usize,
 ) -> Vec<Complex> {
-    prf_rank_truncated_prepared(db, omega, h, &db.ids_by_score_desc())
-}
-
-/// [`prf_rank_truncated`] against a pre-sorted descending score order (see
-/// [`batch_walk_independent_prepared`]).
-pub(crate) fn prf_rank_truncated_prepared(
-    db: &IndependentDb,
-    omega: &dyn WeightFunction,
-    h: usize,
-    order: &[prf_pdb::TupleId],
-) -> Vec<Complex> {
     let n = db.len();
     let mut result = vec![Complex::ZERO; n];
     if n == 0 || h == 0 {
         return result;
     }
-    debug_assert_eq!(order.len(), n, "prepared order must cover the relation");
     // G holds the first h coefficients of Π (1 − p + p·x) over tuples seen
     // so far.
     let mut g = Poly::one();
-    for &tid in order {
+    for tid in db.ids_by_score_desc() {
         let t = db.tuple(tid);
         // Υ(t) = p(t)·Σ_{j=1..h} ω(t, j)·G[j−1].
         let mut upsilon = Complex::ZERO;
@@ -219,14 +207,15 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 
 /// Serves a whole batched-walk request set from **one** pass over the
 /// score-sorted tuples — the independent-relation counterpart of
-/// `crate::tree::batch_walk_tree`. One shared sort, one prefix polynomial
-/// `G(x)` truncated at the *largest* weight horizon (every PRFω/PT
-/// consumer reads its own prefix of the coefficients — a truncation view),
-/// and one `O(1)`-per-step numeric accumulator per PRFe consumer in its
-/// requested mode. Expected ranks use the closed form (it shares nothing
-/// beyond the relation, but is `O(n log n)` and exact).
+/// `crate::tree::batch_walk_tree`. One prefix polynomial `G(x)` truncated at
+/// the *largest* weight horizon (every PRFω/PT consumer reads its own prefix
+/// of the coefficients — a truncation view), one `O(1)`-per-step numeric
+/// accumulator per PRFe consumer in its requested mode, and one running
+/// prefix mass per expected-ranks consumer. `order` is the relation's full
+/// descending score order; `start` marks when the caller began (so the
+/// reported walk time includes a sort done for an unprepared call).
 ///
-/// Per-consumer answers are bit-identical to the corresponding single
+/// Per-consumer answers are bit-identical to the corresponding closed-form
 /// kernels ([`prf_rank`], [`prfe_rank`], [`prfe_rank_log`],
 /// [`prfe_rank_scaled`], `expected_ranks_independent`): the loop bodies
 /// are the same operations in the same order.
@@ -236,46 +225,36 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 pub(crate) fn batch_walk_independent(
     db: &IndependentDb,
     spec: &SharedWalkSpec,
-) -> Option<SharedWalkOut> {
-    batch_walk_independent_prepared(db, spec, &db.ids_by_score_desc())
-}
-
-/// [`batch_walk_independent`] against a pre-sorted score order: the
-/// `O(n log n)` sort (which [`IndependentDb::ids_by_score_desc`] redoes on
-/// every call) comes from the caller — a `PreparedRelation` amortizing it
-/// across flushes. `order` must be the relation's full descending score
-/// order.
-pub(crate) fn batch_walk_independent_prepared(
-    db: &IndependentDb,
-    spec: &SharedWalkSpec,
     order: &[prf_pdb::TupleId],
+    start: std::time::Instant,
 ) -> Option<SharedWalkOut> {
-    let start = std::time::Instant::now();
     let n = db.len();
-    debug_assert_eq!(order.len(), n, "prepared order must cover the relation");
+    debug_assert_eq!(order.len(), n, "the order must cover the relation");
 
     // Parse the requests into per-kind accumulators.
-    enum Acc {
-        /// (extraction cap) — reads the shared prefix polynomial.
-        Weight(usize),
+    enum Acc<'w> {
+        /// The weight and its extraction cap — reads the shared prefix
+        /// polynomial.
+        Weight(&'w (dyn WeightFunction + Send + Sync), usize),
         /// Running `Gᵢ(α)` in plain complex arithmetic.
         Complex(Complex, Complex),
         /// Running `ln Gᵢ(α)`.
         Log(f64, f64),
         /// Running `Gᵢ(α)` in scaled arithmetic.
         Scaled(Scaled<Complex>, Scaled<Complex>, Complex),
-        /// Closed form, filled in before the walk.
-        Ranks,
+        /// Running probability mass of the higher-scored tuples, and the
+        /// expected world size `C`.
+        Ranks(f64, f64),
     }
     let mut cap_max = 0usize;
     let mut accs: Vec<Acc> = spec
         .requests
         .iter()
         .map(|req| match req {
-            SharedRequest::Weight(_) => {
+            SharedRequest::Weight(w) => {
                 let c = req.weight_cap(n).expect("weight request has a cap");
                 cap_max = cap_max.max(c);
-                Acc::Weight(c)
+                Acc::Weight(w.as_ref(), c)
             }
             SharedRequest::PrfeComplex(a) => Acc::Complex(Complex::ONE, *a),
             SharedRequest::PrfeLog(a) => {
@@ -288,74 +267,62 @@ pub(crate) fn batch_walk_independent_prepared(
             SharedRequest::PrfeScaled(a) => {
                 Acc::Scaled(Scaled::<Complex>::one(), Scaled::new(*a), *a)
             }
-            SharedRequest::ExpectedRanks => Acc::Ranks,
-        })
-        .collect();
-    let weights: Vec<Option<&(dyn WeightFunction + Sync)>> = spec
-        .requests
-        .iter()
-        .map(|req| match req {
-            SharedRequest::Weight(w) => Some(w.as_ref() as &(dyn WeightFunction + Sync)),
-            _ => None,
+            SharedRequest::ExpectedRanks => Acc::Ranks(0.0, db.expected_world_size()),
         })
         .collect();
 
-    // One shared definition of the per-request buffer defaults (zero Υ,
-    // `-∞` log keys) with the tree walk; expected ranks use the closed
-    // form, filled in before the walk.
-    let mut answers = crate::tree::BatchConsumers::answer_buffers(spec, n);
-    for (req, answer) in spec.requests.iter().zip(&mut answers) {
-        if matches!(req, SharedRequest::ExpectedRanks) {
-            *answer = SharedAnswer::Ranks(crate::query::kernels::expected_ranks_independent(db));
+    let mut answers = spec.answer_buffers(n);
+    // The shared prefix polynomial, capped at the largest horizon.
+    let mut g_poly = Poly::one();
+    for (step, &tid) in order.iter().enumerate() {
+        // Cooperative cancellation: abandon the walk once every consumer
+        // has given up (polled every 256 score steps).
+        if step & 0xFF == 0 && spec.is_cancelled() {
+            return None;
         }
-    }
-
-    if n > 0 {
-        // The shared prefix polynomial, capped at the largest horizon.
-        let mut g_poly = Poly::one();
-        for (step, &tid) in order.iter().enumerate() {
-            // Cooperative cancellation: abandon the walk once every
-            // consumer has given up (polled every 256 score steps).
-            if step & 0xFF == 0 && spec.is_cancelled() {
-                return None;
-            }
-            let t = db.tuple(tid);
-            for ((acc, answer), omega) in accs.iter_mut().zip(&mut answers).zip(&weights) {
-                match (acc, answer) {
-                    (Acc::Weight(cap), SharedAnswer::Complex(buf)) => {
-                        // Identical loop to `prf_rank_truncated`.
-                        let omega = omega.expect("weight request has a weight");
-                        let mut upsilon = Complex::ZERO;
-                        for (m, &c) in g_poly.coeffs().iter().enumerate().take(*cap) {
-                            if c != 0.0 {
-                                upsilon += omega.weight(t, m + 1) * c;
-                            }
+        let t = db.tuple(tid);
+        for (acc, answer) in accs.iter_mut().zip(&mut answers) {
+            match (acc, answer) {
+                (Acc::Weight(omega, cap), SharedAnswer::Complex(buf)) => {
+                    // Identical loop to `prf_rank_truncated`.
+                    let mut upsilon = Complex::ZERO;
+                    for (m, &c) in g_poly.coeffs().iter().enumerate().take(*cap) {
+                        if c != 0.0 {
+                            upsilon += omega.weight(t, m + 1) * c;
                         }
-                        buf[tid.index()] = upsilon * t.prob;
                     }
-                    (Acc::Complex(g, alpha), SharedAnswer::Complex(buf)) => {
-                        // Identical recurrence to `prfe_rank`.
-                        buf[tid.index()] = *g * *alpha * t.prob;
-                        *g *= Complex::real(1.0 - t.prob) + *alpha * t.prob;
-                    }
-                    (Acc::Log(log_g, alpha), SharedAnswer::Log(buf)) => {
-                        // Identical recurrence to `prfe_rank_log`.
-                        if t.prob > 0.0 && *alpha > 0.0 && *log_g > f64::NEG_INFINITY {
-                            buf[tid.index()] = *log_g + t.prob.ln() + alpha.ln();
-                        }
-                        *log_g += (1.0 - t.prob + t.prob * *alpha).ln();
-                    }
-                    (Acc::Scaled(g, alpha_s, alpha), SharedAnswer::Scaled(buf)) => {
-                        // Identical recurrence to `prfe_rank_scaled`.
-                        buf[tid.index()] = g.mul(alpha_s).scale(t.prob);
-                        let factor = Scaled::new(Complex::real(1.0 - t.prob) + *alpha * t.prob);
-                        *g = g.mul(&factor);
-                    }
-                    (Acc::Ranks, SharedAnswer::Ranks(_)) => {} // closed form above
-                    _ => unreachable!("accumulator shape matches answer shape"),
+                    buf[tid.index()] = upsilon * t.prob;
                 }
+                (Acc::Complex(g, alpha), SharedAnswer::Complex(buf)) => {
+                    // Identical recurrence to `prfe_rank`.
+                    buf[tid.index()] = *g * *alpha * t.prob;
+                    *g *= Complex::real(1.0 - t.prob) + *alpha * t.prob;
+                }
+                (Acc::Log(log_g, alpha), SharedAnswer::Log(buf)) => {
+                    // Identical recurrence to `prfe_rank_log`.
+                    if t.prob > 0.0 && *alpha > 0.0 && *log_g > f64::NEG_INFINITY {
+                        buf[tid.index()] = *log_g + t.prob.ln() + alpha.ln();
+                    }
+                    *log_g += (1.0 - t.prob + t.prob * *alpha).ln();
+                }
+                (Acc::Scaled(g, alpha_s, alpha), SharedAnswer::Scaled(buf)) => {
+                    // Identical recurrence to `prfe_rank_scaled`.
+                    buf[tid.index()] = g.mul(alpha_s).scale(t.prob);
+                    let factor = Scaled::new(Complex::real(1.0 - t.prob) + *alpha * t.prob);
+                    *g = g.mul(&factor);
+                }
+                (Acc::Ranks(prefix, c), SharedAnswer::Ranks(buf)) => {
+                    // Identical recurrence to `expected_ranks_independent`.
+                    let er1 = t.prob * (1.0 + *prefix);
+                    let er2 = (1.0 - t.prob) * (*c - t.prob);
+                    buf[tid.index()] = er1 + er2;
+                    *prefix += t.prob;
+                }
+                _ => unreachable!("accumulator shape matches answer shape"),
             }
-            g_poly.mul_linear_in_place(1.0 - t.prob, t.prob, cap_max.max(1));
+        }
+        if cap_max > 0 {
+            g_poly.mul_linear_in_place(1.0 - t.prob, t.prob, cap_max);
         }
     }
 
@@ -607,6 +574,27 @@ mod tests {
         assert!((u[1].re - 0.5 * 0.5).abs() < 1e-12);
         let d = rank_distributions(&db);
         assert!(d[0].iter().all(|&p| p == 0.0));
+    }
+
+    #[test]
+    fn walk_expected_ranks_match_closed_form_bitwise() {
+        // Ties, certain and impossible tuples: the walk's in-loop expected
+        // ranks must reproduce the closed-form oracle bit for bit.
+        let db = IndependentDb::from_pairs([
+            (5.0, 0.3),
+            (9.0, 1.0),
+            (5.0, 0.0),
+            (7.0, 0.65),
+            (1.0, 0.2),
+            (9.0, 0.45),
+        ])
+        .unwrap();
+        let walk = crate::query::batch::probe::ranks(&db);
+        let oracle = crate::query::kernels::expected_ranks_independent(&db);
+        assert_eq!(
+            walk.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -38,11 +38,9 @@ use std::time::Instant;
 use prf_numeric::{Complex, Scaled};
 use prf_pdb::{AndXorTree, IndependentDb, NodeKind, PdbError, TupleId};
 
-use crate::incremental::GfStats;
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use crate::query::kernels;
 use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, QueryError};
-use crate::weights::WeightFunction;
 
 /// Splice budget: after this many tail splices the compiled plan's stale
 /// orphaned chains outweigh the patch savings and the next insert triggers
@@ -255,6 +253,7 @@ impl MutableRelation for AndXorTree {
                     tp.pos[o.index()] = i;
                 }
                 tp.marginals.push(self.marginal(t));
+                tp.groups = std::sync::OnceLock::new();
                 true
             }
             // Plan nodes cannot be unspliced cheaply; rebuild.
@@ -539,17 +538,6 @@ impl<B: MutableRelation> LiveInner<B> {
             walk_seconds: start.elapsed().as_secs_f64(),
         })
     }
-
-    fn one_request(&self, req: SharedRequest) -> Option<(SharedAnswer, Option<GfStats>)> {
-        let spec = SharedWalkSpec {
-            requests: vec![req],
-            threads: None,
-            cancel: None,
-        };
-        let mut out = self.walk(&spec)?;
-        debug_assert_eq!(out.answers.len(), 1);
-        Some((out.answers.pop()?, out.stats))
-    }
 }
 
 /// A mutable, concurrency-safe [`ProbabilisticRelation`]: a backend plus its
@@ -791,85 +779,19 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
         self.generation.load(Ordering::Acquire)
     }
 
-    fn prf_values(
+    fn prepare(&self) -> PreparedState {
+        // Self-preparing: the walk threads the internal state, so an outer
+        // PreparedRelation has nothing further to cache.
+        PreparedState::empty()
+    }
+
+    fn run_shared_walk_prepared(
         &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> Vec<Complex> {
-        self.prf_values_with_stats(omega, threads).0
-    }
-
-    fn prf_values_with_stats(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        let inner = self.read();
-        inner
-            .backend
-            .prf_values_prepared(omega, threads, &inner.prepared)
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        self.prfe_values_with_stats(alpha).0
-    }
-
-    fn prfe_values_with_stats(&self, alpha: Complex) -> (Vec<Complex>, Option<GfStats>) {
-        let inner = self.read();
-        match inner.one_request(SharedRequest::PrfeComplex(alpha)) {
-            Some((SharedAnswer::Complex(v), stats)) => (v, stats),
-            _ => inner.backend.prfe_values_with_stats(alpha),
-        }
-    }
-
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        self.prfe_values_scaled_with_stats(alpha).0
-    }
-
-    fn prfe_values_scaled_with_stats(
-        &self,
-        alpha: Complex,
-    ) -> (Vec<Scaled<Complex>>, Option<GfStats>) {
-        let inner = self.read();
-        match inner.one_request(SharedRequest::PrfeScaled(alpha)) {
-            Some((SharedAnswer::Scaled(v), stats)) => (v, stats),
-            _ => inner.backend.prfe_values_scaled_with_stats(alpha),
-        }
-    }
-
-    fn prfe_log_keys(&self, alpha: f64) -> Vec<f64> {
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "log-domain PRFe requires α ∈ [0, 1], got {alpha}"
-        );
-        {
-            let inner = self.read();
-            if let Some(c) = &inner.log_cache {
-                if c.alpha == alpha {
-                    return c.keys.clone();
-                }
-            }
-        }
-        // Miss: compute and memoize under the write lock, so a mutation
-        // cannot slip between the compute and the store.
-        let mut inner = self.write();
-        if !matches!(&inner.log_cache, Some(c) if c.alpha == alpha) {
-            let keys = match inner.one_request(SharedRequest::PrfeLog(alpha)) {
-                Some((SharedAnswer::Log(v), _)) => v,
-                _ => inner.backend.prfe_log_keys(alpha),
-            };
-            inner.log_cache = Some(PrfeLogCache {
-                alpha,
-                keys,
-                ranked: None,
-            });
-        }
-        inner
-            .log_cache
-            .as_ref()
-            .expect("just populated")
-            .keys
-            .clone()
+        spec: &SharedWalkSpec,
+        _prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        // Own state always wins: foreign state describes some past version.
+        self.read().walk(spec)
     }
 
     /// Keys plus their ranking, without a per-query sort: the order lives
@@ -894,9 +816,16 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
         // under the write lock so a mutation cannot interleave.
         let mut inner = self.write();
         if !matches!(&inner.log_cache, Some(c) if c.alpha == alpha) {
-            let keys = match inner.one_request(SharedRequest::PrfeLog(alpha)) {
-                Some((SharedAnswer::Log(v), _)) => v,
-                _ => inner.backend.prfe_log_keys(alpha),
+            let spec = SharedWalkSpec {
+                requests: vec![SharedRequest::PrfeLog(alpha)],
+                threads: None,
+                cancel: None,
+            };
+            let Some(SharedAnswer::Log(keys)) = inner
+                .walk(&spec)
+                .and_then(|out| out.answers.into_iter().next())
+            else {
+                return None;
             };
             inner.log_cache = Some(PrfeLogCache {
                 alpha,
@@ -918,39 +847,12 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
         ))
     }
 
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
-        let inner = self.read();
-        match inner.one_request(SharedRequest::ExpectedRanks) {
-            Some((SharedAnswer::Ranks(v), _)) => Some(v),
-            _ => inner.backend.expected_ranks(),
-        }
-    }
-
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
         self.read().backend.most_probable_topk(k)
     }
 
     fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
         self.read().backend.positional_candidates(k)
-    }
-
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        self.read().walk(spec)
-    }
-
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        _prep: &PreparedState,
-    ) -> Option<SharedWalkOut> {
-        // Own state always wins: foreign state describes some past version.
-        self.read().walk(spec)
-    }
-
-    fn prepare(&self) -> PreparedState {
-        // Self-preparing: every walk above threads the internal state, so
-        // an outer PreparedRelation has nothing further to cache.
-        PreparedState::empty()
     }
 
     fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
@@ -963,15 +865,6 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
 
     fn presence_gf_point(&self, alpha: Complex) -> Option<Scaled<Complex>> {
         self.read().backend.presence_gf_point(alpha)
-    }
-
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-        _prep: &PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        self.prf_values_with_stats(omega, threads)
     }
 }
 
@@ -1006,7 +899,15 @@ impl<B: MutableRelation + Send + Sync> LiveApply for LiveRelation<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::batch::probe;
     use crate::query::{Algorithm, PreparedRelation, QueryBatch, RankQuery, Semantics};
+    use prf_numeric::Complex;
+
+    /// Log-domain PRFe(α) keys through the ranked hook, which also fills
+    /// the key cache.
+    fn log_keys<B: MutableRelation>(live: &LiveRelation<B>, alpha: f64) -> Vec<f64> {
+        live.prfe_log_ranked(alpha).expect("live relations rank").0
+    }
 
     fn db5() -> IndependentDb {
         IndependentDb::from_pairs([
@@ -1030,25 +931,20 @@ mod tests {
 
     fn assert_live_matches_rebuild<B: MutableRelation + Clone>(live: &LiveRelation<B>, ctx: &str) {
         let rebuilt = LiveRelation::new(live.snapshot_backend());
-        for (a, b) in live
-            .prfe_values(Complex::real(0.8))
+        for (a, b) in probe::prfe(live, Complex::real(0.8))
             .iter()
-            .zip(rebuilt.prfe_values(Complex::real(0.8)))
+            .zip(probe::prfe(&rebuilt, Complex::real(0.8)))
         {
             assert!(a.approx_eq(b, 1e-9), "{ctx}: prfe {a} vs {b}");
         }
         let (wa, wb) = (
-            live.prf_values(&crate::weights::StepWeight { h: 3 }, None),
-            rebuilt.prf_values(&crate::weights::StepWeight { h: 3 }, None),
+            probe::prf(live, crate::weights::StepWeight { h: 3 }),
+            probe::prf(&rebuilt, crate::weights::StepWeight { h: 3 }),
         );
         for (a, b) in wa.iter().zip(wb) {
             assert!(a.approx_eq(b, 1e-9), "{ctx}: prf {a} vs {b}");
         }
-        for (a, b) in live
-            .prfe_log_keys(0.8)
-            .iter()
-            .zip(rebuilt.prfe_log_keys(0.8))
-        {
+        for (a, b) in log_keys(live, 0.8).iter().zip(log_keys(&rebuilt, 0.8)) {
             assert!(
                 (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),
                 "{ctx}: log {a} vs {b}"
@@ -1090,7 +986,7 @@ mod tests {
     #[test]
     fn failed_mutations_change_nothing() {
         let live = LiveRelation::new(db5());
-        let before = live.prfe_values(Complex::real(0.9));
+        let before = probe::prfe(&live, Complex::real(0.9));
         assert!(live.apply(&Mutation::Reweight(TupleId(0), 1.5)).is_err());
         assert!(live.apply(&Mutation::Delete(TupleId(99))).is_err());
         assert!(live
@@ -1100,18 +996,18 @@ mod tests {
             })
             .is_err());
         assert_eq!(live.mutations_applied(), 0);
-        assert_eq!(live.prfe_values(Complex::real(0.9)), before);
+        assert_eq!(probe::prfe(&live, Complex::real(0.9)), before);
     }
 
     #[test]
     fn log_cache_patched_across_reweights() {
         let live = LiveRelation::new(db5());
-        let _ = live.prfe_log_keys(0.7); // populate
+        let _ = log_keys(&live, 0.7); // populate
         for (t, p) in [(0u32, 0.11), (4, 0.99), (2, 0.33)] {
             live.apply(&Mutation::Reweight(TupleId(t), p)).unwrap();
             assert!(live.read().log_cache.is_some(), "cache survives reweight");
-            let fresh = LiveRelation::new(live.snapshot_backend()).prfe_log_keys(0.7);
-            for (a, b) in live.prfe_log_keys(0.7).iter().zip(fresh) {
+            let fresh = log_keys(&LiveRelation::new(live.snapshot_backend()), 0.7);
+            for (a, b) in log_keys(&live, 0.7).iter().zip(fresh) {
                 assert!((a - b).abs() < 1e-9, "patched {a} vs fresh {b}");
             }
         }
@@ -1122,14 +1018,14 @@ mod tests {
         })
         .unwrap();
         assert!(live.read().log_cache.is_some(), "cache survives insert");
-        let fresh = LiveRelation::new(live.snapshot_backend()).prfe_log_keys(0.7);
-        for (a, b) in live.prfe_log_keys(0.7).iter().zip(fresh) {
+        let fresh = log_keys(&LiveRelation::new(live.snapshot_backend()), 0.7);
+        for (a, b) in log_keys(&live, 0.7).iter().zip(fresh) {
             assert!((a - b).abs() < 1e-9, "insert-patched {a} vs fresh {b}");
         }
         live.apply(&Mutation::Delete(TupleId(1))).unwrap();
         assert!(live.read().log_cache.is_some(), "cache survives delete");
-        let fresh = LiveRelation::new(live.snapshot_backend()).prfe_log_keys(0.7);
-        for (a, b) in live.prfe_log_keys(0.7).iter().zip(fresh) {
+        let fresh = log_keys(&LiveRelation::new(live.snapshot_backend()), 0.7);
+        for (a, b) in log_keys(&live, 0.7).iter().zip(fresh) {
             assert!((a - b).abs() < 1e-9, "delete-patched {a} vs fresh {b}");
         }
     }
@@ -1137,11 +1033,11 @@ mod tests {
     #[test]
     fn log_cache_drops_on_zero_probability_reweight() {
         let live = LiveRelation::new(db5());
-        let _ = live.prfe_log_keys(0.7);
+        let _ = log_keys(&live, 0.7);
         live.apply(&Mutation::Reweight(TupleId(3), 0.0)).unwrap();
         assert!(live.read().log_cache.is_none(), "p→0 cannot be patched");
-        let fresh = LiveRelation::new(live.snapshot_backend()).prfe_log_keys(0.7);
-        for (a, b) in live.prfe_log_keys(0.7).iter().zip(fresh) {
+        let fresh = log_keys(&LiveRelation::new(live.snapshot_backend()), 0.7);
+        for (a, b) in log_keys(&live, 0.7).iter().zip(fresh) {
             assert!(
                 (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),
                 "{a} vs {b}"
@@ -1169,12 +1065,12 @@ mod tests {
         use std::sync::Arc;
         let live = Arc::new(LiveRelation::new(db5()));
         let prepared = PreparedRelation::new(live.clone());
-        let before = prepared.prfe_values(Complex::real(0.8));
+        let before = probe::prfe(&prepared, Complex::real(0.8));
         live.apply(&Mutation::Reweight(TupleId(0), 0.01)).unwrap();
         assert_eq!(ProbabilisticRelation::generation(&prepared), 1);
-        let after = prepared.prfe_values(Complex::real(0.8));
+        let after = probe::prfe(&prepared, Complex::real(0.8));
         assert_ne!(before, after, "wrapper must not serve stale answers");
-        let fresh = live.snapshot_backend().prfe_values(Complex::real(0.8));
+        let fresh = probe::prfe(&live.snapshot_backend(), Complex::real(0.8));
         assert_eq!(after, fresh);
     }
 
@@ -1245,7 +1141,7 @@ mod tests {
         let (_, order0) = live.prfe_log_ranked(alpha).expect("live serves ranked");
         assert_eq!(
             order0,
-            crate::topk::Ranking::from_keys(&live.prfe_log_keys(alpha)).order(),
+            crate::topk::Ranking::from_keys(&log_keys(&live, alpha)).order(),
             "initial ranked cache must be the sorted order"
         );
         for step in 0..200usize {
@@ -1261,7 +1157,7 @@ mod tests {
                 fresh.order(),
                 "step {step}: merged order must equal a fresh sort of the patched keys"
             );
-            let rebuilt = live.snapshot_backend().prfe_log_keys(alpha);
+            let rebuilt = probe::log_keys(&live.snapshot_backend(), alpha);
             for (a, b) in keys.iter().zip(rebuilt) {
                 assert!(
                     (a - b).abs() <= 1e-9 * b.abs().max(1.0),
@@ -1322,7 +1218,7 @@ mod tests {
                 fresh.order(),
                 "step {step}: merged order must equal a fresh sort of the patched keys"
             );
-            let rebuilt = live.snapshot_backend().prfe_log_keys(alpha);
+            let rebuilt = probe::log_keys(&live.snapshot_backend(), alpha);
             assert_eq!(keys.len(), rebuilt.len(), "step {step}");
             for (a, b) in keys.iter().zip(rebuilt) {
                 assert!(
@@ -1344,7 +1240,7 @@ mod tests {
         use std::sync::Arc;
 
         let live = Arc::new(LiveRelation::new(db5()));
-        let _ = live.prfe_log_keys(0.7); // populate the key cache
+        let _ = log_keys(&live, 0.7); // populate the key cache
         let armed = Arc::new(AtomicBool::new(true));
         let once = armed.clone();
         live.arm_mutation_probe(move || {

@@ -9,13 +9,12 @@
 //! [`EvalPlan`](crate::incremental::EvalPlan); total work is one extra fold
 //! per worker on top of the serial incremental cost.
 
-use std::time::Instant;
-
-use prf_numeric::{Complex, RankPoly};
-use prf_pdb::{AndXorTree, TupleId};
+use prf_numeric::Complex;
+use prf_pdb::AndXorTree;
 
 use crate::incremental::GfStats;
-use crate::query::batch::{SharedAnswer, SharedWalkOut, SharedWalkSpec};
+use crate::query::batch::SharedAnswer;
+use crate::query::CancelToken;
 use crate::tree::{BatchConsumers, BatchWalkers, TreePrepared};
 use crate::weights::WeightFunction;
 
@@ -66,27 +65,13 @@ pub fn prf_rank_tree_parallel(
 
 /// [`prf_rank_tree_parallel`] plus the merged memory accounting of the
 /// shard evaluators (they are live concurrently, so peaks sum).
+///
+/// # Panics
+/// Panics if `threads == 0`.
 pub fn prf_rank_tree_parallel_stats(
     tree: &AndXorTree,
     omega: &(dyn WeightFunction + Sync),
     threads: usize,
-) -> (Vec<Complex>, GfStats) {
-    if tree.n_tuples() == 0 {
-        return (Vec::new(), GfStats::default());
-    }
-    prf_rank_tree_parallel_stats_prepared(tree, omega, threads, &TreePrepared::new(tree))
-}
-
-/// [`prf_rank_tree_parallel_stats`] against a pre-built [`TreePrepared`]
-/// (see [`batch_walk_tree_parallel_prepared`]).
-///
-/// # Panics
-/// Panics if `threads == 0` or the tree is empty (callers gate on `n > 0`).
-pub(crate) fn prf_rank_tree_parallel_stats_prepared(
-    tree: &AndXorTree,
-    omega: &(dyn WeightFunction + Sync),
-    threads: usize,
-    prep: &TreePrepared,
 ) -> (Vec<Complex>, GfStats) {
     assert!(threads > 0, "need at least one thread");
     let n = tree.n_tuples();
@@ -94,118 +79,37 @@ pub(crate) fn prf_rank_tree_parallel_stats_prepared(
     if cap == 0 {
         return (vec![Complex::ZERO; n], GfStats::default());
     }
-    let order = &prep.order;
-    let pos = &prep.pos;
-    let marginals = &prep.marginals;
-    let plan = &prep.plan;
-
-    let threads = threads.min(n);
-    let chunk = n.div_ceil(threads);
-    // Shared fold prefix: ONE trivial all-ones fold, then each shard's
-    // start state is the previous one advanced by a single chunk of `x`
-    // labels (bulk bottom-up sweep) and cloned. Total setup ring work is
-    // one fold plus one sweep over the walked prefix — previously every
-    // worker re-folded the whole plan from scratch, `threads ×` the work.
-    let mut snapshots = Vec::with_capacity(threads);
-    {
-        let mut base = plan.evaluator(|_| RankPoly::one().with_cap(cap));
-        let mut prev_lo = 0usize;
-        for w in 0..threads {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(n);
-            if lo >= hi {
-                continue; // rounding can leave trailing shards empty
-            }
-            if lo > prev_lo {
-                base.set_leaves_bulk(|u| {
-                    let p = pos[u.index()];
-                    (prev_lo <= p && p < lo).then(|| RankPoly::x().with_cap(cap))
-                });
-                prev_lo = lo;
-            }
-            snapshots.push((lo, hi, base.clone()));
-        }
+    let mut answers = vec![SharedAnswer::Complex(vec![Complex::ZERO; n])];
+    let consumers = BatchConsumers::weight(omega, cap);
+    let prep = TreePrepared::new(tree);
+    let stats = walk_shards(tree, None, &consumers, &prep, threads, &mut answers)
+        .expect("an uncancellable walk finishes");
+    match answers.pop() {
+        Some(SharedAnswer::Complex(vals)) => (vals, stats),
+        _ => unreachable!("one weight answer"),
     }
-    let mut results: Vec<(Vec<(TupleId, Complex)>, GfStats)> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(snapshots.len());
-        for (lo, hi, mut inc) in snapshots {
-            let order = &order;
-            let marginals = &marginals;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::with_capacity(hi - lo);
-                for (i, &t) in order.iter().enumerate().take(hi).skip(lo) {
-                    if i > lo {
-                        inc.set_leaf(order[i - 1], RankPoly::x().with_cap(cap));
-                    }
-                    inc.set_leaf(t, RankPoly::y().with_cap(cap));
-                    let tv = crate::tree::tuple_view(tree, marginals, t);
-                    out.push((t, crate::tree::upsilon_from_gf(inc.root(), &tv, omega, cap)));
-                }
-                let stats = inc.stats();
-                (out, stats)
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
-    });
-
-    let mut out = vec![Complex::ZERO; n];
-    let mut stats = GfStats::default();
-    for (shard, shard_stats) in results {
-        for (t, v) in shard {
-            out[t.index()] = v;
-        }
-        stats = stats.merge(shard_stats);
-    }
-    (out, stats)
 }
 
-/// The sharded form of [`crate::tree::batch_walk_tree`]: every worker
+/// The sharded walk of [`crate::tree::batch_walk_tree`]: every worker
 /// fast-forwards the full consumer set (the shared polynomial evaluator
 /// plus one scalar evaluator per PRFe/E-Rank request) into its shard-start
 /// labelling over **one** compiled [`EvalPlan`](crate::incremental::EvalPlan),
-/// walks only its shard, and
-/// the shards' answers are merged. The expected-ranks absent-worlds pass
-/// runs serially afterwards (it is `O(n)` scalar work).
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub(crate) fn batch_walk_tree_parallel(
-    tree: &AndXorTree,
-    spec: &SharedWalkSpec,
-    threads: usize,
-) -> Option<SharedWalkOut> {
-    if tree.n_tuples() == 0 {
-        let start = Instant::now();
-        return Some(SharedWalkOut {
-            answers: BatchConsumers::answer_buffers(spec, 0),
-            stats: None,
-            walk_seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-    batch_walk_tree_parallel_prepared(tree, spec, threads, &TreePrepared::new(tree))
-}
-
-/// [`batch_walk_tree_parallel`] against a pre-built [`TreePrepared`]: the
-/// score sort, position index, marginals, and compiled plan come from the
-/// caller (a `PreparedRelation` amortizing them across flushes) instead of
-/// being rebuilt per walk.
+/// walks only its shard, and the shards' answers are merged into
+/// `answers` (whose shapes the shard-local buffers copy). Returns the merged
+/// evaluator accounting, or `None` when any shard saw `cancel` tripped.
 ///
 /// # Panics
 /// Panics if `threads == 0` or the tree is empty (callers gate on `n > 0`).
-pub(crate) fn batch_walk_tree_parallel_prepared(
+pub(crate) fn walk_shards(
     tree: &AndXorTree,
-    spec: &SharedWalkSpec,
-    threads: usize,
+    cancel: Option<&CancelToken>,
+    consumers: &BatchConsumers,
     prep: &TreePrepared,
-) -> Option<SharedWalkOut> {
+    threads: usize,
+    answers: &mut [SharedAnswer],
+) -> Option<GfStats> {
     assert!(threads > 0, "need at least one thread");
-    let start = Instant::now();
     let n = tree.n_tuples();
-    let consumers = BatchConsumers::parse(spec, n);
-    let mut answers = BatchConsumers::answer_buffers(spec, n);
     let order = &prep.order;
     let pos = &prep.pos;
     let marginals = &prep.marginals;
@@ -213,13 +117,13 @@ pub(crate) fn batch_walk_tree_parallel_prepared(
 
     let threads = threads.min(n);
     let chunk = n.div_ceil(threads);
-    // Shared fold prefix across shards (see the single-query variant
-    // above): one all-ones fast-forward, bulk-advanced one chunk per
-    // boundary, with a snapshot cloned for each worker — instead of every
-    // worker re-folding the full consumer set from scratch.
+    // Shared fold prefix: ONE all-ones fast-forward, bulk-advanced one chunk
+    // of `x`/`α` labels per shard boundary, with a snapshot cloned for each
+    // worker — instead of every worker re-folding the full consumer set
+    // from scratch (`threads ×` the setup work).
     let mut snapshots = Vec::with_capacity(threads);
     {
-        let mut base = BatchWalkers::fast_forward(plan, &consumers, |_| false);
+        let mut base = BatchWalkers::fast_forward(plan, consumers, |_| false);
         let mut prev_lo = 0usize;
         for w in 0..threads {
             let lo = w * chunk;
@@ -239,21 +143,21 @@ pub(crate) fn batch_walk_tree_parallel_prepared(
     }
     type Shard = Option<(usize, usize, Vec<SharedAnswer>, GfStats)>;
     let mut shards: Vec<Shard> = Vec::with_capacity(snapshots.len());
+    let shapes: &[SharedAnswer] = answers;
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(snapshots.len());
         for (lo, hi, mut walkers) in snapshots {
             let order = &order;
             let marginals = &marginals;
-            let consumers = &consumers;
-            let spec = &spec;
             handles.push(scope.spawn(move || {
-                // Shard-sized buffers (position `i − lo`), like the
-                // single-query parallel walk — not full-length per worker.
-                let mut local = BatchConsumers::answer_buffers(spec, hi - lo);
+                // Shard-sized buffers (position `i − lo`), not full-length
+                // per worker.
+                let mut local: Vec<SharedAnswer> =
+                    shapes.iter().map(|a| a.zeroed(hi - lo)).collect();
                 for (i, &t) in order.iter().enumerate().take(hi).skip(lo) {
                     // Cooperative cancellation: every shard polls, and any
                     // tripped poll abandons the whole walk after the join.
-                    if (i - lo) & 0xFF == 0 && spec.is_cancelled() {
+                    if (i - lo) & 0xFF == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
                         return None;
                     }
                     walkers.step((i > lo).then(|| order[i - 1]), t);
@@ -278,12 +182,7 @@ pub(crate) fn batch_walk_tree_parallel_prepared(
         }
         stats = stats.merge(shard_stats);
     }
-    crate::tree::finish_erank_answers(&consumers, plan, n, &mut answers);
-    Some(SharedWalkOut {
-        answers,
-        stats: Some(stats),
-        walk_seconds: start.elapsed().as_secs_f64(),
-    })
+    Some(stats)
 }
 
 /// Copies one tuple's value from a shard-local answer buffer (indexed by

@@ -1,17 +1,19 @@
-//! Batched multi-query execution over **one shared score-order walk**.
+//! The query executor: batches of queries answered from **one shared
+//! score-order walk**.
 //!
 //! The paper's parameterized ranking function means every semantics —
 //! PRFω(h)/PT(h), PRFe(α) at any α, expected ranks — is read off the *same*
 //! generating function, walked over the *same* score order. A
 //! [`QueryBatch`] exploits that: it compiles N queries against one
-//! [`ProbabilisticRelation`] into a [`BatchPlan`] that shares the score
-//! sort, the compiled [`crate::incremental::EvalPlan`], and the incremental
-//! evaluator state, then extracts every answer from **one leaf-relabeling
-//! pass**. PRFe variants become extra evaluation points of the shared
-//! generating function (one scalar evaluator per α over the shared plan);
+//! [`ProbabilisticRelation`] into a [`BatchPlan`] and answers every walk
+//! consumer from **one** call to
+//! [`ProbabilisticRelation::run_shared_walk_prepared`]. PRFe variants
+//! become extra evaluation points of the shared generating function;
 //! PT(h)/PRFω(h) variants become truncation views of one shared
-//! truncated-polynomial evaluator (capped at the largest requested
-//! horizon); expected ranks ride along as a dual-number evaluation point.
+//! truncated-polynomial evaluator; expected ranks ride along as a
+//! dual-number evaluation point; a DFT mixture becomes its `L` scaled PRFe
+//! points, summed at finalize. This is the engine's **only** executor:
+//! [`RankQuery::run`] is a batch of one.
 //!
 //! ```
 //! use prf_core::query::{QueryBatch, RankQuery, Semantics};
@@ -30,31 +32,40 @@
 //!     RankQuery::pt(2).run(&db)?.ranking.order()
 //! );
 //! // …and its report records the shared-walk cost attribution.
-//! assert!(results[0].report.batch.is_some());
+//! assert_eq!(results[0].report.batch.unwrap().consumers, 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Semantics with no shared-walk form (U-Top's set sweep, U-Rank's
-//! candidate tables, the DFT mixture pipeline, E-Score's closed form) still
-//! run through the batch API but are evaluated as individual queries
-//! ([`BatchRoute::Single`]); their reports carry `batch: None`. Backends
-//! without a shared-walk kernel (the graphical adapter) fall back the same
-//! way, so a batch is *always* answer-equivalent to the sequence of single
-//! queries — enforced to 1e-9 by `tests/batch_equivalence.rs`.
+//! Three semantics have no walk form and take a **direct route**
+//! ([`BatchRoute::Single`], reports carry `batch: None`): E-Score's closed
+//! form, U-Top's set sweep ([`ProbabilisticRelation::most_probable_topk`])
+//! and U-Rank's candidate tables
+//! ([`ProbabilisticRelation::positional_candidates`]). A log-domain PRFe
+//! entry that is the batch's only walk consumer (a single query, or a
+//! one-query server flush) first asks
+//! [`ProbabilisticRelation::prfe_log_ranked`], so a backend holding a
+//! ranking cheaper than a sort (a live relation's merged key cache) answers
+//! it directly; alongside other consumers it joins the shared walk. A walk
+//! that returns `None` without being cancelled retries each of its entries
+//! alone; an entry whose own walk still returns `None` fails with
+//! [`QueryError::Unsupported`].
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use prf_numeric::{Complex, Scaled};
+use prf_numeric::{Complex, GfValue, Scaled};
+use prf_pdb::TupleId;
 
 use super::relation::{CorrelationClass, ProbabilisticRelation};
 use super::{
-    panic_reason, Algorithm, CancelToken, EvalReport, QueryError, RankQuery, RankedResult,
-    Semantics, Values,
+    panic_reason, timed, Algorithm, CancelToken, EvalReport, NumericMode, PreparedState,
+    QueryError, RankQuery, RankedResult, Semantics, TopSet, Values,
 };
 use crate::incremental::GfStats;
+use crate::mixture::{approximate_weights, DftApproxConfig, ExpMixture};
 use crate::topk::{Ranking, ValueOrder};
-use crate::weights::WeightFunction;
+use crate::weights::{tabulate, WeightFunction};
 
 // ---------------------------------------------------------------------
 // The shared-walk backend interface
@@ -62,7 +73,7 @@ use crate::weights::WeightFunction;
 
 /// One consumer of a shared score-order walk — the backend-facing form of a
 /// batched query, produced by [`QueryBatch`] compilation and consumed by
-/// [`ProbabilisticRelation::run_shared_walk`].
+/// [`ProbabilisticRelation::run_shared_walk_prepared`].
 #[derive(Clone)]
 pub enum SharedRequest {
     /// Weight-based Υ extraction (PRFω/PT/Consensus): read the first
@@ -115,9 +126,8 @@ pub struct SharedWalkSpec {
     /// Cooperative cancellation, polled between score steps. For a batch
     /// this is the **all-of** composite of the consumers' tokens (the walk
     /// serves everyone, so it only aborts once *every* consumer has given
-    /// up); a tripped token makes the kernel return `None`, demoting the
-    /// entries to individual evaluation where each reports its own
-    /// [`QueryError::TimedOut`].
+    /// up); a tripped token makes the kernel return `None`, and each entry
+    /// then reports its own [`QueryError::TimedOut`].
     pub cancel: Option<CancelToken>,
 }
 
@@ -126,6 +136,25 @@ impl SharedWalkSpec {
     /// the kernels' periodic poll.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// One answer buffer per request, `n` defaults each (see
+    /// [`SharedAnswer::zeroed`]) — what every walk fills in.
+    pub(crate) fn answer_buffers(&self, n: usize) -> Vec<SharedAnswer> {
+        self.requests
+            .iter()
+            .map(|req| {
+                let shape = match req {
+                    SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
+                        SharedAnswer::Complex(Vec::new())
+                    }
+                    SharedRequest::PrfeLog(_) => SharedAnswer::Log(Vec::new()),
+                    SharedRequest::PrfeScaled(_) => SharedAnswer::Scaled(Vec::new()),
+                    SharedRequest::ExpectedRanks => SharedAnswer::Ranks(Vec::new()),
+                };
+                shape.zeroed(n)
+            })
+            .collect()
     }
 }
 
@@ -141,6 +170,19 @@ pub enum SharedAnswer {
     Scaled(Vec<Scaled<Complex>>),
     /// Expected ranks, lower is better ([`SharedRequest::ExpectedRanks`]).
     Ranks(Vec<f64>),
+}
+
+impl SharedAnswer {
+    /// `len` defaults in this answer's shape — zero Υ values, `-∞` log
+    /// keys, zero ranks — the buffer a walk (or one shard of it) fills.
+    pub(crate) fn zeroed(&self, len: usize) -> Self {
+        match self {
+            SharedAnswer::Complex(_) => SharedAnswer::Complex(vec![Complex::ZERO; len]),
+            SharedAnswer::Log(_) => SharedAnswer::Log(vec![f64::NEG_INFINITY; len]),
+            SharedAnswer::Scaled(_) => SharedAnswer::Scaled(vec![Scaled::zero(); len]),
+            SharedAnswer::Ranks(_) => SharedAnswer::Ranks(vec![0.0; len]),
+        }
+    }
 }
 
 /// What one shared walk produced.
@@ -159,11 +201,11 @@ pub struct SharedWalkOut {
 // Cost attribution
 // ---------------------------------------------------------------------
 
-/// Cost attribution recorded in a batched query's
-/// [`EvalReport`]: how much walk time was shared, and
-/// between how many queries. A batched entry's `kernel_seconds` is its
-/// amortized share `walk_seconds / consumers`; queries evaluated
-/// individually inside a batch carry `batch: None`.
+/// Cost attribution recorded in a walk-answered query's [`EvalReport`]:
+/// how much walk time was shared, and between how many queries (a single
+/// query reports `consumers: 1`). The entry's `kernel_seconds` is its
+/// amortized share `walk_seconds / consumers`; direct-route entries carry
+/// `batch: None`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchCost {
     /// Total wall-clock seconds of the shared walk.
@@ -186,10 +228,12 @@ impl BatchCost {
 /// How one batch entry is executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchRoute {
-    /// Served by the shared score-order walk.
+    /// Served by the shared score-order walk (a lone log-domain PRFe
+    /// consumer may instead be answered by
+    /// [`ProbabilisticRelation::prfe_log_ranked`]).
     Shared,
-    /// Evaluated as an individual query (set/position semantics, closed
-    /// forms, the DFT mixture, or a backend without a shared-walk kernel).
+    /// Answered directly, outside the walk: E-Score's closed form, U-Top
+    /// and U-Rank.
     Single,
 }
 
@@ -239,7 +283,7 @@ impl BatchPlan {
 
 /// A batch of ranking queries against one relation, answered from one
 /// shared score-order walk wherever the semantics allow (see the module
-/// docs for the sharing rules and the fallback behaviour).
+/// docs for the sharing rules and the direct routes).
 ///
 /// Entries are full [`RankQuery`]s, so per-entry algorithm, value order and
 /// `top_k` overrides compose with the batch-level defaults
@@ -289,14 +333,14 @@ impl QueryBatch {
     }
 
     /// Requests `threads` workers for the shared walk (sharded exactly like
-    /// [`crate::parallel::prf_rank_tree_parallel`]) and, as a default, for
-    /// parallel-capable kernels of individually evaluated entries.
+    /// [`crate::parallel::prf_rank_tree_parallel`]) and for fanning out the
+    /// per-entry finalization.
     ///
     /// This batch-level setting is the **only** control over the shared
     /// walk: a per-entry `RankQuery::parallel` cannot shard a walk it
-    /// shares with other entries, so it is ignored for shared-routed
-    /// entries (their reports echo the walk's actual thread count) and
-    /// honoured, entry-first, for individually evaluated ones.
+    /// shares with other entries, so it is ignored inside a batch (reports
+    /// echo the walk's actual thread count); [`RankQuery::run`] turns it
+    /// into the batch-level setting of its batch of one.
     pub fn parallel(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -331,35 +375,34 @@ impl QueryBatch {
         let mut resolved = Vec::with_capacity(self.entries.len());
         for entry in &self.entries {
             let algorithm = entry.resolve_algorithm(rel)?;
-            resolved.push((algorithm, route(entry.semantics(), algorithm)));
+            resolved.push((algorithm, route(entry.semantics())));
         }
         Ok(BatchPlan { resolved })
     }
 
-    /// Runs every query, sharing one score-order walk between the entries
-    /// the plan routes as [`BatchRoute::Shared`]. Results are in entry
-    /// order and answer-equivalent to running each entry individually.
+    /// Runs every query, sharing one score-order walk between the walk
+    /// consumers. Results are in entry order and identical to running each
+    /// entry as its own batch of one.
     ///
-    /// Any per-entry failure — an unresolvable algorithm or a failing
-    /// individually-evaluated entry — fails the whole batch; serving
-    /// layers that must keep one bad query from poisoning a flush use
+    /// Any per-entry failure fails the whole batch; serving layers that
+    /// must keep one bad query from poisoning a flush use
     /// [`QueryBatch::run_isolated`] instead.
     pub fn run(
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
     ) -> Result<Vec<RankedResult>, QueryError> {
         let plan = self.compile(rel)?;
-        let resolved: Vec<Result<(Algorithm, BatchRoute), QueryError>> =
-            plan.resolved.iter().map(|&r| Ok(r)).collect();
-        self.execute(rel, &resolved, true).into_iter().collect()
+        let resolved: Vec<_> = plan.resolved.iter().map(|&(a, _)| Ok(a)).collect();
+        self.execute(rel, &resolved, false).into_iter().collect()
     }
 
     /// Runs every query with **per-entry error isolation**: each entry
-    /// resolves, routes, and (when necessary) falls back independently, so
-    /// one incompatible or failing query yields an `Err` in *its* slot
-    /// while every other entry still shares the walk. Results are in entry
-    /// order; an empty batch returns an empty vector (a serving layer never
-    /// flushes an empty queue, so there is no entry to report
+    /// resolves and (when necessary) retries its walk independently, and
+    /// evaluation panics are caught, so one incompatible, failing or
+    /// panicking query yields an `Err` in *its* slot while every other
+    /// entry still shares the walk. Results are in entry order; an empty
+    /// batch returns an empty vector (a serving layer never flushes an
+    /// empty queue, so there is no entry to report
     /// [`QueryError::EmptyBatch`] through).
     ///
     /// Ok entries are answer-identical to what [`QueryBatch::run`] produces
@@ -368,126 +411,183 @@ impl QueryBatch {
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
     ) -> Vec<Result<RankedResult, QueryError>> {
-        let resolved: Vec<Result<(Algorithm, BatchRoute), QueryError>> = self
+        let resolved: Vec<_> = self
             .entries
             .iter()
-            .map(|e| {
-                e.resolve_algorithm(rel)
-                    .map(|a| (a, route(e.semantics(), a)))
-            })
+            .map(|e| e.resolve_algorithm(rel))
             .collect();
-        self.execute(rel, &resolved, false)
+        self.execute(rel, &resolved, true)
     }
 
-    /// The shared execution core of [`QueryBatch::run`] and
-    /// [`QueryBatch::run_isolated`]: entries whose resolution failed carry
-    /// their error through; the rest share one walk where routed.
-    /// `fail_fast` stops at the first errored entry (the all-or-nothing
-    /// `run` path discards everything after it anyway), leaving the
-    /// returned vector short.
+    /// The executor behind [`QueryBatch::run`] and
+    /// [`QueryBatch::run_isolated`]. Entries whose resolution failed carry
+    /// their error through; walk consumers share one walk; direct routes
+    /// run in entry order afterwards. Without `isolate` panics propagate
+    /// and evaluation stops at the first error (the all-or-nothing `run`
+    /// discards everything after it anyway), leaving the vector short.
     fn execute(
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
-        resolved: &[Result<(Algorithm, BatchRoute), QueryError>],
-        fail_fast: bool,
+        resolved: &[Result<Algorithm, QueryError>],
+        isolate: bool,
     ) -> Vec<Result<RankedResult, QueryError>> {
-        // Assemble the shared-walk spec from the resolvable Shared entries.
-        // Entries whose cancellation token already tripped are answered
-        // `TimedOut` without joining the walk (or evaluating at all).
+        let n = rel.n_tuples();
+        let backend = rel.correlation_class();
+
+        // Classify every entry and assemble the walk spec. Entries whose
+        // token already tripped are answered `TimedOut` without joining
+        // the walk (or evaluating at all).
         let mut spec = SharedWalkSpec {
             requests: Vec::new(),
             threads: self.threads,
             cancel: None,
         };
-        let mut request_of = vec![usize::MAX; self.entries.len()];
-        let mut expired = vec![false; self.entries.len()];
-        let mut shared_tokens: Vec<CancelToken> = Vec::new();
-        let mut shared_untracked = 0usize;
-        for (i, entry) in self.entries.iter().enumerate() {
-            if entry.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                expired[i] = true;
+        let mut tokens: Vec<CancelToken> = Vec::new();
+        let mut untracked = 0usize;
+        let mut slots: Vec<Slot> = Vec::with_capacity(self.entries.len());
+        // A lone walk consumer has no walk to share, so a log-domain PRFe
+        // entry asks the backend's ranked hook first; with company it joins
+        // the one shared walk (a hook miss would cost a walk of its own).
+        let lone = resolved
+            .iter()
+            .zip(&self.entries)
+            .filter(|(r, e)| r.is_ok() && route(&e.semantics) == BatchRoute::Shared)
+            .count()
+            == 1;
+        for (entry, resolved) in self.entries.iter().zip(resolved) {
+            let algorithm = match resolved {
+                _ if entry.cancel.as_ref().is_some_and(CancelToken::is_cancelled) => {
+                    slots.push(Slot::Done(Err(QueryError::TimedOut)));
+                    continue;
+                }
+                Err(e) => {
+                    slots.push(Slot::Done(Err(e.clone())));
+                    continue;
+                }
+                Ok(a) => *a,
+            };
+            if route(&entry.semantics) == BatchRoute::Single {
+                slots.push(Slot::Direct(algorithm));
                 continue;
             }
-            if let Ok((algorithm, BatchRoute::Shared)) = resolved[i] {
-                request_of[i] = spec.requests.len();
-                spec.requests
-                    .push(shared_request(entry.semantics(), algorithm));
-                match &entry.cancel {
-                    Some(token) => shared_tokens.push(token.clone()),
-                    None => shared_untracked += 1,
+            if let (true, Semantics::Prfe(alpha), Algorithm::LogDomain) =
+                (lone, &entry.semantics, algorithm)
+            {
+                let start = Instant::now();
+                match guarded(isolate, || Ok(rel.prfe_log_ranked(alpha.re))) {
+                    Ok(None) => {}
+                    Ok(Some((keys, order))) => {
+                        let result = self.log_ranked(entry, backend, keys, order, start);
+                        slots.push(Slot::Done(Ok(result)));
+                        continue;
+                    }
+                    Err(e) => {
+                        slots.push(Slot::Done(Err(e)));
+                        continue;
+                    }
                 }
             }
+            match walk_requests(entry, algorithm) {
+                Ok((requests, mix)) => {
+                    let first = spec.requests.len();
+                    spec.requests.extend(requests);
+                    match &entry.cancel {
+                        Some(token) => tokens.push(token.clone()),
+                        None => untracked += 1,
+                    }
+                    slots.push(Slot::Walk {
+                        algorithm,
+                        requests: first..spec.requests.len(),
+                        mix,
+                    });
+                }
+                Err(e) => slots.push(Slot::Done(Err(e))),
+            }
         }
+        let consumers = slots.iter().filter(|s| s.walks()).count();
         // The walk aborts only once *every* consumer has cancelled — with
         // any token-less consumer aboard it can never be abandoned.
-        if shared_untracked == 0 && !shared_tokens.is_empty() {
-            spec.cancel = Some(CancelToken::all_of(shared_tokens));
+        if untracked == 0 && !tokens.is_empty() {
+            spec.cancel = Some(CancelToken::all_of(tokens));
         }
 
-        // One walk serves every shared entry; `None` (no backend kernel, or
-        // a walk abandoned because every consumer cancelled) demotes them
-        // all to individual evaluation. In isolated mode a panicking walk is
-        // caught and demoted the same way: each entry then re-runs (and
-        // re-panics) alone, so the failure lands on the culpable entries as
-        // [`QueryError::Internal`] instead of unwinding through the caller.
-        let walk = if spec.requests.is_empty() {
-            None
-        } else if fail_fast {
-            rel.run_shared_walk(&spec)
+        // One walk serves every consumer. When it yields no answers (a
+        // request this backend cannot serve, a panic under isolation, or
+        // every consumer cancelled), each consumer retries alone so the
+        // failure lands only on the entries that cause it.
+        let walk = if consumers == 0 {
+            Ok(None)
         } else {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rel.run_shared_walk(&spec)))
-                .unwrap_or(None)
+            guarded(isolate, || {
+                Ok(rel.run_shared_walk_prepared(&spec, &PreparedState::empty()))
+            })
         };
-        let (mut answers, stats, walk_seconds, consumers) = match walk {
-            Some(out) => {
-                let consumers = out.answers.len();
-                (
-                    out.answers.into_iter().map(Some).collect::<Vec<_>>(),
-                    out.stats,
-                    out.walk_seconds,
+        let mut answered: Vec<Option<Result<Answered, QueryError>>> =
+            slots.iter().map(|_| None).collect();
+        match walk {
+            Ok(Some(out)) => {
+                let cost = BatchCost {
+                    walk_seconds: out.walk_seconds,
                     consumers,
-                )
+                };
+                let mut answers: Vec<Option<SharedAnswer>> =
+                    out.answers.into_iter().map(Some).collect();
+                for (slot, a) in slots.iter().zip(&mut answered) {
+                    if let Slot::Walk { requests, .. } = slot {
+                        let answers = answers[requests.clone()]
+                            .iter_mut()
+                            .map(|a| a.take().expect("one answer per request"))
+                            .collect();
+                        *a = Some(Ok(Answered {
+                            answers,
+                            cost,
+                            stats: out.stats,
+                        }));
+                    }
+                }
             }
-            None => (Vec::new(), None, 0.0, 0),
-        };
-
-        // Take every answered entry's walk answer up front: per-entry
-        // finalization (value vector + ranking construction) is
-        // independent O(n)–O(n·log n) work that dominates the post-walk
-        // wall on multi-entry batches over large relations, so it fans
-        // out over scoped threads under the same opt-in contract as the
-        // shard-parallel walk (`parallel(t)` requested and every
-        // worker's share clearing the parallel floor). Results scatter
-        // back by entry index, so entry order is untouched.
-        let cost = BatchCost {
-            walk_seconds,
-            consumers,
-        };
-        let n_rel = rel.n_tuples();
-        let backend = rel.correlation_class();
-        let mut jobs: Vec<(usize, Algorithm, SharedAnswer)> = Vec::new();
-        for i in 0..self.entries.len() {
-            if expired[i] || request_of[i] == usize::MAX || answers.is_empty() {
-                continue;
+            // A lone consumer already had its walk: report, don't retry.
+            failed if consumers == 1 => {
+                let i = slots
+                    .iter()
+                    .position(Slot::walks)
+                    .expect("one walk consumer");
+                answered[i] = Some(Err(match failed {
+                    Err(e) => e,
+                    _ => walk_failure(&self.entries[i], backend),
+                }));
             }
-            if let Ok((algorithm, _)) = resolved[i] {
-                if let Some(answer) = answers
-                    .get_mut(request_of[i])
-                    .and_then(std::option::Option::take)
-                {
-                    jobs.push((i, algorithm, answer));
+            _ => {
+                for ((slot, a), entry) in slots.iter().zip(&mut answered).zip(&self.entries) {
+                    if let Slot::Walk { requests, .. } = slot {
+                        let requests = spec.requests[requests.clone()].to_vec();
+                        *a = Some(self.walk_alone(rel, entry, requests, isolate));
+                    }
                 }
             }
         }
-        let mut shared_results: Vec<Option<RankedResult>> =
-            self.entries.iter().map(|_| None).collect();
-        let finalize_threads =
-            crate::parallel::effective_walk_threads(n_rel, self.threads).min(jobs.len().max(1));
-        if finalize_threads > 1 {
-            let mut buckets: Vec<Vec<(usize, Algorithm, SharedAnswer)>> =
-                (0..finalize_threads).map(|_| Vec::new()).collect();
+
+        // Finalize the walk answers — independent O(n)–O(n·log n) work per
+        // entry that dominates the post-walk wall on multi-entry batches
+        // over large relations, so it fans out over scoped threads under
+        // the same opt-in contract as the sharded walk (`parallel(t)`
+        // requested and every worker's share clearing the parallel floor).
+        let mut walked: Vec<Option<Result<RankedResult, QueryError>>> =
+            slots.iter().map(|_| None).collect();
+        let mut jobs = Vec::new();
+        for (i, (slot, a)) in slots.iter().zip(answered).enumerate() {
+            if let Slot::Walk { algorithm, mix, .. } = slot {
+                match a.expect("every walk consumer is answered or failed") {
+                    Ok(a) => jobs.push((i, *algorithm, mix.as_deref(), a)),
+                    Err(e) => walked[i] = Some(Err(e)),
+                }
+            }
+        }
+        let threads = crate::parallel::effective_walk_threads(n, self.threads).min(jobs.len());
+        if threads > 1 {
+            let mut buckets: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
             for (j, job) in jobs.into_iter().enumerate() {
-                buckets[j % finalize_threads].push(job);
+                buckets[j % threads].push(job);
             }
             let outs = std::thread::scope(|scope| {
                 let handles: Vec<_> = buckets
@@ -496,18 +596,11 @@ impl QueryBatch {
                         scope.spawn(move || {
                             bucket
                                 .into_iter()
-                                .map(|(i, algorithm, answer)| {
+                                .map(|(i, algorithm, mix, answered)| {
+                                    let entry = &self.entries[i];
                                     (
                                         i,
-                                        self.finalize_shared(
-                                            &self.entries[i],
-                                            algorithm,
-                                            n_rel,
-                                            backend,
-                                            answer,
-                                            cost,
-                                            stats,
-                                        ),
+                                        self.finalize(entry, algorithm, n, backend, mix, answered),
                                     )
                                 })
                                 .collect::<Vec<_>>()
@@ -520,178 +613,171 @@ impl QueryBatch {
                     .collect::<Vec<_>>()
             });
             for out in outs {
-                match out {
-                    Ok(list) => {
-                        for (i, r) in list {
-                            shared_results[i] = Some(r);
-                        }
-                    }
-                    // A finalize panic propagates exactly like the serial
-                    // path's would (finalization is infallible assembly;
-                    // a panic there is an internal bug, not an entry
-                    // error).
-                    Err(payload) => std::panic::resume_unwind(payload),
+                // Finalization is infallible assembly: a panic there is an
+                // internal bug and propagates like the serial path's would.
+                let list = out.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                for (i, r) in list {
+                    walked[i] = Some(Ok(r));
                 }
             }
         } else {
-            for (i, algorithm, answer) in jobs {
-                shared_results[i] = Some(self.finalize_shared(
-                    &self.entries[i],
-                    algorithm,
-                    n_rel,
-                    backend,
-                    answer,
-                    cost,
-                    stats,
+            for (i, algorithm, mix, answered) in jobs {
+                let entry = &self.entries[i];
+                walked[i] = Some(Ok(
+                    self.finalize(entry, algorithm, n, backend, mix, answered)
                 ));
             }
         }
 
-        let mut results = Vec::with_capacity(self.entries.len());
-        for (i, entry) in self.entries.iter().enumerate() {
-            if expired[i] {
-                results.push(Err(QueryError::TimedOut));
-                if fail_fast {
-                    break;
+        // Assemble in entry order; direct routes evaluate here.
+        let mut results = Vec::with_capacity(slots.len());
+        for (i, slot) in slots.into_iter().enumerate() {
+            let entry = &self.entries[i];
+            let result = match slot {
+                Slot::Done(r) => r,
+                Slot::Direct(algorithm) => {
+                    guarded(isolate, || self.direct(rel, entry, algorithm, backend))
                 }
-                continue;
-            }
-            if let Err(e) = &resolved[i] {
-                results.push(Err(e.clone()));
-                if fail_fast {
-                    break;
-                }
-                continue;
-            }
-            let result = match shared_results[i].take() {
-                Some(result) => Ok(result),
-                // Single-route entries (and every entry when the backend
-                // has no shared walk) run as the equivalent single query —
-                // in isolated mode with the panic caught, so a poisonous
-                // entry fails alone instead of unwinding the flush.
-                None if fail_fast => self.effective_single(entry).run(rel),
-                None => {
-                    let single = self.effective_single(entry);
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| single.run(rel)))
-                        .unwrap_or_else(|payload| {
-                            Err(QueryError::Internal {
-                                reason: panic_reason(payload.as_ref()),
-                            })
-                        })
-                }
+                Slot::Walk { .. } => walked[i].take().expect("every walk consumer is settled"),
             };
-            let errored = result.is_err();
+            let failed = result.is_err();
             results.push(result);
-            if fail_fast && errored {
+            if failed && !isolate {
                 break;
             }
         }
         results
     }
 
-    /// The single-query form of an entry with batch-level defaults filled
-    /// in (threads, `top_k`).
-    fn effective_single(&self, entry: &RankQuery) -> RankQuery {
-        let mut q = entry.clone();
-        if q.top_k.is_none() {
-            q.top_k = self.top_k;
+    /// One entry's walk on its own — the retry after a shared walk yielded
+    /// no answers. Its cost is its own (`consumers: 1`).
+    fn walk_alone(
+        &self,
+        rel: &(impl ProbabilisticRelation + ?Sized),
+        entry: &RankQuery,
+        requests: Vec<SharedRequest>,
+        isolate: bool,
+    ) -> Result<Answered, QueryError> {
+        let spec = SharedWalkSpec {
+            requests,
+            threads: self.threads,
+            cancel: entry.cancel.clone(),
+        };
+        if spec.is_cancelled() {
+            return Err(QueryError::TimedOut);
         }
-        if q.threads.is_none() {
-            q.threads = self.threads;
-        }
-        q
+        let out = guarded(isolate, || {
+            Ok(rel.run_shared_walk_prepared(&spec, &PreparedState::empty()))
+        })?;
+        let out = out.ok_or_else(|| walk_failure(entry, rel.correlation_class()))?;
+        Ok(Answered {
+            answers: out.answers,
+            cost: BatchCost {
+                walk_seconds: out.walk_seconds,
+                consumers: 1,
+            },
+            stats: out.stats,
+        })
     }
 
-    /// Builds the [`RankedResult`] of a shared entry from its walk answer,
-    /// mirroring the single-query value/ranking construction exactly. A
-    /// requested `top_k` is **pushed down** into the ranking construction:
-    /// only the best-`k` prefix is selected and sorted (the per-tuple
-    /// values stay complete, like the single-query path), which is
-    /// answer-identical to materialising the full ranking and truncating —
-    /// pinned by `batch_top_k_pushdown_agrees_with_full_rankings` and the
-    /// differential suite.
-    #[allow(clippy::too_many_arguments)]
-    fn finalize_shared(
+    /// The report fields every route shares.
+    fn report(
+        &self,
+        entry: &RankQuery,
+        algorithm: Algorithm,
+        backend: CorrelationClass,
+        numeric_mode: NumericMode,
+    ) -> EvalReport {
+        EvalReport {
+            semantics: entry.semantics.name(),
+            backend,
+            algorithm,
+            auto_selected: matches!(entry.algorithm, Algorithm::Auto),
+            numeric_mode,
+            kernel_seconds: 0.0,
+            total_seconds: 0.0,
+            truncated_to: entry.top_k.or(self.top_k),
+            threads: self.threads,
+            memory: None,
+            batch: None,
+            serve: None,
+        }
+    }
+
+    /// How much of an `n`-tuple ranking an entry materialises: its `top_k`
+    /// (else the batch's) is **pushed down** into ranking construction —
+    /// only the best-`k` prefix is selected and sorted, which is identical
+    /// to sorting everything and truncating.
+    fn cap(&self, entry: &RankQuery, n: usize) -> usize {
+        entry.top_k.or(self.top_k).unwrap_or(n).min(n)
+    }
+
+    /// Builds the [`RankedResult`] of a walk consumer from its answers (one
+    /// per request; a DFT mixture's `L` scaled points are summed with the
+    /// mixture weights `mix`). Per-tuple values stay complete.
+    fn finalize(
         &self,
         entry: &RankQuery,
         algorithm: Algorithm,
         n: usize,
         backend: CorrelationClass,
-        answer: SharedAnswer,
-        cost: BatchCost,
-        stats: Option<GfStats>,
+        mix: Option<&[Complex]>,
+        answered: Answered,
     ) -> RankedResult {
         let finalize_start = Instant::now();
-        let top_k = entry.top_k.or(self.top_k);
-        // The pushdown cap: how much of the ranking to materialise.
-        let cap = top_k.unwrap_or(n).min(n);
-        let (values, ranking) = match (&entry.semantics, answer) {
-            (Semantics::Prf(_), SharedAnswer::Complex(vals)) => {
-                let ranking = Ranking::from_values_topk(
-                    &vals,
-                    entry.value_order.unwrap_or(ValueOrder::Magnitude),
-                    cap,
-                );
-                (Values::Complex(vals), ranking)
-            }
-            (Semantics::Pt(_) | Semantics::Consensus(_), SharedAnswer::Complex(vals)) => {
-                let ranking = Ranking::from_values_topk(
-                    &vals,
-                    entry.value_order.unwrap_or(ValueOrder::RealPart),
-                    cap,
-                );
-                (Values::Complex(vals), ranking)
-            }
-            (Semantics::Prfe(_), SharedAnswer::Complex(vals)) => {
-                let ranking = Ranking::from_values_topk(
-                    &vals,
-                    entry.value_order.unwrap_or(ValueOrder::Magnitude),
-                    cap,
-                );
-                (Values::Complex(vals), ranking)
-            }
-            (Semantics::Prfe(_), SharedAnswer::Log(keys)) => {
-                let ranking = Ranking::from_keys_topk(&keys, cap);
-                (Values::LogDomain(keys), ranking)
-            }
-            (Semantics::Prfe(_), SharedAnswer::Scaled(vals)) => {
-                let ranking = entry.rank_scaled_topk(&vals, ValueOrder::Magnitude, Some(cap));
-                (Values::Scaled(vals), ranking)
-            }
-            (Semantics::ERank, SharedAnswer::Ranks(er)) => {
-                // Negated so higher ranks better, like the single query.
-                let vals: Vec<Complex> = er.iter().map(|&e| Complex::real(-e)).collect();
-                let keys: Vec<f64> = er.into_iter().map(|e| -e).collect();
-                (Values::Complex(vals), Ranking::from_keys_topk(&keys, cap))
-            }
-            (sem, ans) => unreachable!(
-                "shared answer shape mismatch: {sem:?} got {}",
-                match ans {
-                    SharedAnswer::Complex(_) => "Complex",
-                    SharedAnswer::Log(_) => "Log",
-                    SharedAnswer::Scaled(_) => "Scaled",
-                    SharedAnswer::Ranks(_) => "Ranks",
+        let cap = self.cap(entry, n);
+        let order = |default| entry.value_order.unwrap_or(default);
+        let mut answers = answered.answers.into_iter();
+        let (values, ranking) = match (mix, &entry.semantics) {
+            (Some(weights), _) => {
+                let mut acc = vec![Scaled::<Complex>::zero(); n];
+                for (&u, answer) in weights.iter().zip(answers) {
+                    let SharedAnswer::Scaled(vals) = answer else {
+                        unreachable!("mixture points are scaled PRFe requests")
+                    };
+                    let us = Scaled::new(u);
+                    for (a, v) in acc.iter_mut().zip(vals) {
+                        *a = a.add(&v.mul(&us));
+                    }
                 }
-            ),
+                let ranking = rank_scaled(&acc, order(ValueOrder::RealPart), cap);
+                (Values::Scaled(acc), ranking)
+            }
+            (None, sem) => match answers.next().expect("one answer per request") {
+                SharedAnswer::Complex(vals) => {
+                    // The classical real-valued semantics rank by the real
+                    // part (identical to |Υ| for their non-negative values,
+                    // and bitwise-stable for differential comparisons).
+                    let default = match sem {
+                        Semantics::Pt(_) | Semantics::Consensus(_) => ValueOrder::RealPart,
+                        _ => ValueOrder::Magnitude,
+                    };
+                    let ranking = Ranking::from_values_topk(&vals, order(default), cap);
+                    (Values::Complex(vals), ranking)
+                }
+                SharedAnswer::Log(keys) => {
+                    let ranking = Ranking::from_keys_topk(&keys, cap);
+                    (Values::LogDomain(keys), ranking)
+                }
+                SharedAnswer::Scaled(vals) => {
+                    let ranking = rank_scaled(&vals, order(ValueOrder::Magnitude), cap);
+                    (Values::Scaled(vals), ranking)
+                }
+                SharedAnswer::Ranks(er) => {
+                    // Negated so that — like every other semantics — higher
+                    // values rank better.
+                    let vals: Vec<Complex> = er.iter().map(|&e| Complex::real(-e)).collect();
+                    let keys: Vec<f64> = er.into_iter().map(|e| -e).collect();
+                    (Values::Complex(vals), Ranking::from_keys_topk(&keys, cap))
+                }
+            },
         };
-
-        let amortized = cost.amortized_seconds();
-        let report = EvalReport {
-            semantics: entry.semantics.name(),
-            backend,
-            algorithm,
-            auto_selected: matches!(entry.algorithm, Algorithm::Auto),
-            numeric_mode: values.numeric_mode(),
-            kernel_seconds: amortized,
-            total_seconds: amortized + finalize_start.elapsed().as_secs_f64(),
-            truncated_to: top_k,
-            // The walk's actual thread count — a per-entry `parallel` has
-            // no effect on a walk shared with other entries.
-            threads: self.threads,
-            memory: stats,
-            batch: Some(cost),
-            serve: None,
-        };
+        let amortized = answered.cost.amortized_seconds();
+        let mut report = self.report(entry, algorithm, backend, values.numeric_mode());
+        report.kernel_seconds = amortized;
+        report.total_seconds = amortized + finalize_start.elapsed().as_secs_f64();
+        report.memory = answered.stats;
+        report.batch = Some(answered.cost);
         RankedResult {
             values,
             ranking,
@@ -699,36 +785,294 @@ impl QueryBatch {
             report,
         }
     }
-}
 
-/// Decides whether a (semantics, resolved algorithm) pair can be served by
-/// the shared walk.
-fn route(semantics: &Semantics, algorithm: Algorithm) -> BatchRoute {
-    match (semantics, algorithm) {
-        (Semantics::Prf(_) | Semantics::Pt(_) | Semantics::Consensus(_), Algorithm::ExactGf) => {
-            BatchRoute::Shared
+    /// A log-domain PRFe entry answered by
+    /// [`ProbabilisticRelation::prfe_log_ranked`]: keys and their ranking
+    /// arrive together, so no walk and no sort.
+    fn log_ranked(
+        &self,
+        entry: &RankQuery,
+        backend: CorrelationClass,
+        keys: Vec<f64>,
+        mut order: Vec<TupleId>,
+        start: Instant,
+    ) -> RankedResult {
+        let kernel_seconds = start.elapsed().as_secs_f64();
+        order.truncate(self.cap(entry, keys.len()));
+        let ranked_keys = order.iter().map(|t| keys[t.index()]).collect();
+        let mut report = self.report(entry, Algorithm::LogDomain, backend, NumericMode::LogDomain);
+        report.kernel_seconds = kernel_seconds;
+        report.total_seconds = start.elapsed().as_secs_f64();
+        RankedResult {
+            values: Values::LogDomain(keys),
+            ranking: Ranking::from_order_and_keys(order, ranked_keys),
+            set: None,
+            report,
         }
-        (Semantics::Prfe(_), Algorithm::ExactGf | Algorithm::LogDomain | Algorithm::Scaled) => {
-            BatchRoute::Shared
-        }
-        (Semantics::ERank, Algorithm::ExactGf) => BatchRoute::Shared,
-        _ => BatchRoute::Single,
+    }
+
+    /// The direct routes: E-Score's closed form, U-Top and U-Rank.
+    fn direct(
+        &self,
+        rel: &(impl ProbabilisticRelation + ?Sized),
+        entry: &RankQuery,
+        algorithm: Algorithm,
+        backend: CorrelationClass,
+    ) -> Result<RankedResult, QueryError> {
+        let start = Instant::now();
+        let n = rel.n_tuples();
+        let cap = self.cap(entry, n);
+        let mut kernel_seconds = 0.0;
+        let (values, mut ranking, set) = match &entry.semantics {
+            Semantics::EScore => {
+                // ω(t, i) = score(t) makes Υ = Pr(t)·score(t), O(n) in
+                // closed form. An absent tuple expects nothing, even with an
+                // infinite score (0·∞ would be NaN).
+                let vals: Vec<Complex> = timed(&mut kernel_seconds, || {
+                    rel.tuple_marginals()
+                        .iter()
+                        .zip(rel.tuple_scores())
+                        .map(|(&p, s)| Complex::real(if p == 0.0 { 0.0 } else { p * s }))
+                        .collect()
+                });
+                let order = entry.value_order.unwrap_or(ValueOrder::RealPart);
+                let ranking = Ranking::from_values_topk(&vals, order, cap);
+                (vals, ranking, None)
+            }
+            Semantics::URank(k) => {
+                // Positions beyond n never get candidates.
+                let k = (*k).min(n);
+                let chosen =
+                    timed(&mut kernel_seconds, || rel.positional_candidates(k)).select_distinct();
+                let mut vals = vec![Complex::ZERO; n];
+                for &(p, t) in &chosen {
+                    vals[t.index()] = Complex::real(p);
+                }
+                let (keys, order): (Vec<f64>, Vec<TupleId>) = chosen.into_iter().unzip();
+                (vals, Ranking::from_order_and_keys(order, keys), None)
+            }
+            Semantics::UTop(k) => {
+                let (members, log_prob) =
+                    timed(&mut kernel_seconds, || rel.most_probable_topk(*k))?;
+                let scores = rel.tuple_scores();
+                let mut vals = vec![Complex::ZERO; n];
+                for &t in &members {
+                    vals[t.index()] = Complex::ONE;
+                }
+                let keys: Vec<f64> = members.iter().map(|t| scores[t.index()]).collect();
+                let ranking = Ranking::from_order_and_keys(members.clone(), keys);
+                (vals, ranking, Some(TopSet { members, log_prob }))
+            }
+            sem => unreachable!("{sem:?} is answered by the walk"),
+        };
+        ranking.truncate(cap);
+        let mut report = self.report(entry, algorithm, backend, NumericMode::Complex);
+        report.kernel_seconds = kernel_seconds;
+        report.total_seconds = start.elapsed().as_secs_f64();
+        Ok(RankedResult {
+            values: Values::Complex(values),
+            ranking,
+            set,
+            report,
+        })
     }
 }
 
-/// The backend-facing request of a shared entry.
-fn shared_request(semantics: &Semantics, algorithm: Algorithm) -> SharedRequest {
-    match (semantics, algorithm) {
-        (Semantics::Prf(w), _) => SharedRequest::Weight(w.clone()),
-        (Semantics::Pt(h) | Semantics::Consensus(h), _) => {
-            SharedRequest::Weight(Arc::new(crate::weights::StepWeight { h: *h }))
-        }
-        (Semantics::Prfe(alpha), Algorithm::ExactGf) => SharedRequest::PrfeComplex(*alpha),
+/// How one batch entry is answered.
+// One short-lived slot per entry: boxing the settled result buys nothing.
+#[allow(clippy::large_enum_variant)]
+enum Slot {
+    /// Settled before the walk: an error, or a direct log-domain ranking.
+    Done(Result<RankedResult, QueryError>),
+    /// A direct route, evaluated after the walk in entry order.
+    Direct(Algorithm),
+    /// A walk consumer owning `requests` of the walk spec; `mix` holds the
+    /// DFT mixture weights that sum its scaled points.
+    Walk {
+        algorithm: Algorithm,
+        requests: Range<usize>,
+        mix: Option<Vec<Complex>>,
+    },
+}
+
+impl Slot {
+    fn walks(&self) -> bool {
+        matches!(self, Slot::Walk { .. })
+    }
+}
+
+/// A walk consumer's answers with their cost attribution.
+struct Answered {
+    answers: Vec<SharedAnswer>,
+    cost: BatchCost,
+    stats: Option<GfStats>,
+}
+
+/// Whether a semantics is answered by the walk or directly.
+fn route(semantics: &Semantics) -> BatchRoute {
+    match semantics {
+        Semantics::EScore | Semantics::UTop(_) | Semantics::URank(_) => BatchRoute::Single,
+        _ => BatchRoute::Shared,
+    }
+}
+
+/// The walk requests of a walk-routed entry, plus the DFT mixture weights
+/// that sum them at finalize (`None` for every other algorithm).
+fn walk_requests(
+    entry: &RankQuery,
+    algorithm: Algorithm,
+) -> Result<(Vec<SharedRequest>, Option<Vec<Complex>>), QueryError> {
+    let one = |req| Ok((vec![req], None));
+    match (&entry.semantics, algorithm) {
+        (Semantics::Prfe(alpha), Algorithm::ExactGf) => one(SharedRequest::PrfeComplex(*alpha)),
         // Validated real ∈ [0, 1] by `resolve_algorithm`.
-        (Semantics::Prfe(alpha), Algorithm::LogDomain) => SharedRequest::PrfeLog(alpha.re),
-        (Semantics::Prfe(alpha), Algorithm::Scaled) => SharedRequest::PrfeScaled(*alpha),
-        (Semantics::ERank, _) => SharedRequest::ExpectedRanks,
-        (sem, alg) => unreachable!("unroutable shared entry: {sem:?} / {}", alg.name()),
+        (Semantics::Prfe(alpha), Algorithm::LogDomain) => one(SharedRequest::PrfeLog(alpha.re)),
+        (Semantics::Prfe(alpha), _) => one(SharedRequest::PrfeScaled(*alpha)),
+        (Semantics::ERank, _) => one(SharedRequest::ExpectedRanks),
+        (sem, Algorithm::DftApprox(cfg)) => {
+            let omega = sem.weight().expect("validated: weight-based semantics");
+            let mix = dft_mixture(&*omega, &cfg)?;
+            let requests = mix
+                .terms
+                .iter()
+                .map(|&(_, alpha)| SharedRequest::PrfeScaled(alpha))
+                .collect();
+            Ok((requests, Some(mix.terms.iter().map(|&(u, _)| u).collect())))
+        }
+        (sem, _) => one(SharedRequest::Weight(
+            sem.weight().expect("validated: weight-based semantics"),
+        )),
+    }
+}
+
+/// The PRFe mixture approximating a truncated rank-only `ω` (Section 5.1).
+fn dft_mixture(
+    omega: &(dyn WeightFunction + Send + Sync),
+    cfg: &DftApproxConfig,
+) -> Result<ExpMixture, QueryError> {
+    let h = omega.truncation().expect("validated: truncated weight");
+    // The mixture can only represent *rank-only* weights. Probe ω with two
+    // distinct tuples and reject tuple-dependent weight functions instead
+    // of silently tabulating through one representative (which would zero
+    // out e.g. a score-proportional ω).
+    let probe_a = prf_pdb::Tuple {
+        id: TupleId(0),
+        score: 0.0,
+        prob: 1.0,
+    };
+    let probe_b = prf_pdb::Tuple {
+        id: TupleId(1),
+        score: 1.0,
+        prob: 0.5,
+    };
+    if (1..=h).any(|i| omega.weight(&probe_a, i) != omega.weight(&probe_b, i)) {
+        return Err(QueryError::InvalidParameter(format!(
+            "DftApprox requires a rank-only weight function; {} depends on the tuple",
+            omega.name()
+        )));
+    }
+    let tab: Vec<f64> = tabulate(omega, h).iter().map(|w| w.re).collect();
+    Ok(approximate_weights(
+        &|i| tab.get(i).copied().unwrap_or(0.0),
+        h,
+        cfg,
+    ))
+}
+
+/// The error of a walk that returned `None`: cancelled, or a request this
+/// backend has no exact algorithm for.
+fn walk_failure(entry: &RankQuery, backend: CorrelationClass) -> QueryError {
+    if entry.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        QueryError::TimedOut
+    } else {
+        QueryError::Unsupported {
+            semantics: entry.semantics.family(),
+            backend,
+        }
+    }
+}
+
+/// Runs `f`, converting a panic into [`QueryError::Internal`] when
+/// `isolate` is set (and letting it unwind otherwise).
+fn guarded<T>(isolate: bool, f: impl FnOnce() -> Result<T, QueryError>) -> Result<T, QueryError> {
+    if !isolate {
+        return f();
+    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(QueryError::Internal {
+            reason: panic_reason(payload.as_ref()),
+        })
+    })
+}
+
+/// Ranks scaled Υ values by `order`, materialising the best `k`.
+fn rank_scaled(vals: &[Scaled<Complex>], order: ValueOrder, k: usize) -> Ranking {
+    match order {
+        ValueOrder::Magnitude => {
+            let keys: Vec<f64> = vals.iter().map(|v| v.magnitude_key()).collect();
+            Ranking::from_keys_topk(&keys, k)
+        }
+        ValueOrder::RealPart => {
+            let keys: Vec<_> = vals.iter().map(|v| v.real_part_key()).collect();
+            Ranking::from_keys_by_topk(&keys, |k| k.display(), k)
+        }
+    }
+}
+
+/// Single-request views of a relation's walk, for unit tests that compare
+/// one kernel answer against an oracle.
+#[cfg(test)]
+pub(crate) mod probe {
+    use super::*;
+
+    fn one(rel: &(impl ProbabilisticRelation + ?Sized), req: SharedRequest) -> SharedAnswer {
+        let spec = SharedWalkSpec {
+            requests: vec![req],
+            threads: None,
+            cancel: None,
+        };
+        rel.run_shared_walk_prepared(&spec, &PreparedState::empty())
+            .expect("the walk answers")
+            .answers
+            .remove(0)
+    }
+
+    /// Υ values of a weight request.
+    pub(crate) fn prf(
+        rel: &(impl ProbabilisticRelation + ?Sized),
+        omega: impl WeightFunction + Send + Sync + 'static,
+    ) -> Vec<Complex> {
+        match one(rel, SharedRequest::Weight(Arc::new(omega))) {
+            SharedAnswer::Complex(v) => v,
+            other => panic!("weight request answered {other:?}"),
+        }
+    }
+
+    /// Plain-complex PRFe(α) values.
+    pub(crate) fn prfe(
+        rel: &(impl ProbabilisticRelation + ?Sized),
+        alpha: Complex,
+    ) -> Vec<Complex> {
+        match one(rel, SharedRequest::PrfeComplex(alpha)) {
+            SharedAnswer::Complex(v) => v,
+            other => panic!("PRFe request answered {other:?}"),
+        }
+    }
+
+    /// Log-domain PRFe(α) keys.
+    pub(crate) fn log_keys(rel: &(impl ProbabilisticRelation + ?Sized), alpha: f64) -> Vec<f64> {
+        match one(rel, SharedRequest::PrfeLog(alpha)) {
+            SharedAnswer::Log(v) => v,
+            other => panic!("log request answered {other:?}"),
+        }
+    }
+
+    /// Expected ranks.
+    pub(crate) fn ranks(rel: &(impl ProbabilisticRelation + ?Sized)) -> Vec<f64> {
+        match one(rel, SharedRequest::ExpectedRanks) {
+            SharedAnswer::Ranks(v) => v,
+            other => panic!("E-Rank request answered {other:?}"),
+        }
     }
 }
 

@@ -55,9 +55,9 @@ use prf_numeric::{Complex, Scaled};
 use prf_pdb::TupleId;
 
 use crate::incremental::GfStats;
-use crate::mixture::{approximate_weights, DftApproxConfig};
+use crate::mixture::DftApproxConfig;
 use crate::topk::{Ranking, ValueOrder};
-use crate::weights::{tabulate, StepWeight, WeightFunction};
+use crate::weights::{StepWeight, WeightFunction};
 
 pub mod batch;
 pub mod kernels;
@@ -162,6 +162,21 @@ impl Semantics {
             Semantics::ERank => "E-Rank".into(),
             Semantics::EScore => "E-Score".into(),
             Semantics::Consensus(k) => format!("Consensus({k})"),
+        }
+    }
+
+    /// The semantics family without parameters — the static name an
+    /// [`QueryError::Unsupported`] reports.
+    fn family(&self) -> &'static str {
+        match self {
+            Semantics::Prf(_) => "PRFω",
+            Semantics::Prfe(_) => "PRFe",
+            Semantics::Pt(_) => "PT",
+            Semantics::UTop(_) => "U-Top",
+            Semantics::URank(_) => "U-Rank",
+            Semantics::ERank => "E-Rank",
+            Semantics::EScore => "E-Score",
+            Semantics::Consensus(_) => "Consensus",
         }
     }
 
@@ -384,10 +399,11 @@ pub struct EvalReport {
     /// — `Some` when the kernels ran it (exact PRFω/PRFe on and/xor
     /// trees), `None` for closed-form and non-tree kernels.
     pub memory: Option<GfStats>,
-    /// Shared-walk cost attribution — `Some` when this query was answered
-    /// from a [`QueryBatch`]'s shared walk (its `kernel_seconds` is then
-    /// the amortized share), `None` for single queries and for batch
-    /// entries that were evaluated individually.
+    /// Walk cost attribution — `Some` when this query was answered by a
+    /// score-order walk (its `kernel_seconds` is then the amortized share;
+    /// a single query reports `consumers: 1`), `None` for the direct
+    /// routes (E-Score, U-Top, U-Rank, and log-domain PRFe served by
+    /// [`ProbabilisticRelation::prfe_log_ranked`]).
     pub batch: Option<BatchCost>,
     /// Serving-layer provenance — `Some` when this query was answered by a
     /// `prf-serve` `RankServer` flush (queue wait + flush trigger), `None`
@@ -728,8 +744,8 @@ impl RankQuery {
     }
 
     /// Attaches a cooperative [`CancelToken`]: [`Self::run`] checks it up
-    /// front (and batch shared walks poll it mid-walk), returning
-    /// [`QueryError::TimedOut`] once it trips.
+    /// front (and the walk polls it), returning [`QueryError::TimedOut`]
+    /// once it trips.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -747,11 +763,20 @@ impl RankQuery {
 
     /// Resolves [`Algorithm::Auto`] against a backend without running the
     /// query — exposed so callers (and benchmarks) can inspect the
-    /// heuristic's choice.
+    /// heuristic's choice. A PRFe base with a NaN or infinite component is
+    /// rejected here, whatever the algorithm, as
+    /// [`QueryError::InvalidParameter`].
     pub fn resolve_algorithm(
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
     ) -> Result<Algorithm, QueryError> {
+        if let Semantics::Prfe(alpha) = &self.semantics {
+            if !(alpha.re.is_finite() && alpha.im.is_finite()) {
+                return Err(QueryError::InvalidParameter(format!(
+                    "PRFe requires a finite α, got {alpha}"
+                )));
+            }
+        }
         let n = rel.n_tuples();
         let class = rel.correlation_class();
         if let Algorithm::Auto = self.algorithm {
@@ -824,256 +849,23 @@ impl RankQuery {
         }
     }
 
-    /// Runs the query against a backend.
+    /// Runs the query against a backend — as a [`QueryBatch`] of one, so a
+    /// single query gets exactly the batch executor's routes, top-k
+    /// pushdown and report (`batch: Some(BatchCost { consumers: 1, .. })`
+    /// for walk-answered semantics). [`Self::parallel`] becomes the batch's
+    /// walk thread count.
     pub fn run(
         &self,
         rel: &(impl ProbabilisticRelation + ?Sized),
     ) -> Result<RankedResult, QueryError> {
-        let total_start = Instant::now();
-        if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            return Err(QueryError::TimedOut);
+        let start = Instant::now();
+        let mut batch = QueryBatch::new().add_query(self.clone());
+        if let Some(threads) = self.threads {
+            batch = batch.parallel(threads);
         }
-        let algorithm = self.resolve_algorithm(rel)?;
-        let auto_selected = matches!(self.algorithm, Algorithm::Auto);
-
-        let mut kernel_seconds = 0.0;
-        let mut memory = None;
-        let (values, ranking, set) =
-            self.evaluate(rel, algorithm, &mut kernel_seconds, &mut memory)?;
-
-        let mut ranking = ranking;
-        if let Some(k) = self.top_k {
-            ranking.truncate(k);
-        }
-
-        let report = EvalReport {
-            semantics: self.semantics.name(),
-            backend: rel.correlation_class(),
-            algorithm,
-            auto_selected,
-            numeric_mode: values.numeric_mode(),
-            kernel_seconds,
-            total_seconds: total_start.elapsed().as_secs_f64(),
-            truncated_to: self.top_k,
-            threads: self.threads,
-            memory,
-            batch: None,
-            serve: None,
-        };
-        Ok(RankedResult {
-            values,
-            ranking,
-            set,
-            report,
-        })
-    }
-
-    /// Evaluation proper: values + full ranking (+ set answer).
-    /// `kernel_seconds` accumulates time spent in the backend's evaluation
-    /// kernels only — ranking construction and bookkeeping are excluded;
-    /// `memory` receives the incremental evaluator's accounting when the
-    /// kernel ran it.
-    fn evaluate(
-        &self,
-        rel: &(impl ProbabilisticRelation + ?Sized),
-        algorithm: Algorithm,
-        kernel_seconds: &mut f64,
-        memory: &mut Option<GfStats>,
-    ) -> Result<(Values, Ranking, Option<TopSet>), QueryError> {
-        match &self.semantics {
-            Semantics::Prfe(alpha) => {
-                self.evaluate_prfe(rel, algorithm, *alpha, kernel_seconds, memory)
-            }
-            Semantics::Prf(_) | Semantics::Pt(_) | Semantics::Consensus(_) => {
-                let omega = self.semantics.weight().expect("weight-based semantics");
-                self.evaluate_weighted(rel, algorithm, &*omega, kernel_seconds, memory)
-            }
-            Semantics::EScore => {
-                // ω(t, i) = score(t) makes Υ = Pr(t)·score(t); evaluate the
-                // closed form directly rather than through the generating
-                // function (O(n) instead of O(n²), bit-identical keys).
-                let vals: Vec<Complex> = timed(kernel_seconds, || {
-                    rel.tuple_marginals()
-                        .iter()
-                        .zip(rel.tuple_scores())
-                        .map(|(&p, s)| Complex::real(p * s))
-                        .collect()
-                });
-                let ranking =
-                    Ranking::from_values(&vals, self.value_order.unwrap_or(ValueOrder::RealPart));
-                Ok((Values::Complex(vals), ranking, None))
-            }
-            Semantics::ERank => {
-                let er = timed(kernel_seconds, || rel.expected_ranks()).ok_or(
-                    QueryError::Unsupported {
-                        semantics: "E-Rank",
-                        backend: rel.correlation_class(),
-                    },
-                )?;
-                // Negated so that — like every other semantics — higher
-                // values rank better.
-                let vals: Vec<Complex> = er.iter().map(|&e| Complex::real(-e)).collect();
-                let keys: Vec<f64> = er.into_iter().map(|e| -e).collect();
-                Ok((Values::Complex(vals), Ranking::from_keys(&keys), None))
-            }
-            Semantics::URank(k) => {
-                let chosen =
-                    timed(kernel_seconds, || rel.positional_candidates(*k)).select_distinct();
-                let mut vals = vec![Complex::ZERO; rel.n_tuples()];
-                for &(p, t) in &chosen {
-                    vals[t.index()] = Complex::real(p);
-                }
-                let (keys, order): (Vec<f64>, Vec<TupleId>) = chosen.into_iter().unzip();
-                Ok((
-                    Values::Complex(vals),
-                    Ranking::from_order_and_keys(order, keys),
-                    None,
-                ))
-            }
-            Semantics::UTop(k) => {
-                let (members, log_prob) = timed(kernel_seconds, || rel.most_probable_topk(*k))?;
-                let scores = rel.tuple_scores();
-                let mut vals = vec![Complex::ZERO; rel.n_tuples()];
-                for &t in &members {
-                    vals[t.index()] = Complex::ONE;
-                }
-                let keys: Vec<f64> = members.iter().map(|t| scores[t.index()]).collect();
-                let ranking = Ranking::from_order_and_keys(members.clone(), keys);
-                Ok((
-                    Values::Complex(vals),
-                    ranking,
-                    Some(TopSet { members, log_prob }),
-                ))
-            }
-        }
-    }
-
-    fn evaluate_prfe(
-        &self,
-        rel: &(impl ProbabilisticRelation + ?Sized),
-        algorithm: Algorithm,
-        alpha: Complex,
-        kernel_seconds: &mut f64,
-        memory: &mut Option<GfStats>,
-    ) -> Result<(Values, Ranking, Option<TopSet>), QueryError> {
-        match algorithm {
-            Algorithm::ExactGf => {
-                let (vals, stats) = timed(kernel_seconds, || rel.prfe_values_with_stats(alpha));
-                *memory = stats;
-                let ranking =
-                    Ranking::from_values(&vals, self.value_order.unwrap_or(ValueOrder::Magnitude));
-                Ok((Values::Complex(vals), ranking, None))
-            }
-            Algorithm::LogDomain => {
-                // A live backend may hold a merged-in-place ranking next to
-                // its key cache; taking it skips the O(n log n) sort below.
-                if let Some((keys, order)) = timed(kernel_seconds, || rel.prfe_log_ranked(alpha.re))
-                {
-                    let ranked_keys = order.iter().map(|t| keys[t.index()]).collect();
-                    let ranking = Ranking::from_order_and_keys(order, ranked_keys);
-                    return Ok((Values::LogDomain(keys), ranking, None));
-                }
-                let keys = timed(kernel_seconds, || rel.prfe_log_keys(alpha.re));
-                let ranking = Ranking::from_keys(&keys);
-                Ok((Values::LogDomain(keys), ranking, None))
-            }
-            Algorithm::Scaled => {
-                let (vals, stats) =
-                    timed(kernel_seconds, || rel.prfe_values_scaled_with_stats(alpha));
-                *memory = stats;
-                let ranking = self.rank_scaled(&vals, ValueOrder::Magnitude);
-                Ok((Values::Scaled(vals), ranking, None))
-            }
-            Algorithm::Auto | Algorithm::DftApprox(_) => unreachable!("resolved before evaluate"),
-        }
-    }
-
-    fn evaluate_weighted(
-        &self,
-        rel: &(impl ProbabilisticRelation + ?Sized),
-        algorithm: Algorithm,
-        omega: &(dyn WeightFunction + Send + Sync),
-        kernel_seconds: &mut f64,
-        memory: &mut Option<GfStats>,
-    ) -> Result<(Values, Ranking, Option<TopSet>), QueryError> {
-        match algorithm {
-            Algorithm::ExactGf => {
-                let (vals, stats) = timed(kernel_seconds, || {
-                    rel.prf_values_with_stats(omega, self.threads)
-                });
-                *memory = stats;
-                let default_order = match self.semantics {
-                    // The classical real-valued semantics rank by the real
-                    // part (identical to |Υ| for their non-negative values,
-                    // and bitwise-stable for differential comparisons).
-                    Semantics::Pt(_) | Semantics::Consensus(_) => ValueOrder::RealPart,
-                    _ => ValueOrder::Magnitude,
-                };
-                let ranking =
-                    Ranking::from_values(&vals, self.value_order.unwrap_or(default_order));
-                Ok((Values::Complex(vals), ranking, None))
-            }
-            Algorithm::DftApprox(cfg) => {
-                let h = omega.truncation().expect("validated: truncated weight");
-                // The mixture can only represent *rank-only* weights. Probe
-                // ω with two distinct tuples and reject tuple-dependent
-                // weight functions instead of silently tabulating through
-                // one representative (which would zero out e.g. a
-                // score-proportional ω).
-                let probe_a = prf_pdb::Tuple {
-                    id: TupleId(0),
-                    score: 0.0,
-                    prob: 1.0,
-                };
-                let probe_b = prf_pdb::Tuple {
-                    id: TupleId(1),
-                    score: 1.0,
-                    prob: 0.5,
-                };
-                if (1..=h).any(|i| omega.weight(&probe_a, i) != omega.weight(&probe_b, i)) {
-                    return Err(QueryError::InvalidParameter(format!(
-                        "DftApprox requires a rank-only weight function; {} depends on the tuple",
-                        omega.name()
-                    )));
-                }
-                let vals = timed(kernel_seconds, || {
-                    let tab: Vec<f64> = tabulate(omega, h).iter().map(|w| w.re).collect();
-                    let mix = approximate_weights(&|i| tab.get(i).copied().unwrap_or(0.0), h, &cfg);
-                    rel.mixture_values(&mix)
-                });
-                let ranking = self.rank_scaled(&vals, ValueOrder::RealPart);
-                Ok((Values::Scaled(vals), ranking, None))
-            }
-            Algorithm::Auto | Algorithm::LogDomain | Algorithm::Scaled => {
-                unreachable!("resolved before evaluate")
-            }
-        }
-    }
-
-    fn rank_scaled(&self, vals: &[Scaled<Complex>], default_order: ValueOrder) -> Ranking {
-        self.rank_scaled_topk(vals, default_order, None)
-    }
-
-    /// [`RankQuery::rank_scaled`] with the batch engine's top-k pushdown:
-    /// `Some(k)` constructs only the best-`k` prefix via partial selection
-    /// (identical to the full ranking truncated to `k`).
-    fn rank_scaled_topk(
-        &self,
-        vals: &[Scaled<Complex>],
-        default_order: ValueOrder,
-        top_k: Option<usize>,
-    ) -> Ranking {
-        let k = top_k.unwrap_or(vals.len());
-        match self.value_order.unwrap_or(default_order) {
-            ValueOrder::Magnitude => {
-                let keys: Vec<f64> = vals.iter().map(|v| v.magnitude_key()).collect();
-                Ranking::from_keys_topk(&keys, k)
-            }
-            ValueOrder::RealPart => {
-                let keys: Vec<_> = vals.iter().map(|v| v.real_part_key()).collect();
-                Ranking::from_keys_by_topk(&keys, |k| k.display(), k)
-            }
-        }
+        let mut result = batch.run(rel)?.pop().expect("a batch of one answers once");
+        result.report.total_seconds = start.elapsed().as_secs_f64();
+        Ok(result)
     }
 }
 

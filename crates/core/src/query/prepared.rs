@@ -10,7 +10,8 @@
 //! [`PreparedRelation`] fixes that: it wraps any
 //! [`ProbabilisticRelation`] together with the backend's reusable state
 //! (built once by [`ProbabilisticRelation::prepare`]) and implements the
-//! trait itself, threading the cached state into every walk. Callers —
+//! trait itself, threading the cached state into every call of the one
+//! walk method, [`ProbabilisticRelation::run_shared_walk_prepared`]. Callers —
 //! [`RankQuery::run`](super::RankQuery::run), [`QueryBatch`](super::QueryBatch),
 //! the `prf-serve` flush pool — need no new API: a `&PreparedRelation` is a
 //! relation, just one whose sorts and plans are already built.
@@ -22,16 +23,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-use prf_numeric::{Complex, Scaled};
 use prf_pdb::TupleId;
 
-use super::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use super::batch::{SharedWalkOut, SharedWalkSpec};
 use super::kernels;
 use super::relation::{CorrelationClass, ProbabilisticRelation};
 use super::QueryError;
-use crate::incremental::GfStats;
 use crate::tree::TreePrepared;
-use crate::weights::WeightFunction;
 
 // ---------------------------------------------------------------------
 // PreparedState: the backend-built cache
@@ -42,10 +40,10 @@ use crate::weights::WeightFunction;
 /// marginals a backend's walk kernels would otherwise rebuild per call.
 ///
 /// The state is backend-private: callers hold it and hand it back through
-/// [`ProbabilisticRelation::run_shared_walk_prepared`] /
-/// [`ProbabilisticRelation::prf_values_prepared`], they never inspect it.
-/// Backends receiving a foreign state (another backend's, or
-/// [`PreparedState::empty`]) must fall back to their unprepared paths.
+/// [`ProbabilisticRelation::run_shared_walk_prepared`], they never inspect
+/// it. A walk receiving a foreign state (another backend's, or
+/// [`PreparedState::empty`]) treats it as "unprepared" and builds what it
+/// needs itself.
 #[derive(Clone)]
 pub struct PreparedState {
     inner: Inner,
@@ -53,10 +51,10 @@ pub struct PreparedState {
 
 #[derive(Clone)]
 enum Inner {
-    /// No cacheable setup — every prepared hook falls back.
+    /// No cacheable setup — the walk runs unprepared.
     Empty,
     /// And/xor tree: score order + positions + marginals + compiled plan.
-    Tree(TreePrepared),
+    Tree(Box<TreePrepared>),
     /// Independent relation: the descending score order (the only setup
     /// its closed-form kernels repeat per call).
     Independent(Vec<TupleId>),
@@ -67,9 +65,8 @@ enum Inner {
 }
 
 impl PreparedState {
-    /// The empty state: nothing cached, every prepared hook falls back to
-    /// its unprepared path. The default for backends without reusable
-    /// setup.
+    /// The empty state: nothing cached, so the walk runs unprepared. The
+    /// default for backends without reusable setup.
     pub fn empty() -> Self {
         PreparedState {
             inner: Inner::Empty,
@@ -83,7 +80,7 @@ impl PreparedState {
 
     pub(crate) fn tree(tp: TreePrepared) -> Self {
         PreparedState {
-            inner: Inner::Tree(tp),
+            inner: Inner::Tree(Box::new(tp)),
         }
     }
 
@@ -95,7 +92,7 @@ impl PreparedState {
 
     pub(crate) fn tree_prepared(&self) -> Option<&TreePrepared> {
         match &self.inner {
-            Inner::Tree(tp) => Some(tp),
+            Inner::Tree(tp) => Some(&**tp),
             _ => None,
         }
     }
@@ -122,7 +119,7 @@ impl PreparedState {
 
     pub(crate) fn tree_prepared_mut(&mut self) -> Option<&mut TreePrepared> {
         match &mut self.inner {
-            Inner::Tree(tp) => Some(tp),
+            Inner::Tree(tp) => Some(&mut **tp),
             _ => None,
         }
     }
@@ -264,20 +261,6 @@ impl PreparedRelation {
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-
-    /// Serves one request through the prepared shared walk, or `None` when
-    /// the backend has no shared kernel (the caller then falls back to the
-    /// backend's single kernel — correct, just unamortized).
-    fn one_request_walk(&self, req: SharedRequest) -> Option<(SharedAnswer, Option<GfStats>)> {
-        let spec = SharedWalkSpec {
-            requests: vec![req],
-            threads: None,
-            cancel: None,
-        };
-        let mut out: SharedWalkOut = self.rel.run_shared_walk_prepared(&spec, &self.snapshot())?;
-        debug_assert_eq!(out.answers.len(), 1);
-        Some((out.answers.pop()?, out.stats))
-    }
 }
 
 impl std::fmt::Debug for PreparedRelation {
@@ -307,86 +290,14 @@ impl ProbabilisticRelation for PreparedRelation {
         self.rel.correlation_class()
     }
 
-    fn prf_values(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> Vec<Complex> {
-        self.prf_values_with_stats(omega, threads).0
-    }
-
-    fn prf_values_with_stats(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        self.rel
-            .prf_values_prepared(omega, threads, &self.snapshot())
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        self.prfe_values_with_stats(alpha).0
-    }
-
-    fn prfe_values_with_stats(&self, alpha: Complex) -> (Vec<Complex>, Option<GfStats>) {
-        match self.one_request_walk(SharedRequest::PrfeComplex(alpha)) {
-            Some((SharedAnswer::Complex(v), stats)) => (v, stats),
-            _ => self.rel.prfe_values_with_stats(alpha),
-        }
-    }
-
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        self.prfe_values_scaled_with_stats(alpha).0
-    }
-
-    fn prfe_values_scaled_with_stats(
-        &self,
-        alpha: Complex,
-    ) -> (Vec<Scaled<Complex>>, Option<GfStats>) {
-        match self.one_request_walk(SharedRequest::PrfeScaled(alpha)) {
-            Some((SharedAnswer::Scaled(v), stats)) => (v, stats),
-            _ => self.rel.prfe_values_scaled_with_stats(alpha),
-        }
-    }
-
-    fn prfe_log_keys(&self, alpha: f64) -> Vec<f64> {
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "log-domain PRFe requires α ∈ [0, 1], got {alpha}"
-        );
-        match self.one_request_walk(SharedRequest::PrfeLog(alpha)) {
-            Some((SharedAnswer::Log(v), _)) => v,
-            _ => self.rel.prfe_log_keys(alpha),
-        }
-    }
-
-    fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
-        // The shared walk answers keys, never an order; the inner relation
-        // (a live cache, say) is the only party that can beat the sort.
-        self.rel.prfe_log_ranked(alpha)
-    }
-
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
-        match self.one_request_walk(SharedRequest::ExpectedRanks) {
-            Some((SharedAnswer::Ranks(v), _)) => Some(v),
-            _ => self.rel.expected_ranks(),
-        }
-    }
-
-    fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
-        self.rel.most_probable_topk(k)
-    }
-
-    fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
-        self.rel.positional_candidates(k)
-    }
-
     fn generation(&self) -> u64 {
         self.rel.generation()
     }
 
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        self.rel.run_shared_walk_prepared(spec, &self.snapshot())
+    fn prepare(&self) -> PreparedState {
+        // Already prepared; re-wrapping finds nothing new to cache (the
+        // walk below keeps routing through the existing state).
+        PreparedState::empty()
     }
 
     fn run_shared_walk_prepared(
@@ -399,28 +310,28 @@ impl ProbabilisticRelation for PreparedRelation {
         self.rel.run_shared_walk_prepared(spec, &self.snapshot())
     }
 
-    fn prepare(&self) -> PreparedState {
-        // Already prepared; re-wrapping finds nothing new to cache (the
-        // overrides above keep routing through the existing state).
-        PreparedState::empty()
+    fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
+        // The walk answers keys, never an order; the inner relation (a live
+        // cache, say) is the only party that can beat the sort.
+        self.rel.prfe_log_ranked(alpha)
     }
 
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        _threads: Option<usize>,
-        _prep: &PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        self.rel
-            .prf_values_prepared(omega, _threads, &self.snapshot())
+    fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
+        self.rel.most_probable_topk(k)
+    }
+
+    fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
+        self.rel.positional_candidates(k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::batch::probe;
     use crate::query::{QueryBatch, RankQuery, Semantics};
     use crate::weights::StepWeight;
+    use prf_numeric::Complex;
     use prf_pdb::{AndXorTree, IndependentDb};
 
     fn assert_complex_eq(a: &[Complex], b: &[Complex], ctx: &str) {
@@ -455,15 +366,15 @@ mod tests {
         .unwrap();
         let prepared = PreparedRelation::from_relation(db.clone());
         let w = StepWeight { h: 3 };
-        assert_complex_eq(
-            &prepared.prf_values(&w, None),
-            &db.prf_values(&w, None),
-            "prf",
-        );
+        assert_complex_eq(&probe::prf(&prepared, w), &probe::prf(&db, w), "prf");
         let alpha = Complex::real(0.9);
-        assert_complex_eq(&prepared.prfe_values(alpha), &db.prfe_values(alpha), "prfe");
-        assert_eq!(prepared.prfe_log_keys(0.9), db.prfe_log_keys(0.9));
-        assert_eq!(prepared.expected_ranks(), db.expected_ranks());
+        assert_complex_eq(
+            &probe::prfe(&prepared, alpha),
+            &probe::prfe(&db, alpha),
+            "prfe",
+        );
+        assert_eq!(probe::log_keys(&prepared, 0.9), probe::log_keys(&db, 0.9));
+        assert_eq!(probe::ranks(&prepared), probe::ranks(&db));
     }
 
     #[test]
@@ -479,8 +390,8 @@ mod tests {
         for h in [1usize, 2, 5] {
             let w = StepWeight { h };
             assert_complex_eq(
-                &prepared.prf_values(&w, None),
-                &ProbabilisticRelation::prf_values(&tree, &w, None),
+                &probe::prf(&prepared, w),
+                &probe::prf(&tree, w),
                 &format!("prf h={h}"),
             );
         }
@@ -535,16 +446,6 @@ mod tests {
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Independent
             }
-            fn prf_values(
-                &self,
-                omega: &(dyn crate::weights::WeightFunction + Sync),
-                threads: Option<usize>,
-            ) -> Vec<Complex> {
-                self.db.lock().unwrap().prf_values(omega, threads)
-            }
-            fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-                self.db.lock().unwrap().prfe_values(alpha)
-            }
             fn generation(&self) -> u64 {
                 self.generation.load(Ordering::Acquire)
             }
@@ -557,17 +458,6 @@ mod tests {
                 prep: &PreparedState,
             ) -> Option<SharedWalkOut> {
                 self.db.lock().unwrap().run_shared_walk_prepared(spec, prep)
-            }
-            fn prf_values_prepared(
-                &self,
-                omega: &(dyn crate::weights::WeightFunction + Sync),
-                threads: Option<usize>,
-                prep: &PreparedState,
-            ) -> (Vec<Complex>, Option<GfStats>) {
-                self.db
-                    .lock()
-                    .unwrap()
-                    .prf_values_prepared(omega, threads, prep)
             }
         }
 
@@ -582,14 +472,14 @@ mod tests {
         let prepared = PreparedRelation::new(rel.clone());
         let w = StepWeight { h: 1 };
         assert_complex_eq(
-            &prepared.prf_values(&w, None),
-            &rel.db.lock().unwrap().prf_values(&w, None),
+            &probe::prf(&prepared, w),
+            &probe::prf(&*rel.db.lock().unwrap(), w),
             "v1",
         );
         rel.swap(v2);
         // The wrapper must rebuild its state and agree with a direct query.
-        let direct = rel.db.lock().unwrap().prf_values(&w, None);
-        assert_complex_eq(&prepared.prf_values(&w, None), &direct, "v2");
+        let direct = probe::prf(&*rel.db.lock().unwrap(), w);
+        assert_complex_eq(&probe::prf(&prepared, w), &direct, "v2");
         assert_eq!(ProbabilisticRelation::generation(&prepared), 1);
     }
 
@@ -632,16 +522,6 @@ mod tests {
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Independent
             }
-            fn prf_values(
-                &self,
-                omega: &(dyn crate::weights::WeightFunction + Sync),
-                threads: Option<usize>,
-            ) -> Vec<Complex> {
-                self.db.lock().unwrap().prf_values(omega, threads)
-            }
-            fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-                self.db.lock().unwrap().prfe_values(alpha)
-            }
             fn generation(&self) -> u64 {
                 self.generation.load(Ordering::Acquire)
             }
@@ -658,17 +538,6 @@ mod tests {
                 prep: &PreparedState,
             ) -> Option<SharedWalkOut> {
                 self.db.lock().unwrap().run_shared_walk_prepared(spec, prep)
-            }
-            fn prf_values_prepared(
-                &self,
-                omega: &(dyn crate::weights::WeightFunction + Sync),
-                threads: Option<usize>,
-                prep: &PreparedState,
-            ) -> (Vec<Complex>, Option<GfStats>) {
-                self.db
-                    .lock()
-                    .unwrap()
-                    .prf_values_prepared(omega, threads, prep)
             }
         }
 
@@ -689,7 +558,7 @@ mod tests {
         // middle of the refresh that mutation 1 triggers.
         rel.swap(v2);
         rel.swap_mid_prepare.lock().unwrap().push(v3);
-        let mid_race = prepared.prf_values(&w, None);
+        let mid_race = probe::prf(&prepared, w);
         assert_eq!(
             ProbabilisticRelation::generation(&prepared),
             2,
@@ -700,9 +569,9 @@ mod tests {
         // test is what happens *next*: the state must not be labeled with
         // the post-race generation.
         drop(mid_race);
-        let direct = rel.db.lock().unwrap().prf_values(&w, None);
+        let direct = probe::prf(&*rel.db.lock().unwrap(), w);
         assert_complex_eq(
-            &prepared.prf_values(&w, None),
+            &probe::prf(&prepared, w),
             &direct,
             "query after the race must re-prepare, not serve the stale v2 order",
         );

@@ -1,20 +1,34 @@
 //! The backend abstraction of the unified query engine.
 //!
-//! A [`ProbabilisticRelation`] is anything the engine can rank: it exposes
-//! the scored-tuple view plus the evaluation primitives each numeric mode
-//! needs. `prf-core` implements it for [`IndependentDb`] and [`AndXorTree`];
-//! `prf-graphical` implements it for junction-tree-correlated relations via
-//! its `NetworkRelation` ranking adapter.
+//! A [`ProbabilisticRelation`] is anything the engine can rank. Implementing
+//! one takes **metadata plus one walk**: the scored-tuple view (`n_tuples`,
+//! `tuple_scores`, `tuple_marginals`, `correlation_class`) and
+//! [`ProbabilisticRelation::run_shared_walk_prepared`], which answers a list
+//! of [`SharedRequest`]s — weight-based Υ, PRFe in any numeric mode,
+//! expected ranks — from one pass over the relation. Every semantics of
+//! [`super::Semantics`] is read off those answers by the batch executor
+//! (single queries are batches of one), except three direct routes:
+//! E-Score's closed form, U-Top ([`ProbabilisticRelation::most_probable_topk`])
+//! and U-Rank ([`ProbabilisticRelation::positional_candidates`], whose
+//! default is itself one walk).
+//!
+//! `prf-core` implements the trait for [`IndependentDb`] and [`AndXorTree`]
+//! (plus the wrappers `PreparedRelation`, `LiveRelation` and
+//! `ShardedRelation`). The minimal worked example is `prf-graphical`'s
+//! `NetworkRelation`: its walk computes the junction-tree positional
+//! probabilities once and reads every request off them, returning `None`
+//! for expected ranks, which the engine reports as
+//! [`QueryError::Unsupported`].
+
+use std::sync::Arc;
 
 use prf_numeric::{Complex, GfValue, Scaled};
 use prf_pdb::{AndXorTree, IndependentDb, TupleId};
 
-use super::batch::{SharedWalkOut, SharedWalkSpec};
+use super::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use super::kernels;
-use super::QueryError;
-use crate::incremental::GfStats;
-use crate::mixture::ExpMixture;
-use crate::weights::{PositionWeight, WeightFunction};
+use super::{PreparedState, QueryError};
+use crate::weights::PositionWeight;
 
 /// How the tuples of a relation may be correlated — drives the `Auto`
 /// algorithm heuristic and is echoed in the evaluation report.
@@ -47,13 +61,14 @@ impl std::fmt::Display for CorrelationClass {
 /// backends; beyond it the query reports `Unsupported`.
 const UTOP_WORLD_LIMIT: usize = 1 << 20;
 
-/// A probabilistic relation the [`super::RankQuery`] engine can evaluate.
+/// A probabilistic relation the [`super::RankQuery`] engine can evaluate:
+/// metadata plus one walk (see the module docs).
 ///
-/// Required methods cover the PRF family (every semantics of
-/// [`super::Semantics`] reduces to them or to the optional hooks); the
-/// provided defaults implement the remaining numeric modes and semantics in
-/// terms of the required ones, so a minimal backend (like `prf-graphical`'s
-/// adapter) only supplies exact PRFω/PRFe evaluation.
+/// Only the four metadata methods and
+/// [`Self::run_shared_walk_prepared`] are required. The provided methods are
+/// capability hooks with conservative defaults: no cacheable preparation,
+/// no cheaper-than-sort log-domain ranking, no exact U-Top, U-Rank through
+/// one walk of position-indicator weights, and no sharding support.
 pub trait ProbabilisticRelation {
     /// Number of tuples.
     fn n_tuples(&self) -> usize;
@@ -67,78 +82,51 @@ pub trait ProbabilisticRelation {
     /// The correlation structure of this backend.
     fn correlation_class(&self) -> CorrelationClass;
 
-    /// Exact PRF values `Υ_ω(t)` for every tuple (indexed by tuple id).
-    /// `threads` requests data-parallel evaluation where the backend
-    /// supports it (currently the general-tree expansion); backends are free
-    /// to ignore it.
-    fn prf_values(
+    /// A monotone counter identifying the current *version* of the
+    /// relation's data. Immutable backends return `0` forever (the
+    /// default); mutable wrappers like [`crate::live::LiveRelation`] bump
+    /// it on every applied [`crate::live::Mutation`]. A
+    /// [`super::PreparedRelation`] compares this against the generation its
+    /// cached state was built from and re-prepares on mismatch instead of
+    /// silently serving a stale sort/plan/marginal cache.
+    fn generation(&self) -> u64 {
+        0
+    }
+
+    /// Builds the backend's reusable evaluation state — the score sort,
+    /// compiled [`crate::incremental::EvalPlan`], and whatever else the
+    /// walk rebuilds per call. A [`super::PreparedRelation`] calls this
+    /// **once** at registration and threads the result through every later
+    /// walk. The default is the empty state, which every walk reads as
+    /// "unprepared".
+    fn prepare(&self) -> PreparedState {
+        PreparedState::empty()
+    }
+
+    /// The engine's only evaluation method: serves every request of `spec`
+    /// from **one** score-order walk — one sort, one compiled plan, one
+    /// leaf-relabeling pass with a shared truncated-polynomial evaluator
+    /// plus one scalar evaluator per PRFe/E-Rank request — and returns one
+    /// [`SharedAnswer`] per request, in request order.
+    ///
+    /// `prep` is state built by [`Self::prepare`]; an empty state (or a
+    /// foreign one, built by another backend) means "unprepared", and the
+    /// walk builds what it needs itself. Return `None` when the walk was
+    /// cancelled (poll [`SharedWalkSpec::is_cancelled`]) or when some
+    /// request has no exact algorithm on this backend: the engine then
+    /// retries each query alone and reports
+    /// [`QueryError::Unsupported`] for the ones that still get `None`.
+    fn run_shared_walk_prepared(
         &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> Vec<Complex>;
+        spec: &SharedWalkSpec,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut>;
 
-    /// Exact PRFe(α) values in plain complex arithmetic.
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex>;
-
-    /// [`Self::prf_values`] plus the evaluator's memory accounting, for
-    /// backends whose kernels run the incremental generating-function
-    /// engine (and/xor trees). The default reports no accounting.
-    fn prf_values_with_stats(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        (self.prf_values(omega, threads), None)
-    }
-
-    /// [`Self::prfe_values`] plus the evaluator's memory accounting (see
-    /// [`Self::prf_values_with_stats`]).
-    fn prfe_values_with_stats(&self, alpha: Complex) -> (Vec<Complex>, Option<GfStats>) {
-        (self.prfe_values(alpha), None)
-    }
-
-    /// [`Self::prfe_values_scaled`] plus the evaluator's memory accounting
-    /// (see [`Self::prf_values_with_stats`]).
-    fn prfe_values_scaled_with_stats(
-        &self,
-        alpha: Complex,
-    ) -> (Vec<Scaled<Complex>>, Option<GfStats>) {
-        (self.prfe_values_scaled(alpha), None)
-    }
-
-    /// PRFe(α) in scaled arithmetic (immune to underflow at any scale).
-    /// The default wraps the plain values and therefore inherits their
-    /// underflow — backends whose plain kernels underflow at scale must
-    /// override. (`Algorithm::Auto` only selects `Scaled` for the
-    /// Independent/XTuple/Tree classes, whose built-in backends override
-    /// with genuinely scaled kernels; explicit `Scaled` on a minimal
-    /// backend gives plain-complex precision.)
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        self.prfe_values(alpha)
-            .into_iter()
-            .map(Scaled::new)
-            .collect()
-    }
-
-    /// Log-domain PRFe ranking keys (`ln Υ`) for real `α ∈ [0, 1]`; `-∞`
-    /// for tuples with `Υ = 0`. The default derives them from the scaled
-    /// values' log₂ magnitudes.
-    fn prfe_log_keys(&self, alpha: f64) -> Vec<f64> {
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "log-domain PRFe requires α ∈ [0, 1], got {alpha}"
-        );
-        self.prfe_values_scaled(Complex::real(alpha))
-            .iter()
-            .map(|v| v.magnitude_key() * std::f64::consts::LN_2)
-            .collect()
-    }
-
-    /// [`Self::prfe_log_keys`] together with the tuple order they induce
-    /// (best first, ties by tuple id — the exact order
-    /// [`crate::topk::Ranking::from_keys`] produces), when the backend can
-    /// deliver that order cheaper than the engine's own sort. `None` (the
-    /// default) sends the engine down the ordinary keys-then-sort path.
+    /// Log-domain PRFe keys (`ln Υ`, indexed by tuple id) together with the
+    /// tuple order they induce (best first, ties by tuple id — the exact
+    /// order [`crate::topk::Ranking::from_keys`] produces), when the backend
+    /// can deliver that order cheaper than the engine's own sort. `None`
+    /// (the default) sends the query through the walk and a sort.
     ///
     /// [`crate::live::LiveRelation`] overrides this: after a reweight it
     /// re-ranks by an O(n) three-way merge (the mutation shifts every
@@ -147,28 +135,6 @@ pub trait ProbabilisticRelation {
     /// requery-after-mutation asymptotically cheaper than rebuilding.
     fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
         let _ = alpha;
-        None
-    }
-
-    /// Scaled Υ values of a PRFe mixture: `Υ(t) = Σ_l u_l·Υ_{PRFe(α_l)}(t)`.
-    /// Backends get this for free on top of [`Self::prfe_values_scaled`]
-    /// (it is the same accumulation `ExpMixture::upsilons_*` performs, so
-    /// no override is needed).
-    fn mixture_values(&self, mix: &ExpMixture) -> Vec<Scaled<Complex>> {
-        let mut acc = vec![Scaled::<Complex>::zero(); self.n_tuples()];
-        for &(u, alpha) in &mix.terms {
-            let us = Scaled::new(u);
-            let vals = self.prfe_values_scaled(alpha);
-            for (a, v) in acc.iter_mut().zip(vals) {
-                *a = a.add(&v.mul(&us));
-            }
-        }
-        acc
-    }
-
-    /// Expected ranks (lower is better), or `None` when the backend has no
-    /// exact expected-rank algorithm.
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
         None
     }
 
@@ -184,67 +150,30 @@ pub trait ProbabilisticRelation {
         })
     }
 
-    /// A monotone counter identifying the current *version* of the
-    /// relation's data. Immutable backends return `0` forever (the
-    /// default); mutable wrappers like [`crate::live::LiveRelation`] bump
-    /// it on every applied [`crate::live::Mutation`]. A
-    /// [`super::PreparedRelation`] compares this against the generation its
-    /// cached state was built from and re-prepares on mismatch instead of
-    /// silently serving a stale sort/plan/marginal cache.
-    fn generation(&self) -> u64 {
-        0
-    }
-
-    /// Serves every request of a [`super::QueryBatch`] from **one** shared
-    /// score-order walk — one sort, one compiled evaluation plan, one
-    /// leaf-relabeling pass with a shared truncated-polynomial evaluator
-    /// plus one scalar evaluator per PRFe/E-Rank request. Returning `None`
-    /// (the default) tells the batch engine this backend has no shared
-    /// kernel; every entry is then evaluated as an individual query, so
-    /// minimal backends stay correct without overriding.
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        let _ = spec;
-        None
-    }
-
-    /// Builds the backend's reusable evaluation state — the score sort,
-    /// compiled [`crate::incremental::EvalPlan`], and whatever else the
-    /// backend's walk kernels rebuild per call. A
-    /// [`super::PreparedRelation`] calls this **once** at registration and
-    /// threads the result through every later walk via
-    /// [`Self::run_shared_walk_prepared`] / [`Self::prf_values_prepared`].
-    /// The default is the empty state: backends without cacheable
-    /// preparation stay correct (the prepared hooks fall back to the
-    /// unprepared paths).
-    fn prepare(&self) -> super::PreparedState {
-        super::PreparedState::empty()
-    }
-
-    /// [`Self::run_shared_walk`] against state built by [`Self::prepare`].
-    /// The default ignores the state and runs the unprepared walk, so
-    /// backends that don't cache anything need no override; backends that
-    /// do must also handle foreign state (another backend's, or empty) by
-    /// falling back.
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &super::PreparedState,
-    ) -> Option<SharedWalkOut> {
-        let _ = prep;
-        self.run_shared_walk(spec)
-    }
-
-    /// [`Self::prf_values_with_stats`] against state built by
-    /// [`Self::prepare`] (same contract as
-    /// [`Self::run_shared_walk_prepared`]).
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-        prep: &super::PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        let _ = prep;
-        self.prf_values_with_stats(omega, threads)
+    /// Bounded per-position candidate lists `Pr(r(t) = j)` for
+    /// `j ≤ min(k, n)` — the substrate of U-Rank. The default runs **one**
+    /// walk of `k` position-indicator weights `ω(i) = δ(i = j)` (the
+    /// paper's reduction); backends override with single-pass kernels.
+    fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
+        let k = k.min(self.n_tuples());
+        let mut table = kernels::PositionalCandidates::new(k);
+        let spec = SharedWalkSpec {
+            requests: (1..=k)
+                .map(|j| SharedRequest::Weight(Arc::new(PositionWeight { j })))
+                .collect(),
+            threads: None,
+            cancel: None,
+        };
+        if let Some(out) = self.run_shared_walk_prepared(&spec, &PreparedState::empty()) {
+            for (j, answer) in out.answers.iter().enumerate() {
+                if let SharedAnswer::Complex(vals) = answer {
+                    for (t, v) in vals.iter().enumerate() {
+                        table.push(j, v.re, TupleId(t as u32));
+                    }
+                }
+            }
+        }
+        table
     }
 
     /// Coefficients of the presence-count generating function
@@ -269,21 +198,6 @@ pub trait ProbabilisticRelation {
         let _ = alpha;
         None
     }
-
-    /// Bounded per-position candidate lists `Pr(r(t) = j)` for `j ≤ k` —
-    /// the substrate of U-Rank. The default runs `k` PRF passes with the
-    /// position-indicator weight `ω(i) = δ(i = j)` (the paper's reduction);
-    /// backends override with single-pass kernels.
-    fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
-        let mut table = kernels::PositionalCandidates::new(k);
-        for j in 1..=k {
-            let vals = self.prf_values(&PositionWeight { j }, None);
-            for (t, v) in vals.iter().enumerate() {
-                table.push(j - 1, v.re, TupleId(t as u32));
-            }
-        }
-        table
-    }
 }
 
 impl ProbabilisticRelation for IndependentDb {
@@ -303,28 +217,25 @@ impl ProbabilisticRelation for IndependentDb {
         CorrelationClass::Independent
     }
 
-    fn prf_values(
+    fn prepare(&self) -> PreparedState {
+        PreparedState::independent(self.ids_by_score_desc())
+    }
+
+    fn run_shared_walk_prepared(
         &self,
-        omega: &(dyn WeightFunction + Sync),
-        _threads: Option<usize>,
-    ) -> Vec<Complex> {
-        crate::independent::prf_rank(self, omega)
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        crate::independent::prfe_rank(self, alpha)
-    }
-
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        crate::independent::prfe_rank_scaled(self, alpha)
-    }
-
-    fn prfe_log_keys(&self, alpha: f64) -> Vec<f64> {
-        crate::independent::prfe_rank_log(self, alpha)
-    }
-
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
-        Some(kernels::expected_ranks_independent(self))
+        spec: &SharedWalkSpec,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        let start = std::time::Instant::now();
+        let sorted;
+        let order = match prep.independent_order() {
+            Some(order) if order.len() == self.len() => order,
+            _ => {
+                sorted = self.ids_by_score_desc();
+                &sorted
+            }
+        };
+        crate::independent::batch_walk_independent(self, spec, order, start)
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
@@ -333,27 +244,6 @@ impl ProbabilisticRelation for IndependentDb {
 
     fn positional_candidates(&self, k: usize) -> kernels::PositionalCandidates {
         kernels::positional_candidates_independent(self, k)
-    }
-
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        crate::independent::batch_walk_independent(self, spec)
-    }
-
-    fn prepare(&self) -> super::PreparedState {
-        super::PreparedState::independent(self.ids_by_score_desc())
-    }
-
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &super::PreparedState,
-    ) -> Option<SharedWalkOut> {
-        match prep.independent_order() {
-            Some(order) if order.len() == self.len() => {
-                crate::independent::batch_walk_independent_prepared(self, spec, order)
-            }
-            _ => self.run_shared_walk(spec),
-        }
     }
 
     fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
@@ -370,24 +260,6 @@ impl ProbabilisticRelation for IndependentDb {
             g = g.mul(&Scaled::new(Complex::real(1.0 - p) + alpha * p));
         }
         Some(g)
-    }
-
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-        prep: &super::PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        match prep.independent_order() {
-            Some(order) if order.len() == self.len() => {
-                let h = omega.truncation().unwrap_or(self.len());
-                (
-                    crate::independent::prf_rank_truncated_prepared(self, omega, h, order),
-                    None,
-                )
-            }
-            _ => self.prf_values_with_stats(omega, threads),
-        }
     }
 }
 
@@ -412,64 +284,29 @@ impl ProbabilisticRelation for AndXorTree {
         }
     }
 
-    fn prf_values(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> Vec<Complex> {
-        self.prf_values_with_stats(omega, threads).0
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        crate::tree::prfe_rank_tree(self, alpha)
-    }
-
-    fn prf_values_with_stats(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        // Priority: the O(n·h·log n) x-tuple fast path (when truncated and
-        // applicable), then the requested parallel walk (gated — sharding
-        // below `PARALLEL_MIN_SHARD_TUPLES` per shard loses to serial, so
-        // small relations degrade to the serial route), then the serial
-        // incremental walk.
-        if omega.truncation().is_some() {
-            if let Some(v) = crate::xtuple::prf_omega_rank_xtuple(self, omega) {
-                return (v, None);
-            }
+    fn prepare(&self) -> PreparedState {
+        if AndXorTree::n_tuples(self) == 0 {
+            return PreparedState::empty();
         }
-        match crate::parallel::effective_walk_threads(AndXorTree::n_tuples(self), threads) {
-            t if t > 1 => {
-                let (v, s) = crate::parallel::prf_rank_tree_parallel_stats(self, omega, t);
-                (v, Some(s))
-            }
+        PreparedState::tree(crate::tree::TreePrepared::new(self))
+    }
+
+    fn run_shared_walk_prepared(
+        &self,
+        spec: &SharedWalkSpec,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        let start = std::time::Instant::now();
+        let n = AndXorTree::n_tuples(self);
+        let built;
+        let tp = match prep.tree_prepared() {
+            Some(tp) if tp.order.len() == n => tp,
             _ => {
-                let (v, s) = crate::tree::prf_rank_tree_stats(self, omega);
-                (v, Some(s))
+                built = crate::tree::TreePrepared::new(self);
+                &built
             }
-        }
-    }
-
-    fn prfe_values_with_stats(&self, alpha: Complex) -> (Vec<Complex>, Option<GfStats>) {
-        let (v, s) = crate::tree::prfe_rank_tree_stats(self, alpha);
-        (v, Some(s))
-    }
-
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        crate::tree::prfe_rank_tree_scaled(self, alpha)
-    }
-
-    fn prfe_values_scaled_with_stats(
-        &self,
-        alpha: Complex,
-    ) -> (Vec<Scaled<Complex>>, Option<GfStats>) {
-        let (v, s) = crate::tree::prfe_rank_tree_scaled_stats(self, alpha);
-        (v, Some(s))
-    }
-
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
-        Some(crate::tree::expected_ranks_tree(self))
+        };
+        crate::tree::batch_walk_tree(self, spec, tp, start)
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
@@ -490,45 +327,6 @@ impl ProbabilisticRelation for AndXorTree {
         kernels::positional_candidates_tree(self, k)
     }
 
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        // Sharding is *gated*, not merely clamped: setup pays one shared
-        // prefix sweep plus a snapshot clone per worker, so below
-        // `PARALLEL_MIN_SHARD_TUPLES` tuples per shard the parallel walk
-        // loses to serial outright and the request degrades to the serial
-        // route (identical answers, strictly less work).
-        let n = AndXorTree::n_tuples(self);
-        match crate::parallel::effective_walk_threads(n, spec.threads) {
-            t if t > 1 => crate::parallel::batch_walk_tree_parallel(self, spec, t),
-            _ => crate::tree::batch_walk_tree(self, spec),
-        }
-    }
-
-    fn prepare(&self) -> super::PreparedState {
-        if AndXorTree::n_tuples(self) == 0 {
-            return super::PreparedState::empty();
-        }
-        super::PreparedState::tree(crate::tree::TreePrepared::new(self))
-    }
-
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &super::PreparedState,
-    ) -> Option<SharedWalkOut> {
-        let n = AndXorTree::n_tuples(self);
-        match prep.tree_prepared() {
-            Some(tp) if tp.order.len() == n && n > 0 => {
-                match crate::parallel::effective_walk_threads(n, spec.threads) {
-                    t if t > 1 => {
-                        crate::parallel::batch_walk_tree_parallel_prepared(self, spec, t, tp)
-                    }
-                    _ => crate::tree::batch_walk_tree_prepared(self, spec, tp),
-                }
-            }
-            _ => self.run_shared_walk(spec),
-        }
-    }
-
     fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
         if AndXorTree::n_tuples(self) == 0 {
             return Some(vec![1.0]);
@@ -543,44 +341,12 @@ impl ProbabilisticRelation for AndXorTree {
         }
         Some(self.generating_function(|_| Scaled::new(alpha)))
     }
-
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        threads: Option<usize>,
-        prep: &super::PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        let n = AndXorTree::n_tuples(self);
-        // Same priority order as the unprepared path: the x-tuple fast
-        // path needs no plan, so preparation doesn't change its route.
-        if omega.truncation().is_some() {
-            if let Some(v) = crate::xtuple::prf_omega_rank_xtuple(self, omega) {
-                return (v, None);
-            }
-        }
-        match prep.tree_prepared() {
-            Some(tp) if tp.order.len() == n && n > 0 => {
-                match crate::parallel::effective_walk_threads(n, threads) {
-                    t if t > 1 => {
-                        let (v, s) = crate::parallel::prf_rank_tree_parallel_stats_prepared(
-                            self, omega, t, tp,
-                        );
-                        (v, Some(s))
-                    }
-                    _ => {
-                        let (v, s) = crate::tree::prf_rank_tree_stats_prepared(self, omega, tp);
-                        (v, Some(s))
-                    }
-                }
-            }
-            _ => self.prf_values_with_stats(omega, threads),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::batch::probe;
     use crate::weights::StepWeight;
 
     #[test]
@@ -600,8 +366,7 @@ mod tests {
         assert_eq!(ProbabilisticRelation::n_tuples(&db), 3);
         assert_eq!(db.tuple_scores(), vec![10.0, 5.0, 1.0]);
         let direct = crate::independent::prf_rank(&db, &StepWeight { h: 2 });
-        let via_trait = ProbabilisticRelation::prf_values(&db, &StepWeight { h: 2 }, None);
-        assert_eq!(direct, via_trait);
+        assert_eq!(direct, probe::prf(&db, StepWeight { h: 2 }));
     }
 
     #[test]
@@ -614,7 +379,7 @@ mod tests {
             (6.0, 0.3),
         ])
         .unwrap();
-        // Compare the k-pass default against the single-pass kernel.
+        // Compare the one-walk default against the single-pass kernel.
         struct Generic<'a>(&'a IndependentDb);
         impl ProbabilisticRelation for Generic<'_> {
             fn n_tuples(&self) -> usize {
@@ -629,18 +394,15 @@ mod tests {
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Graphical
             }
-            fn prf_values(
+            fn run_shared_walk_prepared(
                 &self,
-                omega: &(dyn WeightFunction + Sync),
-                threads: Option<usize>,
-            ) -> Vec<Complex> {
-                self.0.prf_values(omega, threads)
-            }
-            fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-                self.0.prfe_values(alpha)
+                spec: &SharedWalkSpec,
+                prep: &PreparedState,
+            ) -> Option<SharedWalkOut> {
+                self.0.run_shared_walk_prepared(spec, prep)
             }
         }
-        for k in [1usize, 3, 5] {
+        for k in [1usize, 3, 5, 99] {
             let fast = db.positional_candidates(k).select_distinct();
             let slow = Generic(&db).positional_candidates(k).select_distinct();
             assert_eq!(

@@ -231,75 +231,27 @@ struct ShiftedWeight {
     id_offset: u32,
 }
 
-fn shifted_weight_value(
-    inner: &(dyn WeightFunction + '_),
-    prefix: &[f64],
-    trunc: Option<usize>,
-    id_offset: u32,
-    tuple: &Tuple,
-    rank: usize,
-) -> Complex {
-    let global = Tuple {
-        id: TupleId(tuple.id.0 + id_offset),
-        score: tuple.score,
-        prob: tuple.prob,
-    };
-    let cap = trunc.unwrap_or(usize::MAX);
-    let mut acc = Complex::ZERO;
-    for (a, &pa) in prefix.iter().enumerate() {
-        let Some(global_rank) = rank.checked_add(a) else {
-            break;
-        };
-        if global_rank > cap {
-            break; // ω is zero beyond its truncation
-        }
-        if pa != 0.0 {
-            acc += inner.weight(&global, global_rank) * pa;
-        }
-    }
-    acc
-}
-
 impl WeightFunction for ShiftedWeight {
     fn weight(&self, tuple: &Tuple, rank: usize) -> Complex {
-        shifted_weight_value(
-            &*self.inner,
-            &self.prefix,
-            self.trunc,
-            self.id_offset,
-            tuple,
-            rank,
-        )
-    }
-    fn truncation(&self) -> Option<usize> {
-        self.trunc
-    }
-    fn name(&self) -> String {
-        format!("shifted({})", self.inner.name())
-    }
-}
-
-/// Borrowed variant of [`ShiftedWeight`] for the single-query
-/// [`ProbabilisticRelation::prf_values`] path, whose `ω` is a borrow that
-/// cannot cross into `'static` pool jobs — tuple-dependent weights run
-/// serially across shards with this wrapper instead.
-struct ShiftedWeightRef<'a> {
-    inner: &'a (dyn WeightFunction + Sync),
-    prefix: &'a [f64],
-    trunc: Option<usize>,
-    id_offset: u32,
-}
-
-impl WeightFunction for ShiftedWeightRef<'_> {
-    fn weight(&self, tuple: &Tuple, rank: usize) -> Complex {
-        shifted_weight_value(
-            self.inner,
-            self.prefix,
-            self.trunc,
-            self.id_offset,
-            tuple,
-            rank,
-        )
+        let global = Tuple {
+            id: TupleId(tuple.id.0 + self.id_offset),
+            score: tuple.score,
+            prob: tuple.prob,
+        };
+        let cap = self.trunc.unwrap_or(usize::MAX);
+        let mut acc = Complex::ZERO;
+        for (a, &pa) in self.prefix.iter().enumerate() {
+            let Some(global_rank) = rank.checked_add(a) else {
+                break;
+            };
+            if global_rank > cap {
+                break; // ω is zero beyond its truncation
+            }
+            if pa != 0.0 {
+                acc += self.inner.weight(&global, global_rank) * pa;
+            }
+        }
+        acc
     }
     fn truncation(&self) -> Option<usize> {
         self.trunc
@@ -613,11 +565,9 @@ impl ShardedRelation {
         let n: usize = self.shards.iter().map(|s| s.n_tuples()).sum();
         if self.shards.len() == 1 {
             // One shard: the prefix is the identity, delegate wholesale.
-            let shard = &self.shards[0];
-            return match preps.and_then(|p| p.first()) {
-                Some(prep) => shard.run_shared_walk_prepared(spec, prep),
-                None => shard.run_shared_walk(spec),
-            };
+            let prep = preps.and_then(|p| p.first());
+            let empty = PreparedState::empty();
+            return self.shards[0].run_shared_walk_prepared(spec, prep.map_or(&empty, |p| &**p));
         }
 
         // What the prefix fold must produce.
@@ -685,18 +635,7 @@ impl ShardedRelation {
         let outs = self.pool.run(jobs);
 
         // Scatter local answers into the global tuple-id space.
-        let mut answers: Vec<SharedAnswer> = spec
-            .requests
-            .iter()
-            .map(|req| match req {
-                SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
-                    SharedAnswer::Complex(vec![Complex::ZERO; n])
-                }
-                SharedRequest::PrfeLog(_) => SharedAnswer::Log(vec![f64::NEG_INFINITY; n]),
-                SharedRequest::PrfeScaled(_) => SharedAnswer::Scaled(vec![Scaled::zero(); n]),
-                SharedRequest::ExpectedRanks => SharedAnswer::Ranks(vec![0.0; n]),
-            })
-            .collect();
+        let mut answers = spec.answer_buffers(n);
         let mut stats: Option<GfStats> = None;
         for (k, out) in job_shards.into_iter().zip(outs) {
             let (local_answers, local_stats) = out?;
@@ -715,126 +654,11 @@ impl ShardedRelation {
             walk_seconds: start.elapsed().as_secs_f64(),
         })
     }
-
-    // -----------------------------------------------------------------
-    // Single-query merges (the non-batch trait surface)
-    // -----------------------------------------------------------------
-
-    /// PRFω across shards: rank-only `ω` tabulates its shifted weights and
-    /// fans out on the pool; tuple-dependent `ω` (a borrow that cannot
-    /// cross into `'static` jobs) runs the shards serially with the
-    /// borrowed shifted wrapper.
-    fn prf_values_merged(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        preps: Option<&[Arc<PreparedState>]>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        let n: usize = self.shards.iter().map(|s| s.n_tuples()).sum();
-        if n == 0 {
-            return (Vec::new(), None);
-        }
-        let cap = omega.truncation().unwrap_or(n).min(n).max(1);
-        let prefixes = self.prefixes(Some(cap), &[], false);
-        let mut result = vec![Complex::ZERO; n];
-        let mut stats: Option<GfStats> = None;
-
-        let mut merge = |offset: usize, vals: Vec<Complex>, s: Option<GfStats>| {
-            result[offset..offset + vals.len()].copy_from_slice(&vals);
-            stats = match (stats.take(), s) {
-                (Some(a), Some(b)) => Some(a.merge(b)),
-                (a, b) => a.or(b),
-            };
-        };
-
-        if omega.rank_only() {
-            let jobs: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.n_tuples() > 0)
-                .map(|(k, shard)| {
-                    let shard = Arc::clone(shard);
-                    let prefix = prefixes[k].coeffs.clone().expect("coeffs requested");
-                    let prep = preps.and_then(|p| p.get(k).cloned());
-                    let offset = prefixes[k].offset;
-                    let tab = tabulate_shifted(omega, &prefix, cap, shard.n_tuples());
-                    move || {
-                        let (vals, s) = match &prep {
-                            Some(prep) => shard.prf_values_prepared(&tab, None, prep),
-                            None => shard.prf_values_with_stats(&tab, None),
-                        };
-                        (offset, vals, s)
-                    }
-                })
-                .collect();
-            for (offset, vals, s) in self.pool.run(jobs) {
-                merge(offset, vals, s);
-            }
-        } else {
-            for (k, shard) in self.shards.iter().enumerate() {
-                if shard.n_tuples() == 0 {
-                    continue;
-                }
-                let prefix = prefixes[k].coeffs.as_deref().expect("coeffs requested");
-                let offset = prefixes[k].offset;
-                let shifted = ShiftedWeightRef {
-                    inner: omega,
-                    prefix,
-                    trunc: omega.truncation(),
-                    id_offset: offset as u32,
-                };
-                let (vals, s) = if is_identity_prefix(prefix) && offset == 0 {
-                    match preps.and_then(|p| p.get(k)) {
-                        Some(prep) => shard.prf_values_prepared(omega, None, prep),
-                        None => shard.prf_values_with_stats(omega, None),
-                    }
-                } else {
-                    match preps.and_then(|p| p.get(k)) {
-                        Some(prep) => shard.prf_values_prepared(&shifted, None, prep),
-                        None => shard.prf_values_with_stats(&shifted, None),
-                    }
-                };
-                merge(offset, vals, s);
-            }
-        }
-        (result, stats)
-    }
-
-    /// Fans `f(shard)` out on the pool over non-empty shards and scatters
-    /// each shard's tuple-indexed output into a global buffer primed with
-    /// `fill`.
-    fn scatter_map<T, F>(&self, fill: T, f: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&ShardHandle, usize) -> Vec<T> + Send + Sync + 'static,
-    {
-        let offsets = self.offsets();
-        let n: usize = self.shards.iter().map(|s| s.n_tuples()).sum();
-        let f = Arc::new(f);
-        let jobs: Vec<_> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.n_tuples() > 0)
-            .map(|(k, shard)| {
-                let shard = Arc::clone(shard);
-                let f = Arc::clone(&f);
-                let offset = offsets[k];
-                move || (offset, f(&shard, k))
-            })
-            .collect();
-        let mut out = vec![fill; n];
-        for (offset, vals) in self.pool.run(jobs) {
-            out[offset..offset + vals.len()].clone_from_slice(&vals);
-        }
-        out
-    }
 }
 
 /// One shard's phase-B work: map the requests through the prefix state,
-/// run the shard's own shared walk (falling back to its single-query
-/// kernels when it has no shared kernel), post-process the scalar
-/// consumers, and hand back shard-local answers.
+/// run the shard's own walk, post-process the scalar consumers, and hand
+/// back shard-local answers (`None` when the shard's walk gave none).
 #[allow(clippy::too_many_arguments)]
 fn shard_walk(
     shard: &(dyn ProbabilisticRelation + Send + Sync),
@@ -873,36 +697,9 @@ fn shard_walk(
         threads: None,
         cancel,
     };
-    let out = match prep {
-        Some(prep) => shard.run_shared_walk_prepared(&local_spec, prep),
-        None => shard.run_shared_walk(&local_spec),
-    };
-    let (mut answers, stats) = match out {
-        Some(out) => (out.answers, out.stats),
-        None => {
-            // No shared kernel (or cancelled): cancelled walks demote the
-            // whole batch; a backend without a shared kernel answers each
-            // request through its single-query surface instead.
-            if local_spec.is_cancelled() {
-                return None;
-            }
-            let mut answers = Vec::with_capacity(local_spec.requests.len());
-            for req in &local_spec.requests {
-                answers.push(match req {
-                    SharedRequest::Weight(w) => SharedAnswer::Complex(shard.prf_values(&**w, None)),
-                    SharedRequest::PrfeComplex(a) => SharedAnswer::Complex(shard.prfe_values(*a)),
-                    SharedRequest::PrfeLog(a) => SharedAnswer::Log(shard.prfe_log_keys(*a)),
-                    SharedRequest::PrfeScaled(a) => {
-                        SharedAnswer::Scaled(shard.prfe_values_scaled(*a))
-                    }
-                    // No exact E-Rank on this shard: the merged walk
-                    // cannot serve the batch; demote to single queries.
-                    SharedRequest::ExpectedRanks => SharedAnswer::Ranks(shard.expected_ranks()?),
-                });
-            }
-            (answers, None)
-        }
-    };
+    let empty = PreparedState::empty();
+    let out = shard.run_shared_walk_prepared(&local_spec, prep.unwrap_or(&empty))?;
+    let (mut answers, stats) = (out.answers, out.stats);
 
     // Post-process the scalar consumers with the prefix state.
     let marginals = if requests
@@ -1008,110 +805,6 @@ impl ProbabilisticRelation for ShardedRelation {
             .unwrap_or(CorrelationClass::Independent)
     }
 
-    fn prf_values(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        _threads: Option<usize>,
-    ) -> Vec<Complex> {
-        self.prf_values_merged(omega, None).0
-    }
-
-    fn prf_values_with_stats(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        _threads: Option<usize>,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        self.prf_values_merged(omega, None)
-    }
-
-    fn prf_values_prepared(
-        &self,
-        omega: &(dyn WeightFunction + Sync),
-        _threads: Option<usize>,
-        prep: &PreparedState,
-    ) -> (Vec<Complex>, Option<GfStats>) {
-        match prep.sharded_states() {
-            Some(states) if states.len() == self.shards.len() => {
-                self.prf_values_merged(omega, Some(states))
-            }
-            _ => self.prf_values_merged(omega, None),
-        }
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        let prefixes = self.prefixes(None, &[alpha], false);
-        self.scatter_map(Complex::ZERO, move |shard, k| {
-            let point = prefixes[k].points[0];
-            shard
-                .prfe_values(alpha)
-                .into_iter()
-                .map(|v| Scaled::new(v).mul(&point).to_plain())
-                .collect()
-        })
-    }
-
-    fn prfe_values_scaled(&self, alpha: Complex) -> Vec<Scaled<Complex>> {
-        let prefixes = self.prefixes(None, &[alpha], false);
-        self.scatter_map(Scaled::zero(), move |shard, k| {
-            let point = prefixes[k].points[0];
-            shard
-                .prfe_values_scaled(alpha)
-                .into_iter()
-                .map(|v| v.mul(&point))
-                .collect()
-        })
-    }
-
-    fn prfe_log_keys(&self, alpha: f64) -> Vec<f64> {
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "log-domain PRFe requires α ∈ [0, 1], got {alpha}"
-        );
-        let prefixes = self.prefixes(None, &[Complex::real(alpha)], false);
-        self.scatter_map(f64::NEG_INFINITY, move |shard, k| {
-            let ln_prefix = prefixes[k].points[0].magnitude_key() * std::f64::consts::LN_2;
-            shard
-                .prfe_log_keys(alpha)
-                .into_iter()
-                .map(|v| v + ln_prefix)
-                .collect()
-        })
-    }
-
-    fn expected_ranks(&self) -> Option<Vec<f64>> {
-        // Every shard must have an exact algorithm; the affine cross-shard
-        // adjustment (module docs) is exact for any mix of backends.
-        let prefixes = self.prefixes(None, &[], true);
-        let n = self.n_tuples();
-        let jobs: Vec<_> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.n_tuples() > 0)
-            .map(|(k, shard)| {
-                let shard = Arc::clone(shard);
-                let c_pre = prefixes[k].c_pre;
-                let c_other = prefixes[k].c_other;
-                let offset = prefixes[k].offset;
-                move || {
-                    let er = shard.expected_ranks()?;
-                    let adjusted: Vec<f64> = er
-                        .into_iter()
-                        .zip(shard.tuple_marginals())
-                        .map(|(v, p)| v + p * c_pre + (1.0 - p) * c_other)
-                        .collect();
-                    Some((offset, adjusted))
-                }
-            })
-            .collect();
-        let mut out = vec![0.0; n];
-        for res in self.pool.run(jobs) {
-            let (offset, vals) = res?;
-            out[offset..offset + vals.len()].copy_from_slice(&vals);
-        }
-        Some(out)
-    }
-
     fn generation(&self) -> u64 {
         let mut tracker = self.generations.lock().expect("generation tracker");
         let current: Vec<u64> = self.shards.iter().map(|s| s.generation()).collect();
@@ -1120,10 +813,6 @@ impl ProbabilisticRelation for ShardedRelation {
             tracker.counter += 1;
         }
         tracker.counter
-    }
-
-    fn run_shared_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        self.merged_walk(spec, None)
     }
 
     fn prepare(&self) -> PreparedState {

@@ -33,7 +33,7 @@
 
 #![allow(clippy::needless_range_loop)] // index loops pair several parallel arrays
 
-use std::sync::Arc;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use prf_numeric::fft::interpolate_from_roots_of_unity;
@@ -70,7 +70,8 @@ pub(crate) fn tuple_view(tree: &AndXorTree, marginals: &[f64], t: TupleId) -> Tu
 
 /// Cached per-relation walk artifacts — everything a tree walk otherwise
 /// rebuilds on every call: the score order and its inverse permutation, the
-/// tuple marginals, and the compiled combine plan. One `TreePrepared`
+/// tuple marginals, the compiled combine plan, and (built on first use by a
+/// truncated weight request) the x-tuple groups. One `TreePrepared`
 /// serves any number of serial, sharded, single-query, or batched walks
 /// over the same tree (per-walk evaluator *state* is built fresh each walk;
 /// only this immutable skeleton is shared), which is what lets a serving
@@ -82,6 +83,9 @@ pub(crate) struct TreePrepared {
     pub(crate) pos: Vec<usize>,
     pub(crate) marginals: Vec<f64>,
     pub(crate) plan: EvalPlan,
+    /// [`AndXorTree::x_tuple_groups`], computed lazily; a structural
+    /// mutation (insert) must reset it.
+    pub(crate) groups: OnceLock<Option<Vec<Vec<TupleId>>>>,
 }
 
 impl TreePrepared {
@@ -92,7 +96,13 @@ impl TreePrepared {
             pos,
             marginals: tree.marginals(),
             plan: EvalPlan::new(tree),
+            groups: OnceLock::new(),
         }
+    }
+
+    /// The tree's x-tuple groups, or `None` when it is not in x-tuple form.
+    fn x_tuple_groups(&self, tree: &AndXorTree) -> Option<&[Vec<TupleId>]> {
+        self.groups.get_or_init(|| tree.x_tuple_groups()).as_deref()
     }
 }
 
@@ -137,29 +147,12 @@ pub fn prf_rank_tree_stats(
     omega: &dyn WeightFunction,
 ) -> (Vec<Complex>, GfStats) {
     let n = tree.n_tuples();
-    if n == 0 {
-        return (Vec::new(), GfStats::default());
-    }
-    prf_rank_tree_stats_prepared(tree, omega, &TreePrepared::new(tree))
-}
-
-/// [`prf_rank_tree_stats`] over cached walk artifacts: identical output,
-/// but the sort, marginals, and compiled plan come from `prep` instead of
-/// being rebuilt — the single-query form a `PreparedRelation` runs.
-pub(crate) fn prf_rank_tree_stats_prepared(
-    tree: &AndXorTree,
-    omega: &dyn WeightFunction,
-    prep: &TreePrepared,
-) -> (Vec<Complex>, GfStats) {
-    let n = tree.n_tuples();
     let mut out = vec![Complex::ZERO; n];
-    if n == 0 {
-        return (out, GfStats::default());
-    }
     let cap = omega.truncation().unwrap_or(n).min(n);
     if cap == 0 {
         return (out, GfStats::default());
     }
+    let prep = TreePrepared::new(tree);
     let mut inc = prep.plan.evaluator(|_| RankPoly::one().with_cap(cap));
     for (i, &t) in prep.order.iter().enumerate() {
         if i > 0 {
@@ -403,12 +396,18 @@ pub fn expected_ranks_tree(tree: &AndXorTree) -> Vec<f64> {
 /// The parsed consumer set of a batched walk: which
 /// [`SharedRequest`]s read the shared truncated-polynomial evaluator
 /// (weight-based semantics — truncation views of one polynomial capped at
-/// the *largest* requested horizon) and which ride along as scalar
-/// evaluation points (PRFe per α, expected ranks via dual numbers).
-pub(crate) struct BatchConsumers {
+/// the *largest* requested horizon), which ride along as scalar evaluation
+/// points (PRFe per α, expected ranks via dual numbers), and — on x-tuple
+/// trees — which truncated weights skip the walk for the
+/// `O(n·h·log n)` x-tuple kernel.
+pub(crate) struct BatchConsumers<'w> {
     /// `(request index, ω, extraction cap)` — all served by ONE polynomial
     /// evaluator.
-    weights: Vec<(usize, Arc<dyn WeightFunction + Send + Sync>, usize)>,
+    weights: Vec<(usize, &'w (dyn WeightFunction + Sync), usize)>,
+    /// `(request index, ω, extraction cap)` — truncated weights answered
+    /// by ONE run of [`crate::xtuple`]'s kernel instead of the walk
+    /// (x-tuple trees only).
+    xtuple: Vec<(usize, &'w (dyn WeightFunction + Sync), usize)>,
     /// `(request index, kind)` — one scalar evaluator each.
     scalars: Vec<(usize, ScalarKind)>,
     /// The shared polynomial cap (max over `weights`; 0 = no polynomial).
@@ -419,24 +418,30 @@ pub(crate) struct BatchConsumers {
 enum ScalarKind {
     /// PRFe(α), plain complex.
     Complex(Complex),
-    /// PRFe(α), scaled; `true` converts to log-domain keys at extraction
-    /// (matching the trait default `prfe_log_keys`).
+    /// PRFe(α), scaled; `true` converts to log-domain keys at extraction.
     Scaled(Complex, bool),
     /// Expected ranks: the in-world term er₁ via `α = 1 + ε`.
     Erank,
 }
 
-impl BatchConsumers {
-    pub(crate) fn parse(spec: &SharedWalkSpec, n: usize) -> Self {
+impl<'w> BatchConsumers<'w> {
+    /// Parses `spec`; with `xtuple` set, truncated weight requests are
+    /// routed to the x-tuple kernel instead of the polynomial evaluator.
+    pub(crate) fn parse(spec: &'w SharedWalkSpec, n: usize, xtuple: bool) -> Self {
         let mut weights = Vec::new();
+        let mut xtuple_weights = Vec::new();
         let mut scalars = Vec::new();
         let mut cap = 0usize;
         for (i, req) in spec.requests.iter().enumerate() {
             match req {
                 SharedRequest::Weight(w) => {
                     let c = req.weight_cap(n).expect("weight request has a cap");
-                    cap = cap.max(c);
-                    weights.push((i, w.clone(), c));
+                    if xtuple && w.truncation().is_some() {
+                        xtuple_weights.push((i, w.as_ref() as _, c));
+                    } else {
+                        cap = cap.max(c);
+                        weights.push((i, w.as_ref() as _, c));
+                    }
                 }
                 SharedRequest::PrfeComplex(a) => scalars.push((i, ScalarKind::Complex(*a))),
                 SharedRequest::PrfeLog(a) => {
@@ -448,27 +453,20 @@ impl BatchConsumers {
         }
         BatchConsumers {
             weights,
+            xtuple: xtuple_weights,
             scalars,
             cap,
         }
     }
 
-    /// Pre-sized answer buffers, one per request, matching the single-query
-    /// kernels' defaults (zero Υ values, `-∞` log keys).
-    pub(crate) fn answer_buffers(spec: &SharedWalkSpec, n: usize) -> Vec<SharedAnswer> {
-        spec.requests
-            .iter()
-            .map(|req| match req {
-                SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
-                    SharedAnswer::Complex(vec![Complex::ZERO; n])
-                }
-                SharedRequest::PrfeLog(_) => SharedAnswer::Log(vec![f64::NEG_INFINITY; n]),
-                SharedRequest::PrfeScaled(_) => {
-                    SharedAnswer::Scaled(vec![Scaled::<Complex>::zero(); n])
-                }
-                SharedRequest::ExpectedRanks => SharedAnswer::Ranks(vec![0.0; n]),
-            })
-            .collect()
+    /// One weight `omega`, read at extraction cap `cap` into answer 0.
+    pub(crate) fn weight(omega: &'w (dyn WeightFunction + Sync), cap: usize) -> Self {
+        BatchConsumers {
+            weights: vec![(0, omega, cap)],
+            xtuple: Vec::new(),
+            scalars: Vec::new(),
+            cap,
+        }
     }
 
     /// `true` when an expected-ranks consumer is present (it needs the
@@ -640,7 +638,7 @@ impl<'p> BatchWalkers<'p> {
         if let Some(inc) = &self.poly {
             for (req, w, cap) in &consumers.weights {
                 if let SharedAnswer::Complex(buf) = &mut answers[*req] {
-                    buf[t] = upsilon_from_gf(inc.root(), tv, w.as_ref(), *cap);
+                    buf[t] = upsilon_from_gf(inc.root(), tv, *w, *cap);
                 }
             }
         }
@@ -709,7 +707,7 @@ pub(crate) fn erank_absent_term(plan: &EvalPlan, n: usize) -> Vec<f64> {
 
 /// Adds er₂ into every expected-ranks answer buffer (which holds er₁ after
 /// the main walk).
-pub(crate) fn finish_erank_answers(
+fn finish_erank_answers(
     consumers: &BatchConsumers,
     plan: &EvalPlan,
     n: usize,
@@ -730,46 +728,93 @@ pub(crate) fn finish_erank_answers(
     }
 }
 
-/// Serves a whole [`SharedWalkSpec`] from **one** serial score-order walk
-/// over **one** compiled plan: the batched form of [`prf_rank_tree`] /
-/// [`prfe_rank_tree`] / [`expected_ranks_tree`], answer-equivalent to
-/// running each request's single-query kernel (within 1e-9 — see
-/// `tests/batch_equivalence.rs`).
+/// Serves a whole [`SharedWalkSpec`] from **one** score-order walk over
+/// **one** compiled plan: the batched form of [`prf_rank_tree`] /
+/// [`prfe_rank_tree`] / [`expected_ranks_tree`]. The walk runs serially, or
+/// sharded over `spec.threads` workers once every shard clears
+/// [`crate::parallel::PARALLEL_MIN_SHARD_TUPLES`] (sharding below that
+/// floor loses to serial outright, so it degrades to the serial route with
+/// identical answers). On an x-tuple tree, truncated weight requests are
+/// answered by [`crate::xtuple`]'s `O(n·h·log n)` kernel instead — chosen
+/// by the tree's shape, one kernel run at the largest horizon for all of
+/// them — and need no walk at all. `start` marks when the caller began, so
+/// the reported walk time includes any preparation it did.
 ///
 /// Returns `None` when the spec's cancellation token trips mid-walk (every
 /// consumer gave up — see `SharedWalkSpec::cancel`).
-pub(crate) fn batch_walk_tree(tree: &AndXorTree, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-    let start = Instant::now();
-    if tree.n_tuples() == 0 {
-        return Some(SharedWalkOut {
-            answers: BatchConsumers::answer_buffers(spec, 0),
-            stats: None,
-            walk_seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-    batch_walk_tree_prepared(tree, spec, &TreePrepared::new(tree))
-}
-
-/// [`batch_walk_tree`] over cached walk artifacts (see [`TreePrepared`]):
-/// identical answers, but the sort, marginals, and compiled plan are reused
-/// across calls — a serving flush pays only the walk itself.
-pub(crate) fn batch_walk_tree_prepared(
+pub(crate) fn batch_walk_tree(
     tree: &AndXorTree,
     spec: &SharedWalkSpec,
     prep: &TreePrepared,
+    start: Instant,
 ) -> Option<SharedWalkOut> {
-    let start = Instant::now();
     let n = tree.n_tuples();
-    let consumers = BatchConsumers::parse(spec, n);
-    let mut answers = BatchConsumers::answer_buffers(spec, n);
-    if n == 0 {
-        return Some(SharedWalkOut {
-            answers,
-            stats: None,
-            walk_seconds: start.elapsed().as_secs_f64(),
-        });
+    let truncated = spec
+        .requests
+        .iter()
+        .any(|r| matches!(r, SharedRequest::Weight(w) if w.truncation().is_some()));
+    let groups = if n > 0 && truncated {
+        prep.x_tuple_groups(tree)
+    } else {
+        None
+    };
+    let consumers = BatchConsumers::parse(spec, n, groups.is_some());
+    let mut answers = spec.answer_buffers(n);
+    let walks = consumers.cap > 0 || !consumers.scalars.is_empty();
+    let stats = if n > 0 && walks {
+        let stats = match crate::parallel::effective_walk_threads(n, spec.threads) {
+            t if t > 1 => {
+                let cancel = spec.cancel.as_ref();
+                crate::parallel::walk_shards(tree, cancel, &consumers, prep, t, &mut answers)?
+            }
+            _ => walk_serial(tree, spec, &consumers, prep, &mut answers)?,
+        };
+        // The E-Rank absent-worlds pass holds one transient scalar
+        // evaluator; it is not part of the reported walk accounting.
+        finish_erank_answers(&consumers, &prep.plan, n, &mut answers);
+        Some(stats)
+    } else {
+        None
+    };
+    // After the walk: a sharded walk writes back every answer slot.
+    if let Some(groups) = groups.filter(|_| !consumers.xtuple.is_empty()) {
+        if spec.is_cancelled() {
+            return None;
+        }
+        let weights: Vec<(&dyn WeightFunction, usize)> = consumers
+            .xtuple
+            .iter()
+            .map(|&(_, w, h)| (w as &dyn WeightFunction, h))
+            .collect();
+        let vals = crate::xtuple::rank_groups(
+            tree,
+            groups,
+            &weights,
+            &prep.order,
+            &prep.pos,
+            &prep.marginals,
+        );
+        for (&(req, _, _), v) in consumers.xtuple.iter().zip(vals) {
+            answers[req] = SharedAnswer::Complex(v);
+        }
     }
-    let mut walkers = BatchWalkers::fast_forward(&prep.plan, &consumers, |_| false);
+    Some(SharedWalkOut {
+        answers,
+        stats,
+        walk_seconds: start.elapsed().as_secs_f64(),
+    })
+}
+
+/// The serial walk of [`batch_walk_tree`]: every consumer's Υ extracted at
+/// each score step. `None` when cancelled.
+fn walk_serial(
+    tree: &AndXorTree,
+    spec: &SharedWalkSpec,
+    consumers: &BatchConsumers,
+    prep: &TreePrepared,
+    answers: &mut [SharedAnswer],
+) -> Option<GfStats> {
+    let mut walkers = BatchWalkers::fast_forward(&prep.plan, consumers, |_| false);
     for (i, &t) in prep.order.iter().enumerate() {
         // Cooperative cancellation: abandon the walk once every consumer
         // has given up (polled every 256 score steps).
@@ -778,18 +823,9 @@ pub(crate) fn batch_walk_tree_prepared(
         }
         walkers.step((i > 0).then(|| prep.order[i - 1]), t);
         let tv = tuple_view(tree, &prep.marginals, t);
-        walkers.extract(&consumers, &tv, &mut answers, t.index());
+        walkers.extract(consumers, &tv, answers, t.index());
     }
-    let stats = walkers.stats();
-    // The E-Rank absent-worlds pass holds one transient scalar evaluator;
-    // like the serial single-query path, it is not part of the reported
-    // walk accounting (and the parallel walk reports identically).
-    finish_erank_answers(&consumers, &prep.plan, n, &mut answers);
-    Some(SharedWalkOut {
-        answers,
-        stats: Some(stats),
-        walk_seconds: start.elapsed().as_secs_f64(),
-    })
+    Some(walkers.stats())
 }
 
 #[cfg(test)]

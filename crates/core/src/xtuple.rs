@@ -55,22 +55,32 @@ pub fn prf_omega_rank_xtuple(
 ) -> Option<Vec<Complex>> {
     let groups = tree.x_tuple_groups()?;
     let h = omega.truncation()?;
-    Some(rank_groups(tree, &groups, omega, h))
+    let (order, pos) = score_order(tree);
+    let marginals = tree.marginals();
+    rank_groups(tree, &groups, &[(omega, h)], &order, &pos, &marginals).pop()
 }
 
-fn rank_groups(
+/// [`prf_omega_rank_xtuple`] for several truncated weights `(ω, h)` at
+/// once, over the tree's x-tuple `groups`, given the score order, its
+/// inverse permutation and the marginals — the form the tree walk calls
+/// with its cached artifacts. One divide and conquer at the largest
+/// horizon serves every weight as a truncation view: a truncated product's
+/// low coefficients do not depend on the cap, so each answer is identical
+/// to its own run.
+pub(crate) fn rank_groups(
     tree: &AndXorTree,
     groups: &[Vec<TupleId>],
-    omega: &dyn WeightFunction,
-    h: usize,
-) -> Vec<Complex> {
+    weights: &[(&dyn WeightFunction, usize)],
+    order: &[TupleId],
+    pos: &[usize],
+    marginals: &[f64],
+) -> Vec<Vec<Complex>> {
     let n = tree.n_tuples();
-    let mut out = vec![Complex::ZERO; n];
+    let mut out = vec![vec![Complex::ZERO; n]; weights.len()];
+    let h = weights.iter().map(|&(_, h)| h).max().unwrap_or(0);
     if n == 0 || h == 0 {
         return out;
     }
-    let marginals = tree.marginals();
-    let (order, pos) = score_order(tree);
 
     // Per group, the member steps in sweep order, and the factor versions.
     let mut spans: Vec<FactorSpan> = Vec::with_capacity(n + groups.len());
@@ -103,18 +113,19 @@ fn rank_groups(
     // Divide and conquer over the timeline.
     let acc = Poly::one();
     solve(
-        tree, omega, h, &order, &marginals, 0, n, spans, &acc, &mut out,
+        tree, weights, h, order, marginals, 0, n, spans, &acc, &mut out,
     );
     out
 }
 
 /// Recursion over the step range `[lo, hi)`: multiplies spans covering the
 /// whole range into (a clone of) `acc`, splits the rest between the halves,
-/// and evaluates Υ at single-step leaves.
+/// and evaluates every weight's Υ at single-step leaves (`h` is the
+/// largest horizon).
 #[allow(clippy::too_many_arguments)]
 fn solve(
     tree: &AndXorTree,
-    omega: &dyn WeightFunction,
+    weights: &[(&dyn WeightFunction, usize)],
     h: usize,
     order: &[TupleId],
     marginals: &[f64],
@@ -122,7 +133,7 @@ fn solve(
     hi: usize,
     spans: Vec<FactorSpan>,
     acc: &Poly,
-    out: &mut [Complex],
+    out: &mut [Vec<Complex>],
 ) {
     // Fold every fully-covering span into this node's product.
     let mut covering: Vec<&FactorSpan> = Vec::new();
@@ -156,14 +167,16 @@ fn solve(
             score: tree.score(t),
             prob: p,
         };
-        let mut ups = Complex::ZERO;
-        for j in 1..=h {
-            let c = acc.coeff(j - 1);
-            if c != 0.0 {
-                ups += omega.weight(&tv, j) * c;
+        for (&(omega, h), out) in weights.iter().zip(out.iter_mut()) {
+            let mut ups = Complex::ZERO;
+            for j in 1..=h {
+                let c = acc.coeff(j - 1);
+                if c != 0.0 {
+                    ups += omega.weight(&tv, j) * c;
+                }
             }
+            out[t.index()] = ups * p;
         }
-        out[t.index()] = ups * p;
         return;
     }
 
@@ -183,8 +196,8 @@ fn solve(
             });
         }
     }
-    solve(tree, omega, h, order, marginals, lo, mid, left, acc, out);
-    solve(tree, omega, h, order, marginals, mid, hi, right, acc, out);
+    solve(tree, weights, h, order, marginals, lo, mid, left, acc, out);
+    solve(tree, weights, h, order, marginals, mid, hi, right, acc, out);
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //! treewidth-1 Markov-chain specialisation in [`crate::markov`] runs in
 //! `O(n³)`.
 
-use prf_numeric::Complex;
+use prf_core::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use prf_core::query::PreparedState;
+use prf_numeric::{Complex, Scaled};
 use prf_pdb::tuple::sort_indices_by_score_desc;
 use prf_pdb::{Tuple, TupleId};
 
@@ -223,7 +225,8 @@ pub fn prf_rank_markov_chain(
 /// unified query engine: a calibrated [`JunctionTree`] over the
 /// tuple-existence indicators plus the tuple scores.
 ///
-/// Implements [`prf_core::query::ProbabilisticRelation`], so any PRFω/PRFe
+/// Implements [`prf_core::query::ProbabilisticRelation`] — the minimal
+/// backend: metadata plus one walk — so any PRFω/PRFe
 /// [`prf_core::query::RankQuery`] runs on it unchanged; positional
 /// probabilities come from the Section 9.4 partial-sum dynamic program.
 /// The set semantics (U-Top) and E-Rank have no exact junction-tree
@@ -300,20 +303,53 @@ impl prf_core::query::ProbabilisticRelation for NetworkRelation {
         prf_core::query::CorrelationClass::Graphical
     }
 
-    fn prf_values(
+    /// One junction-tree positional-probability table serves every
+    /// request; expected ranks have no exact algorithm here, so a walk
+    /// asking for them answers `None` (the engine reports `Unsupported`).
+    fn run_shared_walk_prepared(
         &self,
-        omega: &(dyn prf_core::weights::WeightFunction + Sync),
-        _threads: Option<usize>,
-    ) -> Vec<Complex> {
-        prf_rank_junction(&self.jt, &self.scores, omega)
-    }
-
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        prf_rank_junction(
-            &self.jt,
-            &self.scores,
-            &prf_core::weights::ExponentialWeight { alpha },
-        )
+        spec: &SharedWalkSpec,
+        _prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        let start = std::time::Instant::now();
+        if spec.is_cancelled()
+            || spec
+                .requests
+                .iter()
+                .any(|r| matches!(r, SharedRequest::ExpectedRanks))
+        {
+            return None;
+        }
+        let dists = self.rank_distributions();
+        let prfe = |alpha| {
+            let omega = prf_core::weights::ExponentialWeight { alpha };
+            upsilons_from_dists(&dists, &self.scores, &omega)
+        };
+        let answers = spec
+            .requests
+            .iter()
+            .map(|req| match req {
+                SharedRequest::Weight(w) => {
+                    SharedAnswer::Complex(upsilons_from_dists(&dists, &self.scores, w.as_ref()))
+                }
+                SharedRequest::PrfeComplex(a) => SharedAnswer::Complex(prfe(*a)),
+                SharedRequest::PrfeScaled(a) => {
+                    SharedAnswer::Scaled(prfe(*a).into_iter().map(Scaled::new).collect())
+                }
+                SharedRequest::PrfeLog(a) => SharedAnswer::Log(
+                    prfe(Complex::real(*a))
+                        .into_iter()
+                        .map(|v| Scaled::new(v).magnitude_key() * std::f64::consts::LN_2)
+                        .collect(),
+                ),
+                SharedRequest::ExpectedRanks => unreachable!("rejected above"),
+            })
+            .collect();
+        Some(SharedWalkOut {
+            answers,
+            stats: None,
+            walk_seconds: start.elapsed().as_secs_f64(),
+        })
     }
 }
 

@@ -2071,9 +2071,8 @@ mod tests {
 
     #[test]
     fn panicking_backend_resolves_to_internal_and_server_survives() {
-        use prf_core::query::CorrelationClass;
-        use prf_core::weights::WeightFunction;
-        use prf_numeric::Complex;
+        use prf_core::query::batch::{SharedWalkOut, SharedWalkSpec};
+        use prf_core::query::{CorrelationClass, PreparedState};
 
         /// A backend whose kernels die — stands in for any bug that makes
         /// evaluation panic. Panic isolation must resolve the doomed
@@ -2092,14 +2091,11 @@ mod tests {
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Graphical
             }
-            fn prf_values(
+            fn run_shared_walk_prepared(
                 &self,
-                _omega: &(dyn WeightFunction + Sync),
-                _threads: Option<usize>,
-            ) -> Vec<Complex> {
-                panic!("injected kernel failure")
-            }
-            fn prfe_values(&self, _alpha: Complex) -> Vec<Complex> {
+                _spec: &SharedWalkSpec,
+                _prep: &PreparedState,
+            ) -> Option<SharedWalkOut> {
                 panic!("injected kernel failure")
             }
         }

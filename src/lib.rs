@@ -63,6 +63,21 @@
 //! | `consensus_topk_weighted(&db, &w)` | `RankQuery::prf(TabulatedWeight::from_real(&w)).run(&db)?` |
 //! | `approximate_weights(…)` + `ExpMixture::ranking_*` | `RankQuery::pt(h).algorithm(Algorithm::DftApprox(cfg)).run(…)?` |
 //!
+//! A custom backend implements
+//! [`ProbabilisticRelation`](core::query::ProbabilisticRelation) as metadata
+//! plus one walk, `run_shared_walk_prepared`; the removed per-ring trait
+//! methods map onto the requests that walk answers:
+//!
+//! | removed trait method | answer in `run_shared_walk_prepared` |
+//! |---|---|
+//! | `prf_values` / `prf_values_with_stats` / `prf_values_prepared` | `SharedRequest::Weight(ω)` |
+//! | `prfe_values` / `prfe_values_with_stats` | `SharedRequest::PrfeComplex(α)` |
+//! | `prfe_values_scaled` / `prfe_values_scaled_with_stats` | `SharedRequest::PrfeScaled(α)` |
+//! | `prfe_log_keys` | `SharedRequest::PrfeLog(α)` |
+//! | `expected_ranks` | `SharedRequest::ExpectedRanks` (return `None` if unsupported) |
+//! | `mixture_values` | nothing: the engine sums one `PrfeScaled` per mixture term |
+//! | `run_shared_walk(spec)` | `run_shared_walk_prepared(spec, &PreparedState::empty())` |
+//!
 //! Each [`RankedResult`](core::query::RankedResult) carries the per-tuple
 //! values, the [`Ranking`](core::topk::Ranking), the set answer for U-Top,
 //! and an [`EvalReport`](core::query::EvalReport) stating which algorithm

@@ -6,9 +6,10 @@
 //! `Scaled`), serial and sharded-parallel, including proptest-generated
 //! random batches (whose failures shrink, courtesy of the shim).
 //!
-//! The single-query side never routes through the batch engine (its
-//! kernels are the free functions differential-tested against brute force
-//! elsewhere), so the comparison is not circular.
+//! A single query is a batch of one, so this suite pins that *sharing* a
+//! walk never changes an entry's answer; `tests/query_equivalence.rs` ties
+//! the engine itself to the free-function kernels, which are
+//! differential-tested against brute force.
 
 use prf::prelude::*;
 use proptest::prelude::*;
@@ -299,6 +300,42 @@ fn parallel_batch_equals_serial_batch_and_singles() {
 }
 
 #[test]
+fn sharded_walk_keeps_xtuple_kernel_answers() {
+    // On an x-tuple tree the truncated weights skip the walk for the
+    // x-tuple kernel, while PRFe and E-Rank still walk. Large enough that
+    // `.parallel(2)` really shards that walk: the shard merge must not
+    // overwrite the kernel's answers.
+    let tree = random_xtuple_tree(7, 5000);
+    let n = tree.n_tuples();
+    assert!(
+        effective_walk_threads(n, Some(2)) == 2,
+        "n = {n} must shard"
+    );
+    let queries = [
+        RankQuery::pt(50),
+        RankQuery::pt(3),
+        RankQuery::prf(TabulatedWeight::from_real(&[2.0, 1.0, 0.5])),
+        RankQuery::prfe(0.9),
+        RankQuery::erank(),
+    ];
+    let serial = QueryBatch::new()
+        .add_queries(queries.iter().cloned())
+        .run(&tree)
+        .unwrap();
+    let parallel = QueryBatch::new()
+        .add_queries(queries.iter().cloned())
+        .parallel(2)
+        .run(&tree)
+        .unwrap();
+    assert_eq!(parallel[3].report.batch.unwrap().consumers, 5);
+    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+        assert_values_equivalent(p, s, &format!("x-tuple serial vs parallel [{i}]"));
+    }
+    let pt = parallel[0].values.as_complex().unwrap();
+    assert!(pt.iter().any(|v| v.re > 0.0), "PT answers must survive");
+}
+
+#[test]
 fn small_batches_gate_to_the_serial_route() {
     // Regression for the ROADMAP item "parallel loses to serial at
     // n = 10⁴": sharding pays a shared prefix sweep plus one snapshot
@@ -337,8 +374,8 @@ fn small_batches_gate_to_the_serial_route() {
 }
 
 // ---------------------------------------------------------------------
-// NetworkRelation: no shared-walk kernel — everything falls back, and the
-// batch must still equal the sequential runs (including error behaviour)
+// NetworkRelation: the minimal walk (no E-Rank) — the batch must still
+// equal the sequential runs, including error behaviour
 // ---------------------------------------------------------------------
 
 #[test]
@@ -351,14 +388,19 @@ fn batch_equals_sequential_on_graphical() {
         RankQuery::urank(3),
     ];
     assert_batch_equivalent(&rel, &queries, None, "graphical");
-    // Nothing shares on this backend…
+    // The walk consumers share one positional-probability table; U-Rank
+    // takes its direct route…
     let results = QueryBatch::new()
         .add_queries(queries.iter().cloned())
         .run(&rel)
         .unwrap();
-    for r in &results {
-        assert!(r.report.batch.is_none(), "graphical entries never share");
+    for r in &results[..3] {
+        assert_eq!(r.report.batch.expect("walk consumer").consumers, 3);
     }
+    assert!(
+        results[3].report.batch.is_none(),
+        "U-Rank is a direct route"
+    );
     // …and unsupported semantics error exactly like the sequential run.
     let err = QueryBatch::new()
         .add(Semantics::Pt(2))

@@ -85,6 +85,75 @@ fn structural_misuse_is_reported() {
 }
 
 #[test]
+fn non_finite_prfe_bases_are_rejected() {
+    // n ≥ 2 sends Auto to ExactGf, where NaN Υ values would reach the
+    // ranking sort and panic: the base must fail as a parameter error first.
+    let db = IndependentDb::from_pairs([(3.0, 0.5), (2.0, 0.7), (1.0, 0.9)]).unwrap();
+    let tree = AndXorTree::from_independent(&db);
+    let bases = [
+        Complex::real(f64::NAN),
+        Complex::real(f64::INFINITY),
+        Complex::new(0.5, f64::INFINITY),
+        Complex::new(f64::NEG_INFINITY, f64::NAN),
+    ];
+    for alpha in bases {
+        for algorithm in [Algorithm::Auto, Algorithm::ExactGf, Algorithm::Scaled] {
+            let q = RankQuery::prfe_complex(alpha).algorithm(algorithm);
+            for err in [q.run(&db).unwrap_err(), q.run(&tree).unwrap_err()] {
+                assert!(
+                    matches!(err, QueryError::InvalidParameter(_)),
+                    "α={alpha} {algorithm:?}: {err}"
+                );
+            }
+        }
+    }
+    assert!(matches!(
+        RankQuery::prfe(f64::NAN).run(&db).unwrap_err(),
+        QueryError::InvalidParameter(_)
+    ));
+}
+
+#[test]
+fn escore_of_an_impossible_tuple_with_infinite_score_is_zero() {
+    // 0·∞ would be NaN; a tuple that never exists expects nothing.
+    let db =
+        IndependentDb::from_pairs([(f64::INFINITY, 0.0), (f64::NEG_INFINITY, 0.0), (2.0, 0.5)])
+            .unwrap();
+    let r = RankQuery::escore().run(&db).unwrap();
+    let vals = r.values.as_complex().unwrap();
+    assert_eq!(vals[0], Complex::ZERO);
+    assert_eq!(vals[1], Complex::ZERO);
+    assert_eq!(vals[2], Complex::real(1.0));
+    assert_eq!(r.ranking.order()[0], prf::pdb::TupleId(2));
+    // A present tuple with an infinite score still ranks first.
+    let db = IndependentDb::from_pairs([(2.0, 0.5), (f64::INFINITY, 0.1)]).unwrap();
+    let r = RankQuery::escore().run(&db).unwrap();
+    assert_eq!(r.ranking.order()[0], prf::pdb::TupleId(1));
+}
+
+#[test]
+fn urank_clamps_k_to_the_relation() {
+    // Positions beyond n never get candidates: a huge k must neither
+    // overflow nor allocate one list per unfillable position.
+    let db = IndependentDb::from_pairs([(3.0, 0.5), (2.0, 0.7), (1.0, 0.9)]).unwrap();
+    let tree =
+        AndXorTree::from_x_tuples(&[vec![(3.0, 0.5), (2.0, 0.4)], vec![(1.0, 0.9)]]).unwrap();
+    for k in [usize::MAX, 1 << 40, 4] {
+        let a = RankQuery::urank(k).run(&db).unwrap();
+        assert_eq!(
+            a.ranking.order(),
+            RankQuery::urank(3).run(&db).unwrap().ranking.order()
+        );
+        let b = RankQuery::urank(k).run(&tree).unwrap();
+        assert_eq!(
+            b.ranking.order(),
+            RankQuery::urank(3).run(&tree).unwrap().ranking.order()
+        );
+        assert!(b.ranking.len() <= tree.n_tuples());
+    }
+}
+
+#[test]
 fn world_enumeration_limits_are_enforced() {
     let db = IndependentDb::from_pairs((0..30).map(|i| (i as f64, 0.5))).unwrap();
     assert!(matches!(

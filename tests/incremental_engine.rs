@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use prf::core::query::{PreparedRelation, QueryBatch, RankQuery, Semantics};
 use prf::core::tree::{
     prf_rank_tree, prf_rank_tree_refold, prf_rank_tree_stats, prfe_rank_tree,
     prfe_rank_tree_recompute, prfe_rank_tree_scaled,
@@ -116,6 +117,30 @@ fn degenerate_tree() -> AndXorTree {
     let y = b.add_inner(root, NodeKind::Xor, 1.0).unwrap();
     b.add_leaf(y, 1.0, 45.0).unwrap();
     b.build().unwrap()
+}
+
+/// A random x-tuple tree of `groups` exclusive groups (1–4 alternatives,
+/// some saturating their group's probability mass).
+fn random_xtuple_tree(seed: u64, groups: usize) -> AndXorTree {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spec: Vec<Vec<(f64, f64)>> = (0..groups)
+        .map(|g| {
+            let alts = rng.gen_range(1..5);
+            let mut budget = 1.0f64;
+            (0..alts)
+                .map(|j| {
+                    let p = if g % 3 == 0 && j == alts - 1 {
+                        budget
+                    } else {
+                        rng.gen_range(0.0..budget * 0.8)
+                    };
+                    budget -= p;
+                    (rng.gen_range(0.0..1000.0), p)
+                })
+                .collect()
+        })
+        .collect();
+    AndXorTree::from_x_tuples(&spec).expect("valid groups")
 }
 
 fn check_prf_all_truncations(tree: &AndXorTree, ctx: &str) {
@@ -252,6 +277,40 @@ proptest! {
         let rec = prfe_rank_tree_recompute(&tree, alpha);
         for t in 0..tree.n_tuples() {
             prop_assert!(close_rel(inc[t], rec[t], 1e-9), "t{t}: {} vs {}", inc[t], rec[t]);
+        }
+    }
+
+    /// On x-tuple trees the walk answers truncated weights with the x-tuple
+    /// kernel (no evaluator runs, so no memory is reported) — and those
+    /// answers ≡ the refold oracle for every horizon h ∈ [1, n], alone,
+    /// batched with a walk consumer, and through a prepared relation.
+    #[test]
+    fn xtuple_routed_walk_equals_refold(
+        seed in 0u64..5000,
+        groups in 1usize..9,
+        frac in 0.0f64..1.0,
+    ) {
+        let tree = random_xtuple_tree(seed, groups);
+        let n = tree.n_tuples();
+        let h = 1 + ((n - 1) as f64 * frac) as usize;
+        let oracle = prf_rank_tree_refold(&tree, &StepWeight { h });
+        let single = RankQuery::pt(h).run(&tree).unwrap();
+        prop_assert!(single.report.memory.is_none(), "PT({h}) must skip the walk");
+        let batch = QueryBatch::new()
+            .add(Semantics::Pt(h))
+            .add(Semantics::ERank)
+            .run(&tree)
+            .unwrap();
+        let prepared = PreparedRelation::from_relation(tree.clone());
+        let served = RankQuery::prf(StepWeight { h }).run(&prepared).unwrap();
+        for (ctx, got) in [("single", &single), ("batch", &batch[0]), ("prepared", &served)] {
+            let got = got.values.as_complex().unwrap();
+            for t in 0..n {
+                prop_assert!(
+                    close_rel(got[t], oracle[t], 1e-9),
+                    "{ctx} h={h} t{t}: {} vs {}", got[t], oracle[t]
+                );
+            }
         }
     }
 

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use prf::core::query::batch::{SharedWalkOut, SharedWalkSpec};
 use prf::core::query::CorrelationClass;
 use prf::prelude::*;
 
@@ -69,17 +70,13 @@ impl ProbabilisticRelation for SlowRelation {
     fn correlation_class(&self) -> CorrelationClass {
         CorrelationClass::Independent
     }
-    fn prf_values(
+    fn run_shared_walk_prepared(
         &self,
-        omega: &(dyn prf::core::WeightFunction + Sync),
-        threads: Option<usize>,
-    ) -> Vec<Complex> {
+        spec: &SharedWalkSpec,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
         self.stall();
-        self.inner.prf_values(omega, threads)
-    }
-    fn prfe_values(&self, alpha: Complex) -> Vec<Complex> {
-        self.stall();
-        self.inner.prfe_values(alpha)
+        self.inner.run_shared_walk_prepared(spec, prep)
     }
 }
 
