@@ -4,10 +4,20 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use prf_approx::{approximate_weights, DftApproxConfig};
-use prf_baselines::pt_ranking;
+use prf_core::mixture::{approximate_weights, DftApproxConfig};
+use prf_core::query::{Algorithm, RankQuery};
+use prf_core::topk::Ranking;
 use prf_datasets::iip_db;
 use prf_metrics::{kendall_topk, kendall_topk_naive};
+
+/// The exact PT(h) ranking, pinned to the generating-function algorithm.
+fn pt_ranking(db: &prf_pdb::IndependentDb, h: usize) -> Ranking {
+    RankQuery::pt(h)
+        .algorithm(Algorithm::ExactGf)
+        .run(db)
+        .expect("PT runs on independent relations")
+        .ranking
+}
 
 fn bench_mixture_construction(c: &mut Criterion) {
     let h = 1000;

@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use prf_baselines::{erank_ranking, pt_ranking, urank_topk, utop_topk};
 use prf_core::independent::{prfe_rank, prfe_rank_log, prfe_rank_scaled};
+use prf_core::query::{Algorithm, RankQuery};
 use prf_datasets::iip_db;
 use prf_numeric::Complex;
 
@@ -31,16 +31,20 @@ fn bench_baselines(c: &mut Criterion) {
     g.sample_size(15);
     for h in [10usize, 100, 1000] {
         g.bench_with_input(BenchmarkId::new("pt", h), &h, |b, &h| {
-            b.iter(|| black_box(pt_ranking(&db, h)))
+            b.iter(|| black_box(RankQuery::pt(h).algorithm(Algorithm::ExactGf).run(&db)))
         });
     }
     for k in [10usize, 100] {
         g.bench_with_input(BenchmarkId::new("urank", k), &k, |b, &k| {
-            b.iter(|| black_box(urank_topk(&db, k)))
+            b.iter(|| black_box(RankQuery::urank(k).run(&db)))
         });
     }
-    g.bench_function("erank", |b| b.iter(|| black_box(erank_ranking(&db))));
-    g.bench_function("utop_k100", |b| b.iter(|| black_box(utop_topk(&db, 100))));
+    g.bench_function("erank", |b| {
+        b.iter(|| black_box(RankQuery::erank().run(&db)))
+    });
+    g.bench_function("utop_k100", |b| {
+        b.iter(|| black_box(RankQuery::utop(100).run(&db)))
+    });
     g.finish();
 }
 

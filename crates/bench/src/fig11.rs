@@ -12,7 +12,7 @@
 //! fast path, Syn-HIGH with the generic O(n²·h) expansion), plus the
 //! incremental tree PRFe.
 
-use prf_approx::{approximate_weights, DftApproxConfig};
+use prf_core::mixture::{approximate_weights, DftApproxConfig};
 use prf_core::query::{Algorithm, QueryBatch, RankQuery};
 use prf_datasets::{iip_db, syn_high_tree, syn_xor_tree};
 

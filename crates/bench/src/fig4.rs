@@ -6,7 +6,7 @@
 //! support, mass beyond it, RMS) — the quantities one reads off the paper's
 //! plot.
 
-use prf_approx::{approximate_weights, DftApproxConfig, ExpMixture};
+use prf_core::mixture::{approximate_weights, DftApproxConfig, ExpMixture};
 
 use crate::{fmt, header, Scale};
 

@@ -6,7 +6,7 @@
 //! smooth function. Reports the reconstruction RMS per term count; smooth
 //! functions need far fewer terms, exactly as the paper observes.
 
-use prf_approx::{approximate_weights, DftApproxConfig};
+use prf_core::mixture::{approximate_weights, DftApproxConfig};
 
 use crate::{fmt, header, Scale};
 

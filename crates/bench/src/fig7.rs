@@ -8,8 +8,8 @@
 //! with a "uni-valley" distance curve that justifies the grid-search
 //! learner.
 
-use prf_baselines::{probability_ranking, score_ranking};
 use prf_core::query::{Algorithm, QueryBatch, RankQuery, Semantics};
+use prf_core::topk::Ranking;
 use prf_datasets::{iip_db, syn_ind};
 use prf_metrics::kendall_topk;
 use prf_pdb::IndependentDb;
@@ -33,8 +33,8 @@ pub fn baselines(db: &IndependentDb, h: usize, k: usize) -> Vec<(&'static str, V
         .expect("independent backend supports every semantics");
     let mut tops = batch.into_iter().map(|r| r.ranking.top_k_u32(k));
     vec![
-        ("Score", score_ranking(db).top_k_u32(k)),
-        ("Prob", probability_ranking(db).top_k_u32(k)),
+        ("Score", Ranking::from_keys(&db.scores()).top_k_u32(k)),
+        ("Prob", Ranking::from_keys(&db.probabilities()).top_k_u32(k)),
         ("E-Score", tops.next().expect("4 batched answers")),
         ("PT(100)", tops.next().expect("4 batched answers")),
         ("U-Rank", tops.next().expect("4 batched answers")),

@@ -9,7 +9,7 @@
 //! and a linear function — at two dataset sizes. Smooth functions need
 //! fewer terms.
 
-use prf_approx::DftApproxConfig;
+use prf_core::mixture::DftApproxConfig;
 use prf_core::query::{Algorithm, RankQuery};
 use prf_core::topk::ValueOrder;
 use prf_core::weights::TabulatedWeight;

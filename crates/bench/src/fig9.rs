@@ -9,7 +9,7 @@
 //! which the paper's SVM-light stays tractable) with the pairwise
 //! hinge-loss learner, evaluated the same way.
 
-use prf_approx::learn::{learn_prf_omega, learn_prfe_alpha_topk, RankLearnConfig};
+use prf_core::learn::{learn_prf_omega, learn_prfe_alpha_topk, RankLearnConfig};
 use prf_core::query::{Algorithm, QueryBatch, RankQuery};
 use prf_core::topk::ValueOrder;
 use prf_core::weights::TabulatedWeight;
@@ -77,7 +77,8 @@ pub fn run(scale: Scale) {
         for ((_, user_sample), (_, truth_order)) in user_samples.iter().zip(&truth_full) {
             // Learn α against the top-k prefix of the sample ranking — the
             // quantity the evaluation measures (see EXPERIMENTS.md).
-            let alpha = learn_prfe_alpha_topk(&sample, user_sample, 4, k);
+            let alpha = learn_prfe_alpha_topk(&sample, user_sample, 4, k)
+                .expect("the sample ranking is non-empty and names sample tuples");
             let learned = RankQuery::prfe(alpha)
                 .algorithm(Algorithm::LogDomain)
                 .run(&db)
@@ -111,7 +112,8 @@ pub fn run(scale: Scale) {
                     epochs: 80,
                     ..Default::default()
                 },
-            );
+            )
+            .expect("the sample ranking is non-empty and names sample tuples");
             let learned = RankQuery::prf(TabulatedWeight::from_real(&weights))
                 .value_order(ValueOrder::RealPart)
                 .run(&db)

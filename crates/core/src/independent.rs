@@ -31,7 +31,8 @@ use crate::weights::WeightFunction;
 /// expansion otherwise. The result is indexed by tuple id.
 ///
 /// ```
-/// use prf_core::{prf_rank, StepWeight};
+/// use prf_core::independent::prf_rank;
+/// use prf_core::StepWeight;
 /// use prf_pdb::IndependentDb;
 ///
 /// let db = IndependentDb::from_pairs([(30.0, 0.5), (20.0, 0.6), (10.0, 0.4)])?;
@@ -113,7 +114,7 @@ pub fn rank_distributions(db: &IndependentDb) -> Vec<Vec<f64>> {
 /// [`prfe_rank_scaled`] when the *full* ranking matters, not just the top.
 ///
 /// ```
-/// use prf_core::prfe_rank;
+/// use prf_core::independent::prfe_rank;
 /// use prf_numeric::Complex;
 /// use prf_pdb::IndependentDb;
 ///

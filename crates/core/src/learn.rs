@@ -13,15 +13,34 @@
 //! * [`learn_prf_omega`] — a linear pairwise ranking learner over the
 //!   features `Pr(r(t) = i), i ≤ h`: L2-regularised hinge loss on
 //!   preference pairs, optimised by seeded subgradient descent. This is the
-//!   same objective SVM-light optimises in ranking mode (the paper's
-//!   tool); see DESIGN.md §3 for the substitution note.
+//!   same objective SVM-light (the paper's tool) optimises in ranking
+//!   mode.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use prf_core::spectrum::prfe_ranking_at;
 use prf_metrics::kendall_topk;
 use prf_pdb::{IndependentDb, TupleId};
+
+use crate::query::QueryError;
+use crate::spectrum::prfe_ranking_at;
+
+/// Rejects a user ranking the learners cannot use: an empty one, or one
+/// naming a tuple id outside the sample.
+fn check_user_ranking(sample: &IndependentDb, user_ranking: &[TupleId]) -> Result<(), QueryError> {
+    if user_ranking.is_empty() {
+        return Err(QueryError::InvalidParameter(
+            "the user ranking must be non-empty".into(),
+        ));
+    }
+    match user_ranking.iter().find(|t| t.index() >= sample.len()) {
+        Some(t) => Err(QueryError::InvalidParameter(format!(
+            "user ranking names tuple {t}, but the sample has {} tuples",
+            sample.len()
+        ))),
+        None => Ok(()),
+    }
+}
 
 /// Kendall distance between a user ranking and PRFe(α) on the sample,
 /// compared over the top-`k` prefixes.
@@ -49,20 +68,28 @@ fn alpha_distance(sample: &IndependentDb, user: &[u32], alpha: f64) -> f64 {
 /// [`learn_prfe_alpha_topk`]: on large samples the full-list objective is
 /// dominated by the (noise-ranked) tail of the distribution, which can pull
 /// α far from the value that best reproduces the head.
-pub fn learn_prfe_alpha(sample: &IndependentDb, user_ranking: &[TupleId], levels: usize) -> f64 {
+///
+/// Fails with [`QueryError::InvalidParameter`] when the ranking is empty or
+/// names a tuple id `≥ sample.len()`.
+pub fn learn_prfe_alpha(
+    sample: &IndependentDb,
+    user_ranking: &[TupleId],
+    levels: usize,
+) -> Result<f64, QueryError> {
     learn_prfe_alpha_topk(sample, user_ranking, levels, user_ranking.len())
 }
 
 /// Like [`learn_prfe_alpha`] but minimising the top-`focus_k` Kendall
 /// distance on the sample — the protocol used for the Figure 9 experiments
-/// (the evaluation is itself a top-k comparison).
+/// (the evaluation is itself a top-k comparison). Fails like
+/// [`learn_prfe_alpha`].
 pub fn learn_prfe_alpha_topk(
     sample: &IndependentDb,
     user_ranking: &[TupleId],
     levels: usize,
     focus_k: usize,
-) -> f64 {
-    assert!(!user_ranking.is_empty(), "need a non-empty user ranking");
+) -> Result<f64, QueryError> {
+    check_user_ranking(sample, user_ranking)?;
     let k = focus_k.clamp(1, user_ranking.len());
     let user: Vec<u32> = user_ranking.iter().map(|t| t.0).collect();
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
@@ -89,7 +116,7 @@ pub fn learn_prfe_alpha_topk(
         lo = new_lo;
         hi = new_hi;
     }
-    best.1
+    Ok(best.1)
 }
 
 /// Configuration for the pairwise linear ranking learner.
@@ -123,21 +150,23 @@ impl Default for RankLearnConfig {
 /// subgradient descent over positional-probability features.
 ///
 /// Returns the weight table `w₁ … w_h` (feed into
-/// [`prf_core::weights::TabulatedWeight`]); `h` is clamped to the sample
+/// [`crate::weights::TabulatedWeight`]); `h` is clamped to the sample
 /// size. Adjacent preference pairs are used (tuple ranked `i` beats tuple
 /// ranked `i+1`, plus a stride-spaced set of non-adjacent pairs), matching
-/// the pairwise reduction of the learning-to-rank literature.
+/// the pairwise reduction of the learning-to-rank literature. Fails like
+/// [`learn_prfe_alpha`].
 pub fn learn_prf_omega(
     sample: &IndependentDb,
     user_ranking: &[TupleId],
     cfg: &RankLearnConfig,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, QueryError> {
+    check_user_ranking(sample, user_ranking)?;
     let m = sample.len();
     let h = cfg.h.min(m).max(1);
     // Features: rank distributions truncated to h, rescaled so entries are
     // O(1) (raw positional probabilities are O(1/m), which conditions the
     // fixed-margin hinge badly).
-    let mut dists = prf_core::independent::rank_distributions(sample);
+    let mut dists = crate::independent::rank_distributions(sample);
     let fmax = dists
         .iter()
         .flat_map(|d| d.iter().take(h))
@@ -191,30 +220,28 @@ pub fn learn_prf_omega(
             }
         }
     }
-    w
-}
-
-/// Evaluates a learned weight table on a labelled ranking: the normalized
-/// Kendall distance (over the full list) between the user's order and the
-/// PRFω order induced by `weights` on `db`.
-pub fn omega_ranking_distance(
-    db: &IndependentDb,
-    weights: &[f64],
-    user_ranking: &[TupleId],
-) -> f64 {
-    use prf_core::topk::{Ranking, ValueOrder};
-    let w = prf_core::weights::TabulatedWeight::from_real(weights);
-    let ups = prf_core::independent::prf_rank(db, &w);
-    let mine = Ranking::from_values(&ups, ValueOrder::RealPart);
-    let user: Vec<u32> = user_ranking.iter().map(|t| t.0).collect();
-    kendall_topk(&user, &mine.top_k_u32(user.len()), user.len().max(1))
+    Ok(w)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prf_core::topk::{Ranking, ValueOrder};
+    use crate::topk::{Ranking, ValueOrder};
     use prf_datasets::syn_ind;
+
+    /// The normalized Kendall distance (over the full list) between the
+    /// user's order and the PRFω order induced by `weights` on `db`.
+    fn omega_ranking_distance(
+        db: &IndependentDb,
+        weights: &[f64],
+        user_ranking: &[TupleId],
+    ) -> f64 {
+        let w = crate::weights::TabulatedWeight::from_real(weights);
+        let ups = crate::independent::prf_rank(db, &w);
+        let mine = Ranking::from_values(&ups, ValueOrder::RealPart);
+        let user: Vec<u32> = user_ranking.iter().map(|t| t.0).collect();
+        kendall_topk(&user, &mine.top_k_u32(user.len()), user.len().max(1))
+    }
 
     fn ranking_by_prfe(db: &IndependentDb, alpha: f64) -> Vec<TupleId> {
         prfe_ranking_at(db, alpha)
@@ -225,7 +252,7 @@ mod tests {
         let db = syn_ind(300, 5);
         let truth = 0.95;
         let user = ranking_by_prfe(&db, truth);
-        let learned = learn_prfe_alpha(&db, &user, 4);
+        let learned = learn_prfe_alpha(&db, &user, 4).unwrap();
         // The learned α must reproduce the user ranking (the α interval
         // producing the same ranking can be wide, so compare rankings, not
         // parameters).
@@ -237,9 +264,9 @@ mod tests {
     fn learns_pt_h_reasonably() {
         let db = syn_ind(400, 9);
         // User ranks by PT(40).
-        let ups = prf_core::independent::prf_rank(&db, &prf_core::weights::StepWeight { h: 40 });
+        let ups = crate::independent::prf_rank(&db, &crate::weights::StepWeight { h: 40 });
         let user = Ranking::from_values(&ups, ValueOrder::RealPart);
-        let learned = learn_prfe_alpha(&db, user.order(), 4);
+        let learned = learn_prfe_alpha(&db, user.order(), 4).unwrap();
         let d = alpha_distance(
             &db,
             &user.order().iter().map(|t| t.0).collect::<Vec<_>>(),
@@ -253,8 +280,8 @@ mod tests {
     #[test]
     fn omega_learner_fits_planted_step_weights() {
         let db = syn_ind(60, 11);
-        let truth = prf_core::weights::StepWeight { h: 10 };
-        let ups = prf_core::independent::prf_rank(&db, &truth);
+        let truth = crate::weights::StepWeight { h: 10 };
+        let ups = crate::independent::prf_rank(&db, &truth);
         let user = Ranking::from_values(&ups, ValueOrder::RealPart);
         let w = learn_prf_omega(
             &db,
@@ -264,7 +291,8 @@ mod tests {
                 epochs: 120,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let d = omega_ranking_distance(&db, &w, user.order());
         assert!(d < 0.1, "distance {d}; weights {w:?}");
     }
@@ -281,7 +309,8 @@ mod tests {
                 epochs: 120,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let d = omega_ranking_distance(&db, &w, &user);
         assert!(d < 0.1, "distance {d}");
     }
@@ -292,7 +321,7 @@ mod tests {
         // search must terminate and return something in range.
         let db = IndependentDb::from_pairs((0..20).map(|i| (100.0 - i as f64, 0.5))).unwrap();
         let user = ranking_by_prfe(&db, 0.7);
-        let a = learn_prfe_alpha(&db, &user, 3);
+        let a = learn_prfe_alpha(&db, &user, 3).unwrap();
         assert!((0.0..=1.0).contains(&a));
         let d = alpha_distance(&db, &user.iter().map(|t| t.0).collect::<Vec<_>>(), a);
         assert!(d < 1e-9);

@@ -34,13 +34,16 @@
 //! mixture approximation — or `Auto`) and runs against any
 //! [`query::ProbabilisticRelation`] backend. Many queries against one
 //! relation batch into **one shared score-order walk** via
-//! [`query::QueryBatch`]. The per-algorithm free functions below remain
-//! available as the engine's kernels.
+//! [`query::QueryBatch`]. The per-algorithm kernels stay public at their
+//! module paths (e.g. [`independent::prf_rank`], [`tree::prfe_rank_tree`]);
+//! the crate root re-exports only types and the engine.
 //!
 //! # Module map
 //!
 //! * [`query`] — the unified `RankQuery` engine: one entry point for every
-//!   semantics, backend, and numeric mode;
+//!   semantics, backend, and numeric mode; [`query::kernels`] holds the
+//!   set- and position-valued kernels (U-Top, U-Rank, E-Rank) and
+//!   k-selection, the one prior semantics with no `RankQuery` form;
 //! * [`weights`] — the `ω` families and the [`weights::WeightFunction`]
 //!   trait;
 //! * [`independent`] — Algorithm 1 (IND-PRF-RANK) and the PRFe/PRFω fast
@@ -56,11 +59,15 @@
 //!   dual numbers;
 //! * [`xtuple`] — `O(n·h·log n)` PRFω(h) on x-tuples by a division-free
 //!   divide-and-conquer over the score sweep;
+//! * [`parallel`] — the thread-parallel tree walk and the
+//!   [`parallel::effective_walk_threads`] gate that decides when it pays;
 //! * [`shard`] — sharded relations: score-contiguous shards walked by a
 //!   persistent worker pool and merged via the presence-GF monoid;
 //! * [`attribute`] — ranking with uncertain scores (Section 4.4);
 //! * [`mixture`] — DFT-based approximation of PRFω by PRFe mixtures
 //!   (Section 5.1);
+//! * [`learn`] — learning PRFe's `α` and PRFω(h)'s weights from a
+//!   user-ranked sample (Section 5.2);
 //! * [`spectrum`] — Theorem 4: the single-crossing structure of PRFe
 //!   rankings as `α` sweeps 0→1;
 //! * [`topk`] — turning Υ values into ranked answers.
@@ -70,6 +77,7 @@
 pub mod attribute;
 pub mod incremental;
 pub mod independent;
+pub mod learn;
 pub mod live;
 pub mod mixture;
 pub mod parallel;
@@ -81,18 +89,10 @@ pub mod tree;
 pub mod weights;
 pub mod xtuple;
 
-pub use attribute::{prf_rank_uncertain, prfe_rank_uncertain};
 pub use incremental::{EvalPlan, GfStats, IncrementalGf};
-pub use independent::{
-    prf_rank, prf_rank_full, prf_rank_truncated, prfe_rank, prfe_rank_log, prfe_rank_scaled,
-    rank_distributions,
-};
 pub use live::{LiveApply, LiveRelation, MutableRelation, Mutation, MutationEffect};
-pub use mixture::{approximate_weights, DftApproxConfig, ExpMixture};
-pub use parallel::{
-    effective_walk_threads, prf_rank_tree_parallel, prf_rank_tree_parallel_stats,
-    PARALLEL_MIN_SHARD_TUPLES,
-};
+pub use mixture::{DftApproxConfig, ExpMixture};
+pub use parallel::PARALLEL_MIN_SHARD_TUPLES;
 pub use prf_pdb::TupleId;
 pub use query::{
     Algorithm, BatchCost, BatchPlan, BatchRoute, CancelToken, CorrelationClass, EvalReport,
@@ -100,15 +100,9 @@ pub use query::{
     RankQuery, RankedResult, Semantics, TopSet, Values,
 };
 pub use shard::{ShardError, ShardHandle, ShardPool, ShardedRelation};
-pub use spectrum::{crossing_point, prfe_spectrum, spectrum_endpoints, Crossing};
+pub use spectrum::Crossing;
 pub use topk::{Ranking, ValueOrder};
-pub use tree::{
-    expected_ranks_tree, prf_rank_tree, prf_rank_tree_interp, prf_rank_tree_refold,
-    prf_rank_tree_stats, prfe_rank_tree, prfe_rank_tree_recompute, prfe_rank_tree_scaled,
-    prfe_rank_tree_scaled_stats, prfe_rank_tree_stats, rank_distributions_tree,
-};
 pub use weights::{
     ConstantWeight, DcgWeight, ExponentialWeight, LinearWeight, PositionWeight, ScoreWeight,
     StepWeight, TabulatedWeight, TopScoreWeight, WeightFunction,
 };
-pub use xtuple::prf_omega_rank_xtuple;

@@ -797,11 +797,11 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
     /// Keys plus their ranking, without a per-query sort: the order lives
     /// in the log-key cache, merged (not re-sorted) across reweights. This
     /// is the hook that makes requery-after-mutation O(n) end to end.
+    /// An α outside `[0, 1]` (or NaN) has no cached answer: `None`.
     fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "log-domain PRFe requires α ∈ [0, 1], got {alpha}"
-        );
+        if !(0.0..=1.0).contains(&alpha) {
+            return None;
+        }
         {
             let inner = self.read();
             if let Some(c) = &inner.log_cache {

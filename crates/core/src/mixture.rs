@@ -1,9 +1,5 @@
-//! DFT-based approximation of PRFω by mixtures of PRFe terms (Section 5.1).
-//!
-//! (Formerly `prf_approx::dft`; it moved here so the unified
-//! [`crate::query`] engine can offer `Algorithm::DftApprox` without a
-//! dependency cycle. `prf-approx` re-exports everything under its old
-//! paths.)
+//! DFT-based approximation of PRFω by mixtures of PRFe terms (Section 5.1),
+//! the kernel behind the [`crate::query`] engine's `Algorithm::DftApprox`.
 //!
 //! A weight function `ω(i)` that vanishes beyond rank `N` is approximated by
 //! a linear combination of `L` complex exponentials,
@@ -599,17 +595,12 @@ mod tests {
         let db = syn_ind(3000, 17);
         let h = 100;
         let k = 100;
-        let exact = prf_baselines_pt_topk(&db, h, k);
+        let ups = crate::independent::prf_rank(&db, &crate::weights::StepWeight { h });
+        let exact = Ranking::from_values(&ups, crate::topk::ValueOrder::RealPart).top_k_u32(k);
         let mix = approximate_weights(&step(h), h, &DftApproxConfig::refined(40));
         let approx = mix.ranking_independent(&db).top_k_u32(k);
         let d = kendall_topk(&exact, &approx, k);
         assert!(d < 0.06, "kendall distance {d}");
-    }
-
-    /// Local PT(h) (avoids a circular dev-dependency on prf-baselines).
-    fn prf_baselines_pt_topk(db: &IndependentDb, h: usize, k: usize) -> Vec<u32> {
-        let ups = crate::independent::prf_rank(db, &crate::weights::StepWeight { h });
-        Ranking::from_values(&ups, crate::topk::ValueOrder::RealPart).top_k_u32(k)
     }
 
     #[test]

@@ -1,10 +1,6 @@
-//! Backend-specific evaluation kernels for the set- and position-valued
-//! semantics of the unified query engine.
-//!
-//! These algorithms originally lived in `prf-baselines` (`utop`, `urank`,
-//! `erank`); they moved here so that [`super::RankQuery`] can evaluate every
-//! [`super::Semantics`] without a dependency cycle, and the baseline crate's
-//! free functions became thin wrappers over the engine.
+//! Evaluation kernels for the set- and position-valued semantics of the
+//! unified query engine ([`super::RankQuery`]), plus k-selection, which has
+//! no `RankQuery` form.
 
 use prf_numeric::Poly;
 use prf_pdb::tuple::sort_indices_by_score_desc;
@@ -348,6 +344,81 @@ pub fn most_probable_topk_enumerated(
         .map(|(set, p)| (set, p.ln()))
 }
 
+// ---------------------------------------------------------------------
+// k-selection (Liu et al., DASFAA 2010): best expected max-score set
+// ---------------------------------------------------------------------
+
+/// The optimal k-selection set (score-descending order) and its expected
+/// best-available score. Returns `None` for `k = 0` or an empty relation.
+///
+/// k-selection returns the *set* of `k` tuples maximising
+/// `V(S) = E[max_{t ∈ S ∩ pw} score(t)]` (absent max contributes 0). For
+/// independent tuples the optimal set satisfies a suffix recurrence over
+/// tuples in score order —
+/// `f(i, j) = max(f(i+1, j), pᵢ·sᵢ + (1−pᵢ)·f(i+1, j−1))` — an `O(n·k)`
+/// dynamic program. Scores are assumed non-negative, matching the "best
+/// available tuple" semantics of the original definition (an empty
+/// selection scores 0).
+pub fn k_selection(db: &IndependentDb, k: usize) -> Option<(Vec<TupleId>, f64)> {
+    let n = db.len();
+    if k == 0 || n == 0 {
+        return None;
+    }
+    let k = k.min(n);
+    let order = sort_indices_by_score_desc(&db.scores());
+    // f[j] after processing suffix i.. = best value choosing j from suffix.
+    // choice[i][j] records whether tuple at sorted position i is taken when
+    // j slots remain.
+    let mut f = vec![0.0f64; k + 1];
+    let mut choice = vec![false; n * (k + 1)];
+    for i in (0..n).rev() {
+        let t = db.tuple(TupleId(order[i] as u32));
+        // Process j downwards so f[j-1] is still the i+1 suffix value.
+        for j in (1..=k).rev() {
+            let take = t.prob * t.score + (1.0 - t.prob) * f[j - 1];
+            if take > f[j] {
+                f[j] = take;
+                choice[i * (k + 1) + j] = true;
+            }
+        }
+    }
+    // Reconstruct.
+    let mut set = Vec::with_capacity(k);
+    let mut j = k;
+    for i in 0..n {
+        if j == 0 {
+            break;
+        }
+        if choice[i * (k + 1) + j] {
+            set.push(TupleId(order[i] as u32));
+            j -= 1;
+        }
+    }
+    Some((set, f[k]))
+}
+
+/// Evaluates the k-selection objective `V(S)` for an explicit selection
+/// (any order):
+/// `V(S) = Σ_{t ∈ S} score(t)·p(t)·Π_{t' ∈ S, score(t') > score(t)} (1 − p(t'))`.
+pub fn selection_value(db: &IndependentDb, set: &[TupleId]) -> f64 {
+    let mut members: Vec<TupleId> = set.to_vec();
+    members.sort_by(|a, b| {
+        db.tuple(*b)
+            .score
+            .partial_cmp(&db.tuple(*a).score)
+            .expect("no NaN scores")
+            .then(a.cmp(b))
+    });
+    let mut value = 0.0;
+    let mut all_above_absent = 1.0;
+    for t in members {
+        let t = db.tuple(t);
+        value += t.score * t.prob * all_above_absent;
+        all_above_absent *= 1.0 - t.prob;
+    }
+    value
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,6 +448,27 @@ mod tests {
             t.select_with_duplicates(),
             vec![Some(TupleId(7)), Some(TupleId(7))]
         );
+    }
+
+    #[test]
+    fn k_selection_prefers_a_safe_score_for_one_slot() {
+        // With one slot, a safe mid score can beat a risky high score.
+        let db = IndependentDb::from_pairs([(100.0, 0.1), (40.0, 1.0)]).unwrap();
+        let (set, v) = k_selection(&db, 1).unwrap();
+        assert_eq!(set, vec![TupleId(1)]);
+        assert!((v - 40.0).abs() < 1e-12);
+        // With two slots we take both; the risky one shields nothing.
+        let (set2, v2) = k_selection(&db, 2).unwrap();
+        assert_eq!(set2.len(), 2);
+        assert!((v2 - (0.1 * 100.0 + 0.9 * 40.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn k_selection_handles_zero_and_oversized_k() {
+        let db = IndependentDb::from_pairs([(10.0, 0.5)]).unwrap();
+        assert!(k_selection(&db, 0).is_none());
+        let (set, _) = k_selection(&db, 5).unwrap();
+        assert_eq!(set.len(), 1);
     }
 
     #[test]

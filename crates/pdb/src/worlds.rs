@@ -153,6 +153,52 @@ impl WorldEnumeration {
         dist
     }
 
+    /// Exact `E[dis_Δ(τ, τ_pw)]`, the expected symmetric difference between
+    /// a candidate top-k answer `τ` and the top-k of a random world (both
+    /// treated as sets; worlds with fewer than `k` tuples contribute their
+    /// whole content). By Theorem 2 the PT(k) answer minimises it.
+    pub fn expected_symmetric_difference(
+        &self,
+        answer: &[TupleId],
+        k: usize,
+        scores: &[f64],
+    ) -> f64 {
+        self.worlds
+            .iter()
+            .map(|(w, p)| {
+                let top = w.top_k(scores, k);
+                let in_both = top.iter().filter(|t| answer.contains(t)).count();
+                let d = (top.len() - in_both) + (answer.len() - in_both);
+                p * d as f64
+            })
+            .sum()
+    }
+
+    /// Exact `E[dis_ω(τ, τ_pw)] = Σ_pw Pr(pw)·Σᵢ ω(i)·δ(τ_pw(i) ∉ τ)`, the
+    /// expected weighted symmetric difference (Definition 5), with
+    /// `weights[i] = ω(i+1)` and `k = weights.len()`. By Theorem 3 the PRFω
+    /// answer for the same weights minimises it.
+    pub fn expected_weighted_symmetric_difference(
+        &self,
+        answer: &[TupleId],
+        weights: &[f64],
+        scores: &[f64],
+    ) -> f64 {
+        self.worlds
+            .iter()
+            .map(|(w, p)| {
+                let penalty: f64 = w
+                    .top_k(scores, weights.len())
+                    .iter()
+                    .zip(weights)
+                    .filter(|(t, _)| !answer.contains(t))
+                    .map(|(_, w)| w)
+                    .sum();
+                p * penalty
+            })
+            .sum()
+    }
+
     /// Merges duplicate worlds, summing probabilities.
     pub fn normalized(mut self) -> Self {
         self.worlds.sort_by(|a, b| a.0.cmp(&b.0));

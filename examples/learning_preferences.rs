@@ -11,7 +11,7 @@
 //! cargo run --release --example learning_preferences
 //! ```
 
-use prf::approx::learn::{learn_prf_omega, learn_prfe_alpha_topk, RankLearnConfig};
+use prf::core::learn::{learn_prf_omega, learn_prfe_alpha_topk, RankLearnConfig};
 use prf::datasets::{subsample_independent, syn_ind};
 use prf::prelude::*;
 
@@ -41,9 +41,10 @@ fn main() {
         let user_ranking = hidden(&sample).order().to_vec();
 
         // (a) Fit α, focusing the objective on the top-k prefix the user
-        // actually cares about (see prf-approx docs), then rank the full
+        // actually cares about (see `prf::core::learn`), then rank the full
         // relation with the learned PRFe(α̂).
-        let alpha = learn_prfe_alpha_topk(&sample, &user_ranking, 4, k);
+        let alpha = learn_prfe_alpha_topk(&sample, &user_ranking, 4, k)
+            .expect("the user ranks a non-empty sample");
         let learned_e = RankQuery::prfe(alpha)
             .run(&db)
             .expect("PRFe on independent data")
@@ -60,7 +61,8 @@ fn main() {
                 epochs: 80,
                 ..Default::default()
             },
-        );
+        )
+        .expect("the user ranks a non-empty sample");
         let learned_w = RankQuery::prf(TabulatedWeight::from_real(&weights))
             .value_order(ValueOrder::RealPart)
             .run(&db)

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use prf::baselines::k_selection;
+use prf::core::query::kernels::k_selection;
 use prf::prelude::*;
 
 fn main() {

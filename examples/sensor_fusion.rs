@@ -14,7 +14,8 @@
 //! cargo run --release --example sensor_fusion
 //! ```
 
-use prf::core::{prf_rank_uncertain, prfe_rank_uncertain, Ranking, StepWeight, ValueOrder};
+use prf::core::attribute::{prf_rank_uncertain, prfe_rank_uncertain};
+use prf::core::{Ranking, StepWeight, ValueOrder};
 use prf::graphical::MarkovChain;
 use prf::numeric::Complex;
 use prf::pdb::{AttributeUncertainDb, UncertainTuple};

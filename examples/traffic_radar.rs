@@ -12,8 +12,7 @@
 
 #![allow(clippy::needless_range_loop)] // oracle comparisons over parallel arrays
 
-use prf::baselines::expected_symmetric_difference;
-use prf::core::rank_distributions_tree;
+use prf::core::tree::rank_distributions_tree;
 use prf::pdb::{AndXorTree, NodeKind, TreeBuilder, TupleId};
 use prf::prelude::RankQuery;
 
@@ -91,7 +90,7 @@ fn main() {
     for a in 0..6u32 {
         for b in (a + 1)..6 {
             let cand = vec![TupleId(a), TupleId(b)];
-            let d = expected_symmetric_difference(&worlds, &cand, 2, scores);
+            let d = worlds.expected_symmetric_difference(&cand, 2, scores);
             if best.as_ref().is_none_or(|(_, bd)| d < *bd) {
                 best = Some((cand, d));
             }

@@ -42,41 +42,9 @@
 //! # Ok::<(), prf::core::query::QueryError>(())
 //! ```
 //!
-//! ## Migrating from the free functions
-//!
-//! The per-algorithm free functions remain available (they are the engine's
-//! kernels), but new code should prefer the builder:
-//!
-//! | legacy free function | `RankQuery` equivalent |
-//! |---|---|
-//! | `prf_rank(&db, &ω)` / `prf_rank_tree(&tree, &ω)` | `RankQuery::prf(ω).run(&db)?` |
-//! | `prf_rank_tree_parallel(&tree, &ω, t)` | `RankQuery::prf(ω).parallel(t).run(&tree)?` |
-//! | `prfe_rank(&db, α)` / `prfe_rank_tree(&tree, α)` | `RankQuery::prfe_complex(α).algorithm(Algorithm::ExactGf).run(…)?` |
-//! | `prfe_rank_log(&db, α)` | `RankQuery::prfe(α).algorithm(Algorithm::LogDomain).run(&db)?` |
-//! | `prfe_rank_scaled(&db, α)` / `prfe_rank_tree_scaled` | `RankQuery::prfe_complex(α).algorithm(Algorithm::Scaled).run(…)?` |
-//! | `pt_values` / `pt_ranking` / `pt_topk` (+ `_tree`) | `RankQuery::pt(h).run(…)?` |
-//! | `urank_topk(&db, k)` / `urank_topk_tree` | `RankQuery::urank(k).run(…)?.ranking` |
-//! | `utop_topk(&db, k)` | `RankQuery::utop(k).run(&db)?.set` |
-//! | `expected_ranks` / `erank_ranking` (+ `_tree`) | `RankQuery::erank().run(…)?` |
-//! | `expected_scores` / `escore_ranking` (+ `_tree`) | `RankQuery::escore().run(…)?` |
-//! | `consensus_topk(&db, k)` | `RankQuery::consensus(k).top_k(k).run(&db)?` |
-//! | `consensus_topk_weighted(&db, &w)` | `RankQuery::prf(TabulatedWeight::from_real(&w)).run(&db)?` |
-//! | `approximate_weights(…)` + `ExpMixture::ranking_*` | `RankQuery::pt(h).algorithm(Algorithm::DftApprox(cfg)).run(…)?` |
-//!
 //! A custom backend implements
-//! [`ProbabilisticRelation`](core::query::ProbabilisticRelation) as metadata
-//! plus one walk, `run_shared_walk_prepared`; the removed per-ring trait
-//! methods map onto the requests that walk answers:
-//!
-//! | removed trait method | answer in `run_shared_walk_prepared` |
-//! |---|---|
-//! | `prf_values` / `prf_values_with_stats` / `prf_values_prepared` | `SharedRequest::Weight(ω)` |
-//! | `prfe_values` / `prfe_values_with_stats` | `SharedRequest::PrfeComplex(α)` |
-//! | `prfe_values_scaled` / `prfe_values_scaled_with_stats` | `SharedRequest::PrfeScaled(α)` |
-//! | `prfe_log_keys` | `SharedRequest::PrfeLog(α)` |
-//! | `expected_ranks` | `SharedRequest::ExpectedRanks` (return `None` if unsupported) |
-//! | `mixture_values` | nothing: the engine sums one `PrfeScaled` per mixture term |
-//! | `run_shared_walk(spec)` | `run_shared_walk_prepared(spec, &PreparedState::empty())` |
+//! [`ProbabilisticRelation`](core::query::ProbabilisticRelation) as its
+//! metadata methods plus one walk, `run_shared_walk_prepared`.
 //!
 //! Each [`RankedResult`](core::query::RankedResult) carries the per-tuple
 //! values, the [`Ranking`](core::topk::Ranking), the set answer for U-Top,
@@ -85,13 +53,13 @@
 //!
 //! ## Crate map
 //!
+//! Seven library crates, each re-exported as a module of this facade:
+//!
 //! | module (re-export) | crate | contents |
 //! |---|---|---|
 //! | [`numeric`] | `prf-numeric` | complex/dual/scaled scalars, FFT, polynomials |
 //! | [`pdb`] | `prf-pdb` | tuples, possible worlds, and/xor trees, attribute uncertainty |
-//! | [`core`] | `prf-core` | the unified `RankQuery` engine + PRF/PRFω/PRFe algorithms; `core::live` adds mutable relations with incrementally patched plans |
-//! | [`baselines`] | `prf-baselines` | U-Top, U-Rank, PT(h), E-Rank, E-Score, k-selection, consensus |
-//! | [`approx`] | `prf-approx` | DFT-based PRFe mixtures, learning α / ω |
+//! | [`core`] | `prf-core` | the unified `RankQuery` engine (every semantics: PRFω, PRFe, PT(h), U-Top, U-Rank, E-Rank, E-Score, consensus) and its kernels; k-selection, DFT-based PRFe mixtures, learning α / ω; `core::live` adds mutable relations with incrementally patched plans |
 //! | [`graphical`] | `prf-graphical` | Markov networks, junction trees, §9 algorithms, `NetworkRelation` |
 //! | [`metrics`] | `prf-metrics` | normalized Kendall top-k distance and friends |
 //! | [`datasets`] | `prf-datasets` | simulated IIP, Syn-IND, Syn-XOR/LOW/MED/HIGH |
@@ -104,8 +72,6 @@
 
 #![deny(missing_docs)]
 
-pub use prf_approx as approx;
-pub use prf_baselines as baselines;
 pub use prf_core as core;
 pub use prf_datasets as datasets;
 pub use prf_graphical as graphical;
@@ -117,7 +83,7 @@ pub use prf_serve as serve;
 /// The most commonly used items, for glob import:
 /// `use prf::prelude::*;`.
 pub mod prelude {
-    pub use prf_approx::{approximate_weights, DftApproxConfig, ExpMixture};
+    pub use prf_core::parallel::effective_walk_threads;
     pub use prf_core::query::{
         Algorithm, BatchCost, BatchPlan, BatchRoute, CancelToken, CorrelationClass, EvalReport,
         FlushTrigger, NumericMode, PreparedRelation, PreparedState, ProbabilisticRelation,
@@ -125,12 +91,11 @@ pub mod prelude {
         Values,
     };
     pub use prf_core::{
-        effective_walk_threads, prf_rank, prf_rank_tree, prfe_rank, prfe_rank_log, prfe_rank_tree,
-        Ranking, ValueOrder, WeightFunction, PARALLEL_MIN_SHARD_TUPLES,
-    };
-    pub use prf_core::{
         ConstantWeight, ExponentialWeight, LinearWeight, PositionWeight, ScoreWeight, StepWeight,
         TabulatedWeight,
+    };
+    pub use prf_core::{
+        DftApproxConfig, ExpMixture, Ranking, ValueOrder, WeightFunction, PARALLEL_MIN_SHARD_TUPLES,
     };
     pub use prf_core::{LiveApply, LiveRelation, MutableRelation, Mutation, MutationEffect};
     pub use prf_core::{ShardError, ShardHandle, ShardPool, ShardedRelation};

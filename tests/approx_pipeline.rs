@@ -1,11 +1,22 @@
 //! Integration tests: the approximation and learning pipeline end-to-end.
 
-use prf::approx::learn::{learn_prf_omega, learn_prfe_alpha_topk, RankLearnConfig};
-use prf::approx::{approximate_weights, DftApproxConfig};
-use prf::baselines::pt_ranking;
-use prf::core::{prf_rank, prfe_rank_log, Ranking, TabulatedWeight, ValueOrder};
+use prf::core::independent::{prf_rank, prfe_rank_log};
+use prf::core::learn::{learn_prf_omega, learn_prfe_alpha_topk, RankLearnConfig};
+use prf::core::mixture::{approximate_weights, DftApproxConfig};
+use prf::core::query::{Algorithm, RankQuery};
+use prf::core::{Ranking, TabulatedWeight, ValueOrder};
 use prf::datasets::{subsample_independent, syn_ind};
 use prf::metrics::kendall_topk;
+use prf::pdb::IndependentDb;
+
+/// The exact PT(h) ranking, pinned to the generating-function algorithm.
+fn pt_ranking(db: &IndependentDb, h: usize) -> Ranking {
+    RankQuery::pt(h)
+        .algorithm(Algorithm::ExactGf)
+        .run(db)
+        .unwrap()
+        .ranking
+}
 
 #[test]
 fn mixture_reproduces_pt_ranking_cross_crate() {
@@ -37,7 +48,8 @@ fn mixture_reproduces_learned_omega() {
             epochs: 120,
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     // Exact learned ranking.
     let w = TabulatedWeight::from_real(&weights);
     let exact = Ranking::from_values(&prf_rank(&db, &w), ValueOrder::RealPart);
@@ -59,7 +71,7 @@ fn alpha_learning_generalizes_from_sample_to_population() {
     let truth = Ranking::from_keys(&prfe_rank_log(&db, 0.9)).top_k_u32(k);
     let (sample, _) = subsample_independent(&db, 1_000, 59);
     let teacher_ranking = Ranking::from_keys(&prfe_rank_log(&sample, 0.9));
-    let alpha = learn_prfe_alpha_topk(&sample, teacher_ranking.order(), 4, k);
+    let alpha = learn_prfe_alpha_topk(&sample, teacher_ranking.order(), 4, k).unwrap();
     let learned = Ranking::from_keys(&prfe_rank_log(&db, alpha)).top_k_u32(k);
     let d = kendall_topk(&learned, &truth, k);
     assert!(d < 0.05, "α̂ = {alpha}, distance {d}");

@@ -5,10 +5,12 @@
 
 #![allow(clippy::needless_range_loop)] // oracle comparisons over parallel arrays
 
-use prf::core::{
-    prf_omega_rank_xtuple, prf_rank_tree, prf_rank_tree_interp, prfe_rank_tree,
-    rank_distributions_tree, StepWeight,
+use prf::core::tree::{
+    expected_ranks_tree, prf_rank_tree, prf_rank_tree_interp, prfe_rank_tree,
+    rank_distributions_tree,
 };
+use prf::core::xtuple::prf_omega_rank_xtuple;
+use prf::core::StepWeight;
 use prf::graphical::{rank_distributions_network, Factor, MarkovNetwork, VarId};
 use prf::numeric::Complex;
 use prf::pdb::{AndXorTree, TupleId};
@@ -115,7 +117,7 @@ fn xtuple_groups_as_markov_factors_agree() {
 
 #[test]
 fn attribute_uncertainty_consistent_with_manual_tree() {
-    use prf::core::prf_rank_uncertain;
+    use prf::core::attribute::prf_rank_uncertain;
     use prf::pdb::{AttributeUncertainDb, UncertainTuple};
     let db = AttributeUncertainDb::new(vec![
         UncertainTuple::new(vec![(30.0, 0.4), (10.0, 0.5)]).unwrap(),
@@ -141,7 +143,7 @@ fn expected_ranks_tree_matches_graphical_pipeline() {
     let tree = random_xtuples(77, 3);
     let n = tree.n_tuples();
     let scores = tree.scores();
-    let er_tree = prf::core::expected_ranks_tree(&tree);
+    let er_tree = expected_ranks_tree(&tree);
 
     let worlds = tree.enumerate_worlds(1 << 16).unwrap();
     for t in 0..n {

@@ -2,9 +2,13 @@
 //! inputs must fail loudly and early, and degenerate-but-valid inputs must
 //! produce sensible answers.
 
-use prf::core::{prf_rank, prfe_rank_log, Ranking, StepWeight, ValueOrder};
+use prf::core::independent::{prf_rank, prfe_rank_log};
+use prf::core::learn::{learn_prf_omega, learn_prfe_alpha, learn_prfe_alpha_topk, RankLearnConfig};
+use prf::core::mixture::{approximate_weights, DftApproxConfig};
+use prf::core::query::kernels;
+use prf::core::{LiveRelation, ProbabilisticRelation, Ranking, StepWeight, ValueOrder};
 use prf::pdb::{
-    AndXorTree, AttributeUncertainDb, IndependentDb, NodeKind, PdbError, TreeBuilder,
+    AndXorTree, AttributeUncertainDb, IndependentDb, NodeKind, PdbError, TreeBuilder, TupleId,
     UncertainTuple,
 };
 use prf::prelude::{Algorithm, Complex, NumericMode, QueryBatch, QueryError, RankQuery, Semantics};
@@ -82,6 +86,53 @@ fn structural_misuse_is_reported() {
         b.add_leaf(prf::pdb::NodeId(99), 1.0, 2.0),
         Err(PdbError::Structure(_))
     ));
+}
+
+#[test]
+fn learners_reject_unusable_user_rankings() {
+    let sample = IndependentDb::from_pairs([(3.0, 0.5), (2.0, 0.7), (1.0, 0.9)]).unwrap();
+    let cfg = RankLearnConfig {
+        h: 2,
+        epochs: 2,
+        ..Default::default()
+    };
+    let out_of_range = [TupleId(0), TupleId(3)];
+    for ranking in [&[][..], &out_of_range[..]] {
+        let errs = [
+            learn_prfe_alpha(&sample, ranking, 2).unwrap_err(),
+            learn_prfe_alpha_topk(&sample, ranking, 2, 1).unwrap_err(),
+            learn_prf_omega(&sample, ranking, &cfg).unwrap_err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(err, QueryError::InvalidParameter(_)),
+                "{ranking:?}: {err}"
+            );
+        }
+    }
+    // A valid ranking still learns.
+    let valid = [TupleId(2), TupleId(1), TupleId(0)];
+    assert!((0.0..=1.0).contains(&learn_prfe_alpha(&sample, &valid, 2).unwrap()));
+    assert_eq!(learn_prf_omega(&sample, &valid, &cfg).unwrap().len(), 2);
+}
+
+#[test]
+fn live_log_ranked_hook_has_no_answer_for_an_invalid_alpha() {
+    let live =
+        LiveRelation::new(IndependentDb::from_pairs([(3.0, 0.5), (2.0, 0.7), (1.0, 0.9)]).unwrap());
+    for alpha in [1.5, f64::NAN] {
+        assert!(live.prfe_log_ranked(alpha).is_none(), "α={alpha}");
+        let err = RankQuery::prfe(alpha)
+            .algorithm(Algorithm::LogDomain)
+            .run(&live)
+            .unwrap_err();
+        assert!(
+            matches!(err, QueryError::InvalidParameter(_)),
+            "α={alpha}: {err}"
+        );
+    }
+    // A valid α is still answered from the cache.
+    assert!(live.prfe_log_ranked(0.5).is_some());
 }
 
 #[test]
@@ -176,9 +227,12 @@ fn empty_relation_everywhere() {
     let db = IndependentDb::from_pairs(std::iter::empty::<(f64, f64)>()).unwrap();
     assert!(prf_rank(&db, &StepWeight { h: 3 }).is_empty());
     assert!(prfe_rank_log(&db, 0.5).is_empty());
-    assert!(prf::baselines::expected_ranks(&db).is_empty());
-    assert!(prf::baselines::utop_topk(&db, 1).is_none());
-    assert!(prf::baselines::k_selection(&db, 1).is_none());
+    assert!(kernels::expected_ranks_independent(&db).is_empty());
+    assert_eq!(
+        RankQuery::utop(1).run(&db).unwrap_err(),
+        QueryError::NoSetAnswer
+    );
+    assert!(kernels::k_selection(&db, 1).is_none());
     let r = Ranking::from_keys(&[]);
     assert!(r.is_empty());
     assert!(r.top_k(5).is_empty());
@@ -188,16 +242,16 @@ fn empty_relation_everywhere() {
 fn all_certain_tuples_rank_by_score() {
     let db = IndependentDb::from_pairs([(3.0, 1.0), (9.0, 1.0), (6.0, 1.0)]).unwrap();
     // Deterministic data: every semantics must agree with the score order.
-    let score_order = prf::baselines::score_ranking(&db);
+    let score_order = Ranking::from_keys(&db.scores());
     let pt = Ranking::from_values(&prf_rank(&db, &StepWeight { h: 2 }), ValueOrder::RealPart);
     assert_eq!(pt.top_k(2), score_order.top_k(2));
-    let er = prf::baselines::erank_ranking(&db);
+    let er = RankQuery::erank().run(&db).unwrap().ranking;
     assert_eq!(er.order(), score_order.order());
     let prfe = Ranking::from_keys(&prfe_rank_log(&db, 0.7));
     assert_eq!(prfe.order(), score_order.order());
-    let (utop, logp) = prf::baselines::utop_topk(&db, 2).unwrap();
-    assert_eq!(&utop, score_order.top_k(2));
-    assert!((logp.exp() - 1.0).abs() < 1e-12);
+    let utop = RankQuery::utop(2).run(&db).unwrap().set.unwrap();
+    assert_eq!(&utop.members, score_order.top_k(2));
+    assert!((utop.log_prob.exp() - 1.0).abs() < 1e-12);
 }
 
 #[test]
@@ -205,7 +259,10 @@ fn all_impossible_tuples() {
     let db = IndependentDb::from_pairs([(3.0, 0.0), (9.0, 0.0)]).unwrap();
     let v = prf_rank(&db, &StepWeight { h: 2 });
     assert!(v.iter().all(|u| u.re == 0.0));
-    assert!(prf::baselines::utop_topk(&db, 1).is_none());
+    assert_eq!(
+        RankQuery::utop(1).run(&db).unwrap_err(),
+        QueryError::NoSetAnswer
+    );
     let worlds = db.enumerate_worlds(16).unwrap();
     assert_eq!(worlds.len(), 1);
     assert!(worlds.worlds[0].0.is_empty());
@@ -228,7 +285,7 @@ fn attribute_db_with_empty_alternatives() {
         UncertainTuple::new(vec![]).unwrap(),
         UncertainTuple::new(vec![(5.0, 0.7)]).unwrap(),
     ]);
-    let v = prf::core::prf_rank_uncertain(&db, &StepWeight { h: 1 }).unwrap();
+    let v = prf::core::attribute::prf_rank_uncertain(&db, &StepWeight { h: 1 }).unwrap();
     assert_eq!(v[0], prf::numeric::Complex::ZERO);
     assert!((v[1].re - 0.7).abs() < 1e-12);
 }
@@ -236,9 +293,9 @@ fn attribute_db_with_empty_alternatives() {
 #[test]
 fn single_tuple_tree() {
     let tree = AndXorTree::from_x_tuples(&[vec![(42.0, 0.25)]]).unwrap();
-    let d = prf::core::rank_distributions_tree(&tree);
+    let d = prf::core::tree::rank_distributions_tree(&tree);
     assert!((d[0][0] - 0.25).abs() < 1e-12);
-    let er = prf::core::expected_ranks_tree(&tree);
+    let er = prf::core::tree::expected_ranks_tree(&tree);
     // Present (rank 1) w.p. .25; absent contributes |pw| = 0.
     assert!((er[0] - 0.25).abs() < 1e-12);
 }
@@ -364,8 +421,7 @@ fn parallel_batch_on_single_tuple_relation() {
 #[test]
 fn mixture_of_constant_zero_weight() {
     // Approximating the zero function: every Υ is ~0 and ranking is by id.
-    let mix =
-        prf::approx::approximate_weights(&|_| 0.0, 16, &prf::approx::DftApproxConfig::refined(4));
+    let mix = approximate_weights(&|_| 0.0, 16, &DftApproxConfig::refined(4));
     let db = IndependentDb::from_pairs([(2.0, 0.5), (1.0, 0.5)]).unwrap();
     let ups = mix.upsilons_independent_fast(&db);
     for u in &ups {

@@ -10,14 +10,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use prf::core::parallel::prf_rank_tree_parallel;
 use prf::core::query::{PreparedRelation, QueryBatch, RankQuery, Semantics};
 use prf::core::tree::{
-    prf_rank_tree, prf_rank_tree_refold, prf_rank_tree_stats, prfe_rank_tree,
+    expected_ranks_tree, prf_rank_tree, prf_rank_tree_refold, prf_rank_tree_stats, prfe_rank_tree,
     prfe_rank_tree_recompute, prfe_rank_tree_scaled,
 };
-use prf::core::{
-    expected_ranks_tree, prf_rank_tree_parallel, ConstantWeight, ExponentialWeight, StepWeight,
-};
+use prf::core::{ConstantWeight, ExponentialWeight, StepWeight};
 use prf::numeric::Complex;
 use prf::pdb::{AndXorTree, NodeKind, TreeBuilder, TupleId};
 

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 
-use prf::core::{prf_rank, prfe_rank, rank_distributions, Ranking, StepWeight, ValueOrder};
+use prf::core::independent::{prf_rank, prfe_rank, rank_distributions};
+use prf::core::{Ranking, StepWeight, ValueOrder};
 use prf::metrics::{kendall_topk, kendall_topk_naive, overlap_fraction};
 use prf::numeric::Complex;
 use prf::pdb::{AndXorTree, IndependentDb, TupleId};
@@ -66,7 +67,7 @@ proptest! {
         let tree = AndXorTree::from_independent(&db);
         let w = StepWeight { h };
         let via_db = prf_rank(&db, &w);
-        let via_tree = prf::core::prf_rank_tree(&tree, &w);
+        let via_tree = prf::core::tree::prf_rank_tree(&tree, &w);
         for t in 0..db.len() {
             prop_assert!(via_db[t].approx_eq(via_tree[t], 1e-9));
         }

@@ -1,14 +1,19 @@
 //! Differential suite: every `Semantics` × `Algorithm` combination through
-//! the unified `RankQuery` engine must match the legacy free functions —
+//! the unified `RankQuery` engine must match the kernel free functions —
 //! value-for-value (within numeric tolerance; most comparisons are
 //! bit-exact) and with identical `Ranking` order.
 //!
 //! The legacy side calls the `prf-core` kernel free functions directly
-//! (`prf_rank`, `prfe_rank*`, `prf_rank_tree*`, …), which never route
-//! through the engine, so the comparison is not circular; the
-//! `prf-baselines` test suites separately anchor those kernels to
-//! brute-force world enumeration.
+//! (`prf_rank`, `prfe_rank*`, `prf_rank_tree*`, `kernels::*`, …), which
+//! never route through the engine, so the comparison is not circular;
+//! `tests/unification.rs` separately anchors those kernels to brute-force
+//! world enumeration.
 
+use prf::core::independent::{prf_rank, prfe_rank, prfe_rank_log, prfe_rank_scaled};
+use prf::core::mixture::approximate_weights;
+use prf::core::query::kernels;
+use prf::core::tree::{expected_ranks_tree, prf_rank_tree, prfe_rank_tree, prfe_rank_tree_scaled};
+use prf::core::xtuple::prf_omega_rank_xtuple;
 use prf::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,8 +168,8 @@ fn weighted_semantics_match_legacy_on_trees() {
                 let w = StepWeight { h };
                 // Legacy dispatch: x-tuple fast path when available, else
                 // the symbolic expansion.
-                let legacy = prf::core::prf_omega_rank_xtuple(&tree, &w)
-                    .unwrap_or_else(|| prf_rank_tree(&tree, &w));
+                let legacy =
+                    prf_omega_rank_xtuple(&tree, &w).unwrap_or_else(|| prf_rank_tree(&tree, &w));
                 let legacy_rank = Ranking::from_values(&legacy, ValueOrder::RealPart);
                 let got = RankQuery::pt(h).run(&tree).unwrap();
                 assert_values_close(
@@ -228,7 +233,7 @@ fn prfe_algorithms_match_legacy_on_independent() {
             assert_same_order(&got.ranking, &Ranking::from_keys(&legacy_log), "PRFe log");
 
             // Scaled ≡ prfe_rank_scaled, magnitude keys.
-            let legacy_scaled = prf::core::prfe_rank_scaled(&db, Complex::real(alpha));
+            let legacy_scaled = prfe_rank_scaled(&db, Complex::real(alpha));
             let got = RankQuery::prfe(alpha)
                 .algorithm(Algorithm::Scaled)
                 .run(&db)
@@ -294,7 +299,7 @@ fn prfe_algorithms_match_legacy_on_trees() {
                     .algorithm(Algorithm::Scaled)
                     .run(&tree)
                     .unwrap();
-                let legacy_scaled = prf::core::prfe_rank_tree_scaled(&tree, Complex::real(alpha));
+                let legacy_scaled = prfe_rank_tree_scaled(&tree, Complex::real(alpha));
                 let keys: Vec<f64> = legacy_scaled.iter().map(|v| v.magnitude_key()).collect();
                 assert_same_order(
                     &got_scaled.ranking,
@@ -336,13 +341,21 @@ fn urank_matches_legacy_on_both_backends() {
     for seed in 0..4u64 {
         let db = random_db(seed + 30, 30);
         for k in [1usize, 5, 10] {
-            let legacy = prf::baselines::urank_topk(&db, k);
+            let legacy: Vec<TupleId> = kernels::positional_candidates_independent(&db, k)
+                .select_distinct()
+                .into_iter()
+                .map(|(_, t)| t)
+                .collect();
             let got = RankQuery::urank(k).run(&db).unwrap();
             assert_eq!(got.ranking.order(), &legacy[..], "U-Rank k={k}");
         }
         let tree = random_xtuple_tree(seed + 30, 8);
         for k in [1usize, 4] {
-            let legacy = prf::baselines::urank_topk_tree(&tree, k);
+            let legacy: Vec<TupleId> = kernels::positional_candidates_tree(&tree, k)
+                .select_distinct()
+                .into_iter()
+                .map(|(_, t)| t)
+                .collect();
             let got = RankQuery::urank(k).run(&tree).unwrap();
             assert_eq!(got.ranking.order(), &legacy[..], "tree U-Rank k={k}");
         }
@@ -354,7 +367,7 @@ fn utop_matches_legacy_and_enumeration() {
     for seed in 0..4u64 {
         let db = random_db(seed + 40, 16);
         for k in [1usize, 3, 6] {
-            let legacy = prf::baselines::utop_topk(&db, k);
+            let legacy = kernels::most_probable_topk_independent(&db, k);
             let got = RankQuery::utop(k).run(&db).ok().and_then(|r| r.set);
             match (legacy, got) {
                 (None, None) => {}
@@ -369,7 +382,7 @@ fn utop_matches_legacy_and_enumeration() {
         // independent-shaped trees.
         let tree = AndXorTree::from_independent(&db);
         let via_tree = RankQuery::utop(3).run(&tree).unwrap().set.unwrap();
-        let (set, logp) = prf::baselines::utop_topk(&db, 3).unwrap();
+        let (set, logp) = kernels::most_probable_topk_independent(&db, 3).unwrap();
         assert_eq!(via_tree.members, set);
         assert!((via_tree.log_prob - logp).abs() < 1e-10);
     }
@@ -379,7 +392,7 @@ fn utop_matches_legacy_and_enumeration() {
 fn erank_matches_legacy_on_both_backends() {
     for seed in 0..4u64 {
         let db = random_db(seed + 50, 35);
-        let legacy = prf::baselines::expected_ranks(&db);
+        let legacy = kernels::expected_ranks_independent(&db);
         let got = RankQuery::erank().run(&db).unwrap();
         for (t, v) in got.values.as_complex().unwrap().iter().enumerate() {
             assert_eq!(-v.re, legacy[t], "E-Rank value t{t}");
@@ -388,7 +401,7 @@ fn erank_matches_legacy_on_both_backends() {
         assert_same_order(&got.ranking, &Ranking::from_keys(&keys), "E-Rank");
 
         let tree = random_general_tree(seed + 50, 10);
-        let legacy = prf::core::expected_ranks_tree(&tree);
+        let legacy = expected_ranks_tree(&tree);
         let got = RankQuery::erank().run(&tree).unwrap();
         for (t, v) in got.values.as_complex().unwrap().iter().enumerate() {
             assert_eq!(-v.re, legacy[t], "tree E-Rank value t{t}");

@@ -49,7 +49,8 @@ fn quickstart_tour_is_deterministic() {
     let rerun = RankQuery::prfe(0.9).run(&db).unwrap();
     assert_eq!(prfe.ranking.order(), rerun.ranking.order());
 
-    // The legacy free functions remain wrappers over the same machinery.
-    let legacy = prf::baselines::pt_ranking(&db, 2);
-    assert_eq!(legacy.order(), pt.ranking.order());
+    // The engine's answer is the PT(2) kernel's, ranked.
+    let kernel = prf::core::independent::prf_rank(&db, &StepWeight { h: 2 });
+    let direct = Ranking::from_values(&kernel, ValueOrder::RealPart);
+    assert_eq!(direct.order(), pt.ranking.order());
 }
