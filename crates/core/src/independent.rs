@@ -13,7 +13,9 @@
 //! `O(i)` linear-factor multiplication per step — giving `O(n²)` for a
 //! general PRF, `O(n·h)` for PRFω(h) (only the first `h` coefficients are
 //! read), and `O(n)` for PRFe after sorting, since PRFe only needs the
-//! *numeric value* `Gᵢ(α)`.
+//! *numeric value* `Gᵢ(α)`. The sort happens once, when the
+//! [`IndependentDb`] is built: every kernel here scans its stored score
+//! order ([`IndependentDb::by_score`]) front to back.
 //!
 //! Unlike Eq. (2) of the paper we never divide by `Pr(tᵢ₋₁)`, so zero
 //! probabilities need no special-casing.
@@ -69,8 +71,7 @@ pub fn prf_rank_truncated(
     // G holds the first h coefficients of Π (1 − p + p·x) over tuples seen
     // so far.
     let mut g = Poly::one();
-    for tid in db.ids_by_score_desc() {
-        let t = db.tuple(tid);
+    for t in db.by_score() {
         // Υ(t) = p(t)·Σ_{j=1..h} ω(t, j)·G[j−1].
         let mut upsilon = Complex::ZERO;
         for (m, &c) in g.coeffs().iter().enumerate().take(h) {
@@ -78,7 +79,7 @@ pub fn prf_rank_truncated(
                 upsilon += omega.weight(t, m + 1) * c;
             }
         }
-        result[tid.index()] = upsilon * t.prob;
+        result[t.id.index()] = upsilon * t.prob;
         g.mul_linear_in_place(1.0 - t.prob, t.prob, h);
     }
     result
@@ -91,23 +92,22 @@ pub fn prf_rank_truncated(
 pub fn rank_distributions(db: &IndependentDb) -> Vec<Vec<f64>> {
     let n = db.len();
     let mut result = vec![Vec::new(); n];
-    let order = db.ids_by_score_desc();
     let mut g = Poly::one();
-    for &tid in &order {
-        let t = db.tuple(tid);
+    for t in db.by_score() {
         let mut dist = vec![0.0; n];
         for (m, &c) in g.coeffs().iter().enumerate() {
             if m < n {
                 dist[m] = c * t.prob;
             }
         }
-        result[tid.index()] = dist;
+        result[t.id.index()] = dist;
         g.mul_linear_in_place(1.0 - t.prob, t.prob, n);
     }
     result
 }
 
-/// PRFe(α) with a complex base: `O(n)` after sorting (Section 4.3).
+/// PRFe(α) with a complex base: `O(n)` over the stored score order
+/// (Section 4.3).
 ///
 /// Returns plain complex Υ values; for large `n` and `|α| < 1` these
 /// underflow (they shrink like `|α|`-weighted products) — use
@@ -127,11 +127,9 @@ pub fn rank_distributions(db: &IndependentDb) -> Vec<Vec<f64>> {
 pub fn prfe_rank(db: &IndependentDb, alpha: Complex) -> Vec<Complex> {
     let n = db.len();
     let mut result = vec![Complex::ZERO; n];
-    let order = db.ids_by_score_desc();
     let mut g = Complex::ONE; // Gᵢ(α)
-    for &tid in &order {
-        let t = db.tuple(tid);
-        result[tid.index()] = g * alpha * t.prob;
+    for t in db.by_score() {
+        result[t.id.index()] = g * alpha * t.prob;
         g *= Complex::real(1.0 - t.prob) + alpha * t.prob;
     }
     result
@@ -146,12 +144,10 @@ pub fn prfe_rank(db: &IndependentDb, alpha: Complex) -> Vec<Complex> {
 pub fn prfe_rank_scaled(db: &IndependentDb, alpha: Complex) -> Vec<Scaled<Complex>> {
     let n = db.len();
     let mut result = vec![Scaled::<Complex>::zero(); n];
-    let order = db.ids_by_score_desc();
     let alpha_s = Scaled::new(alpha);
     let mut g = Scaled::<Complex>::one();
-    for &tid in &order {
-        let t = db.tuple(tid);
-        result[tid.index()] = g.mul(&alpha_s).scale(t.prob);
+    for t in db.by_score() {
+        result[t.id.index()] = g.mul(&alpha_s).scale(t.prob);
         let factor = Scaled::new(Complex::real(1.0 - t.prob) + alpha * t.prob);
         g = g.mul(&factor);
     }
@@ -171,12 +167,10 @@ pub fn prfe_rank_log(db: &IndependentDb, alpha: f64) -> Vec<f64> {
     );
     let n = db.len();
     let mut result = vec![f64::NEG_INFINITY; n];
-    let order = db.ids_by_score_desc();
     let mut log_g = 0.0f64;
-    for &tid in &order {
-        let t = db.tuple(tid);
+    for t in db.by_score() {
         if t.prob > 0.0 && alpha > 0.0 && log_g > f64::NEG_INFINITY {
-            result[tid.index()] = log_g + t.prob.ln() + alpha.ln();
+            result[t.id.index()] = log_g + t.prob.ln() + alpha.ln();
         }
         let factor = 1.0 - t.prob + t.prob * alpha;
         log_g += factor.ln(); // ln(0) = -inf propagates correctly
@@ -188,11 +182,9 @@ pub fn prfe_rank_log(db: &IndependentDb, alpha: f64) -> Vec<f64> {
 /// brute-force comparisons and by feature extraction.
 pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec<f64> {
     let n = db.len();
-    let order = db.ids_by_score_desc();
     let mut g = Poly::one();
-    for &tid in &order {
-        let t = db.tuple(tid);
-        if tid == target {
+    for t in db.by_score() {
+        if t.id == target {
             let mut dist = vec![0.0; n];
             for (m, &c) in g.coeffs().iter().enumerate() {
                 if m < n {
@@ -206,15 +198,15 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
     unreachable!("target tuple not in database");
 }
 
-/// Serves a whole batched-walk request set from **one** pass over the
-/// score-sorted tuples — the independent-relation counterpart of
-/// `crate::tree::batch_walk_tree`. One prefix polynomial `G(x)` truncated at
-/// the *largest* weight horizon (every PRFω/PT consumer reads its own prefix
-/// of the coefficients — a truncation view), one `O(1)`-per-step numeric
-/// accumulator per PRFe consumer in its requested mode, and one running
-/// prefix mass per expected-ranks consumer. `order` is the relation's full
-/// descending score order; `start` marks when the caller began (so the
-/// reported walk time includes a sort done for an unprepared call).
+/// Serves a whole batched-walk request set from **one** sequential scan of
+/// the relation's stored score order ([`IndependentDb::by_score`]) — the
+/// independent-relation counterpart of `crate::tree::batch_walk_tree`. One
+/// prefix polynomial `G(x)` truncated at the *largest* weight horizon
+/// (every PRFω/PT consumer reads its own prefix of the coefficients — a
+/// truncation view), one `O(1)`-per-step numeric accumulator per PRFe
+/// consumer in its requested mode, and one running prefix mass per
+/// expected-ranks consumer. Answers are written by tuple id. No sort runs
+/// here, so the reported walk time is the scan alone.
 ///
 /// Per-consumer answers are bit-identical to the corresponding closed-form
 /// kernels ([`prf_rank`], [`prfe_rank`], [`prfe_rank_log`],
@@ -226,11 +218,9 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 pub(crate) fn batch_walk_independent(
     db: &IndependentDb,
     spec: &SharedWalkSpec,
-    order: &[prf_pdb::TupleId],
-    start: std::time::Instant,
 ) -> Option<SharedWalkOut> {
+    let start = std::time::Instant::now();
     let n = db.len();
-    debug_assert_eq!(order.len(), n, "the order must cover the relation");
 
     // Parse the requests into per-kind accumulators.
     enum Acc<'w> {
@@ -275,13 +265,13 @@ pub(crate) fn batch_walk_independent(
     let mut answers = spec.answer_buffers(n);
     // The shared prefix polynomial, capped at the largest horizon.
     let mut g_poly = Poly::one();
-    for (step, &tid) in order.iter().enumerate() {
+    for (step, t) in db.by_score().iter().enumerate() {
         // Cooperative cancellation: abandon the walk once every consumer
         // has given up (polled every 256 score steps).
         if step & 0xFF == 0 && spec.is_cancelled() {
             return None;
         }
-        let t = db.tuple(tid);
+        let id = t.id.index();
         for (acc, answer) in accs.iter_mut().zip(&mut answers) {
             match (acc, answer) {
                 (Acc::Weight(omega, cap), SharedAnswer::Complex(buf)) => {
@@ -292,23 +282,23 @@ pub(crate) fn batch_walk_independent(
                             upsilon += omega.weight(t, m + 1) * c;
                         }
                     }
-                    buf[tid.index()] = upsilon * t.prob;
+                    buf[id] = upsilon * t.prob;
                 }
                 (Acc::Complex(g, alpha), SharedAnswer::Complex(buf)) => {
                     // Identical recurrence to `prfe_rank`.
-                    buf[tid.index()] = *g * *alpha * t.prob;
+                    buf[id] = *g * *alpha * t.prob;
                     *g *= Complex::real(1.0 - t.prob) + *alpha * t.prob;
                 }
                 (Acc::Log(log_g, alpha), SharedAnswer::Log(buf)) => {
                     // Identical recurrence to `prfe_rank_log`.
                     if t.prob > 0.0 && *alpha > 0.0 && *log_g > f64::NEG_INFINITY {
-                        buf[tid.index()] = *log_g + t.prob.ln() + alpha.ln();
+                        buf[id] = *log_g + t.prob.ln() + alpha.ln();
                     }
                     *log_g += (1.0 - t.prob + t.prob * *alpha).ln();
                 }
                 (Acc::Scaled(g, alpha_s, alpha), SharedAnswer::Scaled(buf)) => {
                     // Identical recurrence to `prfe_rank_scaled`.
-                    buf[tid.index()] = g.mul(alpha_s).scale(t.prob);
+                    buf[id] = g.mul(alpha_s).scale(t.prob);
                     let factor = Scaled::new(Complex::real(1.0 - t.prob) + *alpha * t.prob);
                     *g = g.mul(&factor);
                 }
@@ -316,7 +306,7 @@ pub(crate) fn batch_walk_independent(
                     // Identical recurrence to `expected_ranks_independent`.
                     let er1 = t.prob * (1.0 + *prefix);
                     let er2 = (1.0 - t.prob) * (*c - t.prob);
-                    buf[tid.index()] = er1 + er2;
+                    buf[id] = er1 + er2;
                     *prefix += t.prob;
                 }
                 _ => unreachable!("accumulator shape matches answer shape"),

@@ -17,12 +17,15 @@
 //! * [`MutableRelation`] — a [`ProbabilisticRelation`] that can apply
 //!   mutations to itself and (best effort) patch a cached
 //!   [`PreparedState`] instead of forcing a rebuild; implemented for
-//!   [`IndependentDb`] and [`AndXorTree`];
+//!   [`IndependentDb`] (whose stored score order every mutation keeps
+//!   exact, so it has no prepared state to patch) and [`AndXorTree`];
 //! * [`LiveRelation`] — a concurrency-safe wrapper owning the backend plus
-//!   its prepared state: [`LiveRelation::apply`] mutates, patches the cache
-//!   (score order, marginals, compiled plan, log-domain PRFe keys) and bumps
-//!   a generation counter so any outer [`crate::query::PreparedRelation`] re-prepares
-//!   instead of serving stale answers;
+//!   its prepared state: [`LiveRelation::apply`] mutates, patches the
+//!   caches (a tree's score order, marginals and compiled plan; the
+//!   log-domain PRFe keys along an independent relation's stored order)
+//!   and bumps a generation counter so any outer
+//!   [`crate::query::PreparedRelation`] re-prepares instead of serving
+//!   stale answers;
 //! * [`LiveApply`] — the object-safe slice of the above that `prf-serve`
 //!   uses to drive mutations through `dyn` relation handles.
 //!
@@ -36,7 +39,7 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use prf_numeric::{Complex, Scaled};
-use prf_pdb::{AndXorTree, IndependentDb, NodeKind, PdbError, TupleId};
+use prf_pdb::{AndXorTree, IndependentDb, NodeKind, PdbError, Tuple, TupleId};
 
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use crate::query::kernels;
@@ -110,23 +113,20 @@ pub trait MutableRelation: ProbabilisticRelation {
         let _ = (state, effect);
         false
     }
+
+    /// The tuples in score order (score descending, ties by id), when the
+    /// backend stores them that way and keeps them exact under mutation.
+    /// [`LiveRelation`]'s log-domain key cache patches itself along this
+    /// order; without one (the default) the cache drops on every mutation.
+    fn score_order(&self) -> Option<&[Tuple]> {
+        None
+    }
 }
 
 /// Insertion index into a `(score desc, id asc)` order for a tuple whose id
 /// is larger than every existing one: after every tuple with a `>=` score.
 fn insert_position(order: &[TupleId], scores: impl Fn(TupleId) -> f64, new_score: f64) -> usize {
     order.partition_point(|&o| scores(o) >= new_score)
-}
-
-/// Removes old id `t` from a cached score order and renumbers larger ids
-/// down by one — the cache-side mirror of the backends' dense-id delete.
-fn patch_order_delete(order: &mut Vec<TupleId>, t: TupleId) {
-    order.retain(|&o| o != t);
-    for o in order.iter_mut() {
-        if o.0 > t.0 {
-            *o = TupleId(o.0 - 1);
-        }
-    }
 }
 
 impl MutableRelation for IndependentDb {
@@ -150,30 +150,9 @@ impl MutableRelation for IndependentDb {
         }
     }
 
-    fn patch_prepared(&self, state: &mut PreparedState, effect: &MutationEffect) -> bool {
-        let Some(order) = state.independent_order_mut() else {
-            return false;
-        };
-        match *effect {
-            // Scores are untouched, so the cached order is still exact.
-            MutationEffect::Reweighted { .. } => order.len() == self.len(),
-            MutationEffect::Inserted(t) => {
-                if order.len() + 1 != self.len() || t.index() != order.len() {
-                    return false;
-                }
-                let score = self.tuple(t).score;
-                let at = insert_position(order, |o| self.tuple(o).score, score);
-                order.insert(at, t);
-                true
-            }
-            MutationEffect::Deleted(t) => {
-                if order.len() != self.len() + 1 {
-                    return false;
-                }
-                patch_order_delete(order, t);
-                order.len() == self.len()
-            }
-        }
+    /// The stored score order, which every mutation keeps exact.
+    fn score_order(&self) -> Option<&[Tuple]> {
+        Some(self.by_score())
     }
 }
 
@@ -301,21 +280,21 @@ impl PrfeLogCache {
     /// against the descending score order, or returns `false` when the
     /// closed form does not cover the case (zero probabilities or `α = 0`,
     /// where keys jump between finite and `−∞`) and the cache must drop.
-    fn patch_reweight(&mut self, order: &[TupleId], t: TupleId, old_p: f64, new_p: f64) -> bool {
+    fn patch_reweight(&mut self, order: &[Tuple], t: TupleId, old_p: f64, new_p: f64) -> bool {
         // NaN-rejecting: any non-finite or non-positive input drops the
         // cache rather than patching with garbage.
         let covered = self.alpha > 0.0 && old_p > 0.0 && new_p > 0.0;
-        if !covered {
+        if !covered || order.len() != self.keys.len() {
             return false;
         }
-        let Some(k) = order.iter().position(|&o| o == t) else {
+        let Some(k) = order.iter().position(|o| o.id == t) else {
             return false;
         };
         self.keys[t.index()] += new_p.ln() - old_p.ln();
         let df = (1.0 - new_p + new_p * self.alpha).ln() - (1.0 - old_p + old_p * self.alpha).ln();
         if df != 0.0 {
-            for &o in &order[k + 1..] {
-                self.keys[o.index()] += df;
+            for o in &order[k + 1..] {
+                self.keys[o.id.index()] += df;
             }
         }
         self.remerge(order, k, t);
@@ -323,35 +302,30 @@ impl PrfeLogCache {
     }
 
     /// Patches the cache for an insert of `t` (the relation's new largest
-    /// id) into the post-insert descending score order `order`, with
-    /// `probs` the post-insert probabilities by id. The closed form
-    /// extends one prefix product: the prefix sum `Σ_{i<k} ln f_i` is
+    /// id) into the post-insert descending score order `order`. The closed
+    /// form extends one prefix product: the prefix sum `Σ_{i<k} ln f_i` is
     /// recovered from the predecessor's key (`key_v − ln α − ln p_v +
     /// ln f_v`), the new key is `ln α + ln p_t` plus that prefix, and
     /// every later key shifts by the shared constant `+ln f_t`. Returns
     /// `false` (cache must drop) when the recovery is not covered:
     /// `α = 0`, a zero-probability or `−∞`-keyed predecessor, or a shape
     /// mismatch.
-    fn patch_insert(&mut self, order: &[TupleId], t: TupleId, probs: &[f64]) -> bool {
-        if self.alpha <= 0.0
-            || t.index() != self.keys.len()
-            || order.len() != self.keys.len() + 1
-            || probs.len() != order.len()
-        {
+    fn patch_insert(&mut self, order: &[Tuple], t: TupleId) -> bool {
+        if self.alpha <= 0.0 || t.index() != self.keys.len() || order.len() != self.keys.len() + 1 {
             return false;
         }
-        let Some(k) = order.iter().position(|&o| o == t) else {
+        let Some(k) = order.iter().position(|o| o.id == t) else {
             return false;
         };
-        let p_new = probs[t.index()];
+        let p_new = order[k].prob;
         if !(0.0..=1.0).contains(&p_new) {
             return false;
         }
         let prefix = if k == 0 {
             0.0
         } else {
-            let v = order[k - 1];
-            let (p_v, key_v) = (probs[v.index()], self.keys[v.index()]);
+            let v = &order[k - 1];
+            let (p_v, key_v) = (v.prob, self.keys[v.id.index()]);
             if p_v <= 0.0 || p_v.is_nan() || !key_v.is_finite() {
                 return false;
             }
@@ -359,8 +333,8 @@ impl PrfeLogCache {
         };
         let df = (1.0 - p_new + p_new * self.alpha).ln();
         if df != 0.0 {
-            for &o in &order[k + 1..] {
-                self.keys[o.index()] += df;
+            for o in &order[k + 1..] {
+                self.keys[o.id.index()] += df;
             }
         }
         self.keys.push(self.alpha.ln() + p_new.ln() + prefix);
@@ -375,7 +349,7 @@ impl PrfeLogCache {
     /// `−ln f_old`, the merged ranking drops `t` and renumbers, and the
     /// tuple's own key entry is removed. Covered only for `α > 0` (where
     /// `f_old > 0`) and a consistent shape.
-    fn patch_delete(&mut self, order: &[TupleId], t: TupleId, k_old: usize, p_old: f64) -> bool {
+    fn patch_delete(&mut self, order: &[Tuple], t: TupleId, k_old: usize, p_old: f64) -> bool {
         if self.alpha <= 0.0
             || !(0.0..=1.0).contains(&p_old)
             || order.len() + 1 != self.keys.len()
@@ -388,8 +362,9 @@ impl PrfeLogCache {
         if df != 0.0 {
             // `order` carries post-delete ids; keys are still indexed by
             // pre-delete ids, so map across the dense-id renumbering.
-            for &o in &order[k_old..] {
-                self.keys[o.index() + (o.index() >= t.index()) as usize] -= df;
+            for o in &order[k_old..] {
+                let o = o.id.index();
+                self.keys[o + (o >= t.index()) as usize] -= df;
             }
         }
         self.remerge_delete(order, k_old, t);
@@ -406,14 +381,14 @@ impl PrfeLogCache {
     /// uniform float shift can collapse a strict inequality into a tie,
     /// flipping an id-tiebreak relative to a fresh sort — the same sub-ulp
     /// ambiguity the patched keys already carry versus recomputed ones.)
-    fn remerge(&mut self, order: &[TupleId], k: usize, t: TupleId) {
+    fn remerge(&mut self, order: &[Tuple], k: usize, t: TupleId) {
         let Some(old) = self.ranked.take() else {
             return;
         };
         let mut suffix = vec![false; old.len()];
-        for &o in &order[k + 1..] {
-            if o != t {
-                suffix[o.index()] = true;
+        for o in &order[k + 1..] {
+            if o.id != t {
+                suffix[o.id.index()] = true;
             }
         }
         let mut merged = merge_ranked(&old, &self.keys, &suffix, t);
@@ -427,13 +402,14 @@ impl PrfeLogCache {
     /// leaves the deleted tuple out, and renumbers surviving ids down
     /// across the vacated one. Runs against pre-delete keys — call before
     /// removing `t`'s key entry.
-    fn remerge_delete(&mut self, order: &[TupleId], k_old: usize, t: TupleId) {
+    fn remerge_delete(&mut self, order: &[Tuple], k_old: usize, t: TupleId) {
         let Some(old) = self.ranked.take() else {
             return;
         };
         let mut suffix = vec![false; old.len()];
-        for &o in &order[k_old..] {
-            suffix[o.index() + (o.index() >= t.index()) as usize] = true;
+        for o in &order[k_old..] {
+            let o = o.id.index();
+            suffix[o + (o >= t.index()) as usize] = true;
         }
         let mut merged = merge_ranked(&old, &self.keys, &suffix, t);
         for o in merged.iter_mut() {
@@ -649,11 +625,10 @@ impl<B: MutableRelation> LiveRelation<B> {
         // once the backend applies the delete — so capture them up front
         // (only when there is a cache to patch).
         let del_ctx = match (m, &inner.log_cache) {
-            (Mutation::Delete(t), Some(_)) => inner
-                .prepared
-                .independent_order()
-                .and_then(|o| o.iter().position(|&x| x == *t))
-                .zip(inner.backend.tuple_marginals().get(t.index()).copied()),
+            (Mutation::Delete(t), Some(_)) => inner.backend.score_order().and_then(|order| {
+                let k = order.iter().position(|x| x.id == *t)?;
+                Some((k, order[k].prob))
+            }),
             _ => None,
         };
         let effect = inner.backend.apply_mutation(m)?;
@@ -669,11 +644,13 @@ impl<B: MutableRelation> LiveRelation<B> {
         // and the key-cache patch — the half-applied state `repair` fixes.
         #[cfg(any(test, feature = "chaos"))]
         self.fire_mutation_probe();
-        // The log-key closed form covers all three mutations over an
-        // independent score order (away from the α = 0 / zero-probability
-        // edge cases each patch guards); anything else invalidates the
-        // cache rather than patching with garbage.
-        let patched = match (&effect, &mut *log_cache) {
+        // The log-key closed form covers all three mutations along the
+        // backend's stored score order (away from the α = 0 /
+        // zero-probability edge cases each patch guards); anything else
+        // invalidates the cache rather than patching with garbage.
+        let patched = match (&effect, &mut *log_cache, backend.score_order()) {
+            (_, None, _) => true,
+            (_, Some(_), None) => false,
             (
                 MutationEffect::Reweighted {
                     tuple,
@@ -681,25 +658,15 @@ impl<B: MutableRelation> LiveRelation<B> {
                     new_prob,
                 },
                 Some(cache),
-            ) => match prepared.independent_order() {
-                Some(order) if cache.keys.len() == order.len() => {
-                    cache.patch_reweight(order, *tuple, *old_prob, *new_prob)
-                }
-                _ => false,
-            },
-            (MutationEffect::Inserted(t), Some(cache)) => match prepared.independent_order() {
-                Some(order) => cache.patch_insert(order, *t, &backend.tuple_marginals()),
-                _ => false,
-            },
-            (MutationEffect::Deleted(t), Some(cache)) => {
-                match (prepared.independent_order(), del_ctx) {
-                    (Some(order), Some((k_old, p_old))) => {
-                        cache.patch_delete(order, *t, k_old, p_old)
-                    }
-                    _ => false,
-                }
+                Some(order),
+            ) => cache.patch_reweight(order, *tuple, *old_prob, *new_prob),
+            (MutationEffect::Inserted(t), Some(cache), Some(order)) => {
+                cache.patch_insert(order, *t)
             }
-            (_, None) => true,
+            (MutationEffect::Deleted(t), Some(cache), Some(order)) => match del_ctx {
+                Some((k_old, p_old)) => cache.patch_delete(order, *t, k_old, p_old),
+                None => false,
+            },
         };
         if !patched {
             *log_cache = None;

@@ -195,8 +195,8 @@ pub fn approximate_weights(
 
     // Select the L largest coefficients, pulling in conjugate partners
     // (indices k and M−k) together to keep the mixture real.
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&a, &b| psi[b].abs().partial_cmp(&psi[a].abs()).expect("finite"));
+    let magnitudes: Vec<f64> = psi.iter().map(|c| c.abs()).collect();
+    let order = prf_pdb::tuple::top_k_desc(&magnitudes, m, "finite");
     let mut selected = vec![false; m];
     let mut count = 0usize;
     for &k in &order {
@@ -375,7 +375,7 @@ impl ExpMixture {
     // below underflow only deep in the tail, where all values collapse to
     // (equal-keyed, id-tie-broken) zeros. Top-k answers for any realistic k
     // are identical to the scaled versions — verified by test — at a
-    // fraction of the cost: one sort and `O(n·L)` complex flops.
+    // fraction of the cost: one scan and `O(n·L)` complex flops.
 
     /// Plain-complex mixture Υ over an independent relation: single pass,
     /// all terms fused. See the notes above on tail underflow.
@@ -384,13 +384,12 @@ impl ExpMixture {
         let l = self.terms.len();
         let mut out = vec![Complex::ZERO; n];
         let mut g = vec![Complex::ONE; l];
-        for tid in db.ids_by_score_desc() {
-            let t = db.tuple(tid);
+        for t in db.by_score() {
             let mut acc = Complex::ZERO;
             for (gl, &(u, alpha)) in g.iter().zip(&self.terms) {
                 acc += u * *gl * alpha;
             }
-            out[tid.index()] = acc * t.prob;
+            out[t.id.index()] = acc * t.prob;
             for (gl, &(_, alpha)) in g.iter_mut().zip(&self.terms) {
                 *gl *= Complex::real(1.0 - t.prob) + alpha * t.prob;
             }

@@ -193,7 +193,10 @@ pub struct SharedWalkOut {
     /// Merged memory accounting of the walk's incremental evaluators
     /// (`None` for closed-form backends).
     pub stats: Option<GfStats>,
-    /// Wall-clock seconds of the whole walk (sort + plan + evaluation).
+    /// Wall-clock seconds of the whole walk, including any setup the
+    /// backend built for this call (an unprepared tree's score sort and
+    /// compiled plan; an independent relation's order is stored, so its
+    /// walk is the scan alone).
     pub walk_seconds: f64,
 }
 

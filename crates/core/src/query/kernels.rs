@@ -3,7 +3,7 @@
 //! no `RankQuery` form.
 
 use prf_numeric::Poly;
-use prf_pdb::tuple::sort_indices_by_score_desc;
+use prf_pdb::tuple::top_k_desc;
 use prf_pdb::{AndXorTree, IndependentDb, TupleId, WorldEnumeration};
 
 // ---------------------------------------------------------------------
@@ -86,14 +86,12 @@ impl PositionalCandidates {
     }
 }
 
-/// Candidate table for an independent relation: one `O(n·k + n log n)` pass
-/// over the truncated prefix polynomial.
+/// Candidate table for an independent relation: one `O(n·k)` pass of the
+/// truncated prefix polynomial over the stored score order.
 pub fn positional_candidates_independent(db: &IndependentDb, k: usize) -> PositionalCandidates {
     let mut table = PositionalCandidates::new(k);
-    let order = sort_indices_by_score_desc(&db.scores());
     let mut g = Poly::one();
-    for idx in order {
-        let t = db.tuple(TupleId(idx as u32));
+    for t in db.by_score() {
         for (m, &c) in g.coeffs().iter().enumerate().take(k) {
             table.push(m, c * t.prob, t.id);
         }
@@ -142,21 +140,20 @@ pub fn positional_candidates_tree(tree: &AndXorTree, k: usize) -> PositionalCand
 // E-Rank: closed form for independent tuples
 // ---------------------------------------------------------------------
 
-/// Expected rank of every tuple in an independent relation (`O(n log n)`):
+/// Expected rank of every tuple in an independent relation (`O(n)` over the
+/// stored score order):
 /// `er(t) = er₁ + er₂` with `er₁(tᵢ) = pᵢ·(1 + Σ_{j<i} pⱼ)` and
 /// `er₂(t) = (1−p_t)(C − p_t)`, `C = Σ pⱼ` (Cormode et al.; Section 3.3).
 /// Lower is better.
 pub fn expected_ranks_independent(db: &IndependentDb) -> Vec<f64> {
     let n = db.len();
     let mut er = vec![0.0; n];
-    let order = sort_indices_by_score_desc(&db.scores());
     let c: f64 = db.expected_world_size();
     let mut prefix = 0.0f64; // Σ of probabilities of higher-scored tuples
-    for &idx in &order {
-        let t = db.tuple(TupleId(idx as u32));
+    for t in db.by_score() {
         let er1 = t.prob * (1.0 + prefix);
         let er2 = (1.0 - t.prob) * (c - t.prob);
-        er[idx] = er1 + er2;
+        er[t.id.index()] = er1 + er2;
         prefix += t.prob;
     }
     er
@@ -242,19 +239,16 @@ impl TopM {
 
 /// The exact U-Top answer on an independent relation (Soliman et al.): the
 /// top-k set (score-descending order) and the natural log of its probability
-/// of being the exact top-k — the `O(n log n)` odds-ratio sweep. Returns
-/// `None` when `k` exceeds the number of tuples or no set has positive
-/// probability.
+/// of being the exact top-k — the `O(n log n)` odds-ratio sweep over the
+/// stored score order. Returns `None` when `k` exceeds the number of
+/// tuples or no set has positive probability.
 pub fn most_probable_topk_independent(db: &IndependentDb, k: usize) -> Option<(Vec<TupleId>, f64)> {
     let n = db.len();
     if k == 0 || k > n {
         return None;
     }
-    let order = sort_indices_by_score_desc(&db.scores());
-    let probs: Vec<f64> = order
-        .iter()
-        .map(|&i| db.tuple(TupleId(i as u32)).prob)
-        .collect();
+    let order = db.by_score();
+    let probs: Vec<f64> = order.iter().map(|t| t.prob).collect();
 
     // Sweep the position of the lowest-scored member.
     let mut best: Option<(usize, f64)> = None; // (last position, log prob)
@@ -296,27 +290,25 @@ pub fn most_probable_topk_independent(db: &IndependentDb, k: usize) -> Option<(V
     // Reconstruct: all certain tuples above last_pos, plus the top
     // (k−1−forced) odds ratios among uncertain ones, plus the last tuple.
     let mut forced_ids = Vec::new();
-    let mut optional: Vec<(f64, usize)> = Vec::new();
+    let (mut odds, mut optional) = (Vec::new(), Vec::new());
     for (j, &p) in probs.iter().enumerate().take(last_pos) {
         if p >= 1.0 {
             forced_ids.push(j);
         } else if p > 0.0 {
-            optional.push((p.ln() - (1.0 - p).ln(), j));
+            odds.push(p.ln() - (1.0 - p).ln());
+            optional.push(j);
         }
     }
-    optional.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("no NaN").then(a.1.cmp(&b.1)));
     let need = k - 1 - forced_ids.len();
     let mut members: Vec<usize> = forced_ids;
-    members.extend(optional.into_iter().take(need).map(|(_, j)| j));
+    members.extend(
+        top_k_desc(&odds, need, "no NaN")
+            .into_iter()
+            .map(|i| optional[i]),
+    );
     members.push(last_pos);
     members.sort_unstable();
-    Some((
-        members
-            .into_iter()
-            .map(|pos| TupleId(order[pos] as u32))
-            .collect(),
-        logp,
-    ))
+    Some((members.into_iter().map(|pos| order[pos].id).collect(), logp))
 }
 
 /// Exact U-Top over an explicit world enumeration (the correlated-data
@@ -365,14 +357,14 @@ pub fn k_selection(db: &IndependentDb, k: usize) -> Option<(Vec<TupleId>, f64)> 
         return None;
     }
     let k = k.min(n);
-    let order = sort_indices_by_score_desc(&db.scores());
+    let order = db.by_score();
     // f[j] after processing suffix i.. = best value choosing j from suffix.
     // choice[i][j] records whether tuple at sorted position i is taken when
     // j slots remain.
     let mut f = vec![0.0f64; k + 1];
     let mut choice = vec![false; n * (k + 1)];
     for i in (0..n).rev() {
-        let t = db.tuple(TupleId(order[i] as u32));
+        let t = &order[i];
         // Process j downwards so f[j-1] is still the i+1 suffix value.
         for j in (1..=k).rev() {
             let take = t.prob * t.score + (1.0 - t.prob) * f[j - 1];
@@ -390,7 +382,7 @@ pub fn k_selection(db: &IndependentDb, k: usize) -> Option<(Vec<TupleId>, f64)> 
             break;
         }
         if choice[i * (k + 1) + j] {
-            set.push(TupleId(order[i] as u32));
+            set.push(order[i].id);
             j -= 1;
         }
     }
@@ -402,17 +394,12 @@ pub fn k_selection(db: &IndependentDb, k: usize) -> Option<(Vec<TupleId>, f64)> 
 /// `V(S) = Σ_{t ∈ S} score(t)·p(t)·Π_{t' ∈ S, score(t') > score(t)} (1 − p(t'))`.
 pub fn selection_value(db: &IndependentDb, set: &[TupleId]) -> f64 {
     let mut members: Vec<TupleId> = set.to_vec();
-    members.sort_by(|a, b| {
-        db.tuple(*b)
-            .score
-            .partial_cmp(&db.tuple(*a).score)
-            .expect("no NaN scores")
-            .then(a.cmp(b))
-    });
+    members.sort_unstable();
+    let scores: Vec<f64> = members.iter().map(|&t| db.tuple(t).score).collect();
     let mut value = 0.0;
     let mut all_above_absent = 1.0;
-    for t in members {
-        let t = db.tuple(t);
+    for i in top_k_desc(&scores, scores.len(), "no NaN scores") {
+        let t = db.tuple(members[i]);
         value += t.score * t.prob * all_above_absent;
         all_above_absent *= 1.0 - t.prob;
     }

@@ -1,11 +1,11 @@
 //! Prepared relations: amortizing per-walk setup across repeated queries.
 //!
-//! Every walk kernel in the engine starts the same way — sort the tuples by
-//! score, compile the tree into an [`EvalPlan`](crate::incremental::EvalPlan),
+//! A tree walk starts the same way every time — sort the leaves by score,
+//! compile the tree into an [`EvalPlan`](crate::incremental::EvalPlan),
 //! gather marginals — and then throws that work away when the walk returns.
 //! A one-shot query cannot avoid it, but a *server* evaluating thousands of
-//! flushes against the same registered relation pays the `O(n log n)` sort
-//! and `O(tree)` plan compilation over and over for identical inputs.
+//! flushes against the same registered tree pays the `O(n log n)` sort and
+//! `O(tree)` plan compilation over and over for identical inputs.
 //!
 //! [`PreparedRelation`] fixes that: it wraps any
 //! [`ProbabilisticRelation`] together with the backend's reusable state
@@ -16,9 +16,11 @@
 //! the `prf-serve` flush pool — need no new API: a `&PreparedRelation` is a
 //! relation, just one whose sorts and plans are already built.
 //!
-//! Backends without cacheable setup (e.g. `prf-graphical`'s junction-tree
-//! adapter, whose ranking cost is dominated by message passing) return the
-//! empty [`PreparedState`] and behave exactly as before.
+//! Backends without cacheable setup return the empty [`PreparedState`] and
+//! behave exactly as before: an [`IndependentDb`](prf_pdb::IndependentDb),
+//! which sorts once at construction and stores the order, and
+//! `prf-graphical`'s junction-tree adapter, whose ranking cost is dominated
+//! by message passing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -36,8 +38,8 @@ use crate::tree::TreePrepared;
 // ---------------------------------------------------------------------
 
 /// Opaque reusable evaluation state built by
-/// [`ProbabilisticRelation::prepare`] — the score sort, compiled plan, and
-/// marginals a backend's walk kernels would otherwise rebuild per call.
+/// [`ProbabilisticRelation::prepare`] — a tree's score sort, compiled
+/// plan, and marginals, which its walk would otherwise rebuild per call.
 ///
 /// The state is backend-private: callers hold it and hand it back through
 /// [`ProbabilisticRelation::run_shared_walk_prepared`], they never inspect
@@ -55,9 +57,6 @@ enum Inner {
     Empty,
     /// And/xor tree: score order + positions + marginals + compiled plan.
     Tree(Box<TreePrepared>),
-    /// Independent relation: the descending score order (the only setup
-    /// its closed-form kernels repeat per call).
-    Independent(Vec<TupleId>),
     /// Sharded relation: one prepared state per shard, in shard order.
     /// `Arc`-wrapped so shard-worker jobs (which need `'static` captures)
     /// can share them without cloning a compiled plan.
@@ -84,22 +83,9 @@ impl PreparedState {
         }
     }
 
-    pub(crate) fn independent(order: Vec<TupleId>) -> Self {
-        PreparedState {
-            inner: Inner::Independent(order),
-        }
-    }
-
     pub(crate) fn tree_prepared(&self) -> Option<&TreePrepared> {
         match &self.inner {
             Inner::Tree(tp) => Some(&**tp),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn independent_order(&self) -> Option<&[TupleId]> {
-        match &self.inner {
-            Inner::Independent(order) => Some(order),
             _ => None,
         }
     }
@@ -123,13 +109,6 @@ impl PreparedState {
             _ => None,
         }
     }
-
-    pub(crate) fn independent_order_mut(&mut self) -> Option<&mut Vec<TupleId>> {
-        match &mut self.inner {
-            Inner::Independent(order) => Some(order),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Debug for PreparedState {
@@ -137,9 +116,6 @@ impl std::fmt::Debug for PreparedState {
         match &self.inner {
             Inner::Empty => f.write_str("PreparedState::Empty"),
             Inner::Tree(tp) => write!(f, "PreparedState::Tree({} tuples)", tp.order.len()),
-            Inner::Independent(order) => {
-                write!(f, "PreparedState::Independent({} tuples)", order.len())
-            }
             Inner::Sharded(states) => {
                 write!(f, "PreparedState::Sharded({} shards)", states.len())
             }
@@ -162,11 +138,12 @@ impl std::fmt::Debug for PreparedState {
 /// ```
 /// use std::sync::Arc;
 /// use prf_core::query::{PreparedRelation, RankQuery};
-/// use prf_pdb::IndependentDb;
+/// use prf_pdb::AndXorTree;
 ///
-/// let db = IndependentDb::from_pairs([(10.0, 0.5), (5.0, 0.4)]).unwrap();
-/// let prepared = PreparedRelation::new(Arc::new(db));
-/// // The score sort happened once, above; these queries reuse it.
+/// let tree = AndXorTree::from_x_tuples(&[vec![(10.0, 0.5)], vec![(5.0, 0.4)]]).unwrap();
+/// let prepared = PreparedRelation::new(Arc::new(tree));
+/// // The score sort and plan compilation happened once, above; these
+/// // queries reuse them.
 /// let a = RankQuery::pt(2).run(&prepared)?;
 /// let b = RankQuery::prfe(0.9).run(&prepared)?;
 /// assert_eq!(a.ranking.order().len(), 2);
@@ -341,12 +318,18 @@ mod tests {
         }
     }
 
+    /// A tree of independent single-tuple x-tuples: prepared state (score
+    /// order, plan) that goes stale when the scores move.
+    fn singletons(pairs: &[(f64, f64)]) -> AndXorTree {
+        let groups: Vec<Vec<(f64, f64)>> = pairs.iter().map(|&p| vec![p]).collect();
+        AndXorTree::from_x_tuples(&groups).unwrap()
+    }
+
     #[test]
     fn prepared_state_reports_backend() {
+        // An independent relation stores its score order: nothing to cache.
         let db = IndependentDb::from_pairs([(10.0, 0.5), (5.0, 0.4)]).unwrap();
-        assert!(ProbabilisticRelation::prepare(&db)
-            .independent_order()
-            .is_some());
+        assert!(ProbabilisticRelation::prepare(&db).is_empty());
         let tree = AndXorTree::from_x_tuples(&[vec![(10.0, 0.5)], vec![(5.0, 0.4)]]).unwrap();
         assert!(ProbabilisticRelation::prepare(&tree)
             .tree_prepared()
@@ -424,27 +407,27 @@ mod tests {
         // produce wrong PRF values — the generation bump must force a
         // re-prepare.
         struct Versioned {
-            db: Mutex<IndependentDb>,
+            db: Mutex<AndXorTree>,
             generation: AtomicU64,
         }
         impl Versioned {
-            fn swap(&self, db: IndependentDb) {
+            fn swap(&self, db: AndXorTree) {
                 *self.db.lock().unwrap() = db;
                 self.generation.fetch_add(1, Ordering::Release);
             }
         }
         impl ProbabilisticRelation for Versioned {
             fn n_tuples(&self) -> usize {
-                self.db.lock().unwrap().len()
+                ProbabilisticRelation::n_tuples(&*self.db.lock().unwrap())
             }
             fn tuple_scores(&self) -> Vec<f64> {
-                self.db.lock().unwrap().scores()
+                ProbabilisticRelation::tuple_scores(&*self.db.lock().unwrap())
             }
             fn tuple_marginals(&self) -> Vec<f64> {
-                self.db.lock().unwrap().probabilities()
+                self.db.lock().unwrap().marginals()
             }
             fn correlation_class(&self) -> CorrelationClass {
-                CorrelationClass::Independent
+                CorrelationClass::XTuple
             }
             fn generation(&self) -> u64 {
                 self.generation.load(Ordering::Acquire)
@@ -461,10 +444,10 @@ mod tests {
             }
         }
 
-        let v1 = IndependentDb::from_pairs([(10.0, 0.9), (5.0, 0.4), (1.0, 0.7)]).unwrap();
+        let v1 = singletons(&[(10.0, 0.9), (5.0, 0.4), (1.0, 0.7)]);
         // Same tuple count, permuted scores: a stale order is silently
         // wrong (no length guard can catch it).
-        let v2 = IndependentDb::from_pairs([(1.0, 0.9), (5.0, 0.4), (10.0, 0.7)]).unwrap();
+        let v2 = singletons(&[(1.0, 0.9), (5.0, 0.4), (10.0, 0.7)]);
         let rel = Arc::new(Versioned {
             db: Mutex::new(v1),
             generation: AtomicU64::new(0),
@@ -496,31 +479,31 @@ mod tests {
         use std::sync::Mutex;
 
         struct RacingPrepare {
-            db: Mutex<IndependentDb>,
+            db: Mutex<AndXorTree>,
             generation: AtomicU64,
             /// Databases swapped in mid-`prepare()`, one per call: the
             /// returned state then describes the relation from *before*
             /// the swap while the generation already counts it.
-            swap_mid_prepare: Mutex<Vec<IndependentDb>>,
+            swap_mid_prepare: Mutex<Vec<AndXorTree>>,
         }
         impl RacingPrepare {
-            fn swap(&self, db: IndependentDb) {
+            fn swap(&self, db: AndXorTree) {
                 *self.db.lock().unwrap() = db;
                 self.generation.fetch_add(1, Ordering::Release);
             }
         }
         impl ProbabilisticRelation for RacingPrepare {
             fn n_tuples(&self) -> usize {
-                self.db.lock().unwrap().len()
+                ProbabilisticRelation::n_tuples(&*self.db.lock().unwrap())
             }
             fn tuple_scores(&self) -> Vec<f64> {
-                self.db.lock().unwrap().scores()
+                ProbabilisticRelation::tuple_scores(&*self.db.lock().unwrap())
             }
             fn tuple_marginals(&self) -> Vec<f64> {
-                self.db.lock().unwrap().probabilities()
+                self.db.lock().unwrap().marginals()
             }
             fn correlation_class(&self) -> CorrelationClass {
-                CorrelationClass::Independent
+                CorrelationClass::XTuple
             }
             fn generation(&self) -> u64 {
                 self.generation.load(Ordering::Acquire)
@@ -543,9 +526,9 @@ mod tests {
 
         // v1 → v2 → v3 permute the same scores, so a stale cached order is
         // silently wrong (no length guard can catch it).
-        let v1 = IndependentDb::from_pairs([(10.0, 0.9), (5.0, 0.4), (1.0, 0.7)]).unwrap();
-        let v2 = IndependentDb::from_pairs([(1.0, 0.9), (10.0, 0.4), (5.0, 0.7)]).unwrap();
-        let v3 = IndependentDb::from_pairs([(5.0, 0.9), (1.0, 0.4), (10.0, 0.7)]).unwrap();
+        let v1 = singletons(&[(10.0, 0.9), (5.0, 0.4), (1.0, 0.7)]);
+        let v2 = singletons(&[(1.0, 0.9), (10.0, 0.4), (5.0, 0.7)]);
+        let v3 = singletons(&[(5.0, 0.9), (1.0, 0.4), (10.0, 0.7)]);
         let rel = Arc::new(RacingPrepare {
             db: Mutex::new(v1),
             generation: AtomicU64::new(0),

@@ -93,12 +93,14 @@ pub trait ProbabilisticRelation {
         0
     }
 
-    /// Builds the backend's reusable evaluation state — the score sort,
-    /// compiled [`crate::incremental::EvalPlan`], and whatever else the
-    /// walk rebuilds per call. A [`super::PreparedRelation`] calls this
-    /// **once** at registration and threads the result through every later
-    /// walk. The default is the empty state, which every walk reads as
-    /// "unprepared".
+    /// Builds the backend's reusable evaluation state — an and/xor tree's
+    /// score order, compiled [`crate::incremental::EvalPlan`] and
+    /// marginals, or whatever else the walk would rebuild per call. A
+    /// [`super::PreparedRelation`] calls this **once** at registration and
+    /// threads the result through every later walk. The default is the
+    /// empty state, which every walk reads as "unprepared"; an
+    /// [`IndependentDb`] keeps that default, because it stores its score
+    /// order.
     fn prepare(&self) -> PreparedState {
         PreparedState::empty()
     }
@@ -217,25 +219,14 @@ impl ProbabilisticRelation for IndependentDb {
         CorrelationClass::Independent
     }
 
-    fn prepare(&self) -> PreparedState {
-        PreparedState::independent(self.ids_by_score_desc())
-    }
-
+    /// The stored score order is the whole of the walk's setup, so there
+    /// is nothing to prepare and `prep` is ignored.
     fn run_shared_walk_prepared(
         &self,
         spec: &SharedWalkSpec,
-        prep: &PreparedState,
+        _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        let start = std::time::Instant::now();
-        let sorted;
-        let order = match prep.independent_order() {
-            Some(order) if order.len() == self.len() => order,
-            _ => {
-                sorted = self.ids_by_score_desc();
-                &sorted
-            }
-        };
-        crate::independent::batch_walk_independent(self, spec, order, start)
+        crate::independent::batch_walk_independent(self, spec)
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {

@@ -34,17 +34,17 @@ pub enum Crossing {
 /// above anything and are reported accordingly.
 pub fn crossing_point(db: &IndependentDb, a: TupleId, b: TupleId) -> Crossing {
     assert_ne!(a, b, "crossing_point requires distinct tuples");
-    let order = db.ids_by_score_desc();
-    let pos_a = order.iter().position(|&t| t == a).expect("tuple a");
-    let pos_b = order.iter().position(|&t| t == b).expect("tuple b");
+    let order = db.by_score();
+    let pos_a = order.iter().position(|t| t.id == a).expect("tuple a");
+    let pos_b = order.iter().position(|t| t.id == b).expect("tuple b");
     // Normalise so `hi` is the higher-scored tuple.
     let (hi, lo, hi_is_a) = if pos_a < pos_b {
         (pos_a, pos_b, true)
     } else {
         (pos_b, pos_a, false)
     };
-    let p_hi = db.tuple(order[hi]).prob;
-    let p_lo = db.tuple(order[lo]).prob;
+    let p_hi = order[hi].prob;
+    let p_lo = order[lo].prob;
 
     let verdict = |hi_above: bool| -> Crossing {
         match (hi_above, hi_is_a) {
@@ -62,7 +62,7 @@ pub fn crossing_point(db: &IndependentDb, a: TupleId, b: TupleId) -> Crossing {
 
     // log ρ(α) = ln p_lo − ln p_hi + Σ_{l=hi..lo−1} ln(1 − p_l + p_l α);
     // ρ is increasing in α. hi ranks above lo iff ρ < 1 (log ρ < 0).
-    let middle: Vec<f64> = order[hi..lo].iter().map(|&t| db.tuple(t).prob).collect();
+    let middle: Vec<f64> = order[hi..lo].iter().map(|t| t.prob).collect();
     let log_rho = |alpha: f64| -> f64 {
         let mut lr = p_lo.ln() - p_hi.ln();
         for &p in &middle {
@@ -159,13 +159,12 @@ pub fn prfe_spectrum(db: &IndependentDb) -> Vec<SpectrumSegment> {
 /// and `α = 1` respectively.
 pub fn spectrum_endpoints(db: &IndependentDb) -> (Vec<TupleId>, Vec<TupleId>) {
     // τ₀: Pr(r(t)=1) = p_t · Π_{higher} (1 − p).
-    let order = db.ids_by_score_desc();
     let mut keys0 = vec![f64::NEG_INFINITY; db.len()];
     let mut log_none_above = 0.0f64;
-    for &t in &order {
-        let p = db.tuple(t).prob;
+    for t in db.by_score() {
+        let p = t.prob;
         if p > 0.0 {
-            keys0[t.index()] = log_none_above + p.ln();
+            keys0[t.id.index()] = log_none_above + p.ln();
         }
         log_none_above += (1.0 - p).ln();
     }

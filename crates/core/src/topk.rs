@@ -6,6 +6,7 @@
 //! imaginary parts and are ranked by real part instead ([`ValueOrder`]).
 
 use prf_numeric::Complex;
+use prf_pdb::tuple::top_k_desc;
 use prf_pdb::TupleId;
 
 /// How complex Υ values are mapped to the totally ordered ranking key.
@@ -64,9 +65,13 @@ impl Ranking {
     /// The top-`k` prefix of [`Ranking::from_keys`] via partial selection
     /// (`select_nth_unstable` + sorting only the selected prefix) —
     /// identical to the full sort followed by [`Ranking::truncate`]`(k)`
-    /// because the comparator (key descending, ties by tuple id) is total.
+    /// because the order (key descending, ties by tuple id) is total. Both
+    /// run [`prf_pdb::tuple::top_k_desc`]'s packed-key sort.
+    ///
+    /// # Panics
+    /// Panics when a key is NaN.
     pub fn from_keys_topk(keys_by_id: &[f64], k: usize) -> Self {
-        let idx = topk_indices(keys_by_id, k, "ranking keys must not be NaN");
+        let idx = top_k_desc(keys_by_id, k, "ranking keys must not be NaN");
         Ranking {
             keys: idx.iter().map(|&i| keys_by_id[i]).collect(),
             order: idx.into_iter().map(|i| TupleId(i as u32)).collect(),
@@ -77,7 +82,8 @@ impl Ranking {
     /// ties by tuple id). `display` maps each key to the `f64` reported by
     /// [`Ranking::key_at`] — used with exponent-carrying keys such as
     /// [`prf_numeric::scaled::SignedLogKey`] that cannot be collapsed into a
-    /// single `f64` without losing precision.
+    /// single `f64` without losing precision. Such keys do not pack into 64
+    /// bits, so this constructor keeps a comparator sort.
     pub fn from_keys_by<K: PartialOrd + Copy>(
         keys_by_id: &[K],
         display: impl Fn(K) -> f64,
@@ -92,7 +98,7 @@ impl Ranking {
         display: impl Fn(K) -> f64,
         k: usize,
     ) -> Self {
-        let idx = topk_indices(keys_by_id, k, "ranking keys must be comparable");
+        let idx = topk_indices_by(keys_by_id, k);
         Ranking {
             keys: idx.iter().map(|&i| display(keys_by_id[i])).collect(),
             order: idx.into_iter().map(|i| TupleId(i as u32)).collect(),
@@ -158,16 +164,16 @@ impl Ranking {
     }
 }
 
-/// Indices of the best `k` keys, ordered best-first (key descending, ties
-/// by index ascending). `k ≥ len` degenerates to the full sorted index
-/// vector; selection and sort use the *same* total comparator, so the
-/// prefix is bitwise-identical to the full sort's.
-fn topk_indices<K: PartialOrd + Copy>(keys_by_id: &[K], k: usize, expect: &str) -> Vec<usize> {
+/// [`top_k_desc`] for keys that are only `PartialOrd`: indices of the best
+/// `k` keys, best first, ties by index ascending. Selection and sort use
+/// the *same* total comparator, so the prefix is bitwise-identical to the
+/// full sort's.
+fn topk_indices_by<K: PartialOrd + Copy>(keys_by_id: &[K], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..keys_by_id.len()).collect();
     let cmp = |a: &usize, b: &usize| {
         keys_by_id[*b]
             .partial_cmp(&keys_by_id[*a])
-            .expect(expect)
+            .expect("ranking keys must be comparable")
             .then(a.cmp(b))
     };
     if k < idx.len() {

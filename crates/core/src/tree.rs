@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use prf_numeric::fft::interpolate_from_roots_of_unity;
 use prf_numeric::{Complex, Dual, GfValue, RankPoly, Scaled, YLin};
-use prf_pdb::tuple::sort_indices_by_score_desc;
+use prf_pdb::tuple::top_k_desc;
 use prf_pdb::{AndXorTree, Tuple, TupleId};
 
 use crate::incremental::{EvalPlan, GfStats, IncrementalGf};
@@ -49,7 +49,8 @@ use crate::weights::WeightFunction;
 /// permutation, shared by all tree algorithms. Public so that callers that
 /// evaluate many PRFe instances over one tree (PRFe mixtures) can sort once.
 pub fn score_order(tree: &AndXorTree) -> (Vec<TupleId>, Vec<usize>) {
-    let order: Vec<TupleId> = sort_indices_by_score_desc(tree.scores())
+    let scores = tree.scores();
+    let order: Vec<TupleId> = top_k_desc(scores, scores.len(), "scores must not be NaN")
         .into_iter()
         .map(|i| TupleId(i as u32))
         .collect();

@@ -9,7 +9,7 @@
 
 #![allow(clippy::needless_range_loop)] // binary-state loops read clearer indexed
 
-use prf_pdb::tuple::sort_indices_by_score_desc;
+use prf_pdb::tuple::top_k_desc;
 use prf_pdb::{PossibleWorld, TupleId, WorldEnumeration};
 
 use crate::factor::{Factor, VarId};
@@ -175,7 +175,7 @@ impl MarkovChain {
     pub fn rank_distributions(&self, scores: &[f64]) -> Vec<Vec<f64>> {
         let m = self.len();
         assert_eq!(scores.len(), m);
-        let order = sort_indices_by_score_desc(scores);
+        let order = top_k_desc(scores, m, "scores must not be NaN");
         let mut pos = vec![0usize; m];
         for (i, &t) in order.iter().enumerate() {
             pos[t] = i;

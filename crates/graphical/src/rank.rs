@@ -22,8 +22,8 @@
 use prf_core::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use prf_core::query::PreparedState;
 use prf_numeric::{Complex, Scaled};
-use prf_pdb::tuple::sort_indices_by_score_desc;
-use prf_pdb::{Tuple, TupleId};
+use prf_pdb::tuple::top_k_desc;
+use prf_pdb::{PdbError, Tuple, TupleId};
 
 use crate::factor::VarId;
 use crate::junction::JunctionTree;
@@ -170,7 +170,7 @@ fn convolve_capped(a: &[f64], b: &[f64], max_sum: usize) -> Vec<f64> {
 pub fn rank_distributions_junction(jt: &JunctionTree, scores: &[f64]) -> Vec<Vec<f64>> {
     let n = scores.len();
     assert_eq!(jt.n_vars(), n, "one variable per tuple");
-    let order = sort_indices_by_score_desc(scores);
+    let order = top_k_desc(scores, n, "scores must not be NaN");
     let mut pos = vec![0usize; n];
     for (i, &t) in order.iter().enumerate() {
         pos[t] = i;
@@ -244,10 +244,10 @@ pub fn prf_rank_markov_chain(
 ///         Factor::new(vec![VarId(2)], vec![0.4, 0.6]),
 ///     ],
 /// );
-/// let rel = NetworkRelation::new(&net, vec![30.0, 20.0, 10.0]);
+/// let rel = NetworkRelation::new(&net, vec![30.0, 20.0, 10.0])?;
 /// let result = RankQuery::pt(2).run(&rel)?;
 /// assert_eq!(result.ranking.len(), 3);
-/// # Ok::<(), prf_core::query::QueryError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct NetworkRelation {
     jt: JunctionTree,
@@ -256,21 +256,31 @@ pub struct NetworkRelation {
 
 impl NetworkRelation {
     /// Builds the adapter from a Markov network (constructs and calibrates
-    /// the junction tree) and per-tuple scores.
-    ///
-    /// # Panics
-    /// Panics when `scores` does not have one entry per network variable.
-    pub fn new(net: &MarkovNetwork, scores: Vec<f64>) -> Self {
+    /// the junction tree) and per-tuple scores. Fails like
+    /// [`Self::from_junction`].
+    pub fn new(net: &MarkovNetwork, scores: Vec<f64>) -> Result<Self, PdbError> {
         Self::from_junction(net.junction_tree(), scores)
     }
 
     /// Builds the adapter from an already calibrated junction tree.
     ///
-    /// # Panics
-    /// Panics when `scores` does not have one entry per variable.
-    pub fn from_junction(jt: JunctionTree, scores: Vec<f64>) -> Self {
-        assert_eq!(jt.n_vars(), scores.len(), "one score per tuple variable");
-        NetworkRelation { jt, scores }
+    /// Fails with [`PdbError::Structure`] when `scores` does not have one
+    /// entry per variable, and with [`PdbError::InvalidScore`] when a
+    /// score is NaN (scores must be totally ordered to rank).
+    pub fn from_junction(jt: JunctionTree, scores: Vec<f64>) -> Result<Self, PdbError> {
+        if jt.n_vars() != scores.len() {
+            return Err(PdbError::Structure(format!(
+                "{} scores for {} tuple variables",
+                scores.len(),
+                jt.n_vars()
+            )));
+        }
+        if let Some(t) = scores.iter().position(|s| s.is_nan()) {
+            return Err(PdbError::InvalidScore {
+                context: format!("tuple {}", TupleId(t as u32)),
+            });
+        }
+        Ok(NetworkRelation { jt, scores })
     }
 
     /// The underlying calibrated junction tree.

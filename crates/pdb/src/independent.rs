@@ -7,14 +7,20 @@
 
 use rand::Rng;
 
-use crate::tuple::{sort_indices_by_score_desc, Tuple, TupleId};
+use crate::tuple::{packed_desc, top_k_desc, Tuple, TupleId};
 use crate::worlds::{PossibleWorld, WorldEnumeration};
 use crate::{check_probability, PdbError};
 
 /// A probabilistic relation with mutually independent tuples.
+///
+/// The tuples are stored twice: in id order, and in the processing order
+/// of every ranking algorithm, score descending with ties by id. The
+/// second copy is sorted once at construction and kept exact by every
+/// mutation, so a query scans it front to back instead of sorting.
 #[derive(Clone, Debug, Default)]
 pub struct IndependentDb {
     tuples: Vec<Tuple>,
+    by_score: Vec<Tuple>,
 }
 
 impl IndependentDb {
@@ -26,16 +32,22 @@ impl IndependentDb {
             .enumerate()
             .map(|(i, (score, prob))| Tuple::new(TupleId(i as u32), score, prob))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(IndependentDb { tuples })
+        Ok(Self::from_tuples(tuples))
     }
 
     /// Builds a relation from already-validated tuples.
     ///
     /// # Panics
-    /// Panics in debug builds if tuple ids are not the dense range `0..n`.
+    /// Panics in debug builds if tuple ids are not the dense range `0..n`,
+    /// and in all builds if a score is NaN.
     pub fn from_tuples(tuples: Vec<Tuple>) -> Self {
         debug_assert!(tuples.iter().enumerate().all(|(i, t)| t.id.index() == i));
-        IndependentDb { tuples }
+        let scores: Vec<f64> = tuples.iter().map(|t| t.score).collect();
+        let by_score = top_k_desc(&scores, scores.len(), "scores must not be NaN")
+            .into_iter()
+            .map(|i| tuples[i])
+            .collect();
+        IndependentDb { tuples, by_score }
     }
 
     /// Number of tuples.
@@ -68,14 +80,18 @@ impl IndependentDb {
         self.tuples.iter().map(|t| t.prob).collect()
     }
 
-    /// Tuple ids sorted by score descending (ties by id) — the processing
-    /// order of every ranking algorithm.
-    pub fn ids_by_score_desc(&self) -> Vec<TupleId> {
-        let scores = self.scores();
-        sort_indices_by_score_desc(&scores)
-            .into_iter()
-            .map(|i| TupleId(i as u32))
-            .collect()
+    /// All tuples sorted by score descending, ties by id — the processing
+    /// order of every ranking algorithm, stored rather than recomputed.
+    pub fn by_score(&self) -> &[Tuple] {
+        &self.by_score
+    }
+
+    /// Where tuple `id` sits in [`Self::by_score`]: a binary search on its
+    /// `(score, id)` key.
+    fn score_position(&self, id: TupleId) -> usize {
+        let key = packed_desc(self.tuples[id.index()].score, id.index());
+        self.by_score
+            .partition_point(|t| packed_desc(t.score, t.id.index()) < key)
     }
 
     /// Expected size of a possible world, `C = Σᵢ pᵢ` (used by expected
@@ -92,15 +108,19 @@ impl IndependentDb {
             return Err(PdbError::Structure(format!("no tuple with id {idx}")));
         }
         check_probability(prob, || format!("tuple {idx}"))?;
-        let old = self.tuples[idx].prob;
-        self.tuples[idx].prob = prob;
-        Ok(old)
+        let pos = self.score_position(id);
+        self.by_score[pos].prob = prob;
+        Ok(std::mem::replace(&mut self.tuples[idx].prob, prob))
     }
 
-    /// Appends a new tuple with the next dense id, returning that id.
+    /// Appends a new tuple with the next dense id, returning that id. The
+    /// score order takes it by binary search plus a shift: `O(n)`.
     pub fn push_tuple(&mut self, score: f64, prob: f64) -> Result<TupleId, PdbError> {
         let id = TupleId(self.tuples.len() as u32);
-        self.tuples.push(Tuple::new(id, score, prob)?);
+        let tuple = Tuple::new(id, score, prob)?;
+        self.tuples.push(tuple);
+        let pos = self.score_position(id);
+        self.by_score.insert(pos, tuple);
         Ok(id)
     }
 
@@ -108,16 +128,23 @@ impl IndependentDb {
     /// stay the dense range `0..n`. Returns the removed tuple.
     ///
     /// Renumbering preserves the relative `(score desc, id asc)` order of the
-    /// survivors, so a cached score order can be patched by deletion plus
-    /// decrement instead of a re-sort.
+    /// survivors, so the score order is patched by one removal plus the
+    /// same decrement, `O(n)`, instead of a re-sort.
     pub fn remove_tuple(&mut self, id: TupleId) -> Result<Tuple, PdbError> {
         let idx = id.index();
         if idx >= self.tuples.len() {
             return Err(PdbError::Structure(format!("no tuple with id {idx}")));
         }
+        let pos = self.score_position(id);
+        self.by_score.remove(pos);
         let removed = self.tuples.remove(idx);
         for t in &mut self.tuples[idx..] {
             t.id = TupleId(t.id.0 - 1);
+        }
+        for t in &mut self.by_score {
+            if t.id.0 > id.0 {
+                t.id = TupleId(t.id.0 - 1);
+            }
         }
         Ok(removed)
     }
@@ -190,10 +217,7 @@ mod tests {
         assert_eq!(db.scores(), vec![30.0, 20.0, 10.0]);
         assert_eq!(db.probabilities(), vec![0.5, 0.6, 0.4]);
         assert!((db.expected_world_size() - 1.5).abs() < 1e-12);
-        assert_eq!(
-            db.ids_by_score_desc(),
-            vec![TupleId(0), TupleId(1), TupleId(2)]
-        );
+        assert_eq!(db.by_score(), db.tuples());
     }
 
     #[test]
@@ -255,9 +279,15 @@ mod tests {
 
         let id = db.push_tuple(25.0, 0.3).unwrap();
         assert_eq!(id, TupleId(3));
+        let ids = |db: &IndependentDb| db.by_score().iter().map(|t| t.id).collect::<Vec<_>>();
         assert_eq!(
-            db.ids_by_score_desc(),
+            ids(&db),
             vec![TupleId(0), TupleId(3), TupleId(1), TupleId(2)]
+        );
+        assert_eq!(
+            db.by_score()[2].prob,
+            0.9,
+            "reweights reach the score order"
         );
         assert!(db.push_tuple(f64::NAN, 0.5).is_err());
 
@@ -271,6 +301,7 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, t)| t.id.index() == i));
+        assert_eq!(ids(&db), vec![TupleId(0), TupleId(2), TupleId(1)]);
         assert!(db.remove_tuple(TupleId(3)).is_err());
     }
 

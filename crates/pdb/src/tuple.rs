@@ -52,31 +52,55 @@ impl Tuple {
     }
 }
 
-/// Sorts tuple indices by score, descending, breaking ties by tuple id so the
-/// order is total and deterministic.
+/// The canonical ranking order as one `u128`: `key` descending in the high
+/// word, `index` ascending in the low word, so ascending integer order is
+/// "best first, ties by index".
 ///
-/// All ranking algorithms in the workspace process tuples in this order; the
-/// paper assumes scores are totally ordered and treats ties as broken
-/// arbitrarily-but-consistently.
-pub fn sort_indices_by_score_desc(scores: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .expect("scores must not be NaN")
-            .then(a.cmp(&b))
-    });
-    idx
+/// The high word maps `key` order-reversingly onto `u64`: `-0.0` is
+/// folded onto `0.0` first (the two compare equal, so they must tie by
+/// index), then the sign-magnitude bits are remapped so that unsigned
+/// order is float order, and complemented. `±∞` and subnormals keep their
+/// place in the float order; NaN has none (callers reject it).
+#[inline]
+pub fn packed_desc(key: f64, index: usize) -> u128 {
+    let bits = if key == 0.0 { 0 } else { key.to_bits() };
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (u128::from(!ascending) << 64) | index as u128
 }
 
-/// Compares two tuples by `(score desc, id asc)` — the canonical ranking
-/// order used throughout the workspace.
-#[inline]
-pub fn score_desc_order(a: &Tuple, b: &Tuple) -> std::cmp::Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .expect("scores must not be NaN")
-        .then(a.id.cmp(&b.id))
+/// Indices of the `k` largest `keys`, best first: key descending, ties by
+/// index ascending (a total order, so the result is deterministic). `k ≥
+/// len` sorts everything; smaller `k` selects the best `k` with
+/// `select_nth_unstable` and sorts only those, giving exactly the full
+/// sort's prefix.
+///
+/// This is the workspace's one `f64` sort: every score order and every
+/// ranking is built here, as an unstable sort of [`packed_desc`] keys.
+/// Already-sorted input (score-sorted shards) costs one linear pass.
+///
+/// # Panics
+/// Panics with `nan_message` when a key is NaN.
+pub fn top_k_desc(keys: &[f64], k: usize, nan_message: &str) -> Vec<usize> {
+    let mut packed: Vec<u128> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &key)| {
+            assert!(!key.is_nan(), "{nan_message}");
+            packed_desc(key, i)
+        })
+        .collect();
+    if k < packed.len() {
+        if k > 0 {
+            packed.select_nth_unstable(k - 1);
+        }
+        packed.truncate(k);
+    }
+    packed.sort_unstable();
+    packed.into_iter().map(|p| p as u64 as usize).collect()
 }
 
 #[cfg(test)]
@@ -97,19 +121,36 @@ mod tests {
     #[test]
     fn sorting_is_deterministic_under_ties() {
         let scores = [5.0, 9.0, 5.0, 1.0];
-        let order = sort_indices_by_score_desc(&scores);
-        assert_eq!(order, vec![1, 0, 2, 3]);
+        assert_eq!(top_k_desc(&scores, 4, "no NaN"), vec![1, 0, 2, 3]);
+        assert_eq!(top_k_desc(&scores, 2, "no NaN"), vec![1, 0]);
+        assert!(top_k_desc(&scores, 0, "no NaN").is_empty());
     }
 
     #[test]
-    fn order_comparator_matches_sort() {
-        let a = Tuple::new(TupleId(0), 5.0, 0.5).unwrap();
-        let b = Tuple::new(TupleId(1), 5.0, 0.9).unwrap();
-        let c = Tuple::new(TupleId(2), 7.0, 0.1).unwrap();
-        let mut v = [b, a, c];
-        v.sort_by(score_desc_order);
-        assert_eq!(v[0].id, TupleId(2));
-        assert_eq!(v[1].id, TupleId(0));
-        assert_eq!(v[2].id, TupleId(1));
+    fn packed_keys_follow_the_float_order() {
+        let ascending = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::INFINITY,
+        ];
+        for w in ascending.windows(2) {
+            assert!(packed_desc(w[1], 0) < packed_desc(w[0], 0), "{w:?}");
+        }
+        // Signed zeros compare equal, so they tie by index.
+        assert_eq!(packed_desc(-0.0, 3), packed_desc(0.0, 3));
+        assert!(packed_desc(-0.0, 1) < packed_desc(0.0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "scores must not be NaN")]
+    fn nan_keys_panic_with_the_given_message() {
+        top_k_desc(&[1.0, f64::NAN], 2, "scores must not be NaN");
     }
 }

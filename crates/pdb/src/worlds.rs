@@ -6,7 +6,7 @@
 //! (`r_pw(t)`, with `∞` for absent tuples), and a small enumeration container
 //! used by brute-force test oracles.
 
-use crate::tuple::{sort_indices_by_score_desc, TupleId};
+use crate::tuple::{top_k_desc, TupleId};
 
 /// A single possible world: the set of present tuples.
 ///
@@ -75,18 +75,16 @@ impl PossibleWorld {
     /// The present tuples ordered by rank (score descending, id ascending) —
     /// the world's deterministic top-list.
     pub fn ranked(&self, scores: &[f64]) -> Vec<TupleId> {
-        let local_scores: Vec<f64> = self.present.iter().map(|t| scores[t.index()]).collect();
-        sort_indices_by_score_desc(&local_scores)
-            .into_iter()
-            .map(|i| self.present[i])
-            .collect()
+        self.top_k(scores, self.present.len())
     }
 
     /// The top-`k` prefix of [`PossibleWorld::ranked`].
     pub fn top_k(&self, scores: &[f64], k: usize) -> Vec<TupleId> {
-        let mut r = self.ranked(scores);
-        r.truncate(k);
-        r
+        let local_scores: Vec<f64> = self.present.iter().map(|t| scores[t.index()]).collect();
+        top_k_desc(&local_scores, k, "scores must not be NaN")
+            .into_iter()
+            .map(|i| self.present[i])
+            .collect()
     }
 }
 

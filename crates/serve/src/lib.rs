@@ -28,8 +28,9 @@
 //!   per-relation FIFO ordering — a slow relation's walk occupies one
 //!   worker while every other relation keeps flushing on the rest;
 //! * registration **prepares** each relation
-//!   ([`prf_core::query::PreparedRelation`]): the score sort and compiled
-//!   evaluation plan are built once and reused by every flush;
+//!   ([`prf_core::query::PreparedRelation`]): a tree's score sort and
+//!   compiled evaluation plan are built once and reused by every flush
+//!   (an independent relation stores its score order already);
 //! * queues can be **bounded** ([`ServeConfig::max_pending`]) — admission
 //!   control: [`RankServer::submit`] blocks at the bound (backpressure)
 //!   and [`RankServer::try_submit`] sheds with

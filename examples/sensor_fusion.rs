@@ -66,7 +66,8 @@ fn main() {
     // The unified engine on a graphical backend: wrap the chain's Markov
     // network in the ranking adapter and run the *same* PT(2) query that
     // works on independent relations and trees.
-    let rel = NetworkRelation::new(&chain.to_network(), scores.to_vec());
+    let rel =
+        NetworkRelation::new(&chain.to_network(), scores.to_vec()).expect("one score per sensor");
     let result = RankQuery::pt(2).run(&rel).expect("PT on a Markov network");
     let correlated = result.values.as_complex().expect("exact PT values");
     let rc = &result.ranking;

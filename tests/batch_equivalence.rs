@@ -101,7 +101,7 @@ fn random_network(seed: u64, n: usize) -> NetworkRelation {
     }
     let net = MarkovNetwork::new(n, factors);
     let scores: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..100.0)).collect();
-    NetworkRelation::new(&net, scores)
+    NetworkRelation::new(&net, scores).expect("valid scores")
 }
 
 // ---------------------------------------------------------------------

@@ -67,6 +67,7 @@ fn singleton_network(pairs: &[(f64, f64)]) -> NetworkRelation {
         .collect();
     let net = MarkovNetwork::new(pairs.len(), factors);
     NetworkRelation::new(&net, pairs.iter().map(|&(s, _)| s).collect())
+        .expect("one finite score per variable")
 }
 
 /// Every `Semantics` variant, parameterised for an `n`-tuple relation.

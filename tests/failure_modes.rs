@@ -54,6 +54,37 @@ fn nan_scores_are_rejected() {
     ));
 }
 
+/// A NaN score used to be accepted by the junction-tree adapter and then
+/// panic the first query; a score count that differs from the variable
+/// count used to panic at construction. Both are construction errors now.
+#[test]
+fn network_relation_validates_its_scores() {
+    use prf::graphical::{Factor, MarkovNetwork, NetworkRelation, VarId};
+    let net = MarkovNetwork::new(
+        2,
+        vec![Factor::new(
+            vec![VarId(0), VarId(1)],
+            vec![0.3, 0.1, 0.1, 0.5],
+        )],
+    );
+    assert!(matches!(
+        NetworkRelation::new(&net, vec![f64::NAN, 1.0]),
+        Err(PdbError::InvalidScore { .. })
+    ));
+    assert!(matches!(
+        NetworkRelation::new(&net, vec![1.0]),
+        Err(PdbError::Structure(_))
+    ));
+    assert!(matches!(
+        NetworkRelation::from_junction(net.junction_tree(), vec![3.0, 2.0, 1.0]),
+        Err(PdbError::Structure(_))
+    ));
+    // Infinite scores are ordered, so they rank.
+    let rel = NetworkRelation::new(&net, vec![f64::INFINITY, 1.0]).unwrap();
+    let top = RankQuery::pt(1).run(&rel).unwrap();
+    assert_eq!(top.ranking.order()[0], TupleId(0));
+}
+
 #[test]
 fn overfull_xor_nodes_fail_at_build() {
     let mut b = TreeBuilder::new(NodeKind::Xor);

@@ -4,7 +4,8 @@
 //! return the same ranking and values (within 1e-9) through the prepared
 //! wrapper as against the raw relation, on every backend:
 //!
-//! * `IndependentDb` — prepares the score order;
+//! * `IndependentDb` — prepares **nothing**: it stores its score order
+//!   from construction on, so its walk ignores the (empty) state;
 //! * `AndXorTree` — prepares order, positions, marginals and the
 //!   [`EvalPlan`] skeleton;
 //! * `NetworkRelation` — prepares **nothing** (the graphical adapter has
@@ -86,7 +87,7 @@ fn random_network(seed: u64, n: usize) -> NetworkRelation {
     }
     let net = MarkovNetwork::new(n, factors);
     let scores: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..100.0)).collect();
-    NetworkRelation::new(&net, scores)
+    NetworkRelation::new(&net, scores).expect("valid scores")
 }
 
 // ---------------------------------------------------------------------
@@ -301,7 +302,10 @@ fn prepared_batches_match_raw_on_networks_across_flushes() {
 #[test]
 fn prepared_state_presence_matches_backend_support() {
     let db = PreparedRelation::from_relation(random_db(1, 12));
-    assert!(!db.state().is_empty(), "independent relations prepare");
+    assert!(
+        db.state().is_empty(),
+        "independent relations store their score order: nothing to prepare"
+    );
     let tree = PreparedRelation::from_relation(random_general_tree(1, 12));
     assert!(!tree.state().is_empty(), "trees prepare");
     let net = PreparedRelation::from_relation(random_network(1, 6));

@@ -205,3 +205,113 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The packed-key sort primitive against the comparator sort it replaced
+// ---------------------------------------------------------------------
+
+use prf::pdb::tuple::top_k_desc;
+use prf::pdb::Tuple;
+
+/// Adversarial keys: equal runs, both signed zeros, ±∞, subnormals and
+/// the extremes of the normal range.
+const KEY_POOL: [f64; 12] = [
+    f64::NEG_INFINITY,
+    -1e308,
+    -1.0,
+    -5e-324,
+    -0.0,
+    0.0,
+    5e-324,
+    f64::MIN_POSITIVE,
+    0.5,
+    1.0,
+    1e308,
+    f64::INFINITY,
+];
+
+/// The comparator sort the packed primitive replaced: key descending, ties
+/// by index ascending.
+fn comparator_order(keys: &[f64]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..keys.len()).collect();
+    idx.sort_by(|&a, &b| keys[b].partial_cmp(&keys[a]).unwrap().then(a.cmp(&b)));
+    idx
+}
+
+/// The comparator sort of tuples by `(score desc, id asc)`.
+fn comparator_tuples(tuples: &[Tuple]) -> Vec<Tuple> {
+    let scores: Vec<f64> = tuples.iter().map(|t| t.score).collect();
+    comparator_order(&scores)
+        .into_iter()
+        .map(|i| tuples[i])
+        .collect()
+}
+
+fn tuple_bits(tuples: &[Tuple]) -> Vec<(u32, u64, u64)> {
+    tuples
+        .iter()
+        .map(|t| (t.id.0, t.score.to_bits(), t.prob.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Full sorts and top-k selections at k ∈ {0, 1, n−1, n, n+1} give
+    /// exactly the comparator sort's prefix; rankings built on the
+    /// primitive report each key with its original bits (so `-0.0` stays
+    /// `-0.0` even though it ties with `0.0`).
+    #[test]
+    fn packed_order_matches_the_comparator_sort(
+        picks in proptest::collection::vec(0usize..KEY_POOL.len(), 0..40),
+    ) {
+        let keys: Vec<f64> = picks.iter().map(|&i| KEY_POOL[i]).collect();
+        let n = keys.len();
+        let want = comparator_order(&keys);
+        for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+            let got = top_k_desc(&keys, k, "no NaN");
+            prop_assert_eq!(&got[..], &want[..k.min(n)], "k={}", k);
+            let ranking = Ranking::from_keys_topk(&keys, k);
+            let ids: Vec<usize> = ranking.order().iter().map(|t| t.index()).collect();
+            prop_assert_eq!(&ids[..], &want[..k.min(n)], "ranking k={}", k);
+            for (pos, &i) in ids.iter().enumerate() {
+                prop_assert_eq!(ranking.key_at(pos).to_bits(), keys[i].to_bits());
+            }
+        }
+    }
+
+    /// `IndependentDb`'s stored score order stays exactly the comparator
+    /// sort of its tuples through a script of inserts, deletes and
+    /// reweights over tied and signed-zero scores.
+    #[test]
+    fn stored_score_order_survives_mutation_scripts(
+        initial in proptest::collection::vec((0usize..KEY_POOL.len(), 0.0f64..=1.0), 0..12),
+        script in proptest::collection::vec(
+            (0u32..3, 0usize..KEY_POOL.len(), 0.0f64..=1.0, 0usize..1000),
+            1..40,
+        ),
+    ) {
+        let mut db = IndependentDb::from_pairs(initial.iter().map(|&(s, p)| (KEY_POOL[s], p)))
+            .expect("valid pairs");
+        prop_assert_eq!(tuple_bits(db.by_score()), tuple_bits(&comparator_tuples(db.tuples())));
+        for (step, &(op, s, p, pick)) in script.iter().enumerate() {
+            match op {
+                0 => {
+                    db.push_tuple(KEY_POOL[s], p).expect("valid tuple");
+                }
+                _ if db.is_empty() => continue,
+                1 => {
+                    db.remove_tuple(TupleId((pick % db.len()) as u32)).expect("present");
+                }
+                _ => {
+                    db.set_prob(TupleId((pick % db.len()) as u32), p).expect("present");
+                }
+            }
+            prop_assert_eq!(
+                tuple_bits(db.by_score()),
+                tuple_bits(&comparator_tuples(db.tuples())),
+                "step {}", step
+            );
+        }
+    }
+}

@@ -460,7 +460,7 @@ fn graphical_backend_matches_junction_kernels() {
     }
     let net = MarkovNetwork::new(n, factors);
     let scores: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..100.0)).collect();
-    let rel = NetworkRelation::new(&net, scores.clone());
+    let rel = NetworkRelation::new(&net, scores.clone()).expect("valid scores");
     let jt = net.junction_tree();
 
     // PT(h) ≡ prf_rank_junction with the step weight.

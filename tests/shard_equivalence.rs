@@ -373,7 +373,7 @@ fn backends_without_gf_hooks_are_rejected() {
             vec![0.4, 0.3, 0.2, 0.1],
         )],
     );
-    let rel = NetworkRelation::new(&net, vec![2.0, 1.0]);
+    let rel = NetworkRelation::new(&net, vec![2.0, 1.0]).expect("valid scores");
     let err = ShardedRelation::new(vec![Arc::new(rel)], 1).unwrap_err();
     match err {
         ShardError::Unsupported { shard, class } => {
