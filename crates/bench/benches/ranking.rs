@@ -5,7 +5,8 @@
 //! queries at the paper's scale: an `IndependentDb` sorts its tuples by
 //! score once, when it is built, so the sort shows up under
 //! `construct_from_pairs` and the queries pay only the scan and the
-//! ranking. Measure mode runs n = 10⁶ and prints the process's peak RSS;
+//! ranking. The top-100 queries stop their scan once the answer is
+//! settled. Measure mode runs n = 10⁶ and prints the process's peak RSS;
 //! smoke mode (CI test job) shrinks to n = 20 000.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -105,6 +106,12 @@ fn bench_one_shot(c: &mut Criterion) {
     });
     g.bench_function("pt_100_top_100", |b| {
         b.iter(|| black_box(RankQuery::pt(100).top_k(100).run(&db)))
+    });
+    g.bench_function("prfe_0.9_top_100", |b| {
+        b.iter(|| black_box(RankQuery::prfe(0.9).top_k(100).run(&db)))
+    });
+    g.bench_function("erank_top_100", |b| {
+        b.iter(|| black_box(RankQuery::erank().top_k(100).run(&db)))
     });
     g.finish();
     if measure_mode() {

@@ -20,7 +20,10 @@
 //! Unlike Eq. (2) of the paper we never divide by `Pr(tᵢ₋₁)`, so zero
 //! probabilities need no special-casing.
 
+use std::collections::BinaryHeap;
+
 use prf_numeric::{Complex, GfValue, Poly, Scaled};
+use prf_pdb::tuple::packed_desc;
 use prf_pdb::{IndependentDb, Tuple};
 
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
@@ -158,8 +161,9 @@ pub fn prfe_rank_scaled(db: &IndependentDb, alpha: Complex) -> Vec<Scaled<Comple
 /// Σ_{j<i} ln(1 − pⱼ + pⱼα)` — the cheapest underflow-free form
 /// for `α ∈ (0, 1]`.
 ///
-/// Tuples with `p = 0` (or `α = 0` beyond the first position) get
-/// `-∞` keys. Returns keys indexed by tuple id; higher key = better rank.
+/// Tuples with `p = 0` get `-∞` keys, and so does every tuple when
+/// `α = 0`, since `Υ = p·α·G` vanishes. Returns keys indexed by tuple id;
+/// higher key = better rank.
 pub fn prfe_rank_log(db: &IndependentDb, alpha: f64) -> Vec<f64> {
     assert!(
         (0.0..=1.0).contains(&alpha),
@@ -213,115 +217,330 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 /// [`prfe_rank_scaled`], `expected_ranks_independent`): the loop bodies
 /// are the same operations in the same order.
 ///
+/// `limits` (parallel to the requests, missing entries `None`) caps
+/// consumers at a `top_k`. A capped PT, real-α PRFe (`α ∈ [0, 1]`, any
+/// mode) or expected-ranks consumer stops at the first score position
+/// whose bound on every unread tuple's ranking key ([`Cut`]) is strictly
+/// below its `k`-th best key so far; the walk ends once every consumer
+/// has stopped or the order is exhausted. A stopped consumer's answer is
+/// exact on its visited prefix, reported in [`SharedWalkOut::prefixes`],
+/// and holds the worst value of its shape beyond it. The stop point
+/// depends only on the relation and that consumer's request and `k`.
+///
 /// Returns `None` when the spec's cancellation token trips mid-walk (every
-/// consumer gave up — see `SharedWalkSpec::cancel`).
+/// consumer gave up — see `SharedWalkSpec::cancel`), and for a log-domain
+/// request whose α is outside `[0, 1]` or NaN, which this recurrence
+/// cannot serve.
 pub(crate) fn batch_walk_independent(
     db: &IndependentDb,
     spec: &SharedWalkSpec,
+    limits: &[Option<usize>],
 ) -> Option<SharedWalkOut> {
     let start = std::time::Instant::now();
     let n = db.len();
 
     // Parse the requests into per-kind accumulators.
-    enum Acc<'w> {
-        /// The weight and its extraction cap — reads the shared prefix
-        /// polynomial.
-        Weight(&'w (dyn WeightFunction + Send + Sync), usize),
-        /// Running `Gᵢ(α)` in plain complex arithmetic.
-        Complex(Complex, Complex),
-        /// Running `ln Gᵢ(α)`.
-        Log(f64, f64),
-        /// Running `Gᵢ(α)` in scaled arithmetic.
-        Scaled(Scaled<Complex>, Scaled<Complex>, Complex),
-        /// Running probability mass of the higher-scored tuples, and the
-        /// expected world size `C`.
-        Ranks(f64, f64),
-    }
-    let mut cap_max = 0usize;
-    let mut accs: Vec<Acc> = spec
-        .requests
-        .iter()
-        .map(|req| match req {
+    let mut accs = Vec::with_capacity(spec.requests.len());
+    let mut cuts = Vec::with_capacity(spec.requests.len());
+    let real_unit = |a: &Complex| a.im == 0.0 && (0.0..=1.0).contains(&a.re);
+    for (i, req) in spec.requests.iter().enumerate() {
+        let (acc, bounded) = match req {
             SharedRequest::Weight(w) => {
-                let c = req.weight_cap(n).expect("weight request has a cap");
-                cap_max = cap_max.max(c);
-                Acc::Weight(w.as_ref(), c)
+                let cap = req.weight_cap(n).expect("weight request has a cap");
+                (Acc::Weight(w.as_ref(), cap), w.is_step())
             }
-            SharedRequest::PrfeComplex(a) => Acc::Complex(Complex::ONE, *a),
+            SharedRequest::PrfeComplex(a) => (Acc::Complex(Complex::ONE, *a), real_unit(a)),
             SharedRequest::PrfeLog(a) => {
-                assert!(
-                    (0.0..=1.0).contains(a),
-                    "log-domain PRFe requires α ∈ [0, 1], got {a}"
-                );
-                Acc::Log(0.0, *a)
+                if !(0.0..=1.0).contains(a) {
+                    return None;
+                }
+                (Acc::Log(0.0, *a), true)
             }
-            SharedRequest::PrfeScaled(a) => {
-                Acc::Scaled(Scaled::<Complex>::one(), Scaled::new(*a), *a)
-            }
-            SharedRequest::ExpectedRanks => Acc::Ranks(0.0, db.expected_world_size()),
+            SharedRequest::PrfeScaled(a) => (
+                Acc::Scaled(Scaled::<Complex>::one(), Scaled::new(*a), *a),
+                real_unit(a),
+            ),
+            SharedRequest::ExpectedRanks => (Acc::Ranks(0.0, db.expected_world_size()), true),
+        };
+        accs.push(acc);
+        // A cap of n or more can never stop before the order runs out.
+        let k = limits.get(i).copied().flatten().filter(|&k| k < n);
+        cuts.push(k.filter(|_| bounded).map(Cut::new));
+    }
+    let mut answers = spec.answer_buffers(n);
+    // Uncapped walks (the common full ranking) compile without the cut
+    // bookkeeping.
+    if cuts.iter().any(Option::is_some) {
+        scan::<true>(db, spec, &mut accs, &mut answers, &mut cuts)?;
+    } else {
+        scan::<false>(db, spec, &mut accs, &mut answers, &mut cuts)?;
+    }
+
+    let prefixes = cuts
+        .iter()
+        .map(|cut| {
+            let visited = &db.by_score()[..cut.as_ref()?.stop?];
+            Some(visited.iter().map(|t| t.id).collect())
         })
         .collect();
+    Some(SharedWalkOut {
+        answers,
+        stats: None, // closed-form kernels: no incremental evaluator
+        walk_seconds: start.elapsed().as_secs_f64(),
+        prefixes,
+    })
+}
 
-    let mut answers = spec.answer_buffers(n);
-    // The shared prefix polynomial, capped at the largest horizon.
+/// The score-order loop of [`batch_walk_independent`]: evaluates every
+/// consumer at every position, stopping `CAPPED` consumers at their cuts
+/// and the loop once all have stopped. `None` when cancelled.
+fn scan<const CAPPED: bool>(
+    db: &IndependentDb,
+    spec: &SharedWalkSpec,
+    accs: &mut [Acc],
+    answers: &mut [SharedAnswer],
+    cuts: &mut [Option<Cut>],
+) -> Option<()> {
+    let n = db.len();
+    // The largest horizon a walking weight consumer reads.
+    let poly_cap = |accs: &[Acc], cuts: &[Option<Cut>]| {
+        accs.iter()
+            .zip(cuts)
+            .filter_map(|(acc, cut)| match acc {
+                Acc::Weight(_, cap) if !cut.as_ref().is_some_and(Cut::stopped) => Some(*cap),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    };
+    let mut cap_max = poly_cap(accs, cuts);
+    let mut walking = accs.len();
+    // The shared prefix polynomial, capped at the largest horizon still
+    // read.
     let mut g_poly = Poly::one();
     for (step, t) in db.by_score().iter().enumerate() {
+        if CAPPED && walking == 0 {
+            break;
+        }
         // Cooperative cancellation: abandon the walk once every consumer
         // has given up (polled every 256 score steps).
         if step & 0xFF == 0 && spec.is_cancelled() {
             return None;
         }
-        let id = t.id.index();
-        for (acc, answer) in accs.iter_mut().zip(&mut answers) {
-            match (acc, answer) {
-                (Acc::Weight(omega, cap), SharedAnswer::Complex(buf)) => {
-                    // Identical loop to `prf_rank_truncated`.
-                    let mut upsilon = Complex::ZERO;
-                    for (m, &c) in g_poly.coeffs().iter().enumerate().take(*cap) {
-                        if c != 0.0 {
-                            upsilon += omega.weight(t, m + 1) * c;
-                        }
-                    }
-                    buf[id] = upsilon * t.prob;
+        let mut weight_stopped = false;
+        for ((acc, answer), cut) in accs.iter_mut().zip(answers.iter_mut()).zip(cuts.iter_mut()) {
+            if let (true, Some(cut)) = (CAPPED, &mut *cut) {
+                if cut.stopped() {
+                    continue;
                 }
-                (Acc::Complex(g, alpha), SharedAnswer::Complex(buf)) => {
-                    // Identical recurrence to `prfe_rank`.
-                    buf[id] = *g * *alpha * t.prob;
-                    *g *= Complex::real(1.0 - t.prob) + *alpha * t.prob;
+                if cut.stops_at(step, acc.bound(&g_poly, n)) {
+                    walking -= 1;
+                    weight_stopped |= matches!(acc, Acc::Weight(..));
+                    continue;
                 }
-                (Acc::Log(log_g, alpha), SharedAnswer::Log(buf)) => {
-                    // Identical recurrence to `prfe_rank_log`.
-                    if t.prob > 0.0 && *alpha > 0.0 && *log_g > f64::NEG_INFINITY {
-                        buf[id] = *log_g + t.prob.ln() + alpha.ln();
-                    }
-                    *log_g += (1.0 - t.prob + t.prob * *alpha).ln();
-                }
-                (Acc::Scaled(g, alpha_s, alpha), SharedAnswer::Scaled(buf)) => {
-                    // Identical recurrence to `prfe_rank_scaled`.
-                    buf[id] = g.mul(alpha_s).scale(t.prob);
-                    let factor = Scaled::new(Complex::real(1.0 - t.prob) + *alpha * t.prob);
-                    *g = g.mul(&factor);
-                }
-                (Acc::Ranks(prefix, c), SharedAnswer::Ranks(buf)) => {
-                    // Identical recurrence to `expected_ranks_independent`.
-                    let er1 = t.prob * (1.0 + *prefix);
-                    let er2 = (1.0 - t.prob) * (*c - t.prob);
-                    buf[id] = er1 + er2;
-                    *prefix += t.prob;
-                }
-                _ => unreachable!("accumulator shape matches answer shape"),
             }
+            acc.eval(answer, t, &g_poly);
+            if let (true, Some(cut)) = (CAPPED, cut) {
+                cut.offer(answer.walk_key(t.id.index()), t.id.index());
+            }
+        }
+        if weight_stopped {
+            cap_max = poly_cap(accs, cuts);
         }
         if cap_max > 0 {
             g_poly.mul_linear_in_place(1.0 - t.prob, t.prob, cap_max);
         }
     }
+    Some(())
+}
 
-    Some(SharedWalkOut {
-        answers,
-        stats: None, // closed-form kernels: no incremental evaluator
-        walk_seconds: start.elapsed().as_secs_f64(),
-    })
+/// One consumer's running state in [`batch_walk_independent`].
+enum Acc<'w> {
+    /// The weight and its extraction cap — reads the shared prefix
+    /// polynomial.
+    Weight(&'w (dyn WeightFunction + Send + Sync), usize),
+    /// Running `Gᵢ(α)` in plain complex arithmetic.
+    Complex(Complex, Complex),
+    /// Running `ln Gᵢ(α)`.
+    Log(f64, f64),
+    /// Running `Gᵢ(α)` in scaled arithmetic.
+    Scaled(Scaled<Complex>, Scaled<Complex>, Complex),
+    /// Running probability mass of the higher-scored tuples, and the
+    /// expected world size `C`.
+    Ranks(f64, f64),
+}
+
+impl Acc<'_> {
+    /// Evaluates tuple `t` into `answer` and advances the running state;
+    /// `g_poly` is the shared prefix polynomial, advanced by the caller.
+    /// The same operations in the same order as the closed-form kernels.
+    #[inline(always)]
+    fn eval(&mut self, answer: &mut SharedAnswer, t: &Tuple, g_poly: &Poly) {
+        let id = t.id.index();
+        match (self, answer) {
+            (Acc::Weight(omega, cap), SharedAnswer::Complex(buf)) => {
+                // Identical loop to `prf_rank_truncated`.
+                let mut upsilon = Complex::ZERO;
+                for (m, &c) in g_poly.coeffs().iter().enumerate().take(*cap) {
+                    if c != 0.0 {
+                        upsilon += omega.weight(t, m + 1) * c;
+                    }
+                }
+                buf[id] = upsilon * t.prob;
+            }
+            (Acc::Complex(g, alpha), SharedAnswer::Complex(buf)) => {
+                // Identical recurrence to `prfe_rank`.
+                buf[id] = *g * *alpha * t.prob;
+                *g *= Complex::real(1.0 - t.prob) + *alpha * t.prob;
+            }
+            (Acc::Log(log_g, alpha), SharedAnswer::Log(buf)) => {
+                // Identical recurrence to `prfe_rank_log`.
+                if t.prob > 0.0 && *alpha > 0.0 && *log_g > f64::NEG_INFINITY {
+                    buf[id] = *log_g + t.prob.ln() + alpha.ln();
+                }
+                *log_g += (1.0 - t.prob + t.prob * *alpha).ln();
+            }
+            (Acc::Scaled(g, alpha_s, alpha), SharedAnswer::Scaled(buf)) => {
+                // Identical recurrence to `prfe_rank_scaled`.
+                buf[id] = g.mul(alpha_s).scale(t.prob);
+                let factor = Scaled::new(Complex::real(1.0 - t.prob) + *alpha * t.prob);
+                *g = g.mul(&factor);
+            }
+            (Acc::Ranks(prefix, c), SharedAnswer::Ranks(buf)) => {
+                // Identical recurrence to `expected_ranks_independent`.
+                let er1 = t.prob * (1.0 + *prefix);
+                let er2 = (1.0 - t.prob) * (*c - t.prob);
+                buf[id] = er1 + er2;
+                *prefix += t.prob;
+            }
+            _ => unreachable!("accumulator shape matches answer shape"),
+        }
+    }
+
+    /// A capped consumer's bound on the ranking key of the tuple at the
+    /// current score position and of every later one (see [`Cut`]):
+    /// the tuple's value before its `p` factor for PT and PRFe, the mass
+    /// above for expected ranks. `g_poly` is the shared prefix polynomial.
+    fn bound(&self, g_poly: &Poly, n: usize) -> f64 {
+        match self {
+            Acc::Weight(_, cap) => Cut::linear(g_poly.coeffs().iter().take(*cap).sum(), n + cap),
+            Acc::Complex(g, alpha) => Cut::linear((*g * *alpha).re, n),
+            Acc::Log(log_g, alpha) => Cut::log(log_g + alpha.ln(), n),
+            Acc::Scaled(g, alpha_s, _) => Cut::log(g.mul(alpha_s).magnitude_key(), n),
+            Acc::Ranks(mass_above, c) => Cut::ranks(*mass_above, *c),
+        }
+    }
+}
+
+impl SharedAnswer {
+    /// The ranking key of tuple `id` a capped consumer tracks (see [`Cut`]).
+    fn walk_key(&self, id: usize) -> f64 {
+        match self {
+            SharedAnswer::Complex(buf) => buf[id].re,
+            SharedAnswer::Log(buf) => buf[id],
+            SharedAnswer::Scaled(buf) => buf[id].magnitude_key(),
+            SharedAnswer::Ranks(buf) => -buf[id],
+        }
+    }
+}
+
+/// The early-termination state of one capped walk consumer: its `k` best
+/// ranking keys so far, and where it stopped.
+///
+/// A consumer's *ranking key* here is the key finalization ranks by, or a
+/// monotone function of it: `ℜ(Υ)` for plain values (the real, non-negative
+/// Υ of PT and real-α PRFe have `|Υ| = ℜ(Υ)`), `log₂|Υ|` for scaled values
+/// (their real-part key orders the same), `ln Υ` for log keys and `−er`
+/// for expected ranks. Bounds on the keys of unread tuples, for a consumer
+/// at score position `i`:
+///
+/// * PT(h): `Υ(tⱼ) = pⱼ·Σ_{m<h} Gⱼ[m] ≤ Σ_{m<h} Gᵢ[m]` for `j ≥ i`, since
+///   the probability that fewer than `h` higher-scored tuples exist only
+///   shrinks down the order;
+/// * PRFe, real `α ∈ [0, 1]`: every factor `1 − p + pα` lies in `[α, 1]`,
+///   so `Υ(tⱼ) = pⱼ·α·Gⱼ(α) ≤ α·Gᵢ(α)`;
+/// * expected ranks: `erⱼ = (1 − pⱼ)·C + pⱼ·(Aⱼ + pⱼ) ≥ min(C, Aᵢ)`, with
+///   `Aⱼ ≥ Aᵢ` the mass above `tⱼ`.
+///
+/// Each bound is taken from the same floating-point state the values are
+/// computed from and widened by an explicit rounding slack ([`Cut::linear`],
+/// [`Cut::log`], [`Cut::ranks`]), so an unread tuple's *computed* key is
+/// strictly below the `k`-th best visited one and the top `k` of the
+/// visited prefix — ties by tuple id — is the top `k` of the relation.
+struct Cut {
+    k: usize,
+    /// Packed `(key, id)` ([`packed_desc`]) of the best `k` tuples so far,
+    /// in a max-heap: the root is the `k`-th best.
+    best: BinaryHeap<u128>,
+    /// The score position the consumer stopped at (tuples evaluated).
+    stop: Option<usize>,
+}
+
+impl Cut {
+    fn new(k: usize) -> Self {
+        Cut {
+            k,
+            best: BinaryHeap::with_capacity(k),
+            stop: None,
+        }
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.is_some()
+    }
+
+    /// Stops the consumer at `step` when `bound`, an upper bound on the
+    /// key of the tuple at `step` and of every later one, is strictly
+    /// below the `k`-th best key so far (at once for `k = 0`).
+    fn stops_at(&mut self, step: usize, bound: f64) -> bool {
+        // The high word of a packed key orders keys descending.
+        let below_kth = |&kth: &u128| packed_desc(bound, 0) >> 64 > kth >> 64;
+        if self.k == 0 || (self.best.len() == self.k && self.best.peek().is_some_and(below_kth)) {
+            self.stop = Some(step);
+        }
+        self.stopped()
+    }
+
+    /// Records the key of a visited tuple.
+    fn offer(&mut self, key: f64, id: usize) {
+        let packed = packed_desc(key, id);
+        if self.best.len() < self.k {
+            self.best.push(packed);
+        } else if let Some(mut kth) = self.best.peek_mut() {
+            if packed < *kth {
+                *kth = packed;
+            }
+        }
+    }
+
+    /// A bound on linear values (PT, plain PRFe). The computed prefix
+    /// state of later positions can exceed the exact one by a relative
+    /// `(3n + h)·ε`-order error (one rounding per product and sum of the
+    /// recurrence, each factor at most one ulp above 1) and by one
+    /// subnormal step per operation once it underflows; `ops` counts
+    /// those operations, and the slack is four times that.
+    fn linear(bound: f64, ops: usize) -> f64 {
+        let slack = (4 * ops + 16) as f64;
+        bound * (1.0 + slack * f64::EPSILON) + slack * f64::from_bits(1)
+    }
+
+    /// A bound on logarithmic keys (`ln Υ`, `log₂|Υ|`): up to `2ε` of drift
+    /// per later factor, widened to `6ε`, plus the rounding of the key
+    /// itself. An exact-zero bound (`−∞`) needs no slack.
+    fn log(bound: f64, n: usize) -> f64 {
+        if bound == f64::NEG_INFINITY {
+            return bound;
+        }
+        bound + ((6 * n + 24) as f64 + 4.0 * bound.abs()) * f64::EPSILON
+    }
+
+    /// A bound on `−er` from the mass above position `i` and the expected
+    /// world size: a handful of roundings on values of size `C + A`, taken
+    /// sixteen times over.
+    fn ranks(mass_above: f64, world_size: f64) -> f64 {
+        let slack = 16.0 * f64::EPSILON * (world_size.abs() + mass_above + 4.0);
+        slack - world_size.min(mass_above)
+    }
 }
 
 /// Evaluates Υ from an explicit rank distribution — the textbook definition,

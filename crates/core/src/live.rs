@@ -482,11 +482,15 @@ struct LiveInner<B> {
 }
 
 impl<B: MutableRelation> LiveInner<B> {
-    fn walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
+    /// The log-key cache when it covers the whole spec (its answers are
+    /// full rankings), else the backend's own walk, stopping capped
+    /// consumers early where it can.
+    fn walk(&self, spec: &SharedWalkSpec, limits: &[Option<usize>]) -> Option<SharedWalkOut> {
         if let Some(out) = self.cached_walk(spec) {
             return Some(out);
         }
-        self.backend.run_shared_walk_prepared(spec, &self.prepared)
+        self.backend
+            .run_shared_walk_topk(spec, limits, &self.prepared)
     }
 
     /// Serves a walk entirely from the log-key cache when every request is
@@ -512,6 +516,7 @@ impl<B: MutableRelation> LiveInner<B> {
             answers,
             stats: None,
             walk_seconds: start.elapsed().as_secs_f64(),
+            prefixes: Vec::new(),
         })
     }
 }
@@ -758,7 +763,16 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
         // Own state always wins: foreign state describes some past version.
-        self.read().walk(spec)
+        self.read().walk(spec, &[])
+    }
+
+    fn run_shared_walk_topk(
+        &self,
+        spec: &SharedWalkSpec,
+        limits: &[Option<usize>],
+        _prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        self.read().walk(spec, limits)
     }
 
     /// Keys plus their ranking, without a per-query sort: the order lives
@@ -789,7 +803,7 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
                 cancel: None,
             };
             let Some(SharedAnswer::Log(keys)) = inner
-                .walk(&spec)
+                .walk(&spec, &[])
                 .and_then(|out| out.answers.into_iter().next())
             else {
                 return None;

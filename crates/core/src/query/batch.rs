@@ -7,13 +7,15 @@
 //! [`QueryBatch`] exploits that: it compiles N queries against one
 //! [`ProbabilisticRelation`] into a [`BatchPlan`] and answers every walk
 //! consumer from **one** call to
-//! [`ProbabilisticRelation::run_shared_walk_prepared`]. PRFe variants
+//! [`ProbabilisticRelation::run_shared_walk_topk`]. PRFe variants
 //! become extra evaluation points of the shared generating function;
 //! PT(h)/PRFω(h) variants become truncation views of one shared
 //! truncated-polynomial evaluator; expected ranks ride along as a
 //! dual-number evaluation point; a DFT mixture becomes its `L` scaled PRFe
 //! points, summed at finalize. This is the engine's **only** executor:
-//! [`RankQuery::run`] is a batch of one.
+//! [`RankQuery::run`] is a batch of one. The walk call carries each
+//! consumer's `top_k`: a backend may stop a capped consumer once its answer
+//! is settled, and finalize then ranks only the visited prefix.
 //!
 //! ```
 //! use prf_core::query::{QueryBatch, RankQuery, Semantics};
@@ -138,7 +140,7 @@ impl SharedWalkSpec {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// One answer buffer per request, `n` defaults each (see
+    /// One answer buffer per request, `n` worst values each (see
     /// [`SharedAnswer::zeroed`]) — what every walk fills in.
     pub(crate) fn answer_buffers(&self, n: usize) -> Vec<SharedAnswer> {
         self.requests
@@ -173,14 +175,16 @@ pub enum SharedAnswer {
 }
 
 impl SharedAnswer {
-    /// `len` defaults in this answer's shape — zero Υ values, `-∞` log
-    /// keys, zero ranks — the buffer a walk (or one shard of it) fills.
+    /// `len` worst values in this answer's shape — zero Υ values, `-∞`
+    /// log keys, `+∞` expected ranks — the buffer a walk (or one shard of
+    /// it) fills, and what a consumer that stopped early leaves beyond its
+    /// visited prefix.
     pub(crate) fn zeroed(&self, len: usize) -> Self {
         match self {
             SharedAnswer::Complex(_) => SharedAnswer::Complex(vec![Complex::ZERO; len]),
             SharedAnswer::Log(_) => SharedAnswer::Log(vec![f64::NEG_INFINITY; len]),
             SharedAnswer::Scaled(_) => SharedAnswer::Scaled(vec![Scaled::zero(); len]),
-            SharedAnswer::Ranks(_) => SharedAnswer::Ranks(vec![0.0; len]),
+            SharedAnswer::Ranks(_) => SharedAnswer::Ranks(vec![f64::INFINITY; len]),
         }
     }
 }
@@ -198,6 +202,12 @@ pub struct SharedWalkOut {
     /// compiled plan; an independent relation's order is stored, so its
     /// walk is the scan alone).
     pub walk_seconds: f64,
+    /// Per request, the ids of the score-order prefix its consumer
+    /// evaluated, best score first, when it stopped early on its `top_k`
+    /// (see [`ProbabilisticRelation::run_shared_walk_topk`]); `None` when
+    /// it evaluated every tuple. Walks that never stop early leave the
+    /// vector empty.
+    pub prefixes: Vec<Option<Vec<TupleId>>>,
 }
 
 // ---------------------------------------------------------------------
@@ -445,6 +455,9 @@ impl QueryBatch {
             threads: self.threads,
             cancel: None,
         };
+        // Per request, the top-k its consumer ranks: a lone request may stop
+        // early (a DFT mixture sums several points, so it walks in full).
+        let mut limits: Vec<Option<usize>> = Vec::new();
         let mut tokens: Vec<CancelToken> = Vec::new();
         let mut untracked = 0usize;
         let mut slots: Vec<Slot> = Vec::with_capacity(self.entries.len());
@@ -493,7 +506,9 @@ impl QueryBatch {
             match walk_requests(entry, algorithm) {
                 Ok((requests, mix)) => {
                     let first = spec.requests.len();
+                    let limit = self.limit(entry, &mix);
                     spec.requests.extend(requests);
+                    limits.resize(spec.requests.len(), limit);
                     match &entry.cancel {
                         Some(token) => tokens.push(token.clone()),
                         None => untracked += 1,
@@ -522,7 +537,7 @@ impl QueryBatch {
             Ok(None)
         } else {
             guarded(isolate, || {
-                Ok(rel.run_shared_walk_prepared(&spec, &PreparedState::empty()))
+                Ok(rel.run_shared_walk_topk(&spec, &limits, &PreparedState::empty()))
             })
         };
         let mut answered: Vec<Option<Result<Answered, QueryError>>> =
@@ -535,6 +550,7 @@ impl QueryBatch {
                 };
                 let mut answers: Vec<Option<SharedAnswer>> =
                     out.answers.into_iter().map(Some).collect();
+                let mut prefixes = out.prefixes;
                 for (slot, a) in slots.iter().zip(&mut answered) {
                     if let Slot::Walk { requests, .. } = slot {
                         let answers = answers[requests.clone()]
@@ -545,6 +561,7 @@ impl QueryBatch {
                             answers,
                             cost,
                             stats: out.stats,
+                            prefix: prefixes.get_mut(requests.start).and_then(Option::take),
                         }));
                     }
                 }
@@ -563,8 +580,9 @@ impl QueryBatch {
             _ => {
                 for ((slot, a), entry) in slots.iter().zip(&mut answered).zip(&self.entries) {
                     if let Slot::Walk { requests, .. } = slot {
+                        let limits = &limits[requests.clone()];
                         let requests = spec.requests[requests.clone()].to_vec();
-                        *a = Some(self.walk_alone(rel, entry, requests, isolate));
+                        *a = Some(self.walk_alone(rel, entry, requests, limits, isolate));
                     }
                 }
             }
@@ -659,6 +677,7 @@ impl QueryBatch {
         rel: &(impl ProbabilisticRelation + ?Sized),
         entry: &RankQuery,
         requests: Vec<SharedRequest>,
+        limits: &[Option<usize>],
         isolate: bool,
     ) -> Result<Answered, QueryError> {
         let spec = SharedWalkSpec {
@@ -670,9 +689,9 @@ impl QueryBatch {
             return Err(QueryError::TimedOut);
         }
         let out = guarded(isolate, || {
-            Ok(rel.run_shared_walk_prepared(&spec, &PreparedState::empty()))
+            Ok(rel.run_shared_walk_topk(&spec, limits, &PreparedState::empty()))
         })?;
-        let out = out.ok_or_else(|| walk_failure(entry, rel.correlation_class()))?;
+        let mut out = out.ok_or_else(|| walk_failure(entry, rel.correlation_class()))?;
         Ok(Answered {
             answers: out.answers,
             cost: BatchCost {
@@ -680,6 +699,7 @@ impl QueryBatch {
                 consumers: 1,
             },
             stats: out.stats,
+            prefix: out.prefixes.get_mut(0).and_then(Option::take),
         })
     }
 
@@ -703,6 +723,7 @@ impl QueryBatch {
             threads: self.threads,
             memory: None,
             batch: None,
+            tuples_scanned: None,
             serve: None,
         }
     }
@@ -715,9 +736,19 @@ impl QueryBatch {
         entry.top_k.or(self.top_k).unwrap_or(n).min(n)
     }
 
+    /// The `top_k` a walk consumer's single request passes to
+    /// [`ProbabilisticRelation::run_shared_walk_topk`]; `None` for an
+    /// uncapped entry and for a DFT mixture (weights `mix`), whose points
+    /// are summed before ranking.
+    fn limit(&self, entry: &RankQuery, mix: &Option<Vec<Complex>>) -> Option<usize> {
+        entry.top_k.or(self.top_k).filter(|_| mix.is_none())
+    }
+
     /// Builds the [`RankedResult`] of a walk consumer from its answers (one
     /// per request; a DFT mixture's `L` scaled points are summed with the
-    /// mixture weights `mix`). Per-tuple values stay complete.
+    /// mixture weights `mix`). Per-tuple values keep length `n`; when the
+    /// walk stopped the consumer early, only its visited prefix is ranked
+    /// (see [`RankedResult::values`]).
     fn finalize(
         &self,
         entry: &RankQuery,
@@ -730,6 +761,7 @@ impl QueryBatch {
         let finalize_start = Instant::now();
         let cap = self.cap(entry, n);
         let order = |default| entry.value_order.unwrap_or(default);
+        let prefix = answered.prefix.as_deref();
         let mut answers = answered.answers.into_iter();
         let (values, ranking) = match (mix, &entry.semantics) {
             (Some(weights), _) => {
@@ -743,7 +775,7 @@ impl QueryBatch {
                         *a = a.add(&v.mul(&us));
                     }
                 }
-                let ranking = rank_scaled(&acc, order(ValueOrder::RealPart), cap);
+                let ranking = rank_scaled(&acc, order(ValueOrder::RealPart), None, cap);
                 (Values::Scaled(acc), ranking)
             }
             (None, sem) => match answers.next().expect("one answer per request") {
@@ -755,23 +787,24 @@ impl QueryBatch {
                         Semantics::Pt(_) | Semantics::Consensus(_) => ValueOrder::RealPart,
                         _ => ValueOrder::Magnitude,
                     };
-                    let ranking = Ranking::from_values_topk(&vals, order(default), cap);
+                    let key = order(default);
+                    let ranking = Ranking::select(n, prefix, cap, |i| key.key(vals[i]));
                     (Values::Complex(vals), ranking)
                 }
                 SharedAnswer::Log(keys) => {
-                    let ranking = Ranking::from_keys_topk(&keys, cap);
+                    let ranking = Ranking::select(n, prefix, cap, |i| keys[i]);
                     (Values::LogDomain(keys), ranking)
                 }
                 SharedAnswer::Scaled(vals) => {
-                    let ranking = rank_scaled(&vals, order(ValueOrder::Magnitude), cap);
+                    let ranking = rank_scaled(&vals, order(ValueOrder::Magnitude), prefix, cap);
                     (Values::Scaled(vals), ranking)
                 }
                 SharedAnswer::Ranks(er) => {
                     // Negated so that — like every other semantics — higher
                     // values rank better.
-                    let vals: Vec<Complex> = er.iter().map(|&e| Complex::real(-e)).collect();
-                    let keys: Vec<f64> = er.into_iter().map(|e| -e).collect();
-                    (Values::Complex(vals), Ranking::from_keys_topk(&keys, cap))
+                    let ranking = Ranking::select(n, prefix, cap, |i| -er[i]);
+                    let vals = er.into_iter().map(|e| Complex::real(-e)).collect();
+                    (Values::Complex(vals), ranking)
                 }
             },
         };
@@ -781,6 +814,7 @@ impl QueryBatch {
         report.total_seconds = amortized + finalize_start.elapsed().as_secs_f64();
         report.memory = answered.stats;
         report.batch = Some(answered.cost);
+        report.tuples_scanned = Some(prefix.map_or(n, <[TupleId]>::len));
         RankedResult {
             values,
             ranking,
@@ -904,11 +938,13 @@ impl Slot {
     }
 }
 
-/// A walk consumer's answers with their cost attribution.
+/// A walk consumer's answers with their cost attribution, and the
+/// score-order prefix it was cut to, if it stopped early.
 struct Answered {
     answers: Vec<SharedAnswer>,
     cost: BatchCost,
     stats: Option<GfStats>,
+    prefix: Option<Vec<TupleId>>,
 }
 
 /// Whether a semantics is answered by the walk or directly.
@@ -1008,17 +1044,24 @@ fn guarded<T>(isolate: bool, f: impl FnOnce() -> Result<T, QueryError>) -> Resul
     })
 }
 
-/// Ranks scaled Υ values by `order`, materialising the best `k`.
-fn rank_scaled(vals: &[Scaled<Complex>], order: ValueOrder, k: usize) -> Ranking {
+/// Ranks scaled Υ values by `order` — all of them, or only `candidates` —
+/// materialising the best `k`.
+fn rank_scaled(
+    vals: &[Scaled<Complex>],
+    order: ValueOrder,
+    candidates: Option<&[TupleId]>,
+    k: usize,
+) -> Ranking {
+    let n = vals.len();
     match order {
-        ValueOrder::Magnitude => {
-            let keys: Vec<f64> = vals.iter().map(|v| v.magnitude_key()).collect();
-            Ranking::from_keys_topk(&keys, k)
-        }
-        ValueOrder::RealPart => {
-            let keys: Vec<_> = vals.iter().map(|v| v.real_part_key()).collect();
-            Ranking::from_keys_by_topk(&keys, |k| k.display(), k)
-        }
+        ValueOrder::Magnitude => Ranking::select(n, candidates, k, |i| vals[i].magnitude_key()),
+        ValueOrder::RealPart => Ranking::select_by(
+            n,
+            candidates,
+            k,
+            |i| vals[i].real_part_key(),
+            |k| k.display(),
+        ),
     }
 }
 
@@ -1360,6 +1403,30 @@ mod tests {
             .run(&db)
             .unwrap();
         assert_eq!(pushed[0].ranking.order(), &single.ranking.order()[..2]);
+    }
+
+    #[test]
+    fn capped_walks_scan_a_prefix_of_iip() {
+        // The IIP shape: a few high-probability top scorers settle a
+        // top-100 answer long before the order runs out.
+        let db = prf_datasets::iip_db(100_000, 1);
+        let n = db.len();
+        let scanned = |q: RankQuery| q.run(&db).unwrap().report.tuples_scanned.unwrap();
+        let pt = scanned(RankQuery::pt(100).top_k(100));
+        let prfe = scanned(RankQuery::prfe(0.95).top_k(100));
+        let erank = scanned(RankQuery::erank().top_k(100));
+        assert!(pt < 1_000, "PT(100) top-100 scanned {pt}");
+        assert!(prfe < 1_000, "PRFe(.95) top-100 scanned {prfe}");
+        assert!(erank < n, "E-Rank top-100 scanned {erank}");
+        assert_eq!(
+            scanned(RankQuery::pt(100)),
+            n,
+            "an uncapped query scans all"
+        );
+        assert_eq!(
+            RankQuery::escore().run(&db).unwrap().report.tuples_scanned,
+            None
+        );
     }
 
     #[test]

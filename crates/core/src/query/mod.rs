@@ -405,6 +405,11 @@ pub struct EvalReport {
     /// routes (E-Score, U-Top, U-Rank, and log-domain PRFe served by
     /// [`ProbabilisticRelation::prfe_log_ranked`]).
     pub batch: Option<BatchCost>,
+    /// Score-order positions the walk evaluated for this answer: `n` for a
+    /// full walk, the visited prefix's length when a `top_k` query stopped
+    /// early (see [`ProbabilisticRelation::run_shared_walk_topk`]), `None`
+    /// for the direct routes.
+    pub tuples_scanned: Option<usize>,
     /// Serving-layer provenance — `Some` when this query was answered by a
     /// `prf-serve` `RankServer` flush (queue wait + flush trigger), `None`
     /// for queries run directly.
@@ -416,7 +421,12 @@ pub struct EvalReport {
 #[derive(Clone, Debug)]
 pub struct RankedResult {
     /// Per-tuple Υ-like values (indexed by tuple id) in the numeric mode
-    /// the engine chose.
+    /// the engine chose, always one per tuple. A `top_k` query whose walk
+    /// stopped early ([`EvalReport::tuples_scanned`] `< n`) holds exact
+    /// values on the visited score-order prefix and the worst value beyond
+    /// it: `0`, `−∞` log keys, or `−∞` for E-Rank's `−er`. The stop point
+    /// depends only on the relation and the query, so a query gets the
+    /// same values alone, in a batch, prepared or served.
     pub values: Values,
     /// The ranking, best first (truncated when `top_k` was requested).
     pub ranking: Ranking,

@@ -287,6 +287,16 @@ impl ProbabilisticRelation for PreparedRelation {
         self.rel.run_shared_walk_prepared(spec, &self.snapshot())
     }
 
+    fn run_shared_walk_topk(
+        &self,
+        spec: &SharedWalkSpec,
+        limits: &[Option<usize>],
+        _prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        self.rel
+            .run_shared_walk_topk(spec, limits, &self.snapshot())
+    }
+
     fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
         // The walk answers keys, never an order; the inner relation (a live
         // cache, say) is the only party that can beat the sort.

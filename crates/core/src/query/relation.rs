@@ -67,8 +67,9 @@ const UTOP_WORLD_LIMIT: usize = 1 << 20;
 /// Only the four metadata methods and
 /// [`Self::run_shared_walk_prepared`] are required. The provided methods are
 /// capability hooks with conservative defaults: no cacheable preparation,
-/// no cheaper-than-sort log-domain ranking, no exact U-Top, U-Rank through
-/// one walk of position-indicator weights, and no sharding support.
+/// no early stop for top-k consumers, no cheaper-than-sort log-domain
+/// ranking, no exact U-Top, U-Rank through one walk of position-indicator
+/// weights, and no sharding support.
 pub trait ProbabilisticRelation {
     /// Number of tuples.
     fn n_tuples(&self) -> usize;
@@ -123,6 +124,26 @@ pub trait ProbabilisticRelation {
         spec: &SharedWalkSpec,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut>;
+
+    /// [`Self::run_shared_walk_prepared`] for consumers that rank only
+    /// their top `k`: `limits` holds each request's `k` (parallel to
+    /// `spec.requests`, `None` for a full ranking). A backend walking in
+    /// score order may stop a capped consumer at the first position where
+    /// no unread tuple can enter its top `k`, and report the visited prefix
+    /// in [`SharedWalkOut::prefixes`]; that answer is exact on the prefix
+    /// and holds the worst value of its shape beyond it. The stop point
+    /// must depend only on the relation and the consumer's own request and
+    /// `k`. The default walks in full, which is always a valid answer;
+    /// [`IndependentDb`] stops early.
+    fn run_shared_walk_topk(
+        &self,
+        spec: &SharedWalkSpec,
+        limits: &[Option<usize>],
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        let _ = limits;
+        self.run_shared_walk_prepared(spec, prep)
+    }
 
     /// Log-domain PRFe keys (`ln Υ`, indexed by tuple id) together with the
     /// tuple order they induce (best first, ties by tuple id — the exact
@@ -226,7 +247,16 @@ impl ProbabilisticRelation for IndependentDb {
         spec: &SharedWalkSpec,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        crate::independent::batch_walk_independent(self, spec)
+        crate::independent::batch_walk_independent(self, spec, &[])
+    }
+
+    fn run_shared_walk_topk(
+        &self,
+        spec: &SharedWalkSpec,
+        limits: &[Option<usize>],
+        _prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        crate::independent::batch_walk_independent(self, spec, limits)
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {

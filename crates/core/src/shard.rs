@@ -552,10 +552,12 @@ impl ShardedRelation {
 
     /// The whole two-phase merged walk. `preps` carries per-shard prepared
     /// states when the caller has them (matching shard count), else the
-    /// shards walk unprepared.
+    /// shards walk unprepared. Only a one-shard relation passes `limits`
+    /// on; the merged walk of several shards evaluates every tuple.
     fn merged_walk(
         &self,
         spec: &SharedWalkSpec,
+        limits: &[Option<usize>],
         preps: Option<&[Arc<PreparedState>]>,
     ) -> Option<SharedWalkOut> {
         let start = Instant::now();
@@ -567,7 +569,11 @@ impl ShardedRelation {
             // One shard: the prefix is the identity, delegate wholesale.
             let prep = preps.and_then(|p| p.first());
             let empty = PreparedState::empty();
-            return self.shards[0].run_shared_walk_prepared(spec, prep.map_or(&empty, |p| &**p));
+            return self.shards[0].run_shared_walk_topk(
+                spec,
+                limits,
+                prep.map_or(&empty, |p| &**p),
+            );
         }
 
         // What the prefix fold must produce.
@@ -652,6 +658,7 @@ impl ShardedRelation {
             answers,
             stats,
             walk_seconds: start.elapsed().as_secs_f64(),
+            prefixes: Vec::new(),
         })
     }
 }
@@ -847,11 +854,20 @@ impl ProbabilisticRelation for ShardedRelation {
         spec: &SharedWalkSpec,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
+        self.run_shared_walk_topk(spec, &[], prep)
+    }
+
+    fn run_shared_walk_topk(
+        &self,
+        spec: &SharedWalkSpec,
+        limits: &[Option<usize>],
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
         match prep.sharded_states() {
             Some(states) if states.len() == self.shards.len() => {
-                self.merged_walk(spec, Some(states))
+                self.merged_walk(spec, limits, Some(states))
             }
-            _ => self.merged_walk(spec, None),
+            _ => self.merged_walk(spec, limits, None),
         }
     }
 

@@ -6,7 +6,7 @@
 //! imaginary parts and are ranked by real part instead ([`ValueOrder`]).
 
 use prf_numeric::Complex;
-use prf_pdb::tuple::top_k_desc;
+use prf_pdb::tuple::top_k_desc_of;
 use prf_pdb::TupleId;
 
 /// How complex Υ values are mapped to the totally ordered ranking key.
@@ -53,8 +53,7 @@ impl Ranking {
     /// Identical (order and keys) to `from_values` followed by
     /// [`Ranking::truncate`]`(k)`.
     pub fn from_values_topk(values: &[Complex], order: ValueOrder, k: usize) -> Self {
-        let keys_by_id: Vec<f64> = values.iter().map(|&v| order.key(v)).collect();
-        Self::from_keys_topk(&keys_by_id, k)
+        Self::select(values.len(), None, k, |i| order.key(values[i]))
     }
 
     /// Ranks tuples by pre-computed real keys (higher is better).
@@ -71,9 +70,31 @@ impl Ranking {
     /// # Panics
     /// Panics when a key is NaN.
     pub fn from_keys_topk(keys_by_id: &[f64], k: usize) -> Self {
-        let idx = top_k_desc(keys_by_id, k, "ranking keys must not be NaN");
+        Self::select(keys_by_id.len(), None, k, |i| keys_by_id[i])
+    }
+
+    /// The top-`k` of an `n`-tuple relation by `key(id)`, considering only
+    /// `candidates` when given (every tuple otherwise). With candidates the
+    /// result is the full ranking's prefix whenever every other tuple's key
+    /// is strictly below the `k`-th best candidate's — the contract of a
+    /// walk's visited prefix (see
+    /// [`crate::query::ProbabilisticRelation::run_shared_walk_topk`]).
+    ///
+    /// # Panics
+    /// Panics when a considered key is NaN.
+    pub(crate) fn select(
+        n: usize,
+        candidates: Option<&[TupleId]>,
+        k: usize,
+        key: impl Fn(usize) -> f64,
+    ) -> Self {
+        const NAN: &str = "ranking keys must not be NaN";
+        let idx = match candidates {
+            Some(ids) => top_k_desc_of(ids.iter().map(|t| (t.index(), key(t.index()))), k, NAN),
+            None => top_k_desc_of((0..n).map(|i| (i, key(i))), k, NAN),
+        };
         Ranking {
-            keys: idx.iter().map(|&i| keys_by_id[i]).collect(),
+            keys: idx.iter().map(|&i| key(i)).collect(),
             order: idx.into_iter().map(|i| TupleId(i as u32)).collect(),
         }
     }
@@ -98,11 +119,27 @@ impl Ranking {
         display: impl Fn(K) -> f64,
         k: usize,
     ) -> Self {
-        let idx = topk_indices_by(keys_by_id, k);
-        Ranking {
-            keys: idx.iter().map(|&i| display(keys_by_id[i])).collect(),
-            order: idx.into_iter().map(|i| TupleId(i as u32)).collect(),
-        }
+        Self::select_by(keys_by_id.len(), None, k, |i| keys_by_id[i], display)
+    }
+
+    /// [`Ranking::select`] for partially ordered keys (see
+    /// [`Ranking::from_keys_by`]).
+    pub(crate) fn select_by<K: PartialOrd>(
+        n: usize,
+        candidates: Option<&[TupleId]>,
+        k: usize,
+        key: impl Fn(usize) -> K,
+        display: impl Fn(K) -> f64,
+    ) -> Self {
+        let entries = match candidates {
+            Some(ids) => ids.iter().map(|t| (t.index(), key(t.index()))).collect(),
+            None => (0..n).map(|i| (i, key(i))).collect(),
+        };
+        let (order, keys) = topk_entries_by(entries, k)
+            .into_iter()
+            .map(|(i, key)| (TupleId(i as u32), display(key)))
+            .unzip();
+        Ranking { order, keys }
     }
 
     /// Builds a ranking from an explicit order and per-position keys —
@@ -164,27 +201,25 @@ impl Ranking {
     }
 }
 
-/// [`top_k_desc`] for keys that are only `PartialOrd`: indices of the best
-/// `k` keys, best first, ties by index ascending. Selection and sort use
-/// the *same* total comparator, so the prefix is bitwise-identical to the
-/// full sort's.
-fn topk_indices_by<K: PartialOrd + Copy>(keys_by_id: &[K], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..keys_by_id.len()).collect();
-    let cmp = |a: &usize, b: &usize| {
-        keys_by_id[*b]
-            .partial_cmp(&keys_by_id[*a])
+/// [`prf_pdb::tuple::top_k_desc_of`] for keys that are only `PartialOrd`:
+/// the best `k` of the `(index, key)` entries, best first, ties by index
+/// ascending. Selection and sort use the *same* total comparator, so the
+/// prefix is bitwise-identical to the full sort's.
+fn topk_entries_by<K: PartialOrd>(mut entries: Vec<(usize, K)>, k: usize) -> Vec<(usize, K)> {
+    let cmp = |a: &(usize, K), b: &(usize, K)| {
+        b.1.partial_cmp(&a.1)
             .expect("ranking keys must be comparable")
-            .then(a.cmp(b))
+            .then(a.0.cmp(&b.0))
     };
-    if k < idx.len() {
+    if k < entries.len() {
         if k > 0 {
             // Partition so positions 0..k hold the best k (unordered).
-            idx.select_nth_unstable_by(k - 1, cmp);
+            entries.select_nth_unstable_by(k - 1, cmp);
         }
-        idx.truncate(k);
+        entries.truncate(k);
     }
-    idx.sort_unstable_by(cmp);
-    idx
+    entries.sort_unstable_by(cmp);
+    entries
 }
 
 #[cfg(test)]

@@ -803,6 +803,7 @@ pub(crate) fn batch_walk_tree(
         answers,
         stats,
         walk_seconds: start.elapsed().as_secs_f64(),
+        prefixes: Vec::new(),
     })
 }
 

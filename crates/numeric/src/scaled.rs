@@ -70,6 +70,10 @@ impl Mantissa for f64 {
 impl Mantissa for Complex {
     #[inline]
     fn mag(self) -> f64 {
+        // `f64::max` drops a NaN operand; the magnitude must keep it.
+        if self.re.is_nan() || self.im.is_nan() {
+            return f64::NAN;
+        }
         self.re.abs().max(self.im.abs())
     }
     #[inline]
@@ -110,8 +114,10 @@ impl<T: Mantissa> Scaled<T> {
             self.exp = 0;
             return;
         }
+        // A non-finite mantissa has no scale to move into the exponent (and
+        // NaN fails both comparisons).
         let mut m = self.mantissa.mag();
-        while m >= CHUNK_UP {
+        while m >= CHUNK_UP && m.is_finite() {
             self.mantissa = self.mantissa.mul_pow2(-1);
             self.exp += 1;
             m = self.mantissa.mag();
@@ -341,6 +347,19 @@ mod tests {
         let a = Scaled::new(3.0f64);
         let b = Scaled::new(4.0f64);
         assert!((a.add(&b).to_plain() - 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_mantissas_stay_put() {
+        // Normalisation used to loop forever on these: NaN read as
+        // magnitude 0 and ∞ never drops below the chunk bound.
+        let nan = Scaled::new(Complex::new(f64::NAN, 0.0));
+        assert!(nan.mantissa.re.is_nan());
+        let inf = Scaled::new(f64::INFINITY);
+        assert_eq!((inf.mantissa, inf.exp), (f64::INFINITY, 0));
+        assert!(Scaled::new(Complex::new(0.0, f64::NAN))
+            .magnitude_key()
+            .is_nan());
     }
 
     #[test]

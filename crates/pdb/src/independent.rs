@@ -16,11 +16,13 @@ use crate::{check_probability, PdbError};
 /// The tuples are stored twice: in id order, and in the processing order
 /// of every ranking algorithm, score descending with ties by id. The
 /// second copy is sorted once at construction and kept exact by every
-/// mutation, so a query scans it front to back instead of sorting.
+/// mutation, so a query scans it front to back instead of sorting. The
+/// expected world size `Σ pᵢ` is cached beside them.
 #[derive(Clone, Debug, Default)]
 pub struct IndependentDb {
     tuples: Vec<Tuple>,
     by_score: Vec<Tuple>,
+    world_size: f64,
 }
 
 impl IndependentDb {
@@ -47,7 +49,12 @@ impl IndependentDb {
             .into_iter()
             .map(|i| tuples[i])
             .collect();
-        IndependentDb { tuples, by_score }
+        let world_size = tuples.iter().map(|t| t.prob).sum();
+        IndependentDb {
+            tuples,
+            by_score,
+            world_size,
+        }
     }
 
     /// Number of tuples.
@@ -95,9 +102,10 @@ impl IndependentDb {
     }
 
     /// Expected size of a possible world, `C = Σᵢ pᵢ` (used by expected
-    /// ranks).
+    /// ranks). Summed in id order at construction and kept current by every
+    /// mutation, so reading it is `O(1)`.
     pub fn expected_world_size(&self) -> f64 {
-        self.tuples.iter().map(|t| t.prob).sum()
+        self.world_size
     }
 
     /// Replaces the existence probability of tuple `id`, returning the old
@@ -110,7 +118,9 @@ impl IndependentDb {
         check_probability(prob, || format!("tuple {idx}"))?;
         let pos = self.score_position(id);
         self.by_score[pos].prob = prob;
-        Ok(std::mem::replace(&mut self.tuples[idx].prob, prob))
+        let old = std::mem::replace(&mut self.tuples[idx].prob, prob);
+        self.world_size += prob - old;
+        Ok(old)
     }
 
     /// Appends a new tuple with the next dense id, returning that id. The
@@ -119,6 +129,7 @@ impl IndependentDb {
         let id = TupleId(self.tuples.len() as u32);
         let tuple = Tuple::new(id, score, prob)?;
         self.tuples.push(tuple);
+        self.world_size += prob;
         let pos = self.score_position(id);
         self.by_score.insert(pos, tuple);
         Ok(id)
@@ -138,6 +149,7 @@ impl IndependentDb {
         let pos = self.score_position(id);
         self.by_score.remove(pos);
         let removed = self.tuples.remove(idx);
+        self.world_size -= removed.prob;
         for t in &mut self.tuples[idx..] {
             t.id = TupleId(t.id.0 - 1);
         }
@@ -303,6 +315,41 @@ mod tests {
             .all(|(i, t)| t.id.index() == i));
         assert_eq!(ids(&db), vec![TupleId(0), TupleId(2), TupleId(1)]);
         assert!(db.remove_tuple(TupleId(3)).is_err());
+    }
+
+    #[test]
+    fn cached_world_size_tracks_mutation_scripts() {
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let mut db =
+            IndependentDb::from_pairs((0..200).map(|i| (f64::from(i % 17), rng.gen::<f64>())))
+                .unwrap();
+        let fresh = |db: &IndependentDb| db.tuples().iter().map(|t| t.prob).sum::<f64>();
+        assert_eq!(db.expected_world_size().to_bits(), fresh(&db).to_bits());
+        let probs = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5];
+        for step in 0..1_000 {
+            let p = match rng.gen_range(0..3) {
+                0 => probs[rng.gen_range(0..probs.len())],
+                _ => rng.gen::<f64>(),
+            };
+            match rng.gen_range(0..3) {
+                0 if db.len() > 50 => {
+                    let id = TupleId(rng.gen_range(0..db.len() as u32));
+                    db.remove_tuple(id).unwrap();
+                }
+                1 => {
+                    db.push_tuple(f64::from(rng.gen_range(0..17)), p).unwrap();
+                }
+                _ => {
+                    let id = TupleId(rng.gen_range(0..db.len() as u32));
+                    db.set_prob(id, p).unwrap();
+                }
+            }
+            let (cached, want) = (db.expected_world_size(), fresh(&db));
+            assert!(
+                (cached - want).abs() <= 1e-12 * want,
+                "step {step}: cached {cached} vs fresh {want}"
+            );
+        }
     }
 
     #[test]

@@ -85,10 +85,23 @@ pub fn packed_desc(key: f64, index: usize) -> u128 {
 /// # Panics
 /// Panics with `nan_message` when a key is NaN.
 pub fn top_k_desc(keys: &[f64], k: usize, nan_message: &str) -> Vec<usize> {
-    let mut packed: Vec<u128> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, &key)| {
+    top_k_desc_of(keys.iter().copied().enumerate(), k, nan_message)
+}
+
+/// [`top_k_desc`] over explicit `(index, key)` entries — a subset of the
+/// indices, in any order — with the same `(key, index)` order. Ranking a
+/// walk's visited score-order prefix uses it.
+///
+/// # Panics
+/// Panics with `nan_message` when a key is NaN.
+pub fn top_k_desc_of(
+    entries: impl IntoIterator<Item = (usize, f64)>,
+    k: usize,
+    nan_message: &str,
+) -> Vec<usize> {
+    let mut packed: Vec<u128> = entries
+        .into_iter()
+        .map(|(i, key)| {
             assert!(!key.is_nan(), "{nan_message}");
             packed_desc(key, i)
         })
@@ -124,6 +137,9 @@ mod tests {
         assert_eq!(top_k_desc(&scores, 4, "no NaN"), vec![1, 0, 2, 3]);
         assert_eq!(top_k_desc(&scores, 2, "no NaN"), vec![1, 0]);
         assert!(top_k_desc(&scores, 0, "no NaN").is_empty());
+        // A subset keeps the index tie-break, whatever its entry order.
+        let subset = [2, 0, 3].map(|i| (i, scores[i]));
+        assert_eq!(top_k_desc_of(subset, 2, "no NaN"), vec![0, 2]);
     }
 
     #[test]

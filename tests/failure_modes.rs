@@ -5,7 +5,8 @@
 use prf::core::independent::{prf_rank, prfe_rank_log};
 use prf::core::learn::{learn_prf_omega, learn_prfe_alpha, learn_prfe_alpha_topk, RankLearnConfig};
 use prf::core::mixture::{approximate_weights, DftApproxConfig};
-use prf::core::query::kernels;
+use prf::core::query::batch::{SharedRequest, SharedWalkSpec};
+use prf::core::query::{kernels, PreparedState};
 use prf::core::{LiveRelation, ProbabilisticRelation, Ranking, StepWeight, ValueOrder};
 use prf::pdb::{
     AndXorTree, AttributeUncertainDb, IndependentDb, NodeKind, PdbError, TreeBuilder, TupleId,
@@ -400,6 +401,32 @@ fn batch_mixing_numeric_modes_keeps_each_entry_in_its_mode() {
 }
 
 #[test]
+fn log_walk_outside_the_unit_interval_is_not_served() {
+    // The public walk takes any log-domain α. The independent recurrence
+    // needs α ∈ [0, 1] and answers "cannot serve" otherwise; the tree walk
+    // evaluates the same request in scaled arithmetic. Neither panics.
+    let db = IndependentDb::from_pairs([(9.0, 0.4), (8.0, 0.8), (7.0, 0.5)]).unwrap();
+    let tree =
+        AndXorTree::from_x_tuples(&[vec![(9.0, 0.4), (8.0, 0.5)], vec![(7.0, 0.5)]]).unwrap();
+    for alpha in [1.5, -0.1, f64::NAN] {
+        let spec = SharedWalkSpec {
+            requests: vec![SharedRequest::PrfeLog(alpha)],
+            threads: None,
+            cancel: None,
+        };
+        assert!(
+            db.run_shared_walk_prepared(&spec, &PreparedState::empty())
+                .is_none(),
+            "α = {alpha}"
+        );
+        let answer = tree
+            .run_shared_walk_prepared(&spec, &tree.prepare())
+            .map(|out| out.answers.len());
+        assert_eq!(answer, Some(1), "α = {alpha}");
+    }
+}
+
+#[test]
 fn batch_top_k_interaction() {
     let db = IndependentDb::from_pairs([(9.0, 0.4), (8.0, 0.8), (7.0, 0.5), (6.0, 0.9)]).unwrap();
     let results = QueryBatch::new()
@@ -415,7 +442,9 @@ fn batch_top_k_interaction() {
     assert_eq!(results[1].report.truncated_to, Some(1));
     assert_eq!(results[2].ranking.len(), db.len());
     assert_eq!(results[2].report.truncated_to, Some(99));
-    // Values are never truncated — only rankings are.
+    // Values keep one entry per tuple: a capped entry whose walk stopped
+    // early holds its worst value beyond the visited prefix, and only the
+    // ranking is cut to k.
     assert_eq!(results[1].values.len(), db.len());
 }
 
