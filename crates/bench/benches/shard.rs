@@ -3,18 +3,18 @@
 //! the IIP instance, unsharded vs 4 score-contiguous shards, each
 //! sharded configuration running `w` shard-pool workers plus
 //! `QueryBatch::parallel(w)` batch threads (which also fan the per-entry
-//! finalization out over scoped threads), plus one shard's standalone
-//! walk (the phase-B critical path on an idle multi-core host).
+//! finalization out over scoped threads), plus the batch on one shard
+//! alone and the uncapped batch unsharded and on 4 shards.
 //!
-//! Reading the numbers: on a multi-core host the `sharded_4x/*_workers`
-//! p50s fall with the worker count directly. On a single-core host (the
-//! CI container) they coincide — wall ≈ total work there, so the scaling
-//! signal is modeled instead from the measured work partition (walk
-//! critical path + finalize critical path + remainder), which is what
-//! EXPERIMENTS.md's `shard` scenario prints from its own measurements.
-//! The `sharded_4x/1_workers : unsharded` ratio is the monoid's work
-//! overhead (phase A's presence-GF pass — a second data pass for PT's
-//! coefficient prefix).
+//! Reading the numbers: the capped batch walks the shards in score order
+//! and stops inside shard 0 (every entry's top 100 settles within a few
+//! hundred to a few ten thousand tuples), so the `sharded_4x/*_workers`
+//! rows sit near `unsharded` and the worker count barely matters: the
+//! pool only runs the per-entry finalization. The two `uncapped` rows
+//! rank in full, which takes the two-phase path (phase A's presence GFs
+//! on the pool, then every shard walked concurrently); their ratio is
+//! the monoid's work overhead on a full ranking, and on a multi-core host
+//! the sharded one falls with the worker count.
 //!
 //! Measure mode runs the paper-scale n = 10⁶; smoke mode (CI test job)
 //! shrinks to n = 20 000 so the debug-profile single pass stays fast.
@@ -66,11 +66,21 @@ fn fig11_batch() -> Vec<RankQuery> {
     ]
 }
 
-fn run_batch(rel: &(impl ProbabilisticRelation + ?Sized), queries: &[RankQuery], threads: usize) {
+/// The batch, capped at `top_k` when given (else ranking every tuple,
+/// which takes the two-phase path).
+fn run_batch(
+    rel: &(impl ProbabilisticRelation + ?Sized),
+    queries: &[RankQuery],
+    threads: usize,
+    top_k: Option<usize>,
+) {
+    let batch = QueryBatch::new().add_queries(queries.iter().cloned());
+    let batch = match top_k {
+        Some(k) => batch.top_k(k),
+        None => batch,
+    };
     black_box(
-        QueryBatch::new()
-            .add_queries(queries.iter().cloned())
-            .top_k(TOP_K)
+        batch
             .parallel(threads)
             .run(rel)
             .expect("independent backends"),
@@ -87,18 +97,24 @@ fn bench_shard_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group(format!("shard_scaling_iip_{n}"));
     g.sample_size(3);
     g.bench_function("unsharded", |b| {
-        b.iter(|| run_batch(&unsharded, &queries, 1))
+        b.iter(|| run_batch(&unsharded, &queries, 1, Some(TOP_K)))
     });
     for workers in [1usize, 2, 4] {
         let sharded = ShardedRelation::new(equal_shards(&pairs), workers).expect("contiguous");
         g.bench_function(format!("sharded_4x/{workers}_workers"), |b| {
-            b.iter(|| run_batch(&sharded, &queries, workers))
+            b.iter(|| run_batch(&sharded, &queries, workers, Some(TOP_K)))
         });
     }
-    // One quarter walked alone: the per-shard phase-B term of the modeled
-    // critical path on idle cores (see the module docs).
+    // One quarter alone: the capped sharded rows less the shard overhead.
     g.bench_function("one_shard_standalone", |b| {
-        b.iter(|| run_batch(&one_shard, &queries, 1))
+        b.iter(|| run_batch(&one_shard, &queries, 1, Some(TOP_K)))
+    });
+    g.bench_function("unsharded_uncapped", |b| {
+        b.iter(|| run_batch(&unsharded, &queries, 2, None))
+    });
+    let sharded = ShardedRelation::new(equal_shards(&pairs), 2).expect("contiguous");
+    g.bench_function("sharded_4x/2_workers_uncapped", |b| {
+        b.iter(|| run_batch(&sharded, &queries, 2, None))
     });
     g.finish();
 }

@@ -20,13 +20,11 @@
 //! Unlike Eq. (2) of the paper we never divide by `Pr(tᵢ₋₁)`, so zero
 //! probabilities need no special-casing.
 
-use std::collections::BinaryHeap;
-
 use prf_numeric::{Complex, GfValue, Poly, Scaled};
-use prf_pdb::tuple::packed_desc;
-use prf_pdb::{IndependentDb, Tuple};
+use prf_pdb::{IndependentDb, Tuple, TupleId};
 
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use crate::query::cut::{envelope, Cap, Cut, TopkCarry};
 use crate::weights::WeightFunction;
 
 /// Υ values for every tuple under an arbitrary PRF weight function.
@@ -217,15 +215,22 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 /// [`prfe_rank_scaled`], `expected_ranks_independent`): the loop bodies
 /// are the same operations in the same order.
 ///
-/// `limits` (parallel to the requests, missing entries `None`) caps
-/// consumers at a `top_k`. A capped PT, real-α PRFe (`α ∈ [0, 1]`, any
-/// mode) or expected-ranks consumer stops at the first score position
-/// whose bound on every unread tuple's ranking key ([`Cut`]) is strictly
-/// below its `k`-th best key so far; the walk ends once every consumer
-/// has stopped or the order is exhausted. A stopped consumer's answer is
-/// exact on its visited prefix, reported in [`SharedWalkOut::prefixes`],
-/// and holds the worst value of its shape beyond it. The stop point
-/// depends only on the relation and that consumer's request and `k`.
+/// `carry` caps consumers at a `top_k`. A capped consumer whose keys have
+/// a bound ([`Cut`]: a real non-negative rank-only weight, real-α PRFe
+/// (`α ∈ [0, 1]`, any mode) or expected ranks) stops at the first score
+/// position whose bound on every unread tuple's ranking key is strictly
+/// below its `k`-th best key so far; the walk ends once every consumer has
+/// stopped or the order is exhausted. A stopped consumer's answer is exact
+/// on its visited prefix, reported in [`SharedWalkOut::prefixes`], and
+/// holds the worst value of its shape beyond it. The stop point depends
+/// only on the relation and that consumer's request and `k`.
+///
+/// When the carry describes a shard of a larger relation, the walk
+/// resumes the carried cuts, applies the shard's prefix state to each
+/// value as it is computed (the same operations the sharded two-phase walk
+/// applies afterwards) and writes into the carried global buffers at the
+/// shard's offset; the prefixes it reports then hold global ids of this
+/// shard's visited tuples, for the cuts that stopped here.
 ///
 /// Returns `None` when the spec's cancellation token trips mid-walk (every
 /// consumer gave up — see `SharedWalkSpec::cancel`), and for a log-domain
@@ -234,55 +239,117 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 pub(crate) fn batch_walk_independent(
     db: &IndependentDb,
     spec: &SharedWalkSpec,
-    limits: &[Option<usize>],
+    carry: &mut TopkCarry,
 ) -> Option<SharedWalkOut> {
     let start = std::time::Instant::now();
     let n = db.len();
+    if spec
+        .requests
+        .iter()
+        .any(|r| matches!(r, SharedRequest::PrfeLog(a) if !(0.0..=1.0).contains(a)))
+    {
+        return None;
+    }
+    let shard = carry.shard.take();
+    let offset = shard.as_ref().map_or(0, |s| s.offset);
+    // Ranks reach every tuple from here to the end of the relation, and a
+    // computed key went through one rounding per tuple of it.
+    let reach = n + shard.as_ref().map_or(0, |s| s.tail);
+    let global_n = offset + reach;
 
     // Parse the requests into per-kind accumulators.
     let mut accs = Vec::with_capacity(spec.requests.len());
     let mut cuts = Vec::with_capacity(spec.requests.len());
+    carry
+        .requests
+        .resize_with(spec.requests.len(), Default::default);
     let real_unit = |a: &Complex| a.im == 0.0 && (0.0..=1.0).contains(&a.re);
-    for (i, req) in spec.requests.iter().enumerate() {
+    for (req, rc) in spec.requests.iter().zip(&mut carry.requests) {
+        let point = rc.point.filter(|_| shard.is_some());
+        let cap = std::mem::take(&mut rc.cap);
+        // A cap of the whole relation or more can never stop early.
+        let capped = match cap {
+            Cap::Full => false,
+            Cap::Pending(k) => k < global_n,
+            Cap::Cut(_) => true,
+        };
         let (acc, bounded) = match req {
             SharedRequest::Weight(w) => {
                 let cap = req.weight_cap(n).expect("weight request has a cap");
-                (Acc::Weight(w.as_ref(), cap), w.is_step())
+                let envelope = capped
+                    .then(|| envelope(w.as_ref(), w.truncation().map_or(reach, |h| h.min(reach))))
+                    .flatten();
+                let bounded = envelope.is_some();
+                (Acc::Weight(w.as_ref(), cap, envelope), bounded)
             }
-            SharedRequest::PrfeComplex(a) => (Acc::Complex(Complex::ONE, *a), real_unit(a)),
+            SharedRequest::PrfeComplex(a) => (Acc::Complex(Complex::ONE, *a, point), real_unit(a)),
             SharedRequest::PrfeLog(a) => {
-                if !(0.0..=1.0).contains(a) {
-                    return None;
-                }
-                (Acc::Log(0.0, *a), true)
+                let shift = point.map(|p| p.magnitude_key() * std::f64::consts::LN_2);
+                (Acc::Log(0.0, *a, shift), true)
             }
             SharedRequest::PrfeScaled(a) => (
-                Acc::Scaled(Scaled::<Complex>::one(), Scaled::new(*a), *a),
+                Acc::Scaled(Scaled::<Complex>::one(), Scaled::new(*a), *a, point),
                 real_unit(a),
             ),
-            SharedRequest::ExpectedRanks => (Acc::Ranks(0.0, db.expected_world_size()), true),
+            SharedRequest::ExpectedRanks => {
+                let ranks = Ranks {
+                    mass: 0.0,
+                    world_size: db.expected_world_size(),
+                    shift: shard.as_ref().map(|s| (s.c_pre, s.c_other)),
+                };
+                (Acc::Ranks(ranks), true)
+            }
         };
         accs.push(acc);
-        // A cap of n or more can never stop before the order runs out.
-        let k = limits.get(i).copied().flatten().filter(|&k| k < n);
-        cuts.push(k.filter(|_| bounded).map(Cut::new));
+        // A cut carried in keeps its keys even where this walk has no
+        // bound for it: it then never stops here.
+        cuts.push(match cap {
+            Cap::Pending(k) if capped && bounded => Some(Cut::new(k)),
+            Cap::Cut(cut) => Some(cut),
+            _ => None,
+        });
     }
-    let mut answers = spec.answer_buffers(n);
+    let bound = Bound {
+        ops: global_n,
+        max_prob: db
+            .max_prob()
+            .max(shard.as_ref().map_or(0.0, |s| s.tail_max_prob)),
+        cross: shard
+            .as_ref()
+            .map_or(0, |s| if s.tail > 0 { reach } else { 0 }),
+    };
+    let entered_stopped: Vec<bool> = cuts
+        .iter()
+        .map(|c| c.as_ref().is_some_and(Cut::stopped))
+        .collect();
+    let mut answers = match shard {
+        Some(s) => s.answers,
+        None => spec.answer_buffers(n),
+    };
     // Uncapped walks (the common full ranking) compile without the cut
     // bookkeeping.
     if cuts.iter().any(Option::is_some) {
-        scan::<true>(db, spec, &mut accs, &mut answers, &mut cuts)?;
+        scan::<true>(db, spec, &mut accs, &mut answers, &mut cuts, offset, &bound)?;
     } else {
-        scan::<false>(db, spec, &mut accs, &mut answers, &mut cuts)?;
+        scan::<false>(db, spec, &mut accs, &mut answers, &mut cuts, offset, &bound)?;
     }
 
     let prefixes = cuts
         .iter()
-        .map(|cut| {
-            let visited = &db.by_score()[..cut.as_ref()?.stop?];
-            Some(visited.iter().map(|t| t.id).collect())
+        .zip(&entered_stopped)
+        .map(|(cut, &entered)| {
+            let visited = &db.by_score()[..cut.as_ref().filter(|_| !entered)?.stop?];
+            Some(
+                visited
+                    .iter()
+                    .map(|t| TupleId((offset + t.id.index()) as u32))
+                    .collect(),
+            )
         })
         .collect();
+    for (rc, cut) in carry.requests.iter_mut().zip(cuts) {
+        rc.cap = cut.map_or(Cap::Full, Cap::Cut);
+    }
     Some(SharedWalkOut {
         answers,
         stats: None, // closed-form kernels: no incremental evaluator
@@ -292,29 +359,34 @@ pub(crate) fn batch_walk_independent(
 }
 
 /// The score-order loop of [`batch_walk_independent`]: evaluates every
-/// consumer at every position, stopping `CAPPED` consumers at their cuts
-/// and the loop once all have stopped. `None` when cancelled.
+/// consumer at every position, writing at `offset + id`, stopping `CAPPED`
+/// consumers at their cuts and the loop once all have stopped. `None` when
+/// cancelled.
 fn scan<const CAPPED: bool>(
     db: &IndependentDb,
     spec: &SharedWalkSpec,
     accs: &mut [Acc],
     answers: &mut [SharedAnswer],
     cuts: &mut [Option<Cut>],
+    offset: usize,
+    bound: &Bound,
 ) -> Option<()> {
-    let n = db.len();
     // The largest horizon a walking weight consumer reads.
     let poly_cap = |accs: &[Acc], cuts: &[Option<Cut>]| {
         accs.iter()
             .zip(cuts)
             .filter_map(|(acc, cut)| match acc {
-                Acc::Weight(_, cap) if !cut.as_ref().is_some_and(Cut::stopped) => Some(*cap),
+                Acc::Weight(_, cap, _) if !cut.as_ref().is_some_and(Cut::stopped) => Some(*cap),
                 _ => None,
             })
             .max()
             .unwrap_or(0)
     };
     let mut cap_max = poly_cap(accs, cuts);
-    let mut walking = accs.len();
+    let mut walking = cuts
+        .iter()
+        .filter(|c| !c.as_ref().is_some_and(Cut::stopped))
+        .count();
     // The shared prefix polynomial, capped at the largest horizon still
     // read.
     let mut g_poly = Poly::one();
@@ -327,21 +399,22 @@ fn scan<const CAPPED: bool>(
         if step & 0xFF == 0 && spec.is_cancelled() {
             return None;
         }
+        let id = offset + t.id.index();
         let mut weight_stopped = false;
         for ((acc, answer), cut) in accs.iter_mut().zip(answers.iter_mut()).zip(cuts.iter_mut()) {
             if let (true, Some(cut)) = (CAPPED, &mut *cut) {
                 if cut.stopped() {
                     continue;
                 }
-                if cut.stops_at(step, acc.bound(&g_poly, n)) {
+                if cut.stops_at(step, acc.bound(&g_poly, bound)) {
                     walking -= 1;
                     weight_stopped |= matches!(acc, Acc::Weight(..));
                     continue;
                 }
             }
-            acc.eval(answer, t, &g_poly);
+            acc.eval(answer, t, id, &g_poly);
             if let (true, Some(cut)) = (CAPPED, cut) {
-                cut.offer(answer.walk_key(t.id.index()), t.id.index());
+                cut.offer(answer.walk_key(id), id);
             }
         }
         if weight_stopped {
@@ -354,31 +427,61 @@ fn scan<const CAPPED: bool>(
     Some(())
 }
 
-/// One consumer's running state in [`batch_walk_independent`].
+/// What a capped consumer's bound needs besides its own running state.
+struct Bound {
+    /// Roundings a computed key went through: the whole relation's size.
+    ops: usize,
+    /// A bound on the probability of every unread tuple (`p̂`).
+    max_prob: f64,
+    /// Unread tuples in later shards, whose mass above is summed apart.
+    cross: usize,
+}
+
+/// One consumer's running state in [`batch_walk_independent`]. The
+/// optional last fields hold a shard's prefix state: `P_k(α)` for PRFe
+/// (log-domain: `ln P_k(α)`).
 enum Acc<'w> {
-    /// The weight and its extraction cap — reads the shared prefix
-    /// polynomial.
-    Weight(&'w (dyn WeightFunction + Send + Sync), usize),
+    /// The weight, its extraction cap and, when capped, its envelope
+    /// ([`envelope`]) — reads the shared prefix polynomial.
+    Weight(
+        &'w (dyn WeightFunction + Send + Sync),
+        usize,
+        Option<Vec<f64>>,
+    ),
     /// Running `Gᵢ(α)` in plain complex arithmetic.
-    Complex(Complex, Complex),
+    Complex(Complex, Complex, Option<Scaled<Complex>>),
     /// Running `ln Gᵢ(α)`.
-    Log(f64, f64),
+    Log(f64, f64, Option<f64>),
     /// Running `Gᵢ(α)` in scaled arithmetic.
-    Scaled(Scaled<Complex>, Scaled<Complex>, Complex),
-    /// Running probability mass of the higher-scored tuples, and the
-    /// expected world size `C`.
-    Ranks(f64, f64),
+    Scaled(
+        Scaled<Complex>,
+        Scaled<Complex>,
+        Complex,
+        Option<Scaled<Complex>>,
+    ),
+    /// Expected ranks.
+    Ranks(Ranks),
+}
+
+/// An expected-ranks consumer's running state.
+struct Ranks {
+    /// Probability mass of the higher-scored tuples of this relation.
+    mass: f64,
+    /// Expected world size `C` of this relation.
+    world_size: f64,
+    /// A shard's `(C_pre, C − C_k)`.
+    shift: Option<(f64, f64)>,
 }
 
 impl Acc<'_> {
-    /// Evaluates tuple `t` into `answer` and advances the running state;
-    /// `g_poly` is the shared prefix polynomial, advanced by the caller.
-    /// The same operations in the same order as the closed-form kernels.
+    /// Evaluates tuple `t` into `answer[id]` and advances the running
+    /// state; `g_poly` is the shared prefix polynomial, advanced by the
+    /// caller. The same operations in the same order as the closed-form
+    /// kernels, then, on a shard, as the sharded walk's prefix adjustment.
     #[inline(always)]
-    fn eval(&mut self, answer: &mut SharedAnswer, t: &Tuple, g_poly: &Poly) {
-        let id = t.id.index();
+    fn eval(&mut self, answer: &mut SharedAnswer, t: &Tuple, id: usize, g_poly: &Poly) {
         match (self, answer) {
-            (Acc::Weight(omega, cap), SharedAnswer::Complex(buf)) => {
+            (Acc::Weight(omega, cap, _), SharedAnswer::Complex(buf)) => {
                 // Identical loop to `prf_rank_truncated`.
                 let mut upsilon = Complex::ZERO;
                 for (m, &c) in g_poly.coeffs().iter().enumerate().take(*cap) {
@@ -388,46 +491,81 @@ impl Acc<'_> {
                 }
                 buf[id] = upsilon * t.prob;
             }
-            (Acc::Complex(g, alpha), SharedAnswer::Complex(buf)) => {
+            (Acc::Complex(g, alpha, point), SharedAnswer::Complex(buf)) => {
                 // Identical recurrence to `prfe_rank`.
-                buf[id] = *g * *alpha * t.prob;
+                let v = *g * *alpha * t.prob;
+                buf[id] = match point {
+                    Some(point) => Scaled::new(v).mul(point).to_plain(),
+                    None => v,
+                };
                 *g *= Complex::real(1.0 - t.prob) + *alpha * t.prob;
             }
-            (Acc::Log(log_g, alpha), SharedAnswer::Log(buf)) => {
+            (Acc::Log(log_g, alpha, shift), SharedAnswer::Log(buf)) => {
                 // Identical recurrence to `prfe_rank_log`.
                 if t.prob > 0.0 && *alpha > 0.0 && *log_g > f64::NEG_INFINITY {
-                    buf[id] = *log_g + t.prob.ln() + alpha.ln();
+                    let v = *log_g + t.prob.ln() + alpha.ln();
+                    buf[id] = shift.map_or(v, |s| v + s);
                 }
                 *log_g += (1.0 - t.prob + t.prob * *alpha).ln();
             }
-            (Acc::Scaled(g, alpha_s, alpha), SharedAnswer::Scaled(buf)) => {
+            (Acc::Scaled(g, alpha_s, alpha, point), SharedAnswer::Scaled(buf)) => {
                 // Identical recurrence to `prfe_rank_scaled`.
-                buf[id] = g.mul(alpha_s).scale(t.prob);
+                let v = g.mul(alpha_s).scale(t.prob);
+                buf[id] = match point {
+                    Some(point) => v.mul(point),
+                    None => v,
+                };
                 let factor = Scaled::new(Complex::real(1.0 - t.prob) + *alpha * t.prob);
                 *g = g.mul(&factor);
             }
-            (Acc::Ranks(prefix, c), SharedAnswer::Ranks(buf)) => {
+            (Acc::Ranks(r), SharedAnswer::Ranks(buf)) => {
                 // Identical recurrence to `expected_ranks_independent`.
-                let er1 = t.prob * (1.0 + *prefix);
-                let er2 = (1.0 - t.prob) * (*c - t.prob);
-                buf[id] = er1 + er2;
-                *prefix += t.prob;
+                let er1 = t.prob * (1.0 + r.mass);
+                let er2 = (1.0 - t.prob) * (r.world_size - t.prob);
+                let er = er1 + er2;
+                buf[id] = match r.shift {
+                    Some((c_pre, c_other)) => er + (t.prob * c_pre + (1.0 - t.prob) * c_other),
+                    None => er,
+                };
+                r.mass += t.prob;
             }
             _ => unreachable!("accumulator shape matches answer shape"),
         }
     }
 
     /// A capped consumer's bound on the ranking key of the tuple at the
-    /// current score position and of every later one (see [`Cut`]):
-    /// the tuple's value before its `p` factor for PT and PRFe, the mass
-    /// above for expected ranks. `g_poly` is the shared prefix polynomial.
-    fn bound(&self, g_poly: &Poly, n: usize) -> f64 {
+    /// current score position and of every later one (see [`Cut`]), from
+    /// the same state and with the same prefix adjustment as its values:
+    /// the envelope sum for a weight, the tuple's value before its `p`
+    /// factor for PRFe, the mass above for expected ranks. `g_poly` is the
+    /// shared prefix polynomial. A weight without an envelope never stops.
+    fn bound(&self, g_poly: &Poly, b: &Bound) -> f64 {
         match self {
-            Acc::Weight(_, cap) => Cut::linear(g_poly.coeffs().iter().take(*cap).sum(), n + cap),
-            Acc::Complex(g, alpha) => Cut::linear((*g * *alpha).re, n),
-            Acc::Log(log_g, alpha) => Cut::log(log_g + alpha.ln(), n),
-            Acc::Scaled(g, alpha_s, _) => Cut::log(g.mul(alpha_s).magnitude_key(), n),
-            Acc::Ranks(mass_above, c) => Cut::ranks(*mass_above, *c),
+            Acc::Weight(_, cap, envelope) => envelope.as_deref().map_or(f64::INFINITY, |e| {
+                Cut::linear(Cut::weight(e, g_poly.coeffs(), *cap), b.ops + cap)
+            }),
+            Acc::Complex(g, alpha, point) => {
+                let v = *g * *alpha;
+                let v = point
+                    .as_ref()
+                    .map_or(v, |p| Scaled::new(v).mul(p).to_plain());
+                Cut::linear(v.re, b.ops)
+            }
+            Acc::Log(log_g, alpha, shift) => {
+                let v = log_g + alpha.ln();
+                Cut::log(shift.map_or(v, |s| v + s), b.ops)
+            }
+            Acc::Scaled(g, alpha_s, _, point) => {
+                let v = g.mul(alpha_s);
+                let v = point.as_ref().map_or(v, |p| v.mul(p));
+                Cut::log(v.magnitude_key(), b.ops)
+            }
+            Acc::Ranks(r) => match r.shift {
+                Some((c_pre, c_other)) => {
+                    Cut::ranks(c_pre + r.mass, r.world_size + c_other, b.max_prob, b.cross)
+                }
+                None => Cut::ranks(r.mass, r.world_size, b.max_prob, b.cross),
+            },
         }
     }
 }
@@ -441,105 +579,6 @@ impl SharedAnswer {
             SharedAnswer::Scaled(buf) => buf[id].magnitude_key(),
             SharedAnswer::Ranks(buf) => -buf[id],
         }
-    }
-}
-
-/// The early-termination state of one capped walk consumer: its `k` best
-/// ranking keys so far, and where it stopped.
-///
-/// A consumer's *ranking key* here is the key finalization ranks by, or a
-/// monotone function of it: `ℜ(Υ)` for plain values (the real, non-negative
-/// Υ of PT and real-α PRFe have `|Υ| = ℜ(Υ)`), `log₂|Υ|` for scaled values
-/// (their real-part key orders the same), `ln Υ` for log keys and `−er`
-/// for expected ranks. Bounds on the keys of unread tuples, for a consumer
-/// at score position `i`:
-///
-/// * PT(h): `Υ(tⱼ) = pⱼ·Σ_{m<h} Gⱼ[m] ≤ Σ_{m<h} Gᵢ[m]` for `j ≥ i`, since
-///   the probability that fewer than `h` higher-scored tuples exist only
-///   shrinks down the order;
-/// * PRFe, real `α ∈ [0, 1]`: every factor `1 − p + pα` lies in `[α, 1]`,
-///   so `Υ(tⱼ) = pⱼ·α·Gⱼ(α) ≤ α·Gᵢ(α)`;
-/// * expected ranks: `erⱼ = (1 − pⱼ)·C + pⱼ·(Aⱼ + pⱼ) ≥ min(C, Aᵢ)`, with
-///   `Aⱼ ≥ Aᵢ` the mass above `tⱼ`.
-///
-/// Each bound is taken from the same floating-point state the values are
-/// computed from and widened by an explicit rounding slack ([`Cut::linear`],
-/// [`Cut::log`], [`Cut::ranks`]), so an unread tuple's *computed* key is
-/// strictly below the `k`-th best visited one and the top `k` of the
-/// visited prefix — ties by tuple id — is the top `k` of the relation.
-struct Cut {
-    k: usize,
-    /// Packed `(key, id)` ([`packed_desc`]) of the best `k` tuples so far,
-    /// in a max-heap: the root is the `k`-th best.
-    best: BinaryHeap<u128>,
-    /// The score position the consumer stopped at (tuples evaluated).
-    stop: Option<usize>,
-}
-
-impl Cut {
-    fn new(k: usize) -> Self {
-        Cut {
-            k,
-            best: BinaryHeap::with_capacity(k),
-            stop: None,
-        }
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop.is_some()
-    }
-
-    /// Stops the consumer at `step` when `bound`, an upper bound on the
-    /// key of the tuple at `step` and of every later one, is strictly
-    /// below the `k`-th best key so far (at once for `k = 0`).
-    fn stops_at(&mut self, step: usize, bound: f64) -> bool {
-        // The high word of a packed key orders keys descending.
-        let below_kth = |&kth: &u128| packed_desc(bound, 0) >> 64 > kth >> 64;
-        if self.k == 0 || (self.best.len() == self.k && self.best.peek().is_some_and(below_kth)) {
-            self.stop = Some(step);
-        }
-        self.stopped()
-    }
-
-    /// Records the key of a visited tuple.
-    fn offer(&mut self, key: f64, id: usize) {
-        let packed = packed_desc(key, id);
-        if self.best.len() < self.k {
-            self.best.push(packed);
-        } else if let Some(mut kth) = self.best.peek_mut() {
-            if packed < *kth {
-                *kth = packed;
-            }
-        }
-    }
-
-    /// A bound on linear values (PT, plain PRFe). The computed prefix
-    /// state of later positions can exceed the exact one by a relative
-    /// `(3n + h)·ε`-order error (one rounding per product and sum of the
-    /// recurrence, each factor at most one ulp above 1) and by one
-    /// subnormal step per operation once it underflows; `ops` counts
-    /// those operations, and the slack is four times that.
-    fn linear(bound: f64, ops: usize) -> f64 {
-        let slack = (4 * ops + 16) as f64;
-        bound * (1.0 + slack * f64::EPSILON) + slack * f64::from_bits(1)
-    }
-
-    /// A bound on logarithmic keys (`ln Υ`, `log₂|Υ|`): up to `2ε` of drift
-    /// per later factor, widened to `6ε`, plus the rounding of the key
-    /// itself. An exact-zero bound (`−∞`) needs no slack.
-    fn log(bound: f64, n: usize) -> f64 {
-        if bound == f64::NEG_INFINITY {
-            return bound;
-        }
-        bound + ((6 * n + 24) as f64 + 4.0 * bound.abs()) * f64::EPSILON
-    }
-
-    /// A bound on `−er` from the mass above position `i` and the expected
-    /// world size: a handful of roundings on values of size `C + A`, taken
-    /// sixteen times over.
-    fn ranks(mass_above: f64, world_size: f64) -> f64 {
-        let slack = 16.0 * f64::EPSILON * (world_size.abs() + mass_above + 4.0);
-        slack - world_size.min(mass_above)
     }
 }
 

@@ -43,7 +43,7 @@ use prf_pdb::{AndXorTree, IndependentDb, NodeKind, PdbError, Tuple, TupleId};
 
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use crate::query::kernels;
-use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, QueryError};
+use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, QueryError, TopkCarry};
 
 /// Splice budget: after this many tail splices the compiled plan's stale
 /// orphaned chains outweigh the patch savings and the next insert triggers
@@ -482,15 +482,18 @@ struct LiveInner<B> {
 }
 
 impl<B: MutableRelation> LiveInner<B> {
-    /// The log-key cache when it covers the whole spec (its answers are
-    /// full rankings), else the backend's own walk, stopping capped
-    /// consumers early where it can.
-    fn walk(&self, spec: &SharedWalkSpec, limits: &[Option<usize>]) -> Option<SharedWalkOut> {
-        if let Some(out) = self.cached_walk(spec) {
-            return Some(out);
+    /// The log-key cache when it covers the whole spec and the carry is
+    /// fresh (its answers are full rankings of this relation alone), else
+    /// the backend's own walk, stopping capped consumers early where it
+    /// can.
+    fn walk(&self, spec: &SharedWalkSpec, carry: &mut TopkCarry) -> Option<SharedWalkOut> {
+        if carry.is_fresh() {
+            if let Some(out) = self.cached_walk(spec) {
+                return Some(out);
+            }
         }
         self.backend
-            .run_shared_walk_topk(spec, limits, &self.prepared)
+            .run_shared_walk_topk(spec, carry, &self.prepared)
     }
 
     /// Serves a walk entirely from the log-key cache when every request is
@@ -763,16 +766,16 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
         // Own state always wins: foreign state describes some past version.
-        self.read().walk(spec, &[])
+        self.read().walk(spec, &mut TopkCarry::default())
     }
 
     fn run_shared_walk_topk(
         &self,
         spec: &SharedWalkSpec,
-        limits: &[Option<usize>],
+        carry: &mut TopkCarry,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        self.read().walk(spec, limits)
+        self.read().walk(spec, carry)
     }
 
     /// Keys plus their ranking, without a per-query sort: the order lives
@@ -803,7 +806,7 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
                 cancel: None,
             };
             let Some(SharedAnswer::Log(keys)) = inner
-                .walk(&spec, &[])
+                .walk(&spec, &mut TopkCarry::default())
                 .and_then(|out| out.answers.into_iter().next())
             else {
                 return None;

@@ -62,7 +62,7 @@ use prf_pdb::TupleId;
 use super::relation::{CorrelationClass, ProbabilisticRelation};
 use super::{
     panic_reason, timed, Algorithm, CancelToken, EvalReport, NumericMode, PreparedState,
-    QueryError, RankQuery, RankedResult, Semantics, TopSet, Values,
+    QueryError, RankQuery, RankedResult, Semantics, TopSet, TopkCarry, Values,
 };
 use crate::incremental::GfStats;
 use crate::mixture::{approximate_weights, DftApproxConfig, ExpMixture};
@@ -203,7 +203,7 @@ pub struct SharedWalkOut {
     /// walk is the scan alone).
     pub walk_seconds: f64,
     /// Per request, the ids of the score-order prefix its consumer
-    /// evaluated, best score first, when it stopped early on its `top_k`
+    /// evaluated (in no particular order), when it stopped early on its `top_k`
     /// (see [`ProbabilisticRelation::run_shared_walk_topk`]); `None` when
     /// it evaluated every tuple. Walks that never stop early leave the
     /// vector empty.
@@ -537,7 +537,8 @@ impl QueryBatch {
             Ok(None)
         } else {
             guarded(isolate, || {
-                Ok(rel.run_shared_walk_topk(&spec, &limits, &PreparedState::empty()))
+                let mut carry = TopkCarry::new(&limits);
+                Ok(rel.run_shared_walk_topk(&spec, &mut carry, &PreparedState::empty()))
             })
         };
         let mut answered: Vec<Option<Result<Answered, QueryError>>> =
@@ -689,7 +690,8 @@ impl QueryBatch {
             return Err(QueryError::TimedOut);
         }
         let out = guarded(isolate, || {
-            Ok(rel.run_shared_walk_topk(&spec, limits, &PreparedState::empty()))
+            let mut carry = TopkCarry::new(limits);
+            Ok(rel.run_shared_walk_topk(&spec, &mut carry, &PreparedState::empty()))
         })?;
         let mut out = out.ok_or_else(|| walk_failure(entry, rel.correlation_class()))?;
         Ok(Answered {

@@ -60,12 +60,14 @@ use crate::topk::{Ranking, ValueOrder};
 use crate::weights::{StepWeight, WeightFunction};
 
 pub mod batch;
+pub(crate) mod cut;
 pub mod kernels;
 mod key;
 mod prepared;
 mod relation;
 
 pub use batch::{BatchCost, BatchPlan, BatchRoute, QueryBatch};
+pub use cut::TopkCarry;
 pub use key::QueryKey;
 pub use prepared::{PreparedRelation, PreparedState};
 pub use relation::{CorrelationClass, ProbabilisticRelation};

@@ -30,7 +30,7 @@ use prf_pdb::TupleId;
 use super::batch::{SharedWalkOut, SharedWalkSpec};
 use super::kernels;
 use super::relation::{CorrelationClass, ProbabilisticRelation};
-use super::QueryError;
+use super::{QueryError, TopkCarry};
 use crate::tree::TreePrepared;
 
 // ---------------------------------------------------------------------
@@ -290,11 +290,10 @@ impl ProbabilisticRelation for PreparedRelation {
     fn run_shared_walk_topk(
         &self,
         spec: &SharedWalkSpec,
-        limits: &[Option<usize>],
+        carry: &mut TopkCarry,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        self.rel
-            .run_shared_walk_topk(spec, limits, &self.snapshot())
+        self.rel.run_shared_walk_topk(spec, carry, &self.snapshot())
     }
 
     fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {

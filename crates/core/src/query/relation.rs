@@ -27,7 +27,7 @@ use prf_pdb::{AndXorTree, IndependentDb, TupleId};
 
 use super::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
 use super::kernels;
-use super::{PreparedState, QueryError};
+use super::{PreparedState, QueryError, TopkCarry};
 use crate::weights::PositionWeight;
 
 /// How the tuples of a relation may be correlated — drives the `Auto`
@@ -126,22 +126,28 @@ pub trait ProbabilisticRelation {
     ) -> Option<SharedWalkOut>;
 
     /// [`Self::run_shared_walk_prepared`] for consumers that rank only
-    /// their top `k`: `limits` holds each request's `k` (parallel to
-    /// `spec.requests`, `None` for a full ranking). A backend walking in
-    /// score order may stop a capped consumer at the first position where
-    /// no unread tuple can enter its top `k`, and report the visited prefix
-    /// in [`SharedWalkOut::prefixes`]; that answer is exact on the prefix
-    /// and holds the worst value of its shape beyond it. The stop point
-    /// must depend only on the relation and the consumer's own request and
-    /// `k`. The default walks in full, which is always a valid answer;
-    /// [`IndependentDb`] stops early.
+    /// their top `k`: `carry` holds each request's `k` and, between the
+    /// shards of a [`crate::shard::ShardedRelation`], its running cut and
+    /// the shard's prefix state ([`TopkCarry`]). A backend walking in score
+    /// order may stop a capped consumer at the first position where no
+    /// unread tuple can enter its top `k`, and report the visited prefix in
+    /// [`SharedWalkOut::prefixes`]; that answer is exact on the prefix and
+    /// holds the worst value of its shape beyond it. The stop point must
+    /// depend only on the relation and the consumer's own request and `k`.
+    ///
+    /// The default answers a fresh carry ([`TopkCarry::is_fresh`]) with a
+    /// full walk, which is always valid, and returns `None` for any other
+    /// carry: it cannot resume a cut. [`IndependentDb`] stops early and
+    /// resumes; wrappers forward the carry.
     fn run_shared_walk_topk(
         &self,
         spec: &SharedWalkSpec,
-        limits: &[Option<usize>],
+        carry: &mut TopkCarry,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        let _ = limits;
+        if !carry.is_fresh() {
+            return None;
+        }
         self.run_shared_walk_prepared(spec, prep)
     }
 
@@ -247,16 +253,16 @@ impl ProbabilisticRelation for IndependentDb {
         spec: &SharedWalkSpec,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        crate::independent::batch_walk_independent(self, spec, &[])
+        crate::independent::batch_walk_independent(self, spec, &mut TopkCarry::default())
     }
 
     fn run_shared_walk_topk(
         &self,
         spec: &SharedWalkSpec,
-        limits: &[Option<usize>],
+        carry: &mut TopkCarry,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        crate::independent::batch_walk_independent(self, spec, limits)
+        crate::independent::batch_walk_independent(self, spec, carry)
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {

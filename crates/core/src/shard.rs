@@ -39,15 +39,31 @@
 //!
 //! # Execution
 //!
-//! [`ShardedRelation`] owns a persistent [`ShardPool`] of worker threads.
-//! A shared walk runs in two pool-parallel phases: **phase A** computes
-//! each shard's monoid elements (`G_k` coefficients, `G_k(α)` points,
-//! expected sizes — order-independent, no sort needed), a cheap serial
-//! fold turns them into exclusive prefix products (a balanced product
-//! tournament for the coefficient merge, mirroring `Poly::product`), and
-//! **phase B** walks every shard concurrently with its prefix-adjusted
-//! consumers, scattering local answers into the global tuple-id space.
-//! The [`SharedWalkSpec`] consumer machinery is reused unchanged, so
+//! [`ShardedRelation`] owns a persistent [`ShardPool`] of worker threads
+//! and runs a shared walk one of two ways.
+//!
+//! **Uncapped walks** (full rankings) run in two pool-parallel phases:
+//! **phase A** computes each shard's monoid elements (`G_k` coefficients,
+//! `G_k(α)` points — order-independent, no sort needed) and a cheap serial
+//! fold turns them into exclusive prefix products; **phase B** walks every
+//! shard concurrently with its prefix-adjusted consumers and scatters the
+//! local answers into the global tuple-id space.
+//!
+//! **Capped walks** (some consumer has a `top_k` below `n`) go through the
+//! shards one at a time in score order. Each shard walk gets a
+//! [`TopkCarry`]: every consumer's running cut (its `k` best global keys),
+//! the shard's prefix state and the global answer buffers. It applies the
+//! prefix state to each value as it computes it, with the floating-point
+//! operations phase B applies afterwards, so its cut sees global keys and
+//! a capped answer is the uncapped answer truncated, bit for bit. The walk
+//! ends inside the first shard where every consumer has stopped; a shard's
+//! phase A runs only once the walk goes past it, so the later shards are
+//! never read. A shard whose backend cannot resume a carry (trees,
+//! graphical models) sends the walk back to the two-phase path.
+//!
+//! Expected ranks need each shard's expected size `C_k` and largest
+//! probability `p̂_k`; both are cached per shard generation. The
+//! [`SharedWalkSpec`] consumer machinery is reused unchanged, so
 //! [`QueryBatch`](crate::query::QueryBatch) and the `prf-serve` server
 //! work against a sharded relation exactly as against any other backend.
 
@@ -61,7 +77,8 @@ use prf_pdb::{Tuple, TupleId};
 
 use crate::incremental::GfStats;
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
-use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation};
+use crate::query::cut::ShardCarry;
+use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, TopkCarry};
 use crate::weights::{tabulate, TabulatedWeight, WeightFunction};
 
 /// A shard handle: any backend that exposes the presence-GF monoid hooks
@@ -268,16 +285,18 @@ fn is_identity_prefix(prefix: &[f64]) -> bool {
 }
 
 /// Materializes the shifted weight of a *rank-only* `ω` as an explicit
-/// table `W[j−1] = Σ_a P[a]·ω(a+j)` of length `min(cap, n_loc)` — an
+/// table `W[j−1] = Σ_a P[a]·ω(a+j)` of length `min(cap, max_len)` — an
 /// owned, `Send + Sync` weight that pool workers can share, at tabulation
-/// cost `O(len·|P|)` (never more than the walk that consumes it).
+/// cost `O(len·|P|)`. Entries do not depend on `max_len`: a walk of the
+/// shard reads `n_loc` of them, a capped walk's envelope every rank of the
+/// shard and the later ones.
 fn tabulate_shifted(
     omega: &(dyn WeightFunction + '_),
     prefix: &[f64],
     cap: usize,
-    n_loc: usize,
+    max_len: usize,
 ) -> TabulatedWeight {
-    let len = cap.min(n_loc);
+    let len = cap.min(max_len);
     // ω values at global ranks 1 ..= len + |P| − 1 (zero beyond cap).
     let glob_len = cap.min(len + prefix.len().saturating_sub(1));
     let glob = tabulate(omega, glob_len);
@@ -382,13 +401,24 @@ struct GenTracker {
     /// re-preparation after a mutation rebuilds **exactly** the changed
     /// shards' states and reuses the rest by `Arc` handle.
     prepared: Vec<Option<(u64, Arc<PreparedState>)>>,
+    /// Per-shard [`ShardSummary`], stamped the same way.
+    summaries: Vec<Option<(u64, ShardSummary)>>,
+}
+
+/// What expected ranks need of a shard besides its walk, cached per shard
+/// generation.
+#[derive(Clone, Copy, Debug, Default)]
+struct ShardSummary {
+    /// Expected present count `C_k`: the marginals summed in id order.
+    world_size: f64,
+    /// The largest marginal `p̂_k`.
+    max_prob: f64,
 }
 
 /// Per-shard monoid elements computed by phase A.
 struct ShardPre {
     coeffs: Option<Vec<f64>>,
     points: Vec<Scaled<Complex>>,
-    expected_size: f64,
 }
 
 /// Per-shard prefix state handed to phase B.
@@ -449,6 +479,7 @@ impl ShardedRelation {
             last_seen: shards.iter().map(|s| s.generation()).collect(),
             counter: 0,
             prepared: vec![None; shards.len()],
+            summaries: vec![None; shards.len()],
         });
         Ok(ShardedRelation {
             shards,
@@ -479,6 +510,46 @@ impl ShardedRelation {
         offsets
     }
 
+    /// Every shard's [`ShardSummary`], rebuilt only for the shards whose
+    /// generation moved since it was cached (read before the marginals, as
+    /// in [`ProbabilisticRelation::prepare`]).
+    fn summaries(&self) -> Vec<ShardSummary> {
+        let mut tracker = self.generations.lock().expect("generation tracker");
+        self.shards
+            .iter()
+            .zip(tracker.summaries.iter_mut())
+            .map(|(shard, slot)| {
+                let generation = shard.generation();
+                match slot {
+                    Some((g, summary)) if *g == generation => *summary,
+                    _ => {
+                        let marginals = shard.tuple_marginals();
+                        let summary = ShardSummary {
+                            world_size: marginals.iter().sum(),
+                            max_prob: marginals.iter().copied().fold(0.0, f64::max),
+                        };
+                        *slot = Some((generation, summary));
+                        summary
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// The summaries when some request ranks by expected rank (the only
+    /// reader), else zeros.
+    fn erank_summaries(&self, spec: &SharedWalkSpec) -> Vec<ShardSummary> {
+        if spec
+            .requests
+            .iter()
+            .any(|r| matches!(r, SharedRequest::ExpectedRanks))
+        {
+            self.summaries()
+        } else {
+            vec![ShardSummary::default(); self.shards.len()]
+        }
+    }
+
     // -----------------------------------------------------------------
     // Phase A: per-shard monoid elements + the prefix fold
     // -----------------------------------------------------------------
@@ -489,7 +560,7 @@ impl ShardedRelation {
         &self,
         coeff_cap: Option<usize>,
         alphas: &[Complex],
-        want_expected_size: bool,
+        summaries: &[ShardSummary],
     ) -> Vec<ShardPrefix> {
         let jobs: Vec<_> = self
             .shards
@@ -511,28 +582,23 @@ impl ShardedRelation {
                                 .expect("validated at construction")
                         })
                         .collect(),
-                    expected_size: if want_expected_size {
-                        shard.tuple_marginals().iter().sum()
-                    } else {
-                        0.0
-                    },
                 }
             })
             .collect();
         let pres = self.pool.run(jobs);
 
         let offsets = self.offsets();
-        let c_total: f64 = pres.iter().map(|p| p.expected_size).sum();
+        let c_total: f64 = summaries.iter().map(|s| s.world_size).sum();
         let mut coeff_acc = Poly::one();
         let mut point_acc = vec![Scaled::<Complex>::one(); alphas.len()];
         let mut c_pre = 0.0f64;
         let mut out = Vec::with_capacity(pres.len());
-        for (k, pre) in pres.iter().enumerate() {
+        for (k, (pre, summary)) in pres.iter().zip(summaries).enumerate() {
             out.push(ShardPrefix {
                 coeffs: coeff_cap.map(|_| coeff_acc.coeffs().to_vec()),
                 points: point_acc.clone(),
                 c_pre,
-                c_other: c_total - pre.expected_size,
+                c_other: c_total - summary.world_size,
                 offset: offsets[k],
             });
             if let (Some(cap), Some(coeffs)) = (coeff_cap, &pre.coeffs) {
@@ -541,7 +607,7 @@ impl ShardedRelation {
             for (acc, point) in point_acc.iter_mut().zip(&pre.points) {
                 *acc = acc.mul(point);
             }
-            c_pre += pre.expected_size;
+            c_pre += summary.world_size;
         }
         out
     }
@@ -550,67 +616,22 @@ impl ShardedRelation {
     // Phase B: the merged shared walk
     // -----------------------------------------------------------------
 
-    /// The whole two-phase merged walk. `preps` carries per-shard prepared
-    /// states when the caller has them (matching shard count), else the
-    /// shards walk unprepared. Only a one-shard relation passes `limits`
-    /// on; the merged walk of several shards evaluates every tuple.
+    /// The two-phase merged walk of every tuple (module docs). `preps`
+    /// carries per-shard prepared states when the caller has them
+    /// (matching shard count), else the shards walk unprepared.
     fn merged_walk(
         &self,
         spec: &SharedWalkSpec,
-        limits: &[Option<usize>],
         preps: Option<&[Arc<PreparedState>]>,
     ) -> Option<SharedWalkOut> {
         let start = Instant::now();
         if spec.is_cancelled() {
             return None;
         }
-        let n: usize = self.shards.iter().map(|s| s.n_tuples()).sum();
-        if self.shards.len() == 1 {
-            // One shard: the prefix is the identity, delegate wholesale.
-            let prep = preps.and_then(|p| p.first());
-            let empty = PreparedState::empty();
-            return self.shards[0].run_shared_walk_topk(
-                spec,
-                limits,
-                prep.map_or(&empty, |p| &**p),
-            );
-        }
-
-        // What the prefix fold must produce.
-        let coeff_cap = spec
-            .requests
-            .iter()
-            .filter_map(|r| r.weight_cap(n))
-            .max()
-            .map(|c| c.max(1));
-        let mut alphas: Vec<Complex> = Vec::new();
-        let mut alpha_of_request: Vec<Option<usize>> = Vec::with_capacity(spec.requests.len());
-        for req in &spec.requests {
-            let alpha = match req {
-                SharedRequest::PrfeComplex(a) | SharedRequest::PrfeScaled(a) => Some(*a),
-                SharedRequest::PrfeLog(a) => Some(Complex::real(*a)),
-                _ => None,
-            };
-            alpha_of_request.push(alpha.map(|a| {
-                let key = (a.re.to_bits(), a.im.to_bits());
-                match alphas
-                    .iter()
-                    .position(|b| (b.re.to_bits(), b.im.to_bits()) == key)
-                {
-                    Some(i) => i,
-                    None => {
-                        alphas.push(a);
-                        alphas.len() - 1
-                    }
-                }
-            }));
-        }
-        let want_erank = spec
-            .requests
-            .iter()
-            .any(|r| matches!(r, SharedRequest::ExpectedRanks));
-
-        let prefixes = self.prefixes(coeff_cap, &alphas, want_erank);
+        let n = self.n_tuples();
+        let (alphas, alpha_of_request) = request_alphas(spec);
+        let summaries = self.erank_summaries(spec);
+        let prefixes = self.prefixes(coeff_cap(spec, n), &alphas, &summaries);
 
         // Phase B: walk every non-empty shard on the pool.
         let mut jobs = Vec::new();
@@ -649,10 +670,7 @@ impl ShardedRelation {
             for (global, local) in answers.iter_mut().zip(local_answers) {
                 scatter(global, local, offset);
             }
-            stats = match (stats, local_stats) {
-                (Some(a), Some(b)) => Some(a.merge(b)),
-                (s, t) => s.or(t),
-            };
+            stats = merge_stats(stats, local_stats);
         }
         Some(SharedWalkOut {
             answers,
@@ -661,6 +679,192 @@ impl ShardedRelation {
             prefixes: Vec::new(),
         })
     }
+
+    /// The sequential capped walk (module docs): shards one at a time in
+    /// score order, each consumer's cut carried across every boundary,
+    /// values written straight into the global buffers. The walk ends
+    /// inside the first shard where every consumer has stopped; the phase
+    /// A of a shard runs only once the walk goes past it. A shard that
+    /// cannot resume the carry sends the walk down the two-phase path.
+    fn capped_walk(
+        &self,
+        spec: &SharedWalkSpec,
+        carry: &mut TopkCarry,
+        preps: Option<&[Arc<PreparedState>]>,
+    ) -> Option<SharedWalkOut> {
+        let start = Instant::now();
+        let n = self.n_tuples();
+        let offsets = self.offsets();
+        let (alphas, alpha_of_request) = request_alphas(spec);
+        let coeff_cap = coeff_cap(spec, n);
+        let summaries = self.erank_summaries(spec);
+        let c_total: f64 = summaries.iter().map(|s| s.world_size).sum();
+        // p̂ of every shard after k, at k + 1.
+        let mut tail_max_prob = vec![0.0f64; self.shards.len() + 1];
+        for (k, summary) in summaries.iter().enumerate().rev() {
+            tail_max_prob[k] = tail_max_prob[k + 1].max(summary.max_prob);
+        }
+        carry
+            .requests
+            .resize_with(spec.requests.len(), Default::default);
+
+        let mut coeff_acc = Poly::one();
+        let mut point_acc = vec![Scaled::<Complex>::one(); alphas.len()];
+        let mut c_pre = 0.0f64;
+        let mut answers = spec.answer_buffers(n);
+        let mut prefixes: Vec<Option<Vec<TupleId>>> = vec![None; spec.requests.len()];
+        let mut stats: Option<GfStats> = None;
+        let empty = PreparedState::empty();
+        for (k, shard) in self.shards.iter().enumerate() {
+            let (n_loc, offset) = (shard.n_tuples(), offsets[k]);
+            if n_loc > 0 {
+                // A capped weight's envelope spans the ranks of every later
+                // shard too.
+                let local_spec = SharedWalkSpec {
+                    requests: shifted_requests(
+                        &spec.requests,
+                        coeff_cap.map(|_| coeff_acc.coeffs()),
+                        offset,
+                        n,
+                        n - offset,
+                    ),
+                    threads: None,
+                    cancel: spec.cancel.clone(),
+                };
+                for (rc, alpha) in carry.requests.iter_mut().zip(&alpha_of_request) {
+                    rc.point = alpha.map(|i| point_acc[i]);
+                }
+                carry.shard = Some(ShardCarry {
+                    answers,
+                    offset,
+                    tail: n - offset - n_loc,
+                    tail_max_prob: tail_max_prob[k + 1],
+                    c_pre,
+                    c_other: c_total - summaries[k].world_size,
+                });
+                let prep = preps.and_then(|p| p.get(k)).map_or(&empty, |p| &**p);
+                let Some(out) = shard.run_shared_walk_topk(&local_spec, carry, prep) else {
+                    carry.shard = None;
+                    return if spec.is_cancelled() {
+                        None
+                    } else {
+                        self.merged_walk(spec, preps)
+                    };
+                };
+                answers = out.answers;
+                stats = merge_stats(stats, out.stats);
+                // A consumer that stopped here visited every earlier shard.
+                for (slot, visited) in prefixes.iter_mut().zip(out.prefixes) {
+                    if let Some(visited) = visited {
+                        *slot = Some((0..offset as u32).map(TupleId).chain(visited).collect());
+                    }
+                }
+                if carry.settled() {
+                    break;
+                }
+            }
+            // This shard's phase A, the same fold as the two-phase path's.
+            if let Some(cap) = coeff_cap {
+                let g = shard
+                    .presence_gf_coeffs(cap)
+                    .expect("validated at construction");
+                coeff_acc = coeff_acc.mul_truncated(&Poly::from_coeffs(g), cap);
+            }
+            for (alpha, acc) in alphas.iter().zip(&mut point_acc) {
+                let g = shard
+                    .presence_gf_point(*alpha)
+                    .expect("validated at construction");
+                *acc = acc.mul(&g);
+            }
+            c_pre += summaries[k].world_size;
+        }
+        Some(SharedWalkOut {
+            answers,
+            stats,
+            walk_seconds: start.elapsed().as_secs_f64(),
+            prefixes,
+        })
+    }
+}
+
+/// The largest coefficient cap of the spec's weight requests on an
+/// `n`-tuple relation: how far the prefix fold must keep `P_k`.
+fn coeff_cap(spec: &SharedWalkSpec, n: usize) -> Option<usize> {
+    spec.requests
+        .iter()
+        .filter_map(|r| r.weight_cap(n))
+        .max()
+        .map(|c| c.max(1))
+}
+
+/// The distinct PRFe evaluation points of a spec, and each request's index
+/// into them.
+fn request_alphas(spec: &SharedWalkSpec) -> (Vec<Complex>, Vec<Option<usize>>) {
+    let mut alphas: Vec<Complex> = Vec::new();
+    let of_request = spec
+        .requests
+        .iter()
+        .map(|req| {
+            let alpha = match req {
+                SharedRequest::PrfeComplex(a) | SharedRequest::PrfeScaled(a) => *a,
+                SharedRequest::PrfeLog(a) => Complex::real(*a),
+                _ => return None,
+            };
+            let key = (alpha.re.to_bits(), alpha.im.to_bits());
+            Some(
+                alphas
+                    .iter()
+                    .position(|b| (b.re.to_bits(), b.im.to_bits()) == key)
+                    .unwrap_or_else(|| {
+                        alphas.push(alpha);
+                        alphas.len() - 1
+                    }),
+            )
+        })
+        .collect();
+    (alphas, of_request)
+}
+
+fn merge_stats(a: Option<GfStats>, b: Option<GfStats>) -> Option<GfStats> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.merge(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Maps a spec's requests onto the shard at global `offset` whose
+/// higher-scored shards have presence coefficients `coeffs` (`P_k`): a
+/// weight becomes its shifted weight, tabulated (rank-only ω) to at most
+/// `table_len` ranks; every other request is unchanged.
+fn shifted_requests(
+    requests: &[SharedRequest],
+    coeffs: Option<&[f64]>,
+    offset: usize,
+    global_n: usize,
+    table_len: usize,
+) -> Vec<SharedRequest> {
+    requests
+        .iter()
+        .map(|req| match req {
+            SharedRequest::Weight(w) => {
+                let coeffs = coeffs.expect("coeffs requested");
+                if is_identity_prefix(coeffs) && (offset == 0 || w.rank_only()) {
+                    SharedRequest::Weight(Arc::clone(w))
+                } else if w.rank_only() {
+                    let cap = w.truncation().unwrap_or(global_n).min(global_n).max(1);
+                    SharedRequest::Weight(Arc::new(tabulate_shifted(&**w, coeffs, cap, table_len)))
+                } else {
+                    SharedRequest::Weight(Arc::new(ShiftedWeight {
+                        inner: Arc::clone(w),
+                        prefix: coeffs.to_vec(),
+                        trunc: w.truncation(),
+                        id_offset: offset as u32,
+                    }))
+                }
+            }
+            other => other.clone(),
+        })
+        .collect()
 }
 
 /// One shard's phase-B work: map the requests through the prefix state,
@@ -676,29 +880,13 @@ fn shard_walk(
     global_n: usize,
     prep: Option<&PreparedState>,
 ) -> Option<(Vec<SharedAnswer>, Option<GfStats>)> {
-    let n_loc = shard.n_tuples();
-    let local_requests: Vec<SharedRequest> = requests
-        .iter()
-        .map(|req| match req {
-            SharedRequest::Weight(w) => {
-                let coeffs = prefix.coeffs.as_deref().expect("coeffs requested");
-                if is_identity_prefix(coeffs) && (prefix.offset == 0 || w.rank_only()) {
-                    SharedRequest::Weight(Arc::clone(w))
-                } else if w.rank_only() {
-                    let cap = w.truncation().unwrap_or(global_n).min(global_n).max(1);
-                    SharedRequest::Weight(Arc::new(tabulate_shifted(&**w, coeffs, cap, n_loc)))
-                } else {
-                    SharedRequest::Weight(Arc::new(ShiftedWeight {
-                        inner: Arc::clone(w),
-                        prefix: coeffs.to_vec(),
-                        trunc: w.truncation(),
-                        id_offset: prefix.offset as u32,
-                    }))
-                }
-            }
-            other => other.clone(),
-        })
-        .collect();
+    let local_requests = shifted_requests(
+        &requests,
+        prefix.coeffs.as_deref(),
+        prefix.offset,
+        global_n,
+        shard.n_tuples(),
+    );
     let local_spec = SharedWalkSpec {
         requests: local_requests,
         threads: None,
@@ -854,20 +1042,35 @@ impl ProbabilisticRelation for ShardedRelation {
         spec: &SharedWalkSpec,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        self.run_shared_walk_topk(spec, &[], prep)
+        self.run_shared_walk_topk(spec, &mut TopkCarry::default(), prep)
     }
 
+    /// A fresh carry with some `k` below the relation's size walks the
+    /// shards in sequence and stops early; any other fresh carry takes the
+    /// two-phase path. A carry from an enclosing sharded relation cannot
+    /// be resumed here: `None`.
     fn run_shared_walk_topk(
         &self,
         spec: &SharedWalkSpec,
-        limits: &[Option<usize>],
+        carry: &mut TopkCarry,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        match prep.sharded_states() {
-            Some(states) if states.len() == self.shards.len() => {
-                self.merged_walk(spec, limits, Some(states))
-            }
-            _ => self.merged_walk(spec, limits, None),
+        if !carry.is_fresh() {
+            return None;
+        }
+        let preps = prep
+            .sharded_states()
+            .filter(|states| states.len() == self.shards.len());
+        if self.shards.len() == 1 {
+            // One shard: the prefix is the identity, delegate wholesale.
+            let prep = preps.and_then(|p| p.first());
+            let empty = PreparedState::empty();
+            return self.shards[0].run_shared_walk_topk(spec, carry, prep.map_or(&empty, |p| &**p));
+        }
+        if carry.any_pending(self.n_tuples()) {
+            self.capped_walk(spec, carry, preps)
+        } else {
+            self.merged_walk(spec, preps)
         }
     }
 

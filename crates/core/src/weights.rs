@@ -41,13 +41,6 @@ pub trait WeightFunction {
         false
     }
 
-    /// `true` when the weight is the step `ω(t, i) = δ(i ≤ h)` with `h` its
-    /// [`Self::truncation`] — the PT(h) weight, whose Υ the independent
-    /// walk can bound to stop a top-k query early. Default: `false`.
-    fn is_step(&self) -> bool {
-        false
-    }
-
     /// A short human-readable name for diagnostics.
     fn name(&self) -> String {
         "ω".to_string()
@@ -103,9 +96,6 @@ impl WeightFunction for StepWeight {
         Some(self.h)
     }
     fn rank_only(&self) -> bool {
-        true
-    }
-    fn is_step(&self) -> bool {
         true
     }
     fn name(&self) -> String {

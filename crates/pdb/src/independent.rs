@@ -17,12 +17,14 @@ use crate::{check_probability, PdbError};
 /// of every ranking algorithm, score descending with ties by id. The
 /// second copy is sorted once at construction and kept exact by every
 /// mutation, so a query scans it front to back instead of sorting. The
-/// expected world size `Σ pᵢ` is cached beside them.
+/// expected world size `Σ pᵢ` and a bound on the largest probability are
+/// cached beside them.
 #[derive(Clone, Debug, Default)]
 pub struct IndependentDb {
     tuples: Vec<Tuple>,
     by_score: Vec<Tuple>,
     world_size: f64,
+    max_prob: f64,
 }
 
 impl IndependentDb {
@@ -50,10 +52,12 @@ impl IndependentDb {
             .map(|i| tuples[i])
             .collect();
         let world_size = tuples.iter().map(|t| t.prob).sum();
+        let max_prob = tuples.iter().map(|t| t.prob).fold(0.0, f64::max);
         IndependentDb {
             tuples,
             by_score,
             world_size,
+            max_prob,
         }
     }
 
@@ -108,6 +112,13 @@ impl IndependentDb {
         self.world_size
     }
 
+    /// An upper bound on every tuple's probability: exact at construction,
+    /// raised by [`Self::set_prob`] and [`Self::push_tuple`], and left alone
+    /// by [`Self::remove_tuple`] (a stale-high value is still a bound).
+    pub fn max_prob(&self) -> f64 {
+        self.max_prob
+    }
+
     /// Replaces the existence probability of tuple `id`, returning the old
     /// value. Scores (and therefore every cached score order) are untouched.
     pub fn set_prob(&mut self, id: TupleId, prob: f64) -> Result<f64, PdbError> {
@@ -120,6 +131,7 @@ impl IndependentDb {
         self.by_score[pos].prob = prob;
         let old = std::mem::replace(&mut self.tuples[idx].prob, prob);
         self.world_size += prob - old;
+        self.max_prob = self.max_prob.max(prob);
         Ok(old)
     }
 
@@ -130,6 +142,7 @@ impl IndependentDb {
         let tuple = Tuple::new(id, score, prob)?;
         self.tuples.push(tuple);
         self.world_size += prob;
+        self.max_prob = self.max_prob.max(prob);
         let pos = self.score_position(id);
         self.by_score.insert(pos, tuple);
         Ok(id)
@@ -348,6 +361,42 @@ mod tests {
             assert!(
                 (cached - want).abs() <= 1e-12 * want,
                 "step {step}: cached {cached} vs fresh {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn max_prob_bounds_every_probability_through_mutation_scripts() {
+        let mut rng = StdRng::seed_from_u64(0xB0B);
+        let mut db = IndependentDb::from_pairs(
+            (0..200).map(|i| (f64::from(i % 17), 0.9 * rng.gen::<f64>())),
+        )
+        .unwrap();
+        let exact = |db: &IndependentDb| db.tuples().iter().map(|t| t.prob).fold(0.0, f64::max);
+        assert_eq!(db.max_prob(), exact(&db), "exact at construction");
+        let probs = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5];
+        for step in 0..1_000 {
+            let p = match rng.gen_range(0..3) {
+                0 => probs[rng.gen_range(0..probs.len())],
+                _ => rng.gen::<f64>(),
+            };
+            match rng.gen_range(0..3) {
+                0 if db.len() > 50 => {
+                    let id = TupleId(rng.gen_range(0..db.len() as u32));
+                    db.remove_tuple(id).unwrap();
+                }
+                1 => {
+                    db.push_tuple(f64::from(rng.gen_range(0..17)), p).unwrap();
+                }
+                _ => {
+                    let id = TupleId(rng.gen_range(0..db.len() as u32));
+                    db.set_prob(id, p).unwrap();
+                }
+            }
+            assert!(
+                db.tuples().iter().all(|t| t.prob <= db.max_prob()),
+                "step {step}: max_prob {} below a probability",
+                db.max_prob()
             );
         }
     }

@@ -2,17 +2,30 @@
 //! independent relation stops its score-order walk once no unread tuple
 //! can enter its answer, and ranks only the visited prefix. That ranking
 //! must be the uncapped query's ranking truncated to `k`, bit for bit in
-//! `order()` and every `key_at`, for PT(h), real-α PRFe in every numeric
-//! mode, E-Rank and value-order overrides, on degenerate inputs: empty and
-//! one-tuple relations, tied scores, probabilities 0, 1, 1e-300 and
-//! 1 − 1e-16, α ∈ {0, 1e-300, 1}, and k ∈ {0, 1, n, n + 5}.
+//! `order()` and every `key_at`, for PT(h), a tabulated PRFω, real-α PRFe
+//! in every numeric mode, E-Rank and value-order overrides, on degenerate
+//! inputs: empty and one-tuple relations, tied scores, probabilities 0, 1,
+//! 1e-300 and 1 − 1e-16, α ∈ {0, 1e-300, 1}, and k ∈ {0, 1, n, n + 5}.
+//!
+//! A `ShardedRelation` walks its shards in score order under a cap and
+//! stops inside the first shard that settles every consumer. Its capped
+//! answers must be its own uncapped (two-phase) answers truncated, bit for
+//! bit, over 1–4 shards with empty and one-tuple shards, ties across a
+//! boundary and a `k` that crosses one; a shard that cannot resume the
+//! walk (an x-tuple tree) sends it down the uncapped path.
 //!
 //! A capped query's values (exact on the visited prefix, worst beyond it)
 //! must not depend on how it runs: alone, in a batch beside uncapped
 //! entries, through a `PreparedRelation`, or through a `RankServer`.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
+use prf::core::query::batch::{SharedWalkOut, SharedWalkSpec};
+use prf::core::query::TopkCarry;
+use prf::numeric::Scaled;
 use prf::prelude::*;
 
 /// Probabilities at the edges of the recurrences, picked by class.
@@ -20,18 +33,48 @@ const EDGE_PROBS: [f64; 4] = [0.0, 1.0, 1e-300, 1.0 - 1e-16];
 /// PRFe bases at the edges of `[0, 1]`, picked by class.
 const EDGE_ALPHAS: [f64; 3] = [0.0, 1e-300, 1.0];
 
-/// A relation of up to 24 tuples: scores from a few values (many ties),
-/// probabilities either random or one of [`EDGE_PROBS`].
-fn relation() -> impl Strategy<Value = IndependentDb> {
+/// Up to 24 `(score, probability)` pairs: scores from a few values (many
+/// ties), probabilities either random or one of [`EDGE_PROBS`].
+fn pairs() -> impl Strategy<Value = Vec<(f64, f64)>> {
     proptest::collection::vec((0u8..6, 0usize..8, 0.0f64..=1.0), 0..24).prop_map(|rows| {
-        IndependentDb::from_pairs(rows.into_iter().map(|(score, class, p)| {
-            (
-                f64::from(score),
-                EDGE_PROBS.get(class).copied().unwrap_or(p),
-            )
-        }))
-        .expect("generated pairs are valid")
+        rows.into_iter()
+            .map(|(score, class, p)| {
+                (
+                    f64::from(score),
+                    EDGE_PROBS.get(class).copied().unwrap_or(p),
+                )
+            })
+            .collect()
     })
+}
+
+fn relation() -> impl Strategy<Value = IndependentDb> {
+    pairs().prop_map(|pairs| IndependentDb::from_pairs(pairs).expect("generated pairs are valid"))
+}
+
+/// [`pairs`] in score order, cut into 1–4 shards at arbitrary points: a
+/// shard may be empty or hold one tuple, and tied scores may straddle a
+/// boundary. Returns each shard's pairs.
+fn shard_pairs() -> impl Strategy<Value = Vec<Vec<(f64, f64)>>> {
+    (pairs(), proptest::collection::vec(0usize..=24, 0..4)).prop_map(|(mut pairs, mut cuts)| {
+        pairs.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let n = pairs.len();
+        cuts.iter_mut().for_each(|c| *c = (*c).min(n));
+        cuts.sort_unstable();
+        let bounds: Vec<usize> = std::iter::once(0).chain(cuts).chain([n]).collect();
+        bounds
+            .windows(2)
+            .map(|w| pairs[w[0]..w[1]].to_vec())
+            .collect()
+    })
+}
+
+fn sharded(parts: &[Vec<(f64, f64)>]) -> ShardedRelation {
+    let shards = parts
+        .iter()
+        .map(|p| Arc::new(IndependentDb::from_pairs(p.clone()).unwrap()) as ShardHandle)
+        .collect();
+    ShardedRelation::new(shards, 2).expect("score-contiguous shards")
 }
 
 /// Every query shape the walk can cut, plus the value-order overrides.
@@ -46,11 +89,21 @@ fn shapes(h: usize, alpha: f64) -> Vec<RankQuery> {
         prfe(Algorithm::Scaled),
         prfe(Algorithm::Scaled).value_order(ValueOrder::RealPart),
         RankQuery::erank(),
+        // Not monotone: the cut bounds it through its envelope.
+        RankQuery::prf(TabulatedWeight::from_real(&[0.3, 1.0, 0.6, 0.6, 0.1])),
     ]
 }
 
 fn caps(n: usize) -> [usize; 5] {
     [0, 1, n / 2, n, n + 5]
+}
+
+/// [`caps`] with `n / 2` replaced by a `k` one past the first non-empty
+/// shard, which no consumer can settle inside that shard.
+fn shard_caps(parts: &[Vec<(f64, f64)>]) -> [usize; 5] {
+    let n = parts.iter().map(Vec::len).sum();
+    let first = parts.iter().map(Vec::len).find(|&len| len > 0).unwrap_or(0);
+    [0, 1, first + 1, n, n + 5]
 }
 
 /// The ranking as comparable bits: ids and key bits, position by position.
@@ -155,6 +208,231 @@ proptest! {
             prop_assert_eq!(&answer(&served), &alone, "served {}", ctx);
         }
         server.shutdown();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sharded: capped ≡ the sharded relation's own uncapped answer
+    /// truncated, alone and in batches that mix capped and uncapped
+    /// entries.
+    #[test]
+    fn capped_sharded_rankings_are_the_uncapped_prefix(
+        parts in shard_pairs(),
+        h in 1usize..6,
+        alpha_class in 0usize..5,
+        alpha in 0.0f64..=1.0,
+    ) {
+        let rel = sharded(&parts);
+        let n = rel.n_tuples();
+        let alpha = EDGE_ALPHAS.get(alpha_class).copied().unwrap_or(alpha);
+        for q in shapes(h, alpha) {
+            let full = q.run(&rel).unwrap();
+            let full_bits = ranking_bits(&full);
+            for k in shard_caps(&parts) {
+                let capped = q.clone().top_k(k).run(&rel).unwrap();
+                let ctx = format!("{} k={k} shards={:?}", full.report.semantics, parts);
+                prop_assert_eq!(&ranking_bits(&capped)[..], &full_bits[..k.min(n)], "{}", ctx);
+                prop_assert_eq!(capped.values.len(), n, "{}", ctx);
+            }
+        }
+        let entries: Vec<RankQuery> = shapes(h, alpha)
+            .into_iter()
+            .zip(shard_caps(&parts).into_iter().cycle())
+            .flat_map(|(q, k)| [q.clone().top_k(k), q])
+            .collect();
+        let batch = QueryBatch::new().add_queries(entries.clone()).run(&rel).unwrap();
+        for (got, q) in batch.iter().zip(&entries) {
+            let want = q.run(&rel).unwrap();
+            prop_assert_eq!(&ranking_bits(got), &ranking_bits(&want), "{}", want.report.semantics);
+        }
+    }
+
+    /// Sharded: a capped query's values and ranking are the same alone,
+    /// prepared, batched with uncapped company and served.
+    #[test]
+    fn capped_sharded_answers_do_not_depend_on_the_route(
+        parts in shard_pairs(),
+        h in 1usize..6,
+        alpha in 0.0f64..=1.0,
+        k in 0usize..8,
+    ) {
+        let rel = Arc::new(sharded(&parts));
+        let prepared = PreparedRelation::new(rel.clone());
+        let server = RankServer::new(ServeConfig::default());
+        let id = server.register_shared("sharded", rel.clone());
+        for q in shapes(h, alpha) {
+            let q = q.top_k(k);
+            let alone = answer(&q.run(&*rel).unwrap());
+            let ctx = format!("{q:?} shards={parts:?}");
+            prop_assert_eq!(&answer(&q.run(&prepared).unwrap()), &alone, "prepared {}", ctx);
+            let batch = QueryBatch::new()
+                .add_query(RankQuery::pt(h))
+                .add_query(q.clone())
+                .add_query(RankQuery::erank().top_k(k))
+                .run(&*rel)
+                .unwrap();
+            prop_assert_eq!(&answer(&batch[1]), &alone, "batched {}", ctx);
+            let served = server.submit(id, q.clone()).unwrap().recv().unwrap();
+            prop_assert_eq!(&answer(&served), &alone, "served {}", ctx);
+        }
+        server.shutdown();
+    }
+}
+
+/// An x-tuple tree cannot resume a carried cut: placed first, it sends
+/// every capped walk down the uncapped two-phase path; placed last, the
+/// walk either settles before it or falls back. Either way capped ≡
+/// uncapped truncated.
+#[test]
+fn an_x_tuple_shard_falls_back_to_the_two_phase_walk() {
+    let tree = || {
+        AndXorTree::from_x_tuples(&[
+            vec![(9.0, 0.4), (8.0, 0.3)],
+            vec![(7.0, 0.9)],
+            vec![(6.0, 0.5)],
+        ])
+        .unwrap()
+    };
+    let db = |scores: &[f64]| IndependentDb::from_pairs(scores.iter().map(|&s| (s, 0.6))).unwrap();
+    let layouts: Vec<Vec<ShardHandle>> = vec![
+        vec![Arc::new(tree()), Arc::new(db(&[5.0, 4.0, 3.0]))],
+        vec![Arc::new(db(&[20.0, 15.0, 12.0, 10.0])), Arc::new(tree())],
+    ];
+    for (layout, shards) in layouts.into_iter().enumerate() {
+        let rel = ShardedRelation::new(shards, 2).unwrap();
+        let n = rel.n_tuples();
+        for q in shapes(2, 0.8) {
+            let full = ranking_bits(&q.run(&rel).unwrap());
+            for k in [0, 1, 2, 5, n, n + 5] {
+                let capped = q.clone().top_k(k).run(&rel).unwrap();
+                assert_eq!(
+                    ranking_bits(&capped),
+                    full[..k.min(n)],
+                    "layout {layout} {q:?} k={k}"
+                );
+                if layout == 0 && k > 0 && k < n {
+                    assert_eq!(capped.report.tuples_scanned, Some(n), "fell back: {q:?}");
+                }
+            }
+        }
+    }
+}
+
+/// A shard that counts every walk and presence-GF call made on it.
+struct Tripwire {
+    inner: IndependentDb,
+    touched: AtomicUsize,
+}
+
+impl Tripwire {
+    fn touch(&self) {
+        self.touched.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+impl ProbabilisticRelation for Tripwire {
+    fn n_tuples(&self) -> usize {
+        self.inner.len()
+    }
+    fn tuple_scores(&self) -> Vec<f64> {
+        self.inner.scores()
+    }
+    fn tuple_marginals(&self) -> Vec<f64> {
+        self.inner.probabilities()
+    }
+    fn correlation_class(&self) -> CorrelationClass {
+        CorrelationClass::Independent
+    }
+    fn run_shared_walk_prepared(
+        &self,
+        spec: &SharedWalkSpec,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        self.touch();
+        self.inner.run_shared_walk_prepared(spec, prep)
+    }
+    fn run_shared_walk_topk(
+        &self,
+        spec: &SharedWalkSpec,
+        carry: &mut TopkCarry,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        self.touch();
+        self.inner.run_shared_walk_topk(spec, carry, prep)
+    }
+    fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
+        self.touch();
+        self.inner.presence_gf_coeffs(cap)
+    }
+    fn presence_gf_point(&self, alpha: Complex) -> Option<Scaled<Complex>> {
+        self.touch();
+        self.inner.presence_gf_point(alpha)
+    }
+}
+
+/// The fig 11(i) top-100 batch on a 2-shard IIP relation settles inside
+/// shard 0: shard 1 is never walked and its presence GFs are never
+/// computed, and every entry scans exactly as far as on the unsharded
+/// relation.
+#[test]
+fn fig11_top100_batch_never_touches_the_second_shard() {
+    let db = prf::datasets::iip_db(100_000, 7);
+    let (scores, probs) = (db.tuple_scores(), db.tuple_marginals());
+    let mut order: Vec<usize> = (0..db.len()).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    let pairs: Vec<(f64, f64)> = order.iter().map(|&t| (scores[t], probs[t])).collect();
+    let half = pairs.len() / 2;
+    let wires: Vec<Arc<Tripwire>> = [&pairs[..half], &pairs[half..]]
+        .iter()
+        .map(|p| {
+            Arc::new(Tripwire {
+                inner: IndependentDb::from_pairs(p.iter().copied()).unwrap(),
+                touched: AtomicUsize::new(0),
+            })
+        })
+        .collect();
+    let shards = wires.iter().map(|w| w.clone() as ShardHandle).collect();
+    let rel = ShardedRelation::new(shards, 2).unwrap();
+    let before = wires[1].touched.load(Ordering::SeqCst); // construction validates
+    let batch = || {
+        QueryBatch::new()
+            .add_query(RankQuery::prfe(0.95).algorithm(Algorithm::LogDomain))
+            .add_query(RankQuery::pt(100))
+            .add_query(RankQuery::erank())
+            .top_k(100)
+            .parallel(2)
+    };
+    let got = batch().run(&rel).unwrap();
+    assert_eq!(
+        wires[1].touched.load(Ordering::SeqCst),
+        before,
+        "shard 1 touched"
+    );
+    assert!(
+        wires[0].touched.load(Ordering::SeqCst) > 0,
+        "shard 0 walked"
+    );
+    let unsharded = IndependentDb::from_pairs(pairs).unwrap();
+    let want = batch().run(&unsharded).unwrap();
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(
+            g.report.tuples_scanned, w.report.tuples_scanned,
+            "{}",
+            w.report.semantics
+        );
+        assert!(
+            g.report.tuples_scanned.unwrap() < half,
+            "{}",
+            w.report.semantics
+        );
+        assert_eq!(
+            g.ranking.order(),
+            w.ranking.order(),
+            "{}",
+            w.report.semantics
+        );
     }
 }
 
