@@ -24,7 +24,7 @@ fn bench_builder_overhead(c: &mut Criterion) {
 
     // PRFe(0.95) in the log domain: direct kernel + ranking vs engine.
     g.bench_function("prfe_log/direct", |b| {
-        b.iter(|| black_box(Ranking::from_keys(&prfe_rank_log(&db, 0.95))))
+        b.iter(|| black_box(Ranking::from_keys(&prfe_rank_log(&db, 0.95).unwrap())))
     });
     g.bench_function("prfe_log/engine", |b| {
         b.iter(|| {

@@ -7,9 +7,10 @@
 //!    ground truth, next to the analytic bound `n ≈ 620 / (−ln α)` that
 //!    `Auto`'s α-aware `AUTO_PRFE_EXACT_MAX` threshold implements.
 //! 2. **Reweight-then-requery vs rebuild-then-query** — single-tuple
-//!    mutation latency through a [`LiveRelation`] (patched score order,
-//!    marginals, and log-key cache) against rebuilding the backend and
-//!    walking from scratch, at n = 10⁴.
+//!    mutation latency through a [`LiveRelation`] (stored score order
+//!    patched in place, then the ordinary walk) against rebuilding the
+//!    backend and walking from scratch, for a full PRFe(0.95) log-domain
+//!    ranking and a top-100, at n = 10⁴.
 //! 3. **Path-compression ablation** — per-update cost of the incremental
 //!    engine on deep unary spines with the compressed plan
 //!    ([`EvalPlan::new`]) vs the uncompressed one
@@ -101,45 +102,43 @@ fn reweight_vs_rebuild(scale: Scale) {
     let n = scale.pick(10_000, 100_000);
     let rounds = scale.pick(50, 200);
     let alpha = 0.95;
-    let mut pairs = seeded_pairs(n, SEED);
-    let live = LiveRelation::new(IndependentDb::from_pairs(pairs.clone()).unwrap());
-    let query = || RankQuery::prfe(alpha).algorithm(Algorithm::LogDomain);
-    // Warm the log-key cache (the steady serving state).
-    let warm = query().run(&live).unwrap();
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x11fe);
-
-    let mut live_s = 0.0;
-    let mut rebuild_s = 0.0;
-    let mut last_live = warm;
-    for _ in 0..rounds {
-        let t = rng.gen_range(0..n);
-        let p = rng.gen_range(0.02..0.98);
-        let (_, s) = timed(|| {
-            live.apply(&Mutation::Reweight(TupleId(t as u32), p))
-                .unwrap();
-            last_live = query().run(&live).unwrap();
-        });
-        live_s += s;
-        let (_, s) = timed(|| {
-            pairs[t].1 = p;
-            let db = IndependentDb::from_pairs(pairs.clone()).unwrap();
-            let full = query().run(&db).unwrap();
-            assert_eq!(full.ranking.order(), last_live.ranking.order());
-        });
-        rebuild_s += s;
-    }
-    let per_live = live_s / rounds as f64;
-    let per_rebuild = rebuild_s / rounds as f64;
+    let full = RankQuery::prfe(alpha).algorithm(Algorithm::LogDomain);
     println!("n = {n}, {rounds} single-tuple reweights, PRFe({alpha}) log-domain requery:");
     println!(
-        "  live   (patched order + log keys): {} s/mutation",
-        fmt(per_live)
+        "{:>8} {:>16} {:>16} {:>8}",
+        "shape", "live s/mut", "rebuild s/mut", "speedup"
     );
-    println!(
-        "  rebuild (from_pairs + fresh walk): {} s/mutation",
-        fmt(per_rebuild)
-    );
-    println!("  speedup: {:.1}x", per_rebuild / per_live);
+    for (name, query) in [("full", full.clone()), ("top-100", full.top_k(100))] {
+        let mut pairs = seeded_pairs(n, SEED);
+        let live = LiveRelation::new(IndependentDb::from_pairs(pairs.clone()).unwrap());
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x11fe);
+        let (mut live_s, mut rebuild_s) = (0.0, 0.0);
+        for _ in 0..rounds {
+            let t = rng.gen_range(0..n);
+            let p = rng.gen_range(0.02..0.98);
+            let (live_answer, s) = timed(|| {
+                live.apply(&Mutation::Reweight(TupleId(t as u32), p))
+                    .unwrap();
+                query.run(&live).unwrap()
+            });
+            live_s += s;
+            let (rebuilt, s) = timed(|| {
+                pairs[t].1 = p;
+                let db = IndependentDb::from_pairs(pairs.clone()).unwrap();
+                query.run(&db).unwrap()
+            });
+            rebuild_s += s;
+            assert_eq!(rebuilt.ranking.order(), live_answer.ranking.order());
+        }
+        let (per_live, per_rebuild) = (live_s / rounds as f64, rebuild_s / rounds as f64);
+        println!(
+            "{:>8} {:>16} {:>16} {:>7.1}x",
+            name,
+            fmt(per_live),
+            fmt(per_rebuild),
+            per_rebuild / per_live
+        );
+    }
 }
 
 /// A forest of `groups` unary spines of the given depth, one leaf each —

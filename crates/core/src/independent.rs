@@ -161,12 +161,12 @@ pub fn prfe_rank_scaled(db: &IndependentDb, alpha: Complex) -> Vec<Scaled<Comple
 ///
 /// Tuples with `p = 0` get `-∞` keys, and so does every tuple when
 /// `α = 0`, since `Υ = p·α·G` vanishes. Returns keys indexed by tuple id;
-/// higher key = better rank.
-pub fn prfe_rank_log(db: &IndependentDb, alpha: f64) -> Vec<f64> {
-    assert!(
-        (0.0..=1.0).contains(&alpha),
-        "prfe_rank_log requires α ∈ [0, 1], got {alpha}"
-    );
+/// higher key = better rank. `None` for an `α` outside `[0, 1]` (or NaN),
+/// which the log form cannot express — the rule the shared walk applies.
+pub fn prfe_rank_log(db: &IndependentDb, alpha: f64) -> Option<Vec<f64>> {
+    if !(0.0..=1.0).contains(&alpha) {
+        return None;
+    }
     let n = db.len();
     let mut result = vec![f64::NEG_INFINITY; n];
     let mut log_g = 0.0f64;
@@ -177,7 +177,7 @@ pub fn prfe_rank_log(db: &IndependentDb, alpha: f64) -> Vec<f64> {
         let factor = 1.0 - t.prob + t.prob * alpha;
         log_g += factor.ln(); // ln(0) = -inf propagates correctly
     }
-    result
+    Some(result)
 }
 
 /// Positional probabilities for *one* tuple (`O(n)` memory): used by
@@ -773,7 +773,7 @@ mod tests {
         let alpha = 0.7;
         let plain = prfe_rank(&db, Complex::real(alpha));
         let scaled = prfe_rank_scaled(&db, Complex::real(alpha));
-        let logs = prfe_rank_log(&db, alpha);
+        let logs = prfe_rank_log(&db, alpha).unwrap();
         for i in 0..db.len() {
             assert!((scaled[i].to_plain().re - plain[i].re).abs() < 1e-12);
             assert!((logs[i] - plain[i].re.ln()).abs() < 1e-9);
@@ -791,7 +791,7 @@ mod tests {
         .unwrap();
         let alpha = 0.5;
         let scaled = prfe_rank_scaled(&db, Complex::real(alpha));
-        let logs = prfe_rank_log(&db, alpha);
+        let logs = prfe_rank_log(&db, alpha).unwrap();
         let mut saw_underflow_region = false;
         for i in 0..n {
             let key = scaled[i].magnitude_key();

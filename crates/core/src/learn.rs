@@ -44,16 +44,24 @@ fn check_user_ranking(sample: &IndependentDb, user_ranking: &[TupleId]) -> Resul
 
 /// Kendall distance between a user ranking and PRFe(α) on the sample,
 /// compared over the top-`k` prefixes.
-fn alpha_distance_topk(sample: &IndependentDb, user: &[u32], alpha: f64, k: usize) -> f64 {
-    let mine: Vec<u32> = prfe_ranking_at(sample, alpha).iter().map(|t| t.0).collect();
-    kendall_topk(user, &mine, k.max(1))
+fn alpha_distance_topk(
+    sample: &IndependentDb,
+    user: &[u32],
+    alpha: f64,
+    k: usize,
+) -> Result<f64, QueryError> {
+    let mine: Vec<u32> = prfe_ranking_at(sample, alpha)?
+        .iter()
+        .map(|t| t.0)
+        .collect();
+    Ok(kendall_topk(user, &mine, k.max(1)))
 }
 
 /// Kendall distance between a user ranking and PRFe(α) on the sample (full
 /// lists). Used by the tests; production callers go through the top-k form.
 #[cfg(test)]
 fn alpha_distance(sample: &IndependentDb, user: &[u32], alpha: f64) -> f64 {
-    alpha_distance_topk(sample, user, alpha, user.len())
+    alpha_distance_topk(sample, user, alpha, user.len()).unwrap()
 }
 
 /// Learns the PRFe parameter `α ∈ [0, 1]` from a user-ranked sample by
@@ -100,7 +108,7 @@ pub fn learn_prfe_alpha_topk(
         let mut level_best = (f64::INFINITY, 1usize);
         for i in 1..=9usize {
             let alpha = lo + i as f64 * width / 10.0;
-            let d = alpha_distance_topk(sample, &user, alpha, k);
+            let d = alpha_distance_topk(sample, &user, alpha, k)?;
             if d < level_best.0 {
                 level_best = (d, i);
             }
@@ -244,7 +252,7 @@ mod tests {
     }
 
     fn ranking_by_prfe(db: &IndependentDb, alpha: f64) -> Vec<TupleId> {
-        prfe_ranking_at(db, alpha)
+        prfe_ranking_at(db, alpha).unwrap()
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!   [`PreparedState`] instead of forcing a rebuild; implemented for
 //!   [`IndependentDb`] (whose stored score order every mutation keeps
 //!   exact, so it has no prepared state to patch) and [`AndXorTree`];
-//! * [`LiveRelation`] — a concurrency-safe wrapper owning the backend plus
-//!   its prepared state: [`LiveRelation::apply`] mutates, patches the
-//!   caches (a tree's score order, marginals and compiled plan; the
-//!   log-domain PRFe keys along an independent relation's stored order)
-//!   and bumps a generation counter so any outer
+//! * [`LiveRelation`] — a concurrency-safe wrapper holding the backend, its
+//!   prepared state and a generation counter: [`LiveRelation::apply`]
+//!   mutates, patches the prepared state (a tree's score order, marginals
+//!   and compiled plan) and bumps the generation so any outer
 //!   [`crate::query::PreparedRelation`] re-prepares instead of serving
-//!   stale answers;
+//!   stale answers. Queries take the backend's own walk, so a capped query
+//!   on a live [`IndependentDb`] stops as early as on a frozen one;
 //! * [`LiveApply`] — the object-safe slice of the above that `prf-serve`
 //!   uses to drive mutations through `dyn` relation handles.
 //!
@@ -36,12 +36,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Instant;
 
 use prf_numeric::{Complex, Scaled};
-use prf_pdb::{AndXorTree, IndependentDb, NodeKind, PdbError, Tuple, TupleId};
+use prf_pdb::{AndXorTree, IndependentDb, NodeKind, PdbError, TupleId};
 
-use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use crate::query::batch::{SharedWalkOut, SharedWalkSpec};
 use crate::query::kernels;
 use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, QueryError, TopkCarry};
 
@@ -113,14 +112,6 @@ pub trait MutableRelation: ProbabilisticRelation {
         let _ = (state, effect);
         false
     }
-
-    /// The tuples in score order (score descending, ties by id), when the
-    /// backend stores them that way and keeps them exact under mutation.
-    /// [`LiveRelation`]'s log-domain key cache patches itself along this
-    /// order; without one (the default) the cache drops on every mutation.
-    fn score_order(&self) -> Option<&[Tuple]> {
-        None
-    }
 }
 
 /// Insertion index into a `(score desc, id asc)` order for a tuple whose id
@@ -148,11 +139,6 @@ impl MutableRelation for IndependentDb {
                 })
             }
         }
-    }
-
-    /// The stored score order, which every mutation keeps exact.
-    fn score_order(&self) -> Option<&[Tuple]> {
-        Some(self.by_score())
     }
 }
 
@@ -242,292 +228,28 @@ impl MutableRelation for AndXorTree {
 }
 
 // ---------------------------------------------------------------------
-// Log-domain PRFe key cache
-// ---------------------------------------------------------------------
-
-/// Cached log-domain PRFe ranking keys for one `α`, patched in O(n) float
-/// adds on every mutation kind instead of recomputed.
-///
-/// For independent tuples in score order, `key(t_k) = ln α + ln p_k +
-/// Σ_{i<k} ln f_i` with `f = 1 − p + p·α`. All three mutations are local
-/// in this form:
-///
-/// * **reweight** of the tuple at sorted position `k` shifts its own key
-///   by `ln p_new − ln p_old` and every *later* key by `ln f_new − ln
-///   f_old`; keys at `−∞` (zero-probability tuples) stay `−∞` under the
-///   unconditional add;
-/// * **insert** at sorted position `k` recovers the prefix sum `Σ_{i<k}
-///   ln f_i` from the predecessor's key, forms the new key from it, and
-///   shifts every later key by `+ln f_new`;
-/// * **delete** from sorted position `k` shifts every later key by
-///   `−ln f_old` and drops the tuple's own entry.
-///
-/// Coverage is guarded (`α > 0`, the probabilities a recovery divides by
-/// strictly positive, shapes consistent); outside it the cache drops and
-/// the next query recomputes — never patches with garbage.
-struct PrfeLogCache {
-    alpha: f64,
-    keys: Vec<f64>,
-    /// The ranking the keys induce (best first, ties by tuple id — the
-    /// order [`Ranking::from_keys`] would produce), built lazily on the
-    /// first [`ProbabilisticRelation::prfe_log_ranked`] call and then
-    /// *merged* back into shape on each reweight instead of re-sorted.
-    ranked: Option<Vec<TupleId>>,
-}
-
-impl PrfeLogCache {
-    /// Patches the cache for a reweight of `t` (probability `old_p → new_p`)
-    /// against the descending score order, or returns `false` when the
-    /// closed form does not cover the case (zero probabilities or `α = 0`,
-    /// where keys jump between finite and `−∞`) and the cache must drop.
-    fn patch_reweight(&mut self, order: &[Tuple], t: TupleId, old_p: f64, new_p: f64) -> bool {
-        // NaN-rejecting: any non-finite or non-positive input drops the
-        // cache rather than patching with garbage.
-        let covered = self.alpha > 0.0 && old_p > 0.0 && new_p > 0.0;
-        if !covered || order.len() != self.keys.len() {
-            return false;
-        }
-        let Some(k) = order.iter().position(|o| o.id == t) else {
-            return false;
-        };
-        self.keys[t.index()] += new_p.ln() - old_p.ln();
-        let df = (1.0 - new_p + new_p * self.alpha).ln() - (1.0 - old_p + old_p * self.alpha).ln();
-        if df != 0.0 {
-            for o in &order[k + 1..] {
-                self.keys[o.id.index()] += df;
-            }
-        }
-        self.remerge(order, k, t);
-        true
-    }
-
-    /// Patches the cache for an insert of `t` (the relation's new largest
-    /// id) into the post-insert descending score order `order`. The closed
-    /// form extends one prefix product: the prefix sum `Σ_{i<k} ln f_i` is
-    /// recovered from the predecessor's key (`key_v − ln α − ln p_v +
-    /// ln f_v`), the new key is `ln α + ln p_t` plus that prefix, and
-    /// every later key shifts by the shared constant `+ln f_t`. Returns
-    /// `false` (cache must drop) when the recovery is not covered:
-    /// `α = 0`, a zero-probability or `−∞`-keyed predecessor, or a shape
-    /// mismatch.
-    fn patch_insert(&mut self, order: &[Tuple], t: TupleId) -> bool {
-        if self.alpha <= 0.0 || t.index() != self.keys.len() || order.len() != self.keys.len() + 1 {
-            return false;
-        }
-        let Some(k) = order.iter().position(|o| o.id == t) else {
-            return false;
-        };
-        let p_new = order[k].prob;
-        if !(0.0..=1.0).contains(&p_new) {
-            return false;
-        }
-        let prefix = if k == 0 {
-            0.0
-        } else {
-            let v = &order[k - 1];
-            let (p_v, key_v) = (v.prob, self.keys[v.id.index()]);
-            if p_v <= 0.0 || p_v.is_nan() || !key_v.is_finite() {
-                return false;
-            }
-            key_v - self.alpha.ln() - p_v.ln() + (1.0 - p_v + p_v * self.alpha).ln()
-        };
-        let df = (1.0 - p_new + p_new * self.alpha).ln();
-        if df != 0.0 {
-            for o in &order[k + 1..] {
-                self.keys[o.id.index()] += df;
-            }
-        }
-        self.keys.push(self.alpha.ln() + p_new.ln() + prefix);
-        self.remerge(order, k, t);
-        true
-    }
-
-    /// Patches the cache for a delete of old id `t` from sorted position
-    /// `k_old` in the *pre-delete* order, with pre-delete probability
-    /// `p_old`; `order` is the post-delete score order over renumbered
-    /// ids. Every key after the vacated position shifts back by
-    /// `−ln f_old`, the merged ranking drops `t` and renumbers, and the
-    /// tuple's own key entry is removed. Covered only for `α > 0` (where
-    /// `f_old > 0`) and a consistent shape.
-    fn patch_delete(&mut self, order: &[Tuple], t: TupleId, k_old: usize, p_old: f64) -> bool {
-        if self.alpha <= 0.0
-            || !(0.0..=1.0).contains(&p_old)
-            || order.len() + 1 != self.keys.len()
-            || t.index() >= self.keys.len()
-            || k_old > order.len()
-        {
-            return false;
-        }
-        let df = (1.0 - p_old + p_old * self.alpha).ln();
-        if df != 0.0 {
-            // `order` carries post-delete ids; keys are still indexed by
-            // pre-delete ids, so map across the dense-id renumbering.
-            for o in &order[k_old..] {
-                let o = o.id.index();
-                self.keys[o + (o >= t.index()) as usize] -= df;
-            }
-        }
-        self.remerge_delete(order, k_old, t);
-        self.keys.remove(t.index());
-        true
-    }
-
-    /// Re-ranks after a mutation touching score position `k` in O(n), no
-    /// sort: keys before `k` are untouched and keys after `k` all moved by
-    /// the *same* constant, so the old ranked order restricted to either
-    /// side is still sorted. The new order is the merge of the two sides
-    /// plus one binary-search insert of `t` itself — which also covers
-    /// inserts, where `t` is simply absent from the old ranking. (A
-    /// uniform float shift can collapse a strict inequality into a tie,
-    /// flipping an id-tiebreak relative to a fresh sort — the same sub-ulp
-    /// ambiguity the patched keys already carry versus recomputed ones.)
-    fn remerge(&mut self, order: &[Tuple], k: usize, t: TupleId) {
-        let Some(old) = self.ranked.take() else {
-            return;
-        };
-        let mut suffix = vec![false; old.len()];
-        for o in &order[k + 1..] {
-            if o.id != t {
-                suffix[o.id.index()] = true;
-            }
-        }
-        let mut merged = merge_ranked(&old, &self.keys, &suffix, t);
-        let pos = merged.partition_point(|&o| ranks_before(&self.keys, o, t));
-        merged.insert(pos, t);
-        self.ranked = Some(merged);
-    }
-
-    /// Delete-side counterpart of [`PrfeLogCache::remerge`]: merges the
-    /// prefix and (uniformly shifted) suffix sides of the old ranking,
-    /// leaves the deleted tuple out, and renumbers surviving ids down
-    /// across the vacated one. Runs against pre-delete keys — call before
-    /// removing `t`'s key entry.
-    fn remerge_delete(&mut self, order: &[Tuple], k_old: usize, t: TupleId) {
-        let Some(old) = self.ranked.take() else {
-            return;
-        };
-        let mut suffix = vec![false; old.len()];
-        for o in &order[k_old..] {
-            let o = o.id.index();
-            suffix[o + (o >= t.index()) as usize] = true;
-        }
-        let mut merged = merge_ranked(&old, &self.keys, &suffix, t);
-        for o in merged.iter_mut() {
-            if o.0 > t.0 {
-                *o = TupleId(o.0 - 1);
-            }
-        }
-        self.ranked = Some(merged);
-    }
-}
-
-/// `true` when `a` ranks strictly before `b` under `keys` (higher key
-/// first, ties by tuple id) — the comparator [`crate::topk::Ranking::from_keys`]
-/// uses, so merged orders match fresh sorts exactly.
-fn ranks_before(keys: &[f64], a: TupleId, b: TupleId) -> bool {
-    let (ka, kb) = (keys[a.index()], keys[b.index()]);
-    ka > kb || (ka == kb && a < b)
-}
-
-/// Merges an old best-first ranking whose `suffix`-marked tuples all moved
-/// by one shared key constant: both restrictions of `old` are still
-/// sorted, so a single linear merge (on the already-patched `keys`)
-/// rebuilds the order. `skip` is left out entirely — the mutated tuple,
-/// re-inserted or dropped by the caller.
-fn merge_ranked(old: &[TupleId], keys: &[f64], suffix: &[bool], skip: TupleId) -> Vec<TupleId> {
-    let mut merged = Vec::with_capacity(old.len());
-    let mut hi = old
-        .iter()
-        .copied()
-        .filter(|&o| o != skip && !suffix[o.index()])
-        .peekable();
-    let mut lo = old
-        .iter()
-        .copied()
-        .filter(|&o| o != skip && suffix[o.index()])
-        .peekable();
-    loop {
-        match (hi.peek(), lo.peek()) {
-            (Some(&x), Some(&y)) => {
-                if ranks_before(keys, x, y) {
-                    merged.push(x);
-                    hi.next();
-                } else {
-                    merged.push(y);
-                    lo.next();
-                }
-            }
-            (Some(_), None) => {
-                merged.extend(hi);
-                break;
-            }
-            (None, Some(_)) => {
-                merged.extend(lo);
-                break;
-            }
-            (None, None) => break,
-        }
-    }
-    merged
-}
-
-// ---------------------------------------------------------------------
 // LiveRelation
 // ---------------------------------------------------------------------
 
 struct LiveInner<B> {
     backend: B,
     prepared: PreparedState,
-    log_cache: Option<PrfeLogCache>,
 }
 
 impl<B: MutableRelation> LiveInner<B> {
-    /// The log-key cache when it covers the whole spec and the carry is
-    /// fresh (its answers are full rankings of this relation alone), else
-    /// the backend's own walk, stopping capped consumers early where it
-    /// can.
+    /// The backend's walk over the current prepared state, stopping capped
+    /// consumers early where the backend can.
     fn walk(&self, spec: &SharedWalkSpec, carry: &mut TopkCarry) -> Option<SharedWalkOut> {
-        if carry.is_fresh() {
-            if let Some(out) = self.cached_walk(spec) {
-                return Some(out);
-            }
-        }
         self.backend
             .run_shared_walk_topk(spec, carry, &self.prepared)
     }
-
-    /// Serves a walk entirely from the log-key cache when every request is
-    /// `PrfeLog` at the cached `α` — the post-mutation fast path of a
-    /// standing log-domain query.
-    fn cached_walk(&self, spec: &SharedWalkSpec) -> Option<SharedWalkOut> {
-        let cache = self.log_cache.as_ref()?;
-        if spec.requests.is_empty()
-            || !spec
-                .requests
-                .iter()
-                .all(|r| matches!(r, SharedRequest::PrfeLog(a) if *a == cache.alpha))
-        {
-            return None;
-        }
-        let start = Instant::now();
-        let answers = spec
-            .requests
-            .iter()
-            .map(|_| SharedAnswer::Log(cache.keys.clone()))
-            .collect();
-        Some(SharedWalkOut {
-            answers,
-            stats: None,
-            walk_seconds: start.elapsed().as_secs_f64(),
-            prefixes: Vec::new(),
-        })
-    }
 }
 
-/// A mutable, concurrency-safe [`ProbabilisticRelation`]: a backend plus its
+/// A mutable, concurrency-safe [`ProbabilisticRelation`]: a backend, its
 /// prepared state (score order, marginals, compiled plan) kept current under
 /// [`Mutation`]s by incremental patching, with a full rebuild as the
-/// fallback. Every query entry point —
+/// fallback, and a generation counter. Every query takes the backend's own
+/// score-order walk over that state. Every query entry point —
 /// [`RankQuery::run`](crate::query::RankQuery::run),
 /// [`QueryBatch`](crate::query::QueryBatch), `prf-serve` registration —
 /// accepts a `&LiveRelation<_>` or `Arc<LiveRelation<_>>` like any other
@@ -561,7 +283,7 @@ pub struct LiveRelation<B> {
     inner: RwLock<LiveInner<B>>,
     generation: AtomicU64,
     /// Chaos/test hook fired inside [`LiveRelation::apply`] between the
-    /// prepared-plan patch and the log-key cache patch; see
+    /// prepared-plan patch and the generation bump; see
     /// [`LiveRelation::arm_mutation_probe`].
     #[cfg(any(test, feature = "chaos"))]
     mutation_probe: std::sync::Mutex<Option<std::sync::Arc<dyn Fn() + Send + Sync>>>,
@@ -572,11 +294,7 @@ impl<B: MutableRelation> LiveRelation<B> {
     pub fn new(backend: B) -> Self {
         let prepared = backend.prepare();
         LiveRelation {
-            inner: RwLock::new(LiveInner {
-                backend,
-                prepared,
-                log_cache: None,
-            }),
+            inner: RwLock::new(LiveInner { backend, prepared }),
             generation: AtomicU64::new(0),
             #[cfg(any(test, feature = "chaos"))]
             mutation_probe: std::sync::Mutex::new(None),
@@ -584,10 +302,11 @@ impl<B: MutableRelation> LiveRelation<B> {
     }
 
     /// Arms a probe invoked inside every subsequent [`LiveRelation::apply`],
-    /// between the prepared-plan patch and the log-key cache patch. A
+    /// between the prepared-plan patch and the generation bump. A
     /// panicking probe models a crash mid-apply: the backend has mutated
-    /// and the plan is patched, but the key cache and the generation
-    /// counter still describe the pre-mutation relation — exactly the
+    /// and the plan is patched, but the generation counter still describes
+    /// the pre-mutation relation, so outer wrappers keep serving stale
+    /// state — exactly the
     /// half-applied state [`LiveRelation::repair`] (driven by the serving
     /// layer's panic recovery) must fix before anything is served.
     /// Compiled only under `cfg(any(test, feature = "chaos"))`.
@@ -624,85 +343,38 @@ impl<B: MutableRelation> LiveRelation<B> {
     }
 
     /// Applies one mutation: mutates the backend, patches (or rebuilds) the
-    /// prepared state and the log-key cache, and bumps the generation.
-    /// On error nothing changes.
+    /// prepared state, and bumps the generation. On error nothing changes.
     pub fn apply(&self, m: &Mutation) -> Result<MutationEffect, PdbError> {
         let mut inner = self.write();
-        // A delete's key patch needs the tuple's sorted position and
-        // probability from the *pre-mutation* relation — both are gone
-        // once the backend applies the delete — so capture them up front
-        // (only when there is a cache to patch).
-        let del_ctx = match (m, &inner.log_cache) {
-            (Mutation::Delete(t), Some(_)) => inner.backend.score_order().and_then(|order| {
-                let k = order.iter().position(|x| x.id == *t)?;
-                Some((k, order[k].prob))
-            }),
-            _ => None,
-        };
         let effect = inner.backend.apply_mutation(m)?;
-        let LiveInner {
-            backend,
-            prepared,
-            log_cache,
-        } = &mut *inner;
+        let LiveInner { backend, prepared } = &mut *inner;
         if !backend.patch_prepared(prepared, &effect) {
             *prepared = backend.prepare();
         }
         // Chaos hook: a panic here models a crash between the plan patch
-        // and the key-cache patch — the half-applied state `repair` fixes.
+        // and the generation bump — the half-applied state `repair` fixes.
         #[cfg(any(test, feature = "chaos"))]
         self.fire_mutation_probe();
-        // The log-key closed form covers all three mutations along the
-        // backend's stored score order (away from the α = 0 /
-        // zero-probability edge cases each patch guards); anything else
-        // invalidates the cache rather than patching with garbage.
-        let patched = match (&effect, &mut *log_cache, backend.score_order()) {
-            (_, None, _) => true,
-            (_, Some(_), None) => false,
-            (
-                MutationEffect::Reweighted {
-                    tuple,
-                    old_prob,
-                    new_prob,
-                },
-                Some(cache),
-                Some(order),
-            ) => cache.patch_reweight(order, *tuple, *old_prob, *new_prob),
-            (MutationEffect::Inserted(t), Some(cache), Some(order)) => {
-                cache.patch_insert(order, *t)
-            }
-            (MutationEffect::Deleted(t), Some(cache), Some(order)) => match del_ctx {
-                Some((k_old, p_old)) => cache.patch_delete(order, *t, k_old, p_old),
-                None => false,
-            },
-        };
-        if !patched {
-            *log_cache = None;
-        }
         self.generation.fetch_add(1, Ordering::Release);
         Ok(effect)
     }
 
-    /// Discards every piece of derived state — prepared walk artifacts and
-    /// the log-key cache — and rebuilds the prepared state from the backend.
+    /// Rebuilds the prepared state from the backend and bumps the
+    /// generation.
     ///
     /// This is the serving layer's recovery hook after a panic escaped from
     /// a flush that was applying mutations: [`MutableRelation::apply_mutation`]
     /// guarantees the *backend* is unchanged on error, but a panic between
-    /// the backend mutation and the cache patches could leave `prepared` /
-    /// `log_cache` describing a relation that no longer exists. Repairing
-    /// re-derives both from the (always-consistent) backend, so a recovered
+    /// the backend mutation and the generation bump could leave `prepared`
+    /// describing a relation that no longer exists, and outer wrappers
+    /// holding state stamped with the old generation. Repairing re-derives
+    /// the state from the (always-consistent) backend, so a recovered
     /// relation can never serve a half-patched ranking — pinned by the
     /// chaos differential suite (`tests/serve_chaos.rs`).
     pub fn repair(&self) {
         let mut inner = self.write();
-        let LiveInner {
-            backend,
-            prepared,
-            log_cache,
-        } = &mut *inner;
+        let LiveInner { backend, prepared } = &mut *inner;
         *prepared = backend.prepare();
-        *log_cache = None;
         self.generation.fetch_add(1, Ordering::Release);
     }
 
@@ -728,7 +400,6 @@ impl<B: MutableRelation> std::fmt::Debug for LiveRelation<B> {
             .field("n_tuples", &inner.backend.n_tuples())
             .field("class", &inner.backend.correlation_class())
             .field("generation", &self.generation.load(Ordering::Acquire))
-            .field("log_cache", &inner.log_cache.is_some())
             .finish()
     }
 }
@@ -776,59 +447,6 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
         self.read().walk(spec, carry)
-    }
-
-    /// Keys plus their ranking, without a per-query sort: the order lives
-    /// in the log-key cache, merged (not re-sorted) across reweights. This
-    /// is the hook that makes requery-after-mutation O(n) end to end.
-    /// An α outside `[0, 1]` (or NaN) has no cached answer: `None`.
-    fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
-        if !(0.0..=1.0).contains(&alpha) {
-            return None;
-        }
-        {
-            let inner = self.read();
-            if let Some(c) = &inner.log_cache {
-                if c.alpha == alpha {
-                    if let Some(r) = &c.ranked {
-                        return Some((c.keys.clone(), r.clone()));
-                    }
-                }
-            }
-        }
-        // Miss (no cache, other α, or order not yet built): fill both
-        // under the write lock so a mutation cannot interleave.
-        let mut inner = self.write();
-        if !matches!(&inner.log_cache, Some(c) if c.alpha == alpha) {
-            let spec = SharedWalkSpec {
-                requests: vec![SharedRequest::PrfeLog(alpha)],
-                threads: None,
-                cancel: None,
-            };
-            let Some(SharedAnswer::Log(keys)) = inner
-                .walk(&spec, &mut TopkCarry::default())
-                .and_then(|out| out.answers.into_iter().next())
-            else {
-                return None;
-            };
-            inner.log_cache = Some(PrfeLogCache {
-                alpha,
-                keys,
-                ranked: None,
-            });
-        }
-        let cache = inner.log_cache.as_mut().expect("just populated");
-        if cache.ranked.is_none() {
-            cache.ranked = Some(
-                crate::topk::Ranking::from_keys(&cache.keys)
-                    .order()
-                    .to_vec(),
-            );
-        }
-        Some((
-            cache.keys.clone(),
-            cache.ranked.clone().expect("just populated"),
-        ))
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
@@ -887,12 +505,6 @@ mod tests {
     use crate::query::{Algorithm, PreparedRelation, QueryBatch, RankQuery, Semantics};
     use prf_numeric::Complex;
 
-    /// Log-domain PRFe(α) keys through the ranked hook, which also fills
-    /// the key cache.
-    fn log_keys<B: MutableRelation>(live: &LiveRelation<B>, alpha: f64) -> Vec<f64> {
-        live.prfe_log_ranked(alpha).expect("live relations rank").0
-    }
-
     fn db5() -> IndependentDb {
         IndependentDb::from_pairs([
             (50.0, 0.9),
@@ -928,7 +540,10 @@ mod tests {
         for (a, b) in wa.iter().zip(wb) {
             assert!(a.approx_eq(b, 1e-9), "{ctx}: prf {a} vs {b}");
         }
-        for (a, b) in log_keys(live, 0.8).iter().zip(log_keys(&rebuilt, 0.8)) {
+        for (a, b) in probe::log_keys(live, 0.8)
+            .iter()
+            .zip(probe::log_keys(&rebuilt, 0.8))
+        {
             assert!(
                 (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),
                 "{ctx}: log {a} vs {b}"
@@ -950,6 +565,9 @@ mod tests {
         live.apply(&Mutation::Delete(TupleId(2))).unwrap();
         assert_live_matches_rebuild(&live, "delete");
         assert_eq!(live.mutations_applied(), 3);
+        // A tuple that can no longer exist gets a −∞ log key, as in a rebuild.
+        live.apply(&Mutation::Reweight(TupleId(3), 0.0)).unwrap();
+        assert_live_matches_rebuild(&live, "reweight to zero");
     }
 
     #[test]
@@ -981,52 +599,6 @@ mod tests {
             .is_err());
         assert_eq!(live.mutations_applied(), 0);
         assert_eq!(probe::prfe(&live, Complex::real(0.9)), before);
-    }
-
-    #[test]
-    fn log_cache_patched_across_reweights() {
-        let live = LiveRelation::new(db5());
-        let _ = log_keys(&live, 0.7); // populate
-        for (t, p) in [(0u32, 0.11), (4, 0.99), (2, 0.33)] {
-            live.apply(&Mutation::Reweight(TupleId(t), p)).unwrap();
-            assert!(live.read().log_cache.is_some(), "cache survives reweight");
-            let fresh = log_keys(&LiveRelation::new(live.snapshot_backend()), 0.7);
-            for (a, b) in log_keys(&live, 0.7).iter().zip(fresh) {
-                assert!((a - b).abs() < 1e-9, "patched {a} vs fresh {b}");
-            }
-        }
-        // Inserts and deletes are covered by the closed-form patch too.
-        live.apply(&Mutation::Insert {
-            score: 35.0,
-            prob: 0.5,
-        })
-        .unwrap();
-        assert!(live.read().log_cache.is_some(), "cache survives insert");
-        let fresh = log_keys(&LiveRelation::new(live.snapshot_backend()), 0.7);
-        for (a, b) in log_keys(&live, 0.7).iter().zip(fresh) {
-            assert!((a - b).abs() < 1e-9, "insert-patched {a} vs fresh {b}");
-        }
-        live.apply(&Mutation::Delete(TupleId(1))).unwrap();
-        assert!(live.read().log_cache.is_some(), "cache survives delete");
-        let fresh = log_keys(&LiveRelation::new(live.snapshot_backend()), 0.7);
-        for (a, b) in log_keys(&live, 0.7).iter().zip(fresh) {
-            assert!((a - b).abs() < 1e-9, "delete-patched {a} vs fresh {b}");
-        }
-    }
-
-    #[test]
-    fn log_cache_drops_on_zero_probability_reweight() {
-        let live = LiveRelation::new(db5());
-        let _ = log_keys(&live, 0.7);
-        live.apply(&Mutation::Reweight(TupleId(3), 0.0)).unwrap();
-        assert!(live.read().log_cache.is_none(), "p→0 cannot be patched");
-        let fresh = log_keys(&LiveRelation::new(live.snapshot_backend()), 0.7);
-        for (a, b) in log_keys(&live, 0.7).iter().zip(fresh) {
-            assert!(
-                (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),
-                "{a} vs {b}"
-            );
-        }
     }
 
     #[test]
@@ -1106,117 +678,10 @@ mod tests {
         assert_live_matches_rebuild(&live, "post-budget");
     }
 
-    /// The merged-in-place ranking must equal a fresh sort of the same
-    /// keys after every reweight — across shifts up, down, to the top,
-    /// and near-ties — and keys must track a rebuilt backend to 1e-9.
-    #[test]
-    fn ranked_cache_merge_matches_fresh_sort() {
-        let n = 64;
-        let pairs: Vec<(f64, f64)> = (0..n)
-            .map(|i| {
-                (
-                    1000.0 - i as f64,
-                    0.05 + 0.9 * ((i * 7919) % 997) as f64 / 997.0,
-                )
-            })
-            .collect();
-        let live = LiveRelation::new(IndependentDb::from_pairs(pairs).unwrap());
-        let alpha = 0.8;
-        let (_, order0) = live.prfe_log_ranked(alpha).expect("live serves ranked");
-        assert_eq!(
-            order0,
-            crate::topk::Ranking::from_keys(&log_keys(&live, alpha)).order(),
-            "initial ranked cache must be the sorted order"
-        );
-        for step in 0..200usize {
-            let t = TupleId(((step * 31) % n) as u32);
-            let p = 0.02 + 0.95 * ((step * 131) % 89) as f64 / 89.0;
-            live.apply(&Mutation::Reweight(t, p)).unwrap();
-            let (keys, order) = live
-                .prfe_log_ranked(alpha)
-                .expect("cache survives reweight");
-            let fresh = crate::topk::Ranking::from_keys(&keys);
-            assert_eq!(
-                order,
-                fresh.order(),
-                "step {step}: merged order must equal a fresh sort of the patched keys"
-            );
-            let rebuilt = probe::log_keys(&live.snapshot_backend(), alpha);
-            for (a, b) in keys.iter().zip(rebuilt) {
-                assert!(
-                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                    "step {step}: patched key {a} drifted from rebuilt {b}"
-                );
-            }
-        }
-    }
-
-    /// The key cache (keys *and* merged ranking) must survive a mixed
-    /// insert/delete/reweight churn: after every step the merged order
-    /// equals a fresh sort of the patched keys, and the keys track a
-    /// rebuilt backend to 1e-9 relative.
-    #[test]
-    fn ranked_cache_survives_insert_delete_churn() {
-        let pairs: Vec<(f64, f64)> = (0..48)
-            .map(|i| {
-                (
-                    1000.0 - 3.0 * i as f64,
-                    0.05 + 0.9 * ((i * 7919) % 997) as f64 / 997.0,
-                )
-            })
-            .collect();
-        let live = LiveRelation::new(IndependentDb::from_pairs(pairs).unwrap());
-        let alpha = 0.8;
-        let _ = live.prfe_log_ranked(alpha).expect("live serves ranked");
-        for step in 0..150usize {
-            let n = live.n_tuples();
-            match step % 3 {
-                // Interior scores so inserts land at every sorted position.
-                0 => {
-                    live.apply(&Mutation::Insert {
-                        score: 1000.0 - ((step * 41) % 160) as f64,
-                        prob: 0.03 + 0.9 * ((step * 131) % 89) as f64 / 89.0,
-                    })
-                    .unwrap();
-                }
-                1 => {
-                    live.apply(&Mutation::Delete(TupleId(((step * 13) % n) as u32)))
-                        .unwrap();
-                }
-                _ => {
-                    live.apply(&Mutation::Reweight(
-                        TupleId(((step * 31) % n) as u32),
-                        0.02 + 0.95 * ((step * 71) % 53) as f64 / 53.0,
-                    ))
-                    .unwrap();
-                }
-            }
-            assert!(
-                live.read().log_cache.is_some(),
-                "step {step}: cache must survive covered mutations"
-            );
-            let (keys, order) = live.prfe_log_ranked(alpha).expect("cache present");
-            let fresh = crate::topk::Ranking::from_keys(&keys);
-            assert_eq!(
-                order,
-                fresh.order(),
-                "step {step}: merged order must equal a fresh sort of the patched keys"
-            );
-            let rebuilt = probe::log_keys(&live.snapshot_backend(), alpha);
-            assert_eq!(keys.len(), rebuilt.len(), "step {step}");
-            for (a, b) in keys.iter().zip(rebuilt) {
-                assert!(
-                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                    "step {step}: patched key {a} drifted from rebuilt {b}"
-                );
-            }
-        }
-    }
-
-    /// A panic between the plan patch and the key-cache patch (the armed
-    /// mutation probe) leaves the backend mutated but the generation and
-    /// key cache stale; [`LiveRelation::repair`] must restore full
-    /// consistency with a rebuild.
+    /// A panic between the plan patch and the generation bump (the armed
+    /// mutation probe) leaves the backend mutated but the generation
+    /// stale; [`LiveRelation::repair`] must restore full consistency with
+    /// a rebuild.
     #[test]
     fn mid_apply_panic_repairs_to_rebuild() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1224,7 +689,6 @@ mod tests {
         use std::sync::Arc;
 
         let live = Arc::new(LiveRelation::new(db5()));
-        let _ = log_keys(&live, 0.7); // populate the key cache
         let armed = Arc::new(AtomicBool::new(true));
         let once = armed.clone();
         live.arm_mutation_probe(move || {
@@ -1241,10 +705,6 @@ mod tests {
         // generation never bumped, so wrappers would serve stale state.
         assert_eq!(live.mutations_applied(), gen_before);
         live.repair();
-        assert!(
-            live.read().log_cache.is_none(),
-            "repair discards derived state"
-        );
         assert!(
             live.mutations_applied() > gen_before,
             "repair must advance the generation so wrappers re-prepare"

@@ -42,13 +42,9 @@
 //! ([`BatchRoute::Single`], reports carry `batch: None`): E-Score's closed
 //! form, U-Top's set sweep ([`ProbabilisticRelation::most_probable_topk`])
 //! and U-Rank's candidate tables
-//! ([`ProbabilisticRelation::positional_candidates`]). A log-domain PRFe
-//! entry that is the batch's only walk consumer (a single query, or a
-//! one-query server flush) first asks
-//! [`ProbabilisticRelation::prfe_log_ranked`], so a backend holding a
-//! ranking cheaper than a sort (a live relation's merged key cache) answers
-//! it directly; alongside other consumers it joins the shared walk. A walk
-//! that returns `None` without being cancelled retries each of its entries
+//! ([`ProbabilisticRelation::positional_candidates`]). Every other entry,
+//! a lone log-domain PRFe query included, is a walk consumer. A walk that
+//! returns `None` without being cancelled retries each of its entries
 //! alone; an entry whose own walk still returns `None` fails with
 //! [`QueryError::Unsupported`].
 
@@ -241,9 +237,7 @@ impl BatchCost {
 /// How one batch entry is executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchRoute {
-    /// Served by the shared score-order walk (a lone log-domain PRFe
-    /// consumer may instead be answered by
-    /// [`ProbabilisticRelation::prfe_log_ranked`]).
+    /// Served by the shared score-order walk.
     Shared,
     /// Answered directly, outside the walk: E-Score's closed form, U-Top
     /// and U-Rank.
@@ -461,15 +455,6 @@ impl QueryBatch {
         let mut tokens: Vec<CancelToken> = Vec::new();
         let mut untracked = 0usize;
         let mut slots: Vec<Slot> = Vec::with_capacity(self.entries.len());
-        // A lone walk consumer has no walk to share, so a log-domain PRFe
-        // entry asks the backend's ranked hook first; with company it joins
-        // the one shared walk (a hook miss would cost a walk of its own).
-        let lone = resolved
-            .iter()
-            .zip(&self.entries)
-            .filter(|(r, e)| r.is_ok() && route(&e.semantics) == BatchRoute::Shared)
-            .count()
-            == 1;
         for (entry, resolved) in self.entries.iter().zip(resolved) {
             let algorithm = match resolved {
                 _ if entry.cancel.as_ref().is_some_and(CancelToken::is_cancelled) => {
@@ -485,23 +470,6 @@ impl QueryBatch {
             if route(&entry.semantics) == BatchRoute::Single {
                 slots.push(Slot::Direct(algorithm));
                 continue;
-            }
-            if let (true, Semantics::Prfe(alpha), Algorithm::LogDomain) =
-                (lone, &entry.semantics, algorithm)
-            {
-                let start = Instant::now();
-                match guarded(isolate, || Ok(rel.prfe_log_ranked(alpha.re))) {
-                    Ok(None) => {}
-                    Ok(Some((keys, order))) => {
-                        let result = self.log_ranked(entry, backend, keys, order, start);
-                        slots.push(Slot::Done(Ok(result)));
-                        continue;
-                    }
-                    Err(e) => {
-                        slots.push(Slot::Done(Err(e)));
-                        continue;
-                    }
-                }
             }
             match walk_requests(entry, algorithm) {
                 Ok((requests, mix)) => {
@@ -635,19 +603,17 @@ impl QueryBatch {
                     .collect::<Vec<_>>()
             });
             for out in outs {
-                // Finalization is infallible assembly: a panic there is an
-                // internal bug and propagates like the serial path's would.
+                // A panic in finalize is an internal bug and propagates
+                // like the serial path's would.
                 let list = out.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                 for (i, r) in list {
-                    walked[i] = Some(Ok(r));
+                    walked[i] = Some(r);
                 }
             }
         } else {
             for (i, algorithm, mix, answered) in jobs {
                 let entry = &self.entries[i];
-                walked[i] = Some(Ok(
-                    self.finalize(entry, algorithm, n, backend, mix, answered)
-                ));
+                walked[i] = Some(self.finalize(entry, algorithm, n, backend, mix, answered));
             }
         }
 
@@ -750,7 +716,9 @@ impl QueryBatch {
     /// per request; a DFT mixture's `L` scaled points are summed with the
     /// mixture weights `mix`). Per-tuple values keep length `n`; when the
     /// walk stopped the consumer early, only its visited prefix is ranked
-    /// (see [`RankedResult::values`]).
+    /// (see [`RankedResult::values`]). A NaN among the ranked values (a
+    /// weight table holding NaN, say) fails the entry with
+    /// [`QueryError::InvalidParameter`].
     fn finalize(
         &self,
         entry: &RankQuery,
@@ -759,7 +727,7 @@ impl QueryBatch {
         backend: CorrelationClass,
         mix: Option<&[Complex]>,
         answered: Answered,
-    ) -> RankedResult {
+    ) -> Result<RankedResult, QueryError> {
         let finalize_start = Instant::now();
         let cap = self.cap(entry, n);
         let order = |default| entry.value_order.unwrap_or(default);
@@ -810,6 +778,12 @@ impl QueryBatch {
                 }
             },
         };
+        let ranking = ranking.ok_or_else(|| {
+            QueryError::InvalidParameter(format!(
+                "{}: a computed value is NaN and has no rank",
+                entry.semantics.name()
+            ))
+        })?;
         let amortized = answered.cost.amortized_seconds();
         let mut report = self.report(entry, algorithm, backend, values.numeric_mode());
         report.kernel_seconds = amortized;
@@ -817,37 +791,12 @@ impl QueryBatch {
         report.memory = answered.stats;
         report.batch = Some(answered.cost);
         report.tuples_scanned = Some(prefix.map_or(n, <[TupleId]>::len));
-        RankedResult {
+        Ok(RankedResult {
             values,
             ranking,
             set: None,
             report,
-        }
-    }
-
-    /// A log-domain PRFe entry answered by
-    /// [`ProbabilisticRelation::prfe_log_ranked`]: keys and their ranking
-    /// arrive together, so no walk and no sort.
-    fn log_ranked(
-        &self,
-        entry: &RankQuery,
-        backend: CorrelationClass,
-        keys: Vec<f64>,
-        mut order: Vec<TupleId>,
-        start: Instant,
-    ) -> RankedResult {
-        let kernel_seconds = start.elapsed().as_secs_f64();
-        order.truncate(self.cap(entry, keys.len()));
-        let ranked_keys = order.iter().map(|t| keys[t.index()]).collect();
-        let mut report = self.report(entry, Algorithm::LogDomain, backend, NumericMode::LogDomain);
-        report.kernel_seconds = kernel_seconds;
-        report.total_seconds = start.elapsed().as_secs_f64();
-        RankedResult {
-            values: Values::LogDomain(keys),
-            ranking: Ranking::from_order_and_keys(order, ranked_keys),
-            set: None,
-            report,
-        }
+        })
     }
 
     /// The direct routes: E-Score's closed form, U-Top and U-Rank.
@@ -1047,23 +996,23 @@ fn guarded<T>(isolate: bool, f: impl FnOnce() -> Result<T, QueryError>) -> Resul
 }
 
 /// Ranks scaled Υ values by `order` — all of them, or only `candidates` —
-/// materialising the best `k`.
+/// materialising the best `k`. `None` when a magnitude key is NaN.
 fn rank_scaled(
     vals: &[Scaled<Complex>],
     order: ValueOrder,
     candidates: Option<&[TupleId]>,
     k: usize,
-) -> Ranking {
+) -> Option<Ranking> {
     let n = vals.len();
     match order {
         ValueOrder::Magnitude => Ranking::select(n, candidates, k, |i| vals[i].magnitude_key()),
-        ValueOrder::RealPart => Ranking::select_by(
+        ValueOrder::RealPart => Some(Ranking::select_by(
             n,
             candidates,
             k,
             |i| vals[i].real_part_key(),
             |k| k.display(),
-        ),
+        )),
     }
 }
 

@@ -404,8 +404,7 @@ pub struct EvalReport {
     /// Walk cost attribution — `Some` when this query was answered by a
     /// score-order walk (its `kernel_seconds` is then the amortized share;
     /// a single query reports `consumers: 1`), `None` for the direct
-    /// routes (E-Score, U-Top, U-Rank, and log-domain PRFe served by
-    /// [`ProbabilisticRelation::prfe_log_ranked`]).
+    /// routes (E-Score, U-Top and U-Rank).
     pub batch: Option<BatchCost>,
     /// Score-order positions the walk evaluated for this answer: `n` for a
     /// full walk, the visited prefix's length when a `top_k` query stopped

@@ -296,12 +296,6 @@ impl ProbabilisticRelation for PreparedRelation {
         self.rel.run_shared_walk_topk(spec, carry, &self.snapshot())
     }
 
-    fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
-        // The walk answers keys, never an order; the inner relation (a live
-        // cache, say) is the only party that can beat the sort.
-        self.rel.prfe_log_ranked(alpha)
-    }
-
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
         self.rel.most_probable_topk(k)
     }

@@ -67,9 +67,8 @@ const UTOP_WORLD_LIMIT: usize = 1 << 20;
 /// Only the four metadata methods and
 /// [`Self::run_shared_walk_prepared`] are required. The provided methods are
 /// capability hooks with conservative defaults: no cacheable preparation,
-/// no early stop for top-k consumers, no cheaper-than-sort log-domain
-/// ranking, no exact U-Top, U-Rank through one walk of position-indicator
-/// weights, and no sharding support.
+/// no early stop for top-k consumers, no exact U-Top, U-Rank through one
+/// walk of position-indicator weights, and no sharding support.
 pub trait ProbabilisticRelation {
     /// Number of tuples.
     fn n_tuples(&self) -> usize;
@@ -149,22 +148,6 @@ pub trait ProbabilisticRelation {
             return None;
         }
         self.run_shared_walk_prepared(spec, prep)
-    }
-
-    /// Log-domain PRFe keys (`ln Υ`, indexed by tuple id) together with the
-    /// tuple order they induce (best first, ties by tuple id — the exact
-    /// order [`crate::topk::Ranking::from_keys`] produces), when the backend
-    /// can deliver that order cheaper than the engine's own sort. `None`
-    /// (the default) sends the query through the walk and a sort.
-    ///
-    /// [`crate::live::LiveRelation`] overrides this: after a reweight it
-    /// re-ranks by an O(n) three-way merge (the mutation shifts every
-    /// lower-scored key by one shared constant, so relative order inside
-    /// the prefix and suffix survives), which is what makes
-    /// requery-after-mutation asymptotically cheaper than rebuilding.
-    fn prfe_log_ranked(&self, alpha: f64) -> Option<(Vec<f64>, Vec<TupleId>)> {
-        let _ = alpha;
-        None
     }
 
     /// The most probable top-k *set* (score-descending members, ln

@@ -13,6 +13,7 @@
 use prf_pdb::{IndependentDb, TupleId};
 
 use crate::independent::prfe_rank_log;
+use crate::query::QueryError;
 use crate::topk::Ranking;
 
 /// Relationship between two tuples across the PRFe spectrum.
@@ -141,7 +142,8 @@ pub fn prfe_spectrum(db: &IndependentDb) -> Vec<SpectrumSegment> {
     for w in cuts.windows(2) {
         let (lo, hi) = (w[0], w[1]);
         let mid = 0.5 * (lo + hi);
-        let ranking = Ranking::from_keys(&prfe_rank_log(db, mid)).order().to_vec();
+        let keys = prfe_rank_log(db, mid).expect("cut midpoints lie in [0, 1]");
+        let ranking = Ranking::from_keys(&keys).order().to_vec();
         match segments.last_mut() {
             Some(last) if last.ranking == ranking => last.alpha_hi = hi,
             _ => segments.push(SpectrumSegment {
@@ -175,14 +177,17 @@ pub fn spectrum_endpoints(db: &IndependentDb) -> (Vec<TupleId>, Vec<TupleId>) {
 }
 
 /// Convenience: the PRFe ranking at a given real `α`, computed in log space
-/// (underflow-free).
-pub fn prfe_ranking_at(db: &IndependentDb, alpha: f64) -> Vec<TupleId> {
-    if alpha <= 0.0 {
-        return spectrum_endpoints(db).0;
+/// (underflow-free). At `α = 0` it is the spectrum's `τ₀` endpoint. Fails
+/// with [`QueryError::InvalidParameter`] for an `α` outside `[0, 1]` (or
+/// NaN).
+pub fn prfe_ranking_at(db: &IndependentDb, alpha: f64) -> Result<Vec<TupleId>, QueryError> {
+    if alpha == 0.0 {
+        return Ok(spectrum_endpoints(db).0);
     }
-    Ranking::from_keys(&prfe_rank_log(db, alpha))
-        .order()
-        .to_vec()
+    let keys = prfe_rank_log(db, alpha).ok_or_else(|| {
+        QueryError::InvalidParameter(format!("PRFe ranking needs α ∈ [0, 1], got {alpha}"))
+    })?;
+    Ok(Ranking::from_keys(&keys).order().to_vec())
 }
 
 /// Checks empirically that two tuples swap at most once over a grid of `α`
@@ -193,7 +198,7 @@ pub fn count_order_flips(db: &IndependentDb, a: TupleId, b: TupleId, grid: usize
     let mut last: Option<bool> = None;
     for g in 1..=grid {
         let alpha = g as f64 / grid as f64;
-        let keys = prfe_rank_log(db, alpha);
+        let keys = prfe_rank_log(db, alpha).expect("grid points lie in (0, 1]");
         let a_above = keys[a.index()] > keys[b.index()];
         if let Some(prev) = last {
             if prev != a_above {
@@ -252,8 +257,8 @@ mod tests {
             Crossing::SwapAt(b) => b,
             other => panic!("expected a swap, got {other:?}"),
         };
-        let before = prfe_ranking_at(&db, beta - 1e-4);
-        let after = prfe_ranking_at(&db, beta + 1e-4);
+        let before = prfe_ranking_at(&db, beta - 1e-4).unwrap();
+        let after = prfe_ranking_at(&db, beta + 1e-4).unwrap();
         assert_eq!(
             before,
             vec![TupleId(1), TupleId(0), TupleId(3), TupleId(2)],

@@ -31,6 +31,9 @@ impl ValueOrder {
     }
 }
 
+/// The panic message of the public constructors that rank NaN keys.
+const NAN_KEYS: &str = "ranking keys must not be NaN";
+
 /// A complete ranking of tuples by Υ value.
 #[derive(Clone, Debug)]
 pub struct Ranking {
@@ -52,8 +55,11 @@ impl Ranking {
     /// other `n − k` tuples — the batch engine's `top_k` pushdown.
     /// Identical (order and keys) to `from_values` followed by
     /// [`Ranking::truncate`]`(k)`.
+    ///
+    /// # Panics
+    /// Panics when a value's key is NaN.
     pub fn from_values_topk(values: &[Complex], order: ValueOrder, k: usize) -> Self {
-        Self::select(values.len(), None, k, |i| order.key(values[i]))
+        Self::select(values.len(), None, k, |i| order.key(values[i])).expect(NAN_KEYS)
     }
 
     /// Ranks tuples by pre-computed real keys (higher is better).
@@ -70,7 +76,7 @@ impl Ranking {
     /// # Panics
     /// Panics when a key is NaN.
     pub fn from_keys_topk(keys_by_id: &[f64], k: usize) -> Self {
-        Self::select(keys_by_id.len(), None, k, |i| keys_by_id[i])
+        Self::select(keys_by_id.len(), None, k, |i| keys_by_id[i]).expect(NAN_KEYS)
     }
 
     /// The top-`k` of an `n`-tuple relation by `key(id)`, considering only
@@ -79,24 +85,21 @@ impl Ranking {
     /// is strictly below the `k`-th best candidate's — the contract of a
     /// walk's visited prefix (see
     /// [`crate::query::ProbabilisticRelation::run_shared_walk_topk`]).
-    ///
-    /// # Panics
-    /// Panics when a considered key is NaN.
+    /// `None` when a considered key is NaN.
     pub(crate) fn select(
         n: usize,
         candidates: Option<&[TupleId]>,
         k: usize,
         key: impl Fn(usize) -> f64,
-    ) -> Self {
-        const NAN: &str = "ranking keys must not be NaN";
+    ) -> Option<Self> {
         let idx = match candidates {
-            Some(ids) => top_k_desc_of(ids.iter().map(|t| (t.index(), key(t.index()))), k, NAN),
-            None => top_k_desc_of((0..n).map(|i| (i, key(i))), k, NAN),
-        };
-        Ranking {
+            Some(ids) => top_k_desc_of(ids.iter().map(|t| (t.index(), key(t.index()))), k),
+            None => top_k_desc_of((0..n).map(|i| (i, key(i))), k),
+        }?;
+        Some(Ranking {
             keys: idx.iter().map(|&i| key(i)).collect(),
             order: idx.into_iter().map(|i| TupleId(i as u32)).collect(),
-        }
+        })
     }
 
     /// Ranks tuples by arbitrary partially ordered keys (higher is better,

@@ -85,27 +85,29 @@ pub fn packed_desc(key: f64, index: usize) -> u128 {
 /// # Panics
 /// Panics with `nan_message` when a key is NaN.
 pub fn top_k_desc(keys: &[f64], k: usize, nan_message: &str) -> Vec<usize> {
-    top_k_desc_of(keys.iter().copied().enumerate(), k, nan_message)
+    top_k_desc_of(keys.iter().copied().enumerate(), k).expect(nan_message)
 }
 
 /// [`top_k_desc`] over explicit `(index, key)` entries — a subset of the
-/// indices, in any order — with the same `(key, index)` order. Ranking a
-/// walk's visited score-order prefix uses it.
-///
-/// # Panics
-/// Panics with `nan_message` when a key is NaN.
+/// indices, in any order — with the same `(key, index)` order, or `None`
+/// when a key is NaN. Ranking a walk's visited score-order prefix (and
+/// every query answer) uses it, so a computed NaN becomes an error rather
+/// than a panic.
 pub fn top_k_desc_of(
     entries: impl IntoIterator<Item = (usize, f64)>,
     k: usize,
-    nan_message: &str,
-) -> Vec<usize> {
+) -> Option<Vec<usize>> {
+    let mut nan = false;
     let mut packed: Vec<u128> = entries
         .into_iter()
         .map(|(i, key)| {
-            assert!(!key.is_nan(), "{nan_message}");
+            nan |= key.is_nan();
             packed_desc(key, i)
         })
         .collect();
+    if nan {
+        return None;
+    }
     if k < packed.len() {
         if k > 0 {
             packed.select_nth_unstable(k - 1);
@@ -113,7 +115,7 @@ pub fn top_k_desc_of(
         packed.truncate(k);
     }
     packed.sort_unstable();
-    packed.into_iter().map(|p| p as u64 as usize).collect()
+    Some(packed.into_iter().map(|p| p as u64 as usize).collect())
 }
 
 #[cfg(test)]
@@ -139,7 +141,8 @@ mod tests {
         assert!(top_k_desc(&scores, 0, "no NaN").is_empty());
         // A subset keeps the index tie-break, whatever its entry order.
         let subset = [2, 0, 3].map(|i| (i, scores[i]));
-        assert_eq!(top_k_desc_of(subset, 2, "no NaN"), vec![0, 2]);
+        assert_eq!(top_k_desc_of(subset, 2), Some(vec![0, 2]));
+        assert_eq!(top_k_desc_of([(0, 1.0), (1, f64::NAN)], 1), None);
     }
 
     #[test]

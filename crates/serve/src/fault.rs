@@ -17,8 +17,8 @@
 //! Tests can additionally route the same plan through hooks *outside* the
 //! server — e.g. a [`FaultPlan::consult`] call from a closure armed on
 //! `LiveRelation::arm_mutation_probe` turns any custom site name (such as
-//! `"mutate"`, between a live relation's plan splice and its key-cache
-//! patch) into part of the same seeded schedule.
+//! `"mutate"`, between a live relation's plan splice and its generation
+//! bump) into part of the same seeded schedule.
 //!
 //! Injections are **one-shot by default** ([`FaultPlan::once`]) with an
 //! optional skip count ([`FaultPlan::after`]), so a seeded chaos schedule

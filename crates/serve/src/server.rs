@@ -2629,6 +2629,9 @@ mod tests {
             // Coalesced answers are evaluated answers, not cache hits.
             assert!(!a.report.serve.as_ref().unwrap().served_from_cache);
         }
+        // The worker records a flush's count after delivering its answers;
+        // shutdown joins it, so the count is final.
+        server.shutdown();
         assert_eq!(server.metrics().flushed_queries, 4);
     }
 

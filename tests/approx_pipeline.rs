@@ -68,11 +68,11 @@ fn alpha_learning_generalizes_from_sample_to_population() {
     let db = syn_ind(20_000, 58);
     let k = 100;
     // Teacher: PRFe(0.9).
-    let truth = Ranking::from_keys(&prfe_rank_log(&db, 0.9)).top_k_u32(k);
+    let truth = Ranking::from_keys(&prfe_rank_log(&db, 0.9).unwrap()).top_k_u32(k);
     let (sample, _) = subsample_independent(&db, 1_000, 59);
-    let teacher_ranking = Ranking::from_keys(&prfe_rank_log(&sample, 0.9));
+    let teacher_ranking = Ranking::from_keys(&prfe_rank_log(&sample, 0.9).unwrap());
     let alpha = learn_prfe_alpha_topk(&sample, teacher_ranking.order(), 4, k).unwrap();
-    let learned = Ranking::from_keys(&prfe_rank_log(&db, alpha)).top_k_u32(k);
+    let learned = Ranking::from_keys(&prfe_rank_log(&db, alpha).unwrap()).top_k_u32(k);
     let d = kendall_topk(&learned, &truth, k);
     assert!(d < 0.05, "α̂ = {alpha}, distance {d}");
 }

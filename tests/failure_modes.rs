@@ -7,7 +7,10 @@ use prf::core::learn::{learn_prf_omega, learn_prfe_alpha, learn_prfe_alpha_topk,
 use prf::core::mixture::{approximate_weights, DftApproxConfig};
 use prf::core::query::batch::{SharedRequest, SharedWalkSpec};
 use prf::core::query::{kernels, PreparedState};
-use prf::core::{LiveRelation, ProbabilisticRelation, Ranking, StepWeight, ValueOrder};
+use prf::core::spectrum::{prfe_ranking_at, spectrum_endpoints};
+use prf::core::{
+    LiveRelation, ProbabilisticRelation, Ranking, StepWeight, TabulatedWeight, ValueOrder,
+};
 use prf::pdb::{
     AndXorTree, AttributeUncertainDb, IndependentDb, NodeKind, PdbError, TreeBuilder, TupleId,
     UncertainTuple,
@@ -149,22 +152,19 @@ fn learners_reject_unusable_user_rankings() {
 }
 
 #[test]
-fn live_log_ranked_hook_has_no_answer_for_an_invalid_alpha() {
+fn live_log_domain_prfe_rejects_an_invalid_alpha() {
     let live =
         LiveRelation::new(IndependentDb::from_pairs([(3.0, 0.5), (2.0, 0.7), (1.0, 0.9)]).unwrap());
+    let query = |alpha| RankQuery::prfe(alpha).algorithm(Algorithm::LogDomain);
     for alpha in [1.5, f64::NAN] {
-        assert!(live.prfe_log_ranked(alpha).is_none(), "α={alpha}");
-        let err = RankQuery::prfe(alpha)
-            .algorithm(Algorithm::LogDomain)
-            .run(&live)
-            .unwrap_err();
+        let err = query(alpha).run(&live).unwrap_err();
         assert!(
             matches!(err, QueryError::InvalidParameter(_)),
             "α={alpha}: {err}"
         );
     }
-    // A valid α is still answered from the cache.
-    assert!(live.prfe_log_ranked(0.5).is_some());
+    // A valid α is still answered.
+    assert_eq!(query(0.5).run(&live).unwrap().ranking.len(), 3);
 }
 
 #[test]
@@ -258,7 +258,7 @@ fn world_enumeration_limits_are_enforced() {
 fn empty_relation_everywhere() {
     let db = IndependentDb::from_pairs(std::iter::empty::<(f64, f64)>()).unwrap();
     assert!(prf_rank(&db, &StepWeight { h: 3 }).is_empty());
-    assert!(prfe_rank_log(&db, 0.5).is_empty());
+    assert!(prfe_rank_log(&db, 0.5).unwrap().is_empty());
     assert!(kernels::expected_ranks_independent(&db).is_empty());
     assert_eq!(
         RankQuery::utop(1).run(&db).unwrap_err(),
@@ -279,7 +279,7 @@ fn all_certain_tuples_rank_by_score() {
     assert_eq!(pt.top_k(2), score_order.top_k(2));
     let er = RankQuery::erank().run(&db).unwrap().ranking;
     assert_eq!(er.order(), score_order.order());
-    let prfe = Ranking::from_keys(&prfe_rank_log(&db, 0.7));
+    let prfe = Ranking::from_keys(&prfe_rank_log(&db, 0.7).unwrap());
     assert_eq!(prfe.order(), score_order.order());
     let utop = RankQuery::utop(2).run(&db).unwrap().set.unwrap();
     assert_eq!(&utop.members, score_order.top_k(2));
@@ -303,8 +303,8 @@ fn all_impossible_tuples() {
 #[test]
 fn duplicate_scores_rank_deterministically() {
     let db = IndependentDb::from_pairs([(5.0, 0.5), (5.0, 0.5), (5.0, 0.5)]).unwrap();
-    let a = Ranking::from_keys(&prfe_rank_log(&db, 0.8));
-    let b = Ranking::from_keys(&prfe_rank_log(&db, 0.8));
+    let a = Ranking::from_keys(&prfe_rank_log(&db, 0.8).unwrap());
+    let b = Ranking::from_keys(&prfe_rank_log(&db, 0.8).unwrap());
     assert_eq!(a.order(), b.order());
     // Tie-break is by tuple id.
     assert_eq!(a.order()[0], prf::pdb::TupleId(0));
@@ -398,6 +398,44 @@ fn batch_mixing_numeric_modes_keeps_each_entry_in_its_mode() {
         .run(&db)
         .unwrap_err();
     assert!(matches!(err, QueryError::InvalidParameter(_)), "{err}");
+}
+
+#[test]
+fn nan_weights_fail_the_query_instead_of_panicking() {
+    // A NaN in a weight table makes every Υ NaN; ranking those values is
+    // an error of that query, capped or not, alone or in a batch.
+    let db = IndependentDb::from_pairs([(3.0, 0.5), (2.0, 0.7), (1.0, 0.9)]).unwrap();
+    let query = RankQuery::prf(TabulatedWeight::from_real(&[f64::NAN, 1.0]));
+    for q in [query.clone(), query.clone().top_k(1)] {
+        let err = q.run(&db).unwrap_err();
+        assert!(matches!(err, QueryError::InvalidParameter(_)), "{err}");
+    }
+    let out = QueryBatch::new()
+        .add_query(query)
+        .add_query(RankQuery::pt(2))
+        .run_isolated(&db);
+    assert!(matches!(out[0], Err(QueryError::InvalidParameter(_))));
+    assert_eq!(out[1].as_ref().unwrap().ranking.len(), 3);
+}
+
+#[test]
+fn spectrum_ranking_outside_the_unit_interval_is_an_error() {
+    let db = IndependentDb::from_pairs([(9.0, 0.4), (8.0, 0.8), (7.0, 0.5)]).unwrap();
+    for alpha in [1.5, -0.1, f64::NAN] {
+        assert!(prfe_rank_log(&db, alpha).is_none(), "α = {alpha}");
+        assert!(
+            matches!(
+                prfe_ranking_at(&db, alpha),
+                Err(QueryError::InvalidParameter(_))
+            ),
+            "α = {alpha}"
+        );
+    }
+    assert_eq!(prfe_ranking_at(&db, 0.5).unwrap().len(), 3);
+    assert_eq!(
+        prfe_ranking_at(&db, 0.0).unwrap(),
+        spectrum_endpoints(&db).0
+    );
 }
 
 #[test]

@@ -362,13 +362,11 @@ fn served_mutations_match_offline_rebuild() {
 
 #[test]
 fn log_prfe_answers_stay_exact_across_cache_patched_churn() {
-    // Focused regression for the log-domain PRFe key cache: once a
-    // log-domain query has warmed the cache, every subsequent insert and
-    // delete takes the O(n) patch path (closed-form key update plus a
-    // rank-preserving merge) instead of a rebuild. Drive a long churn
-    // script through that path and pin each step's answer to a fresh
-    // rebuild at 1e-9 — before the patch fix, inserts and deletes silently
-    // invalidated the cache and the comparison drifted.
+    // Focused regression for log-domain PRFe under churn: every insert,
+    // delete and reweight patches the stored score order in place, and
+    // each step's log-domain answer comes from the walk over that patched
+    // order. Drive a long churn script through that path and pin each
+    // step's answer to a fresh rebuild at 1e-9.
     let live = LiveRelation::new(seed_db(24));
     let log_probe = || {
         vec![(
@@ -377,8 +375,7 @@ fn log_prfe_answers_stay_exact_across_cache_patched_churn() {
         )]
     };
 
-    // Warm the log key cache so the churn below patches it rather than
-    // building it from scratch each step.
+    // A log-domain query before the churn, as a serving client would run.
     RankQuery::prfe(0.85)
         .algorithm(Algorithm::LogDomain)
         .run(&live)
@@ -407,6 +404,6 @@ fn log_prfe_answers_stay_exact_across_cache_patched_churn() {
         }
         assert_live_matches_rebuild_with(&live, &format!("log-churn-{step}"), log_probe());
     }
-    // The cache survived sixty patches; the full battery still agrees.
+    // After sixty patches the full battery still agrees.
     assert_live_matches_rebuild(&live, "log-churn/final");
 }

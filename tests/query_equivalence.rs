@@ -220,7 +220,7 @@ fn prfe_algorithms_match_legacy_on_independent() {
             );
 
             // LogDomain ≡ prfe_rank_log.
-            let legacy_log = prfe_rank_log(&db, alpha);
+            let legacy_log = prfe_rank_log(&db, alpha).unwrap();
             let got = RankQuery::prfe(alpha)
                 .algorithm(Algorithm::LogDomain)
                 .run(&db)

@@ -5,8 +5,8 @@
 //! injected **panic** and one injected **delay**, plus optional worker
 //! kills, admission overloads, and a **mid-apply `mutate` probe** (a
 //! `LiveRelation::arm_mutation_probe` closure consulting the same plan,
-//! firing between the live relation's plan splice and its log-PRFe
-//! key-cache patch) — and then drives a mixed workload of plain
+//! firing between the live relation's plan splice and its generation
+//! bump) — and then drives a mixed workload of plain
 //! submissions, deadline/priority submissions, and live-relation inserts
 //! from several client threads, with shutdown racing half the schedules.
 //! The panic sites include `cache` (before the result cache is purged and
@@ -84,7 +84,7 @@ fn seeded_plan(rng: &mut StdRng) -> FaultPlan {
     if rng.gen_bool(0.35) {
         // Fired by the live relation's mutation probe (armed below in
         // `run_chaos_schedule`): a panic *between* the backend/plan splice
-        // and the log-PRFe key-cache patch.
+        // and the generation bump.
         plan = plan.after("mutate", FaultKind::Panic, rng.gen_range(0..3));
     }
     plan
@@ -107,8 +107,8 @@ fn run_chaos_schedule(seed: u64) -> u64 {
     let live_base = 6usize;
     let live = Arc::new(LiveRelation::new(small_db(live_base)));
     // Route the same seeded plan into the live relation's mid-apply hook:
-    // a `mutate` injection panics between the plan splice and the key-cache
-    // patch, exercising the server's catch + repair of a half-applied
+    // a `mutate` injection panics between the plan splice and the
+    // generation bump, exercising the server's catch + repair of a half-applied
     // mutation.
     {
         let plan = plan.clone();
@@ -412,11 +412,10 @@ fn stuck_worker_is_compensated_while_it_sleeps() {
 }
 
 /// A panic injected *between* a live relation's plan splice and its
-/// log-PRFe key-cache patch (the `mutate` probe): the server acknowledges
-/// the mutation `Internal`, repairs the derived state, and the very next
-/// log-domain PRFe answer — the semantics whose incremental key cache the
-/// panic stranded — matches an offline rebuild of the final backend to
-/// 1e-9. The result cache must not serve the pre-mutation answer either:
+/// generation bump (the `mutate` probe): the server acknowledges the
+/// mutation `Internal`, repairs the prepared state, and the very next
+/// log-domain PRFe answer matches an offline rebuild of the final backend
+/// to 1e-9. The result cache must not serve the pre-mutation answer either:
 /// repair bumps the generation, so the stale entry can never pass the
 /// generation-exact lookup.
 #[test]
@@ -441,7 +440,7 @@ fn mid_splice_panic_repairs_and_next_answer_matches_rebuild() {
     assert!(!before.report.serve.as_ref().unwrap().served_from_cache);
 
     // The mutation applies to the backend, then the probe panics before
-    // the key-cache patch: the server must contain it, ack `Internal`,
+    // the generation bump: the server must contain it, ack `Internal`,
     // and repair.
     let ack = server
         .apply(rel, Mutation::Reweight(TupleId(0), 0.9))

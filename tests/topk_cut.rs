@@ -16,7 +16,8 @@
 //!
 //! A capped query's values (exact on the visited prefix, worst beyond it)
 //! must not depend on how it runs: alone, in a batch beside uncapped
-//! entries, through a `PreparedRelation`, or through a `RankServer`.
+//! entries, through a `PreparedRelation`, a mutated `LiveRelation` or a
+//! `RankServer`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -190,6 +191,13 @@ proptest! {
         k in 0usize..8,
     ) {
         let prepared = PreparedRelation::new(std::sync::Arc::new(db.clone()));
+        // A live relation after a no-op mutation and a warming uncapped
+        // log-domain query: its capped answers still come from the walk.
+        let live = LiveRelation::new(db.clone());
+        if let Some(t) = db.tuples().first() {
+            live.apply(&Mutation::Reweight(t.id, t.prob)).unwrap();
+        }
+        RankQuery::prfe(alpha).algorithm(Algorithm::LogDomain).run(&live).unwrap();
         let server = RankServer::new(ServeConfig::default());
         let id = server.register("db", db.clone());
         for q in shapes(h, alpha) {
@@ -197,6 +205,7 @@ proptest! {
             let alone = answer(&q.run(&db).unwrap());
             let ctx = format!("{q:?}");
             prop_assert_eq!(&answer(&q.run(&prepared).unwrap()), &alone, "prepared {}", ctx);
+            prop_assert_eq!(&answer(&q.run(&live).unwrap()), &alone, "live {}", ctx);
             let batch = QueryBatch::new()
                 .add_query(RankQuery::pt(h))
                 .add_query(q.clone())
@@ -448,4 +457,14 @@ fn every_capped_shape_stops_early_on_iip() {
         let full = q.run(&db).unwrap();
         assert_eq!(ranking_bits(&capped), ranking_bits(&full)[..10], "{q:?}");
     }
+    // A lone capped log-domain PRFe query on a live relation takes the
+    // same early-stopping walk.
+    let live = LiveRelation::new(db.clone());
+    let capped = RankQuery::prfe(0.9)
+        .algorithm(Algorithm::LogDomain)
+        .top_k(10)
+        .run(&live)
+        .unwrap();
+    let scanned = capped.report.tuples_scanned.unwrap();
+    assert!(scanned < db.len(), "live log PRFe scanned {scanned}");
 }

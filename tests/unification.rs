@@ -189,7 +189,7 @@ fn prfe_log_scaled_and_plain_agree_on_top_k() {
         &prf::core::independent::prfe_rank(&db, prf::numeric::Complex::real(alpha)),
         ValueOrder::Magnitude,
     );
-    let logd = Ranking::from_keys(&prf::core::independent::prfe_rank_log(&db, alpha));
+    let logd = Ranking::from_keys(&prf::core::independent::prfe_rank_log(&db, alpha).unwrap());
     let scaled_vals =
         prf::core::independent::prfe_rank_scaled(&db, prf::numeric::Complex::real(alpha));
     let keys: Vec<f64> = scaled_vals.iter().map(|v| v.magnitude_key()).collect();
