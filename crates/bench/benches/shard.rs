@@ -1,20 +1,19 @@
 //! Criterion benchmarks for [`ShardedRelation`]: the fig 11(i) serving
 //! batch (PRFe(0.95) + PT(100) + E-Rank as one top-100 `QueryBatch`) on
 //! the IIP instance, unsharded vs 4 score-contiguous shards, each
-//! sharded configuration running `w` shard-pool workers plus
-//! `QueryBatch::parallel(w)` batch threads (which also fan the per-entry
+//! sharded configuration built with `w` workers and run with
+//! `QueryBatch::parallel(w)` batch threads (which fan the per-entry
 //! finalization out over scoped threads), plus the batch on one shard
 //! alone and the uncapped batch unsharded and on 4 shards.
 //!
 //! Reading the numbers: the capped batch walks the shards in score order
 //! and stops inside shard 0 (every entry's top 100 settles within a few
 //! hundred to a few ten thousand tuples), so the `sharded_4x/*_workers`
-//! rows sit near `unsharded` and the worker count barely matters: the
-//! pool only runs the per-entry finalization. The two `uncapped` rows
-//! rank in full, which takes the two-phase path (phase A's presence GFs
-//! on the pool, then every shard walked concurrently); their ratio is
-//! the monoid's work overhead on a full ranking, and on a multi-core host
-//! the sharded one falls with the worker count.
+//! rows sit near `unsharded`. Independent shards walk on one thread, so
+//! the worker count moves only the per-entry finalization. The two
+//! `uncapped` rows rank in full: the sharded one walks all 4 shards in
+//! turn, folding each earlier shard's presence GFs into the prefix, so
+//! their ratio is the monoid's work overhead on a full ranking.
 //!
 //! Measure mode runs the paper-scale n = 10⁶; smoke mode (CI test job)
 //! shrinks to n = 20 000 so the debug-profile single pass stays fast.
@@ -66,8 +65,7 @@ fn fig11_batch() -> Vec<RankQuery> {
     ]
 }
 
-/// The batch, capped at `top_k` when given (else ranking every tuple,
-/// which takes the two-phase path).
+/// The batch, capped at `top_k` when given (else ranking every tuple).
 fn run_batch(
     rel: &(impl ProbabilisticRelation + ?Sized),
     queries: &[RankQuery],

@@ -15,8 +15,8 @@
 //! numbers. The `serve`, `live` and `shard` scenarios go beyond the
 //! paper: `serve` replays a mixed-semantics trace through `prf-serve`'s
 //! deadline-batched `RankServer` and compares throughput with
-//! single-query dispatch; `shard` measures the fig 11-style scaling of a
-//! `ShardedRelation` over 1/2/4 shard workers.
+//! single-query dispatch; `shard` measures the fig 11-style batch on a
+//! 4-shard `ShardedRelation` against the unsharded relation.
 
 #![deny(missing_docs)]
 

@@ -3,35 +3,21 @@
 //!
 //! The IIP instance (score-descending) is split into 4 equal
 //! score-contiguous `IndependentDb` shards and the fig 11(i) serving
-//! batch — PRFe(0.95), PT(100), E-Rank as ONE `QueryBatch` — runs over a
-//! serving configuration of `w` shard-pool workers **and** `w` batch
-//! threads (`QueryBatch::parallel(w)`, which also fans the per-entry
-//! finalization out over scoped threads).
+//! batch — PRFe(0.95), PT(100), E-Rank as ONE `QueryBatch` — runs on a
+//! sharded relation of `w` workers with `w` batch threads
+//! (`QueryBatch::parallel(w)`, which fans the per-entry finalization out
+//! over scoped threads).
 //!
-//! The scaling columns rank every tuple, which takes the two-phase path
-//! (phase A's presence GFs, then every shard walked on the pool). Two
-//! kinds of numbers are reported for it, both measured:
-//!
-//! * **wall** — elapsed time per configuration. Only meaningful as a
-//!   scaling signal on a multi-core host: on a single-core machine every
-//!   worker count walls about the same (pool and threads serialize), and
-//!   what the sharded-vs-unsharded ratio shows instead is the *work
-//!   overhead* of sharding (phase A computes each shard's presence GF —
-//!   for coefficient consumers like PT that is a second pass over the
-//!   data).
-//! * **model** — the speedup implied by the measured work partition. The
-//!   1-worker run decomposes exactly through the batch reports: the
-//!   merged walk (`BatchCost::walk_seconds` — phase A + phase B, all
-//!   pool jobs over 4 equal shards), each entry's finalization
-//!   (`total_seconds − kernel_seconds` — independent per entry, fanned
-//!   out by `parallel(w)`), and an unparallelized remainder. The modeled
-//!   `w`-worker wall is `walk·⌈4/w⌉/4 + (finalize round-robin critical
-//!   path over w threads) + remainder`. On one core wall ≈ total work,
-//!   so this is the speedup an otherwise-idle `w`-core host would see.
+//! Every number is a measured wall, the best of 3 runs. The scaling
+//! columns rank every tuple. The shards are walked one after another in
+//! score order, so `ovh` (sharded over unsharded) is the monoid's extra
+//! work: every shard but the last folds its presence GF into the prefix,
+//! for PT a second pass over that shard. Independent shards walk on one
+//! thread, so `w` moves only the finalization.
 //!
 //! The last columns truncate the batch to the top-100 answers a server
-//! would return. That batch walks the shards in score order and stops
-//! inside the first one, so its sharded wall tracks the unsharded one.
+//! would return. That batch stops inside the first shard, so its sharded
+//! wall tracks the unsharded one.
 
 use std::sync::Arc;
 
@@ -91,47 +77,28 @@ fn batch_queries() -> Vec<RankQuery> {
     ]
 }
 
-/// Best-of-3 timed batch runs (first-touch page faults and allocator
-/// warm-up dominate a cold run at n = 10⁶), ranking every tuple or, with
-/// `top_k`, that many: the best wall, its shared walk seconds (from the
-/// batch cost attribution), and each entry's finalize seconds.
+/// The best wall of 3 timed batch runs (first-touch page faults and
+/// allocator warm-up dominate a cold run at n = 10⁶), ranking every tuple
+/// or, with `top_k`, that many.
 fn time_batch(
     rel: &(impl ProbabilisticRelation + ?Sized),
     threads: usize,
     top_k: Option<usize>,
-) -> (f64, f64, Vec<f64>) {
+) -> f64 {
     let queries = batch_queries();
-    let mut best = (f64::INFINITY, 0.0, Vec::new());
-    for _ in 0..3 {
-        let (results, wall) = timed(|| {
-            let batch = QueryBatch::new().add_queries(queries.iter().cloned());
-            top_k
-                .map_or(batch.clone(), |k| batch.top_k(k))
-                .parallel(threads)
-                .run(rel)
-                .expect("independent backends")
-        });
-        if wall < best.0 {
-            let walk = results
-                .iter()
-                .filter_map(|r| r.report.batch.map(|c| c.walk_seconds))
-                .fold(0.0f64, f64::max);
-            let fins = results
-                .iter()
-                .map(|r| r.report.total_seconds - r.report.kernel_seconds)
-                .collect();
-            best = (wall, walk, fins);
-        }
-    }
-    best
-}
-
-/// Round-robin critical path: thread `j` of `w` finalizes entries
-/// `j, j+w, …`; the slowest thread bounds the finalize stage.
-fn critical_path(costs: &[f64], w: usize) -> f64 {
-    (0..w)
-        .map(|j| costs.iter().skip(j).step_by(w).sum::<f64>())
-        .fold(0.0f64, f64::max)
+    (0..3)
+        .map(|_| {
+            timed(|| {
+                let batch = QueryBatch::new().add_queries(queries.iter().cloned());
+                top_k
+                    .map_or(batch.clone(), |k| batch.top_k(k))
+                    .parallel(threads)
+                    .run(rel)
+                    .expect("independent backends")
+            })
+            .1
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Runs the sharded-scaling experiment.
@@ -143,72 +110,45 @@ pub fn run(scale: Scale) {
     };
     println!(
         "batch = PRFe(.95) + PT(100) + E-Rank as one QueryBatch ranking every\n\
-         tuple; config w = w shard-pool workers + parallel(w) batch threads;\n\
-         walls are elapsed; 'model Nw' = measured-work speedup an idle N-core\n\
-         host would see (walk/⌈4/N⌉ + finalize critical path + remainder;\n\
-         see module docs); 'top100' = the same batch truncated to top-100,\n\
-         unsharded and on 4 shards with 2 workers"
+         tuple; config w = w sharded-relation workers + parallel(w) batch\n\
+         threads; every column is a measured wall (best of 3); 'top100' =\n\
+         the same batch truncated to top-100, unsharded and on 4 shards with\n\
+         2 workers"
     );
     println!(
-        "{:>10}{:>11}{:>9}{:>9}{:>9}{:>7}{:>10}{:>10}{:>13}{:>12}",
-        "n",
-        "unsharded",
-        "4sh/1w",
-        "4sh/2w",
-        "4sh/4w",
-        "ovh",
-        "model 2w",
-        "model 4w",
-        "top100 unsh",
-        "top100 4sh"
+        "{:>10}{:>11}{:>9}{:>9}{:>9}{:>7}{:>13}{:>12}",
+        "n", "unsharded", "4sh/1w", "4sh/2w", "4sh/4w", "ovh", "top100 unsh", "top100 4sh"
     );
     for &n in &sizes {
         let pairs = sorted_pairs(n);
         let unsharded = slice_db(&pairs);
-        let (t_unsharded, _, _) = time_batch(&unsharded, 1, None);
-        let (t_capped, _, _) = time_batch(&unsharded, 2, Some(TOP_K));
+        let t_unsharded = time_batch(&unsharded, 1, None);
+        let t_capped = time_batch(&unsharded, 2, Some(TOP_K));
         let mut walls = Vec::new();
-        let mut walk1 = 0.0;
-        let mut fins1 = Vec::new();
         let mut t_capped_sharded = 0.0;
         for w in [1usize, 2, 4] {
             let sharded =
                 ShardedRelation::new(equal_shards(&pairs, SHARDS), w).expect("contiguous");
-            let (wall, walk, fins) = time_batch(&sharded, w, None);
-            if w == 1 {
-                walk1 = walk;
-                fins1 = fins;
-            }
+            walls.push(time_batch(&sharded, w, None));
             if w == 2 {
-                t_capped_sharded = time_batch(&sharded, w, Some(TOP_K)).0;
+                t_capped_sharded = time_batch(&sharded, w, Some(TOP_K));
             }
-            walls.push(wall);
         }
-        // The 1-worker decomposition: pool-parallel walk, thread-parallel
-        // finalize, and whatever neither covers (answer take, reporting).
-        let other = (walls[0] - walk1 - fins1.iter().sum::<f64>()).max(0.0);
-        let model = |w: usize| {
-            let walk_cp = walk1 * (SHARDS.div_ceil(w) as f64) / SHARDS as f64;
-            walls[0] / (walk_cp + critical_path(&fins1, w) + other)
-        };
         println!(
-            "{n:>10}{:>11}{:>9}{:>9}{:>9}{:>7}{:>10}{:>10}{:>13}{:>12}",
+            "{n:>10}{:>11}{:>9}{:>9}{:>9}{:>7}{:>13}{:>12}",
             secs(t_unsharded),
             secs(walls[0]),
             secs(walls[1]),
             secs(walls[2]),
             format!("{:.2}x", walls[0] / t_unsharded),
-            format!("{:.2}x", model(2)),
-            format!("{:.2}x", model(4)),
             secs(t_capped),
             secs(t_capped_sharded),
         );
     }
     println!(
         "\n(ovh = 1-worker sharded wall vs unsharded on the full ranking — the\n\
-         monoid's extra work, dominated by phase A's presence-GF pass for PT's\n\
-         coefficient prefix; on a single-core host the three walls coincide\n\
-         and ovh is the whole story, on w cores the wall tracks the model\n\
-         column. The top-100 batch stops inside shard 0 and skips phase A)"
+         monoid's extra work, chiefly each earlier shard's presence-GF pass for\n\
+         PT's coefficient prefix. The top-100 batch stops inside shard 0 and\n\
+         folds no presence GF)"
     );
 }

@@ -227,10 +227,11 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 ///
 /// When the carry describes a shard of a larger relation, the walk
 /// resumes the carried cuts, applies the shard's prefix state to each
-/// value as it is computed (the same operations the sharded two-phase walk
+/// value as it is computed (the same operations a plain sharded walk
 /// applies afterwards) and writes into the carried global buffers at the
 /// shard's offset; the prefixes it reports then hold global ids of this
-/// shard's visited tuples, for the cuts that stopped here.
+/// shard's visited tuples, for the cuts that stopped here. An uncapped
+/// sharded walk takes this route too, with cuts that never stop.
 ///
 /// Returns `None` when the spec's cancellation token trips mid-walk (every
 /// consumer gave up — see `SharedWalkSpec::cancel`), and for a log-domain

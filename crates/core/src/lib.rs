@@ -99,7 +99,7 @@ pub use query::{
     NumericMode, PreparedRelation, PreparedState, ProbabilisticRelation, QueryBatch, QueryError,
     RankQuery, RankedResult, Semantics, TopSet, Values,
 };
-pub use shard::{ShardError, ShardHandle, ShardPool, ShardedRelation};
+pub use shard::{ShardError, ShardHandle, ShardedRelation};
 pub use spectrum::Crossing;
 pub use topk::{Ranking, ValueOrder};
 pub use weights::{

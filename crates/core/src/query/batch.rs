@@ -941,6 +941,11 @@ fn dft_mixture(
     cfg: &DftApproxConfig,
 ) -> Result<ExpMixture, QueryError> {
     let h = omega.truncation().expect("validated: truncated weight");
+    if cfg.terms == 0 {
+        return Err(QueryError::InvalidParameter(
+            "DftApprox needs at least one mixture term".to_string(),
+        ));
+    }
     // The mixture can only represent *rank-only* weights. Probe ω with two
     // distinct tuples and reject tuple-dependent weight functions instead
     // of silently tabulating through one representative (which would zero
@@ -962,6 +967,12 @@ fn dft_mixture(
         )));
     }
     let tab: Vec<f64> = tabulate(omega, h).iter().map(|w| w.re).collect();
+    if tab.iter().any(|w| !w.is_finite()) {
+        return Err(QueryError::InvalidParameter(format!(
+            "DftApprox cannot fit {}: it takes a non-finite value",
+            omega.name()
+        )));
+    }
     Ok(approximate_weights(
         &|i| tab.get(i).copied().unwrap_or(0.0),
         h,

@@ -54,14 +54,6 @@ impl TopkCarry {
         self.shard.is_none() && !self.requests.iter().any(|r| matches!(r.cap, Cap::Cut(_)))
     }
 
-    /// `true` when some request waits for its first capped walk with a
-    /// `k` below `n`.
-    pub(crate) fn any_pending(&self, n: usize) -> bool {
-        self.requests
-            .iter()
-            .any(|r| matches!(r.cap, Cap::Pending(k) if k < n))
-    }
-
     /// `true` once every request is capped and has stopped.
     pub(crate) fn settled(&self) -> bool {
         self.requests

@@ -2,8 +2,8 @@
 //!
 //! The independent-db prefix walk is a prefix product of per-tuple
 //! polynomials — an associative monoid — so a relation split into
-//! score-contiguous shards can be walked by independent workers whose
-//! partial generating functions merge by polynomial multiplication,
+//! score-contiguous shards can be walked shard by shard, each walk
+//! starting from the product of the earlier shards' generating functions:
 //! exactly the shape of the ∧ combine of PAPER.md Algorithm 2.
 //!
 //! # The monoid
@@ -39,27 +39,22 @@
 //!
 //! # Execution
 //!
-//! [`ShardedRelation`] owns a persistent [`ShardPool`] of worker threads
-//! and runs a shared walk one of two ways.
+//! [`ShardedRelation`] walks its shards one at a time in score order and
+//! folds a shard's monoid elements (`G_k` coefficients, `G_k(α)` points)
+//! into the prefix state only once the walk goes past it. Each shard walk
+//! gets a [`TopkCarry`]: every consumer's running cut (its `k` best global
+//! keys; an uncapped consumer has none), the shard's prefix state and the
+//! global answer buffers. The walk applies the prefix state to each value
+//! as it computes it and writes straight into the global buffers, so a
+//! cut sees global keys and a capped answer is the uncapped answer
+//! truncated, bit for bit. The walk ends inside the first shard where
+//! every consumer has stopped; the later shards are never read.
 //!
-//! **Uncapped walks** (full rankings) run in two pool-parallel phases:
-//! **phase A** computes each shard's monoid elements (`G_k` coefficients,
-//! `G_k(α)` points — order-independent, no sort needed) and a cheap serial
-//! fold turns them into exclusive prefix products; **phase B** walks every
-//! shard concurrently with its prefix-adjusted consumers and scatters the
-//! local answers into the global tuple-id space.
-//!
-//! **Capped walks** (some consumer has a `top_k` below `n`) go through the
-//! shards one at a time in score order. Each shard walk gets a
-//! [`TopkCarry`]: every consumer's running cut (its `k` best global keys),
-//! the shard's prefix state and the global answer buffers. It applies the
-//! prefix state to each value as it computes it, with the floating-point
-//! operations phase B applies afterwards, so its cut sees global keys and
-//! a capped answer is the uncapped answer truncated, bit for bit. The walk
-//! ends inside the first shard where every consumer has stopped; a shard's
-//! phase A runs only once the walk goes past it, so the later shards are
-//! never read. A shard whose backend cannot resume a carry (trees,
-//! graphical models) sends the walk back to the two-phase path.
+//! A shard whose backend cannot resume a carry (trees, graphical models)
+//! restarts the walk in *plain* mode: every shard runs its own full walk
+//! on `workers` threads, the scalar consumers get the prefix state applied
+//! afterwards with the same floating-point operations, and the local
+//! answers are scattered into the global tuple-id space.
 //!
 //! Expected ranks need each shard's expected size `C_k` and largest
 //! probability `p̂_k`; both are cached per shard generation. The
@@ -67,9 +62,7 @@
 //! [`QueryBatch`](crate::query::QueryBatch) and the `prf-serve` server
 //! work against a sharded relation exactly as against any other backend.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use prf_numeric::{Complex, GfValue, Poly, Scaled};
@@ -77,7 +70,7 @@ use prf_pdb::{Tuple, TupleId};
 
 use crate::incremental::GfStats;
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
-use crate::query::cut::ShardCarry;
+use crate::query::cut::{Cap, ShardCarry};
 use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, TopkCarry};
 use crate::weights::{tabulate, TabulatedWeight, WeightFunction};
 
@@ -139,101 +132,6 @@ impl std::fmt::Display for ShardError {
 impl std::error::Error for ShardError {}
 
 // ---------------------------------------------------------------------
-// The persistent worker pool
-// ---------------------------------------------------------------------
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of shard-walk workers.
-///
-/// Workers share one job queue behind a mutex; [`ShardPool::run`] fans a
-/// batch of closures out and gathers their results in submission order.
-/// Panics inside a job are caught on the worker (keeping it alive for the
-/// next walk) and re-raised on the submitting thread.
-pub struct ShardPool {
-    tx: Mutex<Option<mpsc::Sender<Job>>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ShardPool {
-    /// Spawns a pool of `workers.max(1)` threads.
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    // Hold the queue lock only for the dequeue, never while
-                    // running a job.
-                    let job = rx.lock().expect("shard queue poisoned").recv();
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break, // pool dropped
-                    }
-                })
-            })
-            .collect();
-        ShardPool {
-            tx: Mutex::new(Some(tx)),
-            workers: handles,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Runs every job on the pool and returns their results in submission
-    /// order. Re-raises the first job panic on the caller.
-    pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let njobs = jobs.len();
-        let (out_tx, out_rx) = mpsc::channel();
-        {
-            let guard = self.tx.lock().expect("shard pool poisoned");
-            let tx = guard.as_ref().expect("shard pool already shut down");
-            for (i, job) in jobs.into_iter().enumerate() {
-                let out = out_tx.clone();
-                tx.send(Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(job));
-                    let _ = out.send((i, result));
-                }))
-                .expect("shard workers alive");
-            }
-        }
-        drop(out_tx);
-        let mut slots: Vec<Option<T>> = (0..njobs).map(|_| None).collect();
-        for _ in 0..njobs {
-            let (i, result) = out_rx.recv().expect("shard worker delivered");
-            match result {
-                Ok(v) => slots[i] = Some(v),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every shard job reports"))
-            .collect()
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Closing the channel ends every worker's recv loop.
-        *self.tx.lock().expect("shard pool poisoned") = None;
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Shifted weights: marginalizing the prefix into ω
 // ---------------------------------------------------------------------
 
@@ -285,11 +183,10 @@ fn is_identity_prefix(prefix: &[f64]) -> bool {
 }
 
 /// Materializes the shifted weight of a *rank-only* `ω` as an explicit
-/// table `W[j−1] = Σ_a P[a]·ω(a+j)` of length `min(cap, max_len)` — an
-/// owned, `Send + Sync` weight that pool workers can share, at tabulation
-/// cost `O(len·|P|)`. Entries do not depend on `max_len`: a walk of the
-/// shard reads `n_loc` of them, a capped walk's envelope every rank of the
-/// shard and the later ones.
+/// table `W[j−1] = Σ_a P[a]·ω(a+j)` of length `min(cap, max_len)`, read in
+/// `O(1)` per rank at tabulation cost `O(len·|P|)`. Entries do not depend
+/// on `max_len`: an uncapped walk of the shard reads `n_loc` of them, a
+/// capped walk's envelope every rank of the shard and the later ones.
 fn tabulate_shifted(
     omega: &(dyn WeightFunction + '_),
     prefix: &[f64],
@@ -347,8 +244,8 @@ fn coeff_tournament(mut factors: Vec<Poly>, cap: usize) -> Poly {
 // ---------------------------------------------------------------------
 
 /// A relation assembled from score-contiguous, mutually independent
-/// shards, walked concurrently by a persistent worker pool and merged via
-/// the presence-GF monoid (module docs).
+/// shards, walked in score order shard by shard and merged via the
+/// presence-GF monoid (module docs).
 ///
 /// Global tuple ids are shard-major: shard `k`'s local tuple `i` is global
 /// tuple `offset_k + i`, with `offset_k = Σ_{j<k} n_j`. Because earlier
@@ -379,7 +276,7 @@ fn coeff_tournament(mut factors: Vec<Poly>, cap: usize) -> Poly {
 /// ```
 pub struct ShardedRelation {
     shards: Vec<ShardHandle>,
-    pool: ShardPool,
+    workers: usize,
     generations: Mutex<GenTracker>,
 }
 
@@ -387,7 +284,7 @@ impl std::fmt::Debug for ShardedRelation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRelation")
             .field("shards", &self.shards.len())
-            .field("workers", &self.pool.size())
+            .field("workers", &self.workers)
             .field("n_tuples", &self.n_tuples())
             .finish()
     }
@@ -415,30 +312,10 @@ struct ShardSummary {
     max_prob: f64,
 }
 
-/// Per-shard monoid elements computed by phase A.
-struct ShardPre {
-    coeffs: Option<Vec<f64>>,
-    points: Vec<Scaled<Complex>>,
-}
-
-/// Per-shard prefix state handed to phase B.
-#[derive(Clone)]
-struct ShardPrefix {
-    /// `P_k` coefficients (when any weight consumer needs them).
-    coeffs: Option<Vec<f64>>,
-    /// `P_k(α)` per distinct evaluation point.
-    points: Vec<Scaled<Complex>>,
-    /// Expected present count of the prefix (`C_pre`).
-    c_pre: f64,
-    /// Expected present count of every *other* shard (`C − C_k`).
-    c_other: f64,
-    /// Global id of the shard's first tuple.
-    offset: usize,
-}
-
 impl ShardedRelation {
     /// Assembles a sharded relation over `shards` (highest-scored shard
-    /// first) with a persistent pool of `workers` walk threads.
+    /// first) whose plain-mode shard walks (module docs) request `workers`
+    /// threads each.
     ///
     /// Validates that every shard implements the presence-GF monoid hooks
     /// and that consecutive non-empty shards are score-contiguous
@@ -483,7 +360,7 @@ impl ShardedRelation {
         });
         Ok(ShardedRelation {
             shards,
-            pool: ShardPool::new(workers),
+            workers: workers.max(1),
             generations,
         })
     }
@@ -493,9 +370,9 @@ impl ShardedRelation {
         self.shards.len()
     }
 
-    /// Number of pool worker threads.
+    /// Threads each plain-mode shard walk requests.
     pub fn workers(&self) -> usize {
-        self.pool.size()
+        self.workers
     }
 
     /// Global id offsets per shard (exclusive prefix sums of shard sizes),
@@ -550,147 +427,19 @@ impl ShardedRelation {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Phase A: per-shard monoid elements + the prefix fold
-    // -----------------------------------------------------------------
-
-    /// Computes every shard's monoid elements on the pool, then folds
-    /// them into exclusive prefix states.
-    fn prefixes(
-        &self,
-        coeff_cap: Option<usize>,
-        alphas: &[Complex],
-        summaries: &[ShardSummary],
-    ) -> Vec<ShardPrefix> {
-        let jobs: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let shard = Arc::clone(shard);
-                let alphas = alphas.to_vec();
-                move || ShardPre {
-                    coeffs: coeff_cap.map(|cap| {
-                        shard
-                            .presence_gf_coeffs(cap)
-                            .expect("validated at construction")
-                    }),
-                    points: alphas
-                        .iter()
-                        .map(|&a| {
-                            shard
-                                .presence_gf_point(a)
-                                .expect("validated at construction")
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let pres = self.pool.run(jobs);
-
-        let offsets = self.offsets();
-        let c_total: f64 = summaries.iter().map(|s| s.world_size).sum();
-        let mut coeff_acc = Poly::one();
-        let mut point_acc = vec![Scaled::<Complex>::one(); alphas.len()];
-        let mut c_pre = 0.0f64;
-        let mut out = Vec::with_capacity(pres.len());
-        for (k, (pre, summary)) in pres.iter().zip(summaries).enumerate() {
-            out.push(ShardPrefix {
-                coeffs: coeff_cap.map(|_| coeff_acc.coeffs().to_vec()),
-                points: point_acc.clone(),
-                c_pre,
-                c_other: c_total - summary.world_size,
-                offset: offsets[k],
-            });
-            if let (Some(cap), Some(coeffs)) = (coeff_cap, &pre.coeffs) {
-                coeff_acc = coeff_acc.mul_truncated(&Poly::from_coeffs(coeffs.clone()), cap);
-            }
-            for (acc, point) in point_acc.iter_mut().zip(&pre.points) {
-                *acc = acc.mul(point);
-            }
-            c_pre += summary.world_size;
-        }
-        out
-    }
-
-    // -----------------------------------------------------------------
-    // Phase B: the merged shared walk
-    // -----------------------------------------------------------------
-
-    /// The two-phase merged walk of every tuple (module docs). `preps`
-    /// carries per-shard prepared states when the caller has them
-    /// (matching shard count), else the shards walk unprepared.
-    fn merged_walk(
-        &self,
-        spec: &SharedWalkSpec,
-        preps: Option<&[Arc<PreparedState>]>,
-    ) -> Option<SharedWalkOut> {
-        let start = Instant::now();
-        if spec.is_cancelled() {
-            return None;
-        }
-        let n = self.n_tuples();
-        let (alphas, alpha_of_request) = request_alphas(spec);
-        let summaries = self.erank_summaries(spec);
-        let prefixes = self.prefixes(coeff_cap(spec, n), &alphas, &summaries);
-
-        // Phase B: walk every non-empty shard on the pool.
-        let mut jobs = Vec::new();
-        let mut job_shards = Vec::new();
-        for (k, shard) in self.shards.iter().enumerate() {
-            if shard.n_tuples() == 0 {
-                continue;
-            }
-            job_shards.push(k);
-            let shard = Arc::clone(shard);
-            let requests = spec.requests.clone();
-            let cancel = spec.cancel.clone();
-            let prefix = prefixes[k].clone();
-            let alpha_of_request = alpha_of_request.clone();
-            let prep = preps.and_then(|p| p.get(k).cloned());
-            jobs.push(move || {
-                shard_walk(
-                    &*shard,
-                    requests,
-                    cancel,
-                    prefix,
-                    &alpha_of_request,
-                    n,
-                    prep.as_deref(),
-                )
-            });
-        }
-        let outs = self.pool.run(jobs);
-
-        // Scatter local answers into the global tuple-id space.
-        let mut answers = spec.answer_buffers(n);
-        let mut stats: Option<GfStats> = None;
-        for (k, out) in job_shards.into_iter().zip(outs) {
-            let (local_answers, local_stats) = out?;
-            let offset = prefixes[k].offset;
-            for (global, local) in answers.iter_mut().zip(local_answers) {
-                scatter(global, local, offset);
-            }
-            stats = merge_stats(stats, local_stats);
-        }
-        Some(SharedWalkOut {
-            answers,
-            stats,
-            walk_seconds: start.elapsed().as_secs_f64(),
-            prefixes: Vec::new(),
-        })
-    }
-
-    /// The sequential capped walk (module docs): shards one at a time in
-    /// score order, each consumer's cut carried across every boundary,
-    /// values written straight into the global buffers. The walk ends
-    /// inside the first shard where every consumer has stopped; the phase
-    /// A of a shard runs only once the walk goes past it. A shard that
-    /// cannot resume the carry sends the walk down the two-phase path.
-    fn capped_walk(
+    /// The score-order walk (module docs): shards one at a time, each
+    /// consumer's cut carried across every boundary, values written
+    /// straight into the global buffers. The walk ends inside the first
+    /// shard where every consumer has stopped, and a shard's monoid
+    /// elements join the prefix state only once the walk goes past it. In
+    /// `plain` mode every shard runs its own full walk instead; the first
+    /// shard that cannot resume the carry restarts the walk that way.
+    fn walk(
         &self,
         spec: &SharedWalkSpec,
         carry: &mut TopkCarry,
         preps: Option<&[Arc<PreparedState>]>,
+        plain: bool,
     ) -> Option<SharedWalkOut> {
         let start = Instant::now();
         let n = self.n_tuples();
@@ -718,52 +467,76 @@ impl ShardedRelation {
         for (k, shard) in self.shards.iter().enumerate() {
             let (n_loc, offset) = (shard.n_tuples(), offsets[k]);
             if n_loc > 0 {
-                // A capped weight's envelope spans the ranks of every later
-                // shard too.
+                // An uncapped weight reads the shard's ranks; a capped
+                // one's envelope spans the ranks of every later shard too.
+                let table_len = |i: usize| {
+                    if plain || matches!(carry.requests[i].cap, Cap::Full) {
+                        n_loc
+                    } else {
+                        n - offset
+                    }
+                };
                 let local_spec = SharedWalkSpec {
                     requests: shifted_requests(
                         &spec.requests,
                         coeff_cap.map(|_| coeff_acc.coeffs()),
                         offset,
                         n,
-                        n - offset,
+                        table_len,
                     ),
-                    threads: None,
+                    threads: plain.then_some(self.workers),
                     cancel: spec.cancel.clone(),
                 };
-                for (rc, alpha) in carry.requests.iter_mut().zip(&alpha_of_request) {
-                    rc.point = alpha.map(|i| point_acc[i]);
-                }
-                carry.shard = Some(ShardCarry {
-                    answers,
-                    offset,
-                    tail: n - offset - n_loc,
-                    tail_max_prob: tail_max_prob[k + 1],
-                    c_pre,
-                    c_other: c_total - summaries[k].world_size,
-                });
+                let points: Vec<Option<Scaled<Complex>>> = alpha_of_request
+                    .iter()
+                    .map(|alpha| alpha.map(|i| point_acc[i]))
+                    .collect();
+                let c_other = c_total - summaries[k].world_size;
                 let prep = preps.and_then(|p| p.get(k)).map_or(&empty, |p| &**p);
-                let Some(out) = shard.run_shared_walk_topk(&local_spec, carry, prep) else {
-                    carry.shard = None;
-                    return if spec.is_cancelled() {
-                        None
-                    } else {
-                        self.merged_walk(spec, preps)
+                if plain {
+                    let mut out = shard.run_shared_walk_prepared(&local_spec, prep)?;
+                    apply_prefix(&**shard, spec, &mut out.answers, &points, c_pre, c_other);
+                    for (global, local) in answers.iter_mut().zip(out.answers) {
+                        scatter(global, local, offset);
+                    }
+                    stats = merge_stats(stats, out.stats);
+                } else {
+                    for (rc, point) in carry.requests.iter_mut().zip(points) {
+                        rc.point = point;
+                    }
+                    carry.shard = Some(ShardCarry {
+                        answers,
+                        offset,
+                        tail: n - offset - n_loc,
+                        tail_max_prob: tail_max_prob[k + 1],
+                        c_pre,
+                        c_other,
+                    });
+                    let Some(out) = shard.run_shared_walk_topk(&local_spec, carry, prep) else {
+                        carry.shard = None;
+                        return if spec.is_cancelled() {
+                            None
+                        } else {
+                            self.walk(spec, carry, preps, true)
+                        };
                     };
-                };
-                answers = out.answers;
-                stats = merge_stats(stats, out.stats);
-                // A consumer that stopped here visited every earlier shard.
-                for (slot, visited) in prefixes.iter_mut().zip(out.prefixes) {
-                    if let Some(visited) = visited {
-                        *slot = Some((0..offset as u32).map(TupleId).chain(visited).collect());
+                    answers = out.answers;
+                    stats = merge_stats(stats, out.stats);
+                    // A consumer that stopped here visited every earlier
+                    // shard.
+                    for (slot, visited) in prefixes.iter_mut().zip(out.prefixes) {
+                        if let Some(visited) = visited {
+                            *slot = Some((0..offset as u32).map(TupleId).chain(visited).collect());
+                        }
+                    }
+                    if carry.settled() {
+                        break;
                     }
                 }
-                if carry.settled() {
-                    break;
-                }
             }
-            // This shard's phase A, the same fold as the two-phase path's.
+            if k + 1 == self.shards.len() {
+                break; // no later shard reads the fold
+            }
             if let Some(cap) = coeff_cap {
                 let g = shard
                     .presence_gf_coeffs(cap)
@@ -835,24 +608,30 @@ fn merge_stats(a: Option<GfStats>, b: Option<GfStats>) -> Option<GfStats> {
 /// Maps a spec's requests onto the shard at global `offset` whose
 /// higher-scored shards have presence coefficients `coeffs` (`P_k`): a
 /// weight becomes its shifted weight, tabulated (rank-only ω) to at most
-/// `table_len` ranks; every other request is unchanged.
+/// `table_len(i)` ranks for request `i`; every other request is unchanged.
 fn shifted_requests(
     requests: &[SharedRequest],
     coeffs: Option<&[f64]>,
     offset: usize,
     global_n: usize,
-    table_len: usize,
+    table_len: impl Fn(usize) -> usize,
 ) -> Vec<SharedRequest> {
     requests
         .iter()
-        .map(|req| match req {
+        .enumerate()
+        .map(|(i, req)| match req {
             SharedRequest::Weight(w) => {
                 let coeffs = coeffs.expect("coeffs requested");
                 if is_identity_prefix(coeffs) && (offset == 0 || w.rank_only()) {
                     SharedRequest::Weight(Arc::clone(w))
                 } else if w.rank_only() {
                     let cap = w.truncation().unwrap_or(global_n).min(global_n).max(1);
-                    SharedRequest::Weight(Arc::new(tabulate_shifted(&**w, coeffs, cap, table_len)))
+                    SharedRequest::Weight(Arc::new(tabulate_shifted(
+                        &**w,
+                        coeffs,
+                        cap,
+                        table_len(i),
+                    )))
                 } else {
                     SharedRequest::Weight(Arc::new(ShiftedWeight {
                         inner: Arc::clone(w),
@@ -867,37 +646,21 @@ fn shifted_requests(
         .collect()
 }
 
-/// One shard's phase-B work: map the requests through the prefix state,
-/// run the shard's own walk, post-process the scalar consumers, and hand
-/// back shard-local answers (`None` when the shard's walk gave none).
-#[allow(clippy::too_many_arguments)]
-fn shard_walk(
+/// Applies a shard's prefix state to the local answers of its plain-mode
+/// walk, with the floating-point operations a carried walk applies inline:
+/// PRFe values times `P_k(α)` (`points`, per request; log-domain: plus
+/// `ln P_k(α)`), expected ranks plus `p·C_pre + (1 − p)·(C − C_k)`. Weight
+/// answers are already global (shifted ω).
+fn apply_prefix(
     shard: &(dyn ProbabilisticRelation + Send + Sync),
-    requests: Vec<SharedRequest>,
-    cancel: Option<crate::query::CancelToken>,
-    prefix: ShardPrefix,
-    alpha_of_request: &[Option<usize>],
-    global_n: usize,
-    prep: Option<&PreparedState>,
-) -> Option<(Vec<SharedAnswer>, Option<GfStats>)> {
-    let local_requests = shifted_requests(
-        &requests,
-        prefix.coeffs.as_deref(),
-        prefix.offset,
-        global_n,
-        shard.n_tuples(),
-    );
-    let local_spec = SharedWalkSpec {
-        requests: local_requests,
-        threads: None,
-        cancel,
-    };
-    let empty = PreparedState::empty();
-    let out = shard.run_shared_walk_prepared(&local_spec, prep.unwrap_or(&empty))?;
-    let (mut answers, stats) = (out.answers, out.stats);
-
-    // Post-process the scalar consumers with the prefix state.
-    let marginals = if requests
+    spec: &SharedWalkSpec,
+    answers: &mut [SharedAnswer],
+    points: &[Option<Scaled<Complex>>],
+    c_pre: f64,
+    c_other: f64,
+) {
+    let marginals = if spec
+        .requests
         .iter()
         .any(|r| matches!(r, SharedRequest::ExpectedRanks))
     {
@@ -905,40 +668,32 @@ fn shard_walk(
     } else {
         Vec::new()
     };
-    for ((req, answer), alpha_idx) in requests
-        .iter()
-        .zip(answers.iter_mut())
-        .zip(alpha_of_request)
-    {
-        match (req, answer) {
-            (SharedRequest::PrfeComplex(_), SharedAnswer::Complex(vals)) => {
-                let point = &prefix.points[alpha_idx.expect("α recorded")];
+    for ((req, answer), point) in spec.requests.iter().zip(answers).zip(points) {
+        match (req, answer, point) {
+            (SharedRequest::PrfeComplex(_), SharedAnswer::Complex(vals), Some(point)) => {
                 for v in vals.iter_mut() {
                     *v = Scaled::new(*v).mul(point).to_plain();
                 }
             }
-            (SharedRequest::PrfeScaled(_), SharedAnswer::Scaled(vals)) => {
-                let point = &prefix.points[alpha_idx.expect("α recorded")];
+            (SharedRequest::PrfeScaled(_), SharedAnswer::Scaled(vals), Some(point)) => {
                 for v in vals.iter_mut() {
                     *v = v.mul(point);
                 }
             }
-            (SharedRequest::PrfeLog(_), SharedAnswer::Log(vals)) => {
-                let point = &prefix.points[alpha_idx.expect("α recorded")];
+            (SharedRequest::PrfeLog(_), SharedAnswer::Log(vals), Some(point)) => {
                 let ln_prefix = point.magnitude_key() * std::f64::consts::LN_2;
                 for v in vals.iter_mut() {
                     *v += ln_prefix;
                 }
             }
-            (SharedRequest::ExpectedRanks, SharedAnswer::Ranks(vals)) => {
+            (SharedRequest::ExpectedRanks, SharedAnswer::Ranks(vals), _) => {
                 for (v, &p) in vals.iter_mut().zip(&marginals) {
-                    *v += p * prefix.c_pre + (1.0 - p) * prefix.c_other;
+                    *v += p * c_pre + (1.0 - p) * c_other;
                 }
             }
-            _ => {} // weight answers are already global (shifted ω)
+            _ => {}
         }
     }
-    Some((answers, stats))
 }
 
 /// Copies a shard's local answer block into the global buffer at `offset`.
@@ -1045,10 +800,9 @@ impl ProbabilisticRelation for ShardedRelation {
         self.run_shared_walk_topk(spec, &mut TopkCarry::default(), prep)
     }
 
-    /// A fresh carry with some `k` below the relation's size walks the
-    /// shards in sequence and stops early; any other fresh carry takes the
-    /// two-phase path. A carry from an enclosing sharded relation cannot
-    /// be resumed here: `None`.
+    /// A fresh carry walks the shards in score order and stops early once
+    /// every consumer is capped and has stopped. A carry from an enclosing
+    /// sharded relation cannot be resumed here: `None`.
     fn run_shared_walk_topk(
         &self,
         spec: &SharedWalkSpec,
@@ -1067,11 +821,7 @@ impl ProbabilisticRelation for ShardedRelation {
             let empty = PreparedState::empty();
             return self.shards[0].run_shared_walk_topk(spec, carry, prep.map_or(&empty, |p| &**p));
         }
-        if carry.any_pending(self.n_tuples()) {
-            self.capped_walk(spec, carry, preps)
-        } else {
-            self.merged_walk(spec, preps)
-        }
+        self.walk(spec, carry, preps, false)
     }
 
     fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {

@@ -902,8 +902,9 @@ impl RankServer {
 
     /// Assembles a [`ShardedRelation`] over score-contiguous shards and
     /// registers it under `name`. Preparation builds every shard's state
-    /// (sort/plan) once; flushes then fan each shared walk out over the
-    /// relation's persistent pool of `workers` shard threads. Generation
+    /// (sort/plan) once; flushes then walk the shards in score order, a
+    /// shard that cannot resume the carried walk (a tree) on `workers`
+    /// threads (see [`ShardedRelation`]). Generation
     /// tracking is per shard set — a bump in **any** shard's generation
     /// bumps the sharded relation's, so the result cache stays
     /// generation-exact and re-preparation rebuilds exactly the changed

@@ -98,7 +98,7 @@ pub mod prelude {
         DftApproxConfig, ExpMixture, Ranking, ValueOrder, WeightFunction, PARALLEL_MIN_SHARD_TUPLES,
     };
     pub use prf_core::{LiveApply, LiveRelation, MutableRelation, Mutation, MutationEffect};
-    pub use prf_core::{ShardError, ShardHandle, ShardPool, ShardedRelation};
+    pub use prf_core::{ShardError, ShardHandle, ShardedRelation};
     pub use prf_graphical::NetworkRelation;
     pub use prf_metrics::kendall_topk;
     pub use prf_numeric::Complex;

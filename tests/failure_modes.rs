@@ -419,6 +419,32 @@ fn nan_weights_fail_the_query_instead_of_panicking() {
 }
 
 #[test]
+fn dft_approx_without_terms_is_a_parameter_error() {
+    let db = IndependentDb::from_pairs([(3.0, 0.5), (2.0, 0.7), (1.0, 0.9)]).unwrap();
+    let q = RankQuery::pt(2).algorithm(Algorithm::DftApprox(DftApproxConfig::full(0)));
+    let err = q.run(&db).unwrap_err();
+    assert!(matches!(err, QueryError::InvalidParameter(_)), "{err}");
+    let one = RankQuery::pt(2).algorithm(Algorithm::DftApprox(DftApproxConfig::full(1)));
+    assert_eq!(one.run(&db).unwrap().ranking.len(), 3);
+}
+
+#[test]
+fn dft_approx_of_an_infinite_weight_is_a_parameter_error() {
+    // ∞ passes the rank-only probe (∞ == ∞); the fit must not see it, even
+    // on an empty relation.
+    let empty = IndependentDb::from_pairs(std::iter::empty()).unwrap();
+    let db = IndependentDb::from_pairs([(3.0, 0.5), (2.0, 0.7), (1.0, 0.9)]).unwrap();
+    for table in [[f64::INFINITY, 1.0], [1.0, f64::NEG_INFINITY]] {
+        let q = RankQuery::prf(TabulatedWeight::from_real(&table))
+            .algorithm(Algorithm::DftApprox(DftApproxConfig::full(2)));
+        for rel in [&empty, &db] {
+            let err = q.run(rel).unwrap_err();
+            assert!(matches!(err, QueryError::InvalidParameter(_)), "{err}");
+        }
+    }
+}
+
+#[test]
 fn spectrum_ranking_outside_the_unit_interval_is_an_error() {
     let db = IndependentDb::from_pairs([(9.0, 0.4), (8.0, 0.8), (7.0, 0.5)]).unwrap();
     for alpha in [1.5, -0.1, f64::NAN] {

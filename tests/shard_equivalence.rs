@@ -4,7 +4,8 @@
 //! value-level agreement within 1e-9 — across semantics (PT, Consensus,
 //! PRFω with rank-only and tuple-dependent weights, PRFe in every numeric
 //! mode, E-Rank, E-Score, U-Rank) × backends (`IndependentDb`,
-//! `AndXorTree` x-tuple shards, and a mixed independent + x-tuple split)
+//! `AndXorTree` x-tuple shards, a mixed independent + x-tuple split, and
+//! general trees large enough for the parallel tree walk)
 //! × shard counts (1/2/4/7, uneven boundaries, empty shards, single-tuple
 //! shards), plus proptest-generated random boundaries.
 //!
@@ -321,6 +322,66 @@ fn mixed_backend_shards_match_one_tree() {
             &format!("mixed seed {seed}"),
         );
     }
+}
+
+/// Adds `n` tuples under `parent`, scores in `band`: ∨ nodes over ∧ pairs
+/// of leaves, a general and/xor tree (an x-tuple tree would answer PT(h)
+/// without a walk).
+fn grow_xor_of_pairs(
+    b: &mut TreeBuilder,
+    parent: prf::pdb::NodeId,
+    rng: &mut StdRng,
+    n: usize,
+    band: (f64, f64),
+) {
+    let mut left = n;
+    while left > 0 {
+        let xor = b.add_inner(parent, NodeKind::Xor, 1.0).unwrap();
+        for _ in 0..3 {
+            let pair = b
+                .add_inner(xor, NodeKind::And, rng.gen_range(0.05..0.33))
+                .unwrap();
+            for _ in 0..left.min(2) {
+                b.add_leaf(pair, 1.0, rng.gen_range(band.0..band.1))
+                    .unwrap();
+                left -= 1;
+            }
+        }
+    }
+}
+
+#[test]
+fn tree_shards_take_the_parallel_tree_walk() {
+    // The smallest shard the parallel tree walk takes at 2 workers.
+    let per_shard = 2 * PARALLEL_MIN_SHARD_TUPLES;
+    assert_eq!(effective_walk_threads(per_shard, Some(2)), 2);
+    let bands = [(500.0, 1000.0), (0.0, 500.0)];
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut b = TreeBuilder::new(NodeKind::And);
+    let root = b.root();
+    for &band in &bands {
+        grow_xor_of_pairs(&mut b, root, &mut rng, per_shard, band);
+    }
+    let unsharded = b.build().unwrap();
+    // Each shard replays its share of the same seeded stream, so local ids
+    // line up with the unsharded tree's.
+    let mut rng = StdRng::seed_from_u64(31);
+    let shards: Vec<ShardHandle> = bands
+        .iter()
+        .map(|&band| {
+            let mut b = TreeBuilder::new(NodeKind::And);
+            let root = b.root();
+            grow_xor_of_pairs(&mut b, root, &mut rng, per_shard, band);
+            Arc::new(b.build().unwrap()) as ShardHandle
+        })
+        .collect();
+    let sharded = ShardedRelation::new(shards, 2).expect("contiguous");
+    assert_sharded_equivalent(
+        &sharded,
+        &unsharded,
+        &[RankQuery::pt(3), RankQuery::prfe(0.9)],
+        "tree shards, 2 workers",
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -9,10 +9,10 @@
 //!
 //! A `ShardedRelation` walks its shards in score order under a cap and
 //! stops inside the first shard that settles every consumer. Its capped
-//! answers must be its own uncapped (two-phase) answers truncated, bit for
-//! bit, over 1–4 shards with empty and one-tuple shards, ties across a
-//! boundary and a `k` that crosses one; a shard that cannot resume the
-//! walk (an x-tuple tree) sends it down the uncapped path.
+//! answers must be its own uncapped answers truncated, bit for bit, over
+//! 1–4 shards with empty and one-tuple shards, ties across a boundary and
+//! a `k` that crosses one; a shard that cannot resume the walk (an x-tuple
+//! tree) restarts it as a plain walk of every shard.
 //!
 //! A capped query's values (exact on the visited prefix, worst beyond it)
 //! must not depend on how it runs: alone, in a batch beside uncapped
@@ -290,12 +290,12 @@ proptest! {
     }
 }
 
-/// An x-tuple tree cannot resume a carried cut: placed first, it sends
-/// every capped walk down the uncapped two-phase path; placed last, the
-/// walk either settles before it or falls back. Either way capped ≡
-/// uncapped truncated.
+/// An x-tuple tree cannot resume a carried cut: placed first, it restarts
+/// every capped walk as a plain walk of every shard; placed last, the walk
+/// either settles before it or falls back. Either way capped ≡ uncapped
+/// truncated.
 #[test]
-fn an_x_tuple_shard_falls_back_to_the_two_phase_walk() {
+fn an_x_tuple_shard_falls_back_to_the_plain_walk() {
     let tree = || {
         AndXorTree::from_x_tuples(&[
             vec![(9.0, 0.4), (8.0, 0.3)],
