@@ -8,16 +8,17 @@
 //! (`QueryBatch::parallel(w)`, which fans the per-entry finalization out
 //! over scoped threads).
 //!
-//! Every number is a measured wall, the best of 3 runs. The scaling
-//! columns rank every tuple. The shards are walked one after another in
-//! score order, so `ovh` (sharded over unsharded) is the monoid's extra
-//! work: every shard but the last folds its presence GF into the prefix,
-//! for PT a second pass over that shard. Independent shards walk on one
-//! thread, so `w` moves only the finalization.
+//! Every number is a measured wall, the best of 3 runs. The scaling rows
+//! rank every tuple, sharded and unsharded, both at `parallel(w)`: `w`
+//! moves the finalization of both, so `ovh` (sharded over unsharded at
+//! the same `w`) isolates the cost of sharding. The shards are walked one
+//! after another in score order, so that cost is the monoid's extra work:
+//! every shard but the last folds its presence GF into the prefix, for PT
+//! a second pass over that shard.
 //!
-//! The last columns truncate the batch to the top-100 answers a server
-//! would return. That batch stops inside the first shard, so its sharded
-//! wall tracks the unsharded one.
+//! A second table truncates the batch to the top-100 answers a server
+//! would return, at `w = 2`. That batch stops inside the first shard, so
+//! its sharded wall tracks the unsharded one.
 
 use std::sync::Arc;
 
@@ -110,45 +111,48 @@ pub fn run(scale: Scale) {
     };
     println!(
         "batch = PRFe(.95) + PT(100) + E-Rank as one QueryBatch ranking every\n\
-         tuple; config w = w sharded-relation workers + parallel(w) batch\n\
-         threads; every column is a measured wall (best of 3); 'top100' =\n\
-         the same batch truncated to top-100, unsharded and on 4 shards with\n\
-         2 workers"
+         tuple; w = sharded-relation workers and parallel(w) batch threads for\n\
+         both columns; every wall is measured (best of 3); ovh = 4 shards vs\n\
+         unsharded at the same w"
     );
     println!(
-        "{:>10}{:>11}{:>9}{:>9}{:>9}{:>7}{:>13}{:>12}",
-        "n", "unsharded", "4sh/1w", "4sh/2w", "4sh/4w", "ovh", "top100 unsh", "top100 4sh"
+        "{:>10}{:>4}{:>11}{:>10}{:>7}",
+        "n", "w", "unsharded", "4 shards", "ovh"
     );
+    let mut capped = Vec::new();
     for &n in &sizes {
         let pairs = sorted_pairs(n);
         let unsharded = slice_db(&pairs);
-        let t_unsharded = time_batch(&unsharded, 1, None);
-        let t_capped = time_batch(&unsharded, 2, Some(TOP_K));
-        let mut walls = Vec::new();
-        let mut t_capped_sharded = 0.0;
         for w in [1usize, 2, 4] {
             let sharded =
                 ShardedRelation::new(equal_shards(&pairs, SHARDS), w).expect("contiguous");
-            walls.push(time_batch(&sharded, w, None));
+            let t_unsharded = time_batch(&unsharded, w, None);
+            let t_sharded = time_batch(&sharded, w, None);
+            println!(
+                "{n:>10}{w:>4}{:>11}{:>10}{:>7}",
+                secs(t_unsharded),
+                secs(t_sharded),
+                format!("{:.2}x", t_sharded / t_unsharded),
+            );
             if w == 2 {
-                t_capped_sharded = time_batch(&sharded, w, Some(TOP_K));
+                capped.push((
+                    n,
+                    time_batch(&unsharded, w, Some(TOP_K)),
+                    time_batch(&sharded, w, Some(TOP_K)),
+                ));
             }
         }
-        println!(
-            "{n:>10}{:>11}{:>9}{:>9}{:>9}{:>7}{:>13}{:>12}",
-            secs(t_unsharded),
-            secs(walls[0]),
-            secs(walls[1]),
-            secs(walls[2]),
-            format!("{:.2}x", walls[0] / t_unsharded),
-            secs(t_capped),
-            secs(t_capped_sharded),
-        );
     }
     println!(
-        "\n(ovh = 1-worker sharded wall vs unsharded on the full ranking — the\n\
-         monoid's extra work, chiefly each earlier shard's presence-GF pass for\n\
-         PT's coefficient prefix. The top-100 batch stops inside shard 0 and\n\
-         folds no presence GF)"
+        "\nthe same batch truncated to the top-100 answers, w = 2:\n{:>10}{:>11}{:>10}",
+        "n", "unsharded", "4 shards"
+    );
+    for (n, t_unsharded, t_sharded) in capped {
+        println!("{n:>10}{:>11}{:>10}", secs(t_unsharded), secs(t_sharded));
+    }
+    println!(
+        "\n(ovh is the monoid's extra work, chiefly each earlier shard's\n\
+         presence-GF pass for PT's coefficient prefix. The top-100 batch stops\n\
+         inside shard 0 and folds no presence GF)"
     );
 }

@@ -6,13 +6,26 @@
 //! leaf flips `y → x`, the current one flips `1 → y`), yet the literal
 //! implementation re-folds the entire tree each time — `O(n²·h)` on general
 //! trees, the wall the Figure 10(ii)/11(iii) experiments hit. This module
-//! materializes the fold state once and then recombines **only the two
-//! leaf-to-root paths** per step, the same observation that makes fast
-//! x-relation ranking possible (Chang, Yu & Qin), generalised to arbitrary
-//! and/xor trees and to *any* [`GfValue`] ring — truncated rank polynomials
-//! for PRFω(h)/PT(h), scalars ([`prf_numeric::Complex`], log/scaled,
-//! [`prf_numeric::Dual`]) wrapped in [`prf_numeric::YLin`] for PRFe and
-//! expected ranks.
+//! materializes the fold state once and then touches **only the current
+//! tuple's leaf-to-root path** per step, the same observation that makes
+//! fast x-relation ranking possible (Chang, Yu & Qin), generalised to
+//! arbitrary and/xor trees and to *any* [`GfValue`] ring — truncated rank
+//! polynomials for PRFω(h)/PT(h), scalars ([`prf_numeric::Complex`],
+//! log/scaled, [`prf_numeric::Dual`]) for PRFe and expected ranks.
+//!
+//! # Rank generating functions as leaf gradients
+//!
+//! The tree generating function is multilinear in its leaf labels, so the
+//! `y`-coefficient Theorem 1 reads off — `B(x)` with `y` on tuple `t`'s
+//! leaf — is the gradient `∂F/∂leaf(t)` under the labelling without `y`:
+//! the product of the ∧ sibling values and the ∨ edge probabilities on
+//! `t`'s leaf-to-root path. No leaf ever carries `y`. A walk step
+//! ([`IncrementalGf::gradient_step`]) reads that gradient bottom-up with
+//! one product per ∧ level (the ∨ probabilities fold into one `f64`), then
+//! flips `t`'s leaf `1 → x` with fresh sibling products along the same
+//! path, stopping below the root: two products per ∧ level, where putting
+//! `y` on the leaf and reading the root would take three (the previous
+//! leaf's `y → x` path, and the `A` and `B` halves of the current one's).
 //!
 //! # Division-free sibling products
 //!
@@ -33,6 +46,12 @@
 //! `O(depth · log fanout · h)` ring work; on the x-relation-shaped trees of
 //! the experiments that is `O(h²·log(n/h))` per tuple instead of `O(n·h)` —
 //! see `benches/trees.rs` for the measured ≥10× wall-clock gap.
+//!
+//! ∧ products are always recomputed from their children, never updated by
+//! a delta (`F += (x − 1)·G`): a delta cancels catastrophically once the
+//! values span many decades (EXPERIMENTS.md measures negative PT values
+//! and relative errors past 1e41), while fresh products keep every value's
+//! relative precision.
 //!
 //! # Memory accounting
 //!
@@ -589,23 +608,13 @@ impl EvalPlan {
         mut leaf_value: impl FnMut(TupleId) -> T,
     ) -> IncrementalGf<'_, T> {
         let mut values: Vec<T> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
+        for (idx, node) in self.nodes.iter().enumerate() {
             let v = match node.combine {
                 Combine::Leaf(t) => leaf_value(t),
-                Combine::Xor => {
-                    let mut acc = T::from_scalar(node.slack);
-                    for &c in &self.children[node.child_lo as usize..node.child_hi as usize] {
-                        acc.add_scaled_assign(
-                            &values[c as usize],
-                            self.nodes[c as usize].edge_prob,
-                        );
-                    }
-                    acc
-                }
-                Combine::And => {
-                    let l = self.children[node.child_lo as usize] as usize;
-                    let r = self.children[node.child_lo as usize + 1] as usize;
-                    values[l].mul(&values[r])
+                _ => {
+                    let mut v = T::zero();
+                    self.combine(&values, idx, &mut v);
+                    v
                 }
             };
             values.push(v);
@@ -614,8 +623,30 @@ impl EvalPlan {
         IncrementalGf {
             plan: self,
             values,
+            root_stale: false,
+            grad: [T::one(), T::one()],
+            grad_scale: 1.0,
+            scratch: [T::zero(), T::zero()],
             resident_coeffs: resident,
             peak_coeffs: resident,
+        }
+    }
+
+    /// Recomputes inner node `idx` from its children's cached `values` into
+    /// `out` — the one combine rule of the initial fold, the bulk sweep and
+    /// the lazy root refresh.
+    fn combine<T: GfValue>(&self, values: &[T], idx: usize, out: &mut T) {
+        let node = &self.nodes[idx];
+        let kids = &self.children[node.child_lo as usize..node.child_hi as usize];
+        match node.combine {
+            Combine::Xor => {
+                *out = T::from_scalar(node.slack);
+                for &c in kids {
+                    out.add_scaled_assign(&values[c as usize], self.nodes[c as usize].edge_prob);
+                }
+            }
+            Combine::And => values[kids[0] as usize].mul_into(&values[kids[1] as usize], out),
+            Combine::Leaf(_) => unreachable!("leaves hold labels, not combinations"),
         }
     }
 }
@@ -654,9 +685,11 @@ impl GfStats {
 ///
 /// [`IncrementalGf::set_leaf`] relabels one leaf and recombines its
 /// leaf-to-root path; [`IncrementalGf::root`] reads the current generating
-/// function. Ranking walks call `set_leaf` twice per tuple (previous leaf
-/// `y → x`, current leaf `1 → y`) and read the root — see
-/// [`crate::tree::prf_rank_tree`] and [`crate::tree::prfe_rank_tree`].
+/// function. Ranking walks never put a `y` label on a leaf: at each tuple
+/// they call [`IncrementalGf::gradient_step`] once, which reads the tuple's
+/// rank generating function as the gradient `∂root/∂leaf` and then flips
+/// its leaf `1 → x` (or `α`) — see [`crate::tree::prf_rank_tree`] and
+/// [`crate::tree::prfe_rank_tree`].
 /// Cloning snapshots the full fold state (the plan is shared by
 /// reference): the parallel shard walks clone one shared-prefix evaluator
 /// per shard instead of re-folding the plan from scratch.
@@ -664,49 +697,151 @@ impl GfStats {
 pub struct IncrementalGf<'p, T: GfValue> {
     plan: &'p EvalPlan,
     values: Vec<T>,
+    /// `true` when the root's cached value lags its children: a gradient
+    /// step stops below the root, which no gradient reads.
+    /// [`IncrementalGf::root`] refreshes it on demand.
+    root_stale: bool,
+    /// The last gradient (`grad[0]`) and the spare buffer its products
+    /// ping-pong through.
+    grad: [T; 2],
+    /// The ∨ edge probabilities of the last gradient's path, folded into
+    /// one factor: `∂root/∂leaf = grad_scale · grad[0]`.
+    grad_scale: f64,
+    /// Path-update buffers: the previous values of the node just
+    /// recombined and of the next one. Values are recombined in their own
+    /// slots, so every slot keeps its buffer and a walk's steady state
+    /// allocates nothing — not even on a clone handed to another thread.
+    scratch: [T; 2],
     resident_coeffs: usize,
     peak_coeffs: usize,
 }
 
+/// A gradient's folded ∨ factor is pushed into the gradient once it falls
+/// below this, so deep paths of tiny edge probabilities cannot underflow
+/// the `f64` factor in rings that carry their own exponent.
+const GRAD_SCALE_FLOOR: f64 = 1e-150;
+
 impl<'p, T: GfValue> IncrementalGf<'p, T> {
-    /// Replaces the value at `idx`, maintaining the coefficient accounting,
-    /// and returns the previous value.
-    fn replace(&mut self, idx: usize, v: T) -> T {
-        self.resident_coeffs += v.heap_coeffs();
-        let old = std::mem::replace(&mut self.values[idx], v);
-        self.resident_coeffs -= old.heap_coeffs();
+    /// Maintains the coefficient accounting after slot `idx`, which held
+    /// `before` heap coefficients, changed.
+    fn account(&mut self, idx: usize, before: usize) {
+        self.resident_coeffs = self.resident_coeffs + self.values[idx].heap_coeffs() - before;
         self.peak_coeffs = self.peak_coeffs.max(self.resident_coeffs);
-        old
+    }
+
+    /// Recomputes inner node `idx` in its own slot from its children
+    /// (which precede it in plan order).
+    fn recombine(&mut self, idx: usize) {
+        let before = self.values[idx].heap_coeffs();
+        let (children, slot) = self.values.split_at_mut(idx);
+        self.plan.combine(children, idx, &mut slot[0]);
+        self.account(idx, before);
     }
 
     /// Relabels the leaf of tuple `t` and recombines its leaf-to-root path:
     /// `O(1)` ring operations per ∨ ancestor (linear delta), one cached
     /// sibling product per ∧ tournament level — no division anywhere.
     pub fn set_leaf(&mut self, t: TupleId, value: T) {
+        self.refresh_root();
+        self.relabel(t, &value, false);
+    }
+
+    /// The path update behind [`IncrementalGf::set_leaf`], stopping below
+    /// the root (and marking it stale) when `below_root` is set. Allocates
+    /// nothing for rings with [`GfValue::mul_into`]/`assign_from`.
+    fn relabel(&mut self, t: TupleId, value: &T, below_root: bool) {
         let plan = self.plan;
         let mut cur = plan.leaf_node[t.index()] as usize;
-        let mut old = self.replace(cur, value);
+        let [mut old, mut saved] = std::mem::replace(&mut self.scratch, [T::zero(), T::zero()]);
+        old.assign_from(&self.values[cur]);
+        self.values[cur].assign_from(value);
+        self.account(cur, old.heap_coeffs());
+        while plan.nodes[cur].parent != NO_PARENT {
+            let p = plan.nodes[cur].parent as usize;
+            if below_root && p == plan.root as usize {
+                self.root_stale = true;
+                break;
+            }
+            saved.assign_from(&self.values[p]);
+            if plan.nodes[p].combine == Combine::Xor {
+                // F ← F + p·(new − old), fused in place.
+                let (children, slot) = self.values.split_at_mut(p);
+                slot[0].add_scaled_diff_assign(&children[cur], &old, plan.nodes[cur].edge_prob);
+                self.account(p, saved.heap_coeffs());
+            } else {
+                // Fresh sibling product — exact, no error accumulation.
+                self.recombine(p);
+            }
+            std::mem::swap(&mut old, &mut saved);
+            cur = p;
+        }
+        self.scratch = [old, saved];
+    }
+
+    /// One step of a ranking walk at tuple `t`: reads `G = ∂root/∂leaf(t)`
+    /// (see [`IncrementalGf::gradient`]), then relabels `t`'s leaf to
+    /// `value` with fresh sibling products.
+    ///
+    /// The root generating function is multilinear in its leaf labels, so
+    /// `G` is what the root's `y`-coefficient would be with `y` on `t`'s
+    /// leaf (Theorem 1's `B`): the product of the ∧ sibling values and the ∨
+    /// edge probabilities on `t`'s leaf-to-root path. Reading it costs one
+    /// product per ∧ level. The relabel stops below the root, which no
+    /// gradient reads; [`IncrementalGf::root`] refreshes it on demand.
+    pub fn gradient_step(&mut self, t: TupleId, value: &T) {
+        let plan = self.plan;
+        let [g, spare] = &mut self.grad;
+        let mut cur = plan.leaf_node[t.index()] as usize;
+        let mut scale = 1.0;
+        let mut started = false;
         while plan.nodes[cur].parent != NO_PARENT {
             let p = plan.nodes[cur].parent as usize;
             let pnode = &plan.nodes[p];
-            let new_parent = match pnode.combine {
-                Combine::Xor => {
-                    // F ← F + p·(new − old), fused in place on a clone so
-                    // the pre-update value survives for the next level.
-                    let mut pv = self.values[p].clone();
-                    pv.add_scaled_diff_assign(&self.values[cur], &old, plan.nodes[cur].edge_prob);
-                    pv
+            if pnode.combine == Combine::And {
+                let l = plan.children[pnode.child_lo as usize];
+                let r = plan.children[pnode.child_lo as usize + 1];
+                let sib = &self.values[if l as usize == cur { r } else { l } as usize];
+                if started {
+                    g.mul_into(sib, spare);
+                    std::mem::swap(g, spare);
+                } else {
+                    g.assign_from(sib);
+                    started = true;
                 }
-                Combine::And => {
-                    // Fresh sibling product — exact, no error accumulation.
-                    let l = plan.children[pnode.child_lo as usize] as usize;
-                    let r = plan.children[pnode.child_lo as usize + 1] as usize;
-                    self.values[l].mul(&self.values[r])
+            } else {
+                scale *= plan.nodes[cur].edge_prob;
+                if scale < GRAD_SCALE_FLOOR {
+                    if !started {
+                        g.assign_from(&T::one());
+                        started = true;
+                    }
+                    *g = g.scale(scale);
+                    scale = 1.0;
                 }
-                Combine::Leaf(_) => unreachable!("leaves have no children"),
-            };
-            old = self.replace(p, new_parent);
+            }
             cur = p;
+        }
+        if !started {
+            g.assign_from(&T::one());
+        }
+        self.grad_scale = scale;
+        self.relabel(t, value, true);
+    }
+
+    /// The gradient read by the last [`IncrementalGf::gradient_step`], as
+    /// `(G, s)` with `∂root/∂leaf = s·G`: the ∧ sibling product and the
+    /// folded ∨ edge probabilities, applied by the caller (a scalar scale of
+    /// the handful of coefficients it reads).
+    pub fn gradient(&self) -> (&T, f64) {
+        (&self.grad[0], self.grad_scale)
+    }
+
+    /// Recomputes the root from its children if a gradient step left it
+    /// stale.
+    fn refresh_root(&mut self) {
+        if self.root_stale {
+            self.recombine(self.plan.root as usize);
+            self.root_stale = false;
         }
     }
 
@@ -725,42 +860,27 @@ impl<'p, T: GfValue> IncrementalGf<'p, T> {
         let mut dirty = vec![false; plan.nodes.len()];
         for idx in 0..plan.nodes.len() {
             let node = &plan.nodes[idx];
-            match node.combine {
-                Combine::Leaf(t) => {
-                    if let Some(v) = leaf_value(t) {
-                        self.replace(idx, v);
-                        dirty[idx] = true;
-                    }
+            if let Combine::Leaf(t) = node.combine {
+                if let Some(v) = leaf_value(t) {
+                    let before = std::mem::replace(&mut self.values[idx], v).heap_coeffs();
+                    self.account(idx, before);
+                    dirty[idx] = true;
                 }
-                Combine::Xor => {
-                    let kids = &plan.children[node.child_lo as usize..node.child_hi as usize];
-                    if kids.iter().any(|&c| dirty[c as usize]) {
-                        let mut acc = T::from_scalar(node.slack);
-                        for &c in kids {
-                            acc.add_scaled_assign(
-                                &self.values[c as usize],
-                                plan.nodes[c as usize].edge_prob,
-                            );
-                        }
-                        self.replace(idx, acc);
-                        dirty[idx] = true;
-                    }
-                }
-                Combine::And => {
-                    let l = plan.children[node.child_lo as usize] as usize;
-                    let r = plan.children[node.child_lo as usize + 1] as usize;
-                    if dirty[l] || dirty[r] {
-                        let v = self.values[l].mul(&self.values[r]);
-                        self.replace(idx, v);
-                        dirty[idx] = true;
-                    }
-                }
+                continue;
+            }
+            let kids = &plan.children[node.child_lo as usize..node.child_hi as usize];
+            if kids.iter().any(|&c| dirty[c as usize]) {
+                self.recombine(idx);
+                dirty[idx] = true;
             }
         }
+        self.root_stale &= !dirty[plan.root as usize];
     }
 
-    /// The current root generating function.
-    pub fn root(&self) -> &T {
+    /// The current root generating function (recomputed first if a
+    /// gradient step left it stale).
+    pub fn root(&mut self) -> &T {
+        self.refresh_root();
         &self.values[self.plan.root as usize]
     }
 
@@ -863,7 +983,7 @@ mod tests {
             let plan = EvalPlan::new(&tree);
             let n = tree.n_tuples();
             let labels: Vec<f64> = (0..n).map(|i| 0.25 + 0.1 * i as f64).collect();
-            let inc = plan.evaluator(|t| labels[t.index()]);
+            let mut inc = plan.evaluator(|t| labels[t.index()]);
             let direct: f64 = refold(&tree, &labels);
             assert!(
                 (inc.root() - direct).abs() < 1e-12,
@@ -893,6 +1013,63 @@ mod tests {
                     "seed {seed}: {} vs {direct}",
                     inc.root()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_step_reads_y_coefficient_and_root_stays_exact() {
+        for seed in 0..10u64 {
+            let tree = random_tree(seed, 10, 3);
+            let plan = EvalPlan::new(&tree);
+            let n = tree.n_tuples();
+            let mut labels: Vec<f64> = vec![1.0; n];
+            let mut inc = plan.evaluator(|t| labels[t.index()]);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x6ad);
+            for round in 0..40 {
+                let t = rng.gen_range(0..n);
+                let v: f64 = rng.gen_range(0.0..2.0);
+                // The gradient is the y-part of a refold with y on t.
+                let with_y: YLin<f64> = tree.generating_function(|u| {
+                    if u.index() == t {
+                        YLin::y()
+                    } else {
+                        YLin::pure(labels[u.index()])
+                    }
+                });
+                inc.gradient_step(TupleId(t as u32), &v);
+                labels[t] = v;
+                let (g, s) = inc.gradient();
+                assert!(
+                    (g * s - with_y.b).abs() < 1e-12,
+                    "seed {seed} round {round}"
+                );
+                // The stale root must not leak into a later update of any
+                // kind, nor into a read.
+                match rng.gen_range(0..3) {
+                    0 => {}
+                    1 => {
+                        let u = rng.gen_range(0..n);
+                        labels[u] = rng.gen_range(0.0..2.0);
+                        inc.set_leaf(TupleId(u as u32), labels[u]);
+                    }
+                    _ => {
+                        let changed: Vec<Option<f64>> = (0..n)
+                            .map(|_| rng.gen_bool(0.2).then(|| rng.gen_range(0.0..2.0)))
+                            .collect();
+                        for (u, c) in changed.iter().enumerate() {
+                            labels[u] = c.unwrap_or(labels[u]);
+                        }
+                        inc.set_leaves_bulk(|u| changed[u.index()]);
+                    }
+                }
+                if rng.gen_bool(0.5) {
+                    let direct: f64 = refold(&tree, &labels);
+                    assert!(
+                        (inc.root() - direct).abs() < 1e-10,
+                        "seed {seed} round {round}"
+                    );
+                }
             }
         }
     }
@@ -1008,7 +1185,7 @@ mod tests {
                 // exact accumulation order of `evaluator`, which is what
                 // lets the parallel shards share a prefix without any
                 // cross-shard numeric drift.
-                let fresh = plan.evaluator(|t| labels[t.index()]);
+                let mut fresh = plan.evaluator(|t| labels[t.index()]);
                 assert_eq!(inc.root(), fresh.root(), "seed {seed} round {round}");
             }
             // A cloned snapshot diverges independently of its source.
@@ -1066,8 +1243,8 @@ mod tests {
         assert!(plan.reweight_leaf(TupleId(3), old, 0.15));
         let fresh = EvalPlan::new(&tree);
         let labels: Vec<f64> = (0..6).map(|i| 0.3 + 0.1 * i as f64).collect();
-        let patched = plan.evaluator(|t| labels[t.index()]);
-        let direct = fresh.evaluator(|t| labels[t.index()]);
+        let mut patched = plan.evaluator(|t| labels[t.index()]);
+        let mut direct = fresh.evaluator(|t| labels[t.index()]);
         assert!((patched.root() - direct.root()).abs() < 1e-12);
 
         let mut chain = chain_tree(5);
@@ -1075,8 +1252,8 @@ mod tests {
         let old = chain.reweight_leaf(TupleId(0), 0.1).unwrap();
         assert!(cplan.reweight_leaf(TupleId(0), old, 0.1));
         let cfresh = EvalPlan::new(&chain);
-        let patched = cplan.evaluator(|t| labels[t.index()]);
-        let direct = cfresh.evaluator(|t| labels[t.index()]);
+        let mut patched = cplan.evaluator(|t| labels[t.index()]);
+        let mut direct = cfresh.evaluator(|t| labels[t.index()]);
         assert!((patched.root() - direct.root()).abs() < 1e-12);
 
         // A leaf whose edge is ∧-pinned is not patchable.
@@ -1122,8 +1299,8 @@ mod tests {
         let old = tree.reweight_leaf(t6, 0.2).unwrap();
         assert!(plan.reweight_leaf(t6, old, 0.2));
         let refreshed = EvalPlan::new(&tree);
-        let a = plan.evaluator(|t| labels[t.index()]);
-        let b = refreshed.evaluator(|t| labels[t.index()]);
+        let mut a = plan.evaluator(|t| labels[t.index()]);
+        let mut b = refreshed.evaluator(|t| labels[t.index()]);
         assert!((a.root() - b.root()).abs() < 1e-12);
         // Only the newest tuple can splice.
         assert!(!plan.splice_insert(&tree, TupleId(0)));

@@ -49,8 +49,9 @@
 //! * [`independent`] — Algorithm 1 (IND-PRF-RANK) and the PRFe/PRFω fast
 //!   paths for tuple-independent data;
 //! * [`incremental`] — the incremental generating-function engine: cached
-//!   fold state over a binarised combine plan, two leaf-to-root path
-//!   recombinations per tuple, division-free, generic over the ring;
+//!   fold state over a binarised combine plan, one leaf-to-root gradient
+//!   read and one path recombination per tuple, division-free, generic
+//!   over the ring;
 //! * [`live`] — live relations: insert/delete/reweight mutations patched
 //!   into the cached score order, marginals, compiled plan, and log-domain
 //!   keys, with generation counters for stale-cache invalidation;

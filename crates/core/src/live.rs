@@ -5,8 +5,8 @@
 //! cannot afford to rebuild the relation, re-sort the tuples, and recompile
 //! the evaluation plan for every changed probability. The machinery to avoid
 //! that already exists: the incremental generating-function engine
-//! ([`crate::incremental`]) recombines only two leaf-to-root paths per
-//! relabel during a walk, and the same plan admits *data* changes — a ∨ edge
+//! ([`crate::incremental`]) touches only one leaf-to-root path per tuple
+//! during a walk, and the same plan admits *data* changes — a ∨ edge
 //! update is a linear delta (edge probability and parent slack), and a new
 //! leaf splices into its consuming ∨ group by re-emitting one leaf-to-root
 //! chain at the plan tail. This module packages those patches behind a

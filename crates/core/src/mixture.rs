@@ -407,25 +407,18 @@ impl ExpMixture {
 
     /// Plain-complex mixture Υ over an and/xor tree: the score order *and*
     /// the incremental engine's combine plan are computed once; each term
-    /// runs one incremental (Algorithm 3) pass over a fresh evaluator.
+    /// runs one incremental (Algorithm 3) gradient walk over a fresh
+    /// evaluator.
     pub fn upsilons_tree_fast(&self, tree: &AndXorTree) -> Vec<Complex> {
-        use crate::incremental::EvalPlan;
-        use prf_numeric::YLin;
         let n = tree.n_tuples();
         let (order, _) = crate::tree::score_order(tree);
-        let plan = EvalPlan::new(tree);
+        let plan = crate::incremental::EvalPlan::new(tree);
         let mut acc = vec![Complex::ZERO; n];
         for &(u, alpha) in &self.terms {
-            let mut inc = plan.evaluator(|_| YLin::<Complex>::one());
-            for (i, &t) in order.iter().enumerate() {
-                if i > 0 {
-                    inc.set_leaf(order[i - 1], YLin::pure(alpha));
-                }
-                inc.set_leaf(t, YLin::y());
+            crate::tree::gradient_walk(&plan, &order, Complex::ONE, &alpha, |t, g, s| {
                 // Υ = B(α)·α.
-                let ups = inc.root().b * alpha;
-                acc[t.index()] += u * ups;
-            }
+                acc[t.index()] += u * (*g * s * alpha);
+            });
         }
         acc
     }

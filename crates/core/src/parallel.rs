@@ -161,7 +161,7 @@ pub(crate) fn walk_shards(
                     if (i - lo) & 0xFF == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
                         return None;
                     }
-                    walkers.step((i > lo).then(|| order[i - 1]), t);
+                    walkers.step(t);
                     let tv = crate::tree::tuple_view(tree, marginals, t);
                     walkers.extract(consumers, &tv, &mut local, i - lo);
                 }

@@ -6,10 +6,14 @@
 //! Theorem 1 the resulting generating function `Fⁱ(x, y) = A(x) + B(x)·y`
 //! satisfies `Pr(r(t) = j) = [x^{j−1}] B(x)`.
 //!
-//! Walking the tuples in score order changes only **two** leaf labels per
-//! step, so every algorithm here is an instantiation of the incremental
-//! engine in [`crate::incremental`] — cached per-node fold state, two
-//! leaf-to-root path recombinations per tuple — over a suitable ring:
+//! The generating function is multilinear in its leaf labels, so `B` is
+//! the gradient `∂F/∂leaf(t)`: the product of the ∨ edge probabilities and
+//! the ∧ sibling values on `t`'s leaf-to-root path, with no `y` label
+//! anywhere. Walking the tuples in score order flips one leaf `1 → x` per
+//! step, so every walk here is an instantiation of the incremental engine
+//! in [`crate::incremental`] — cached per-node fold state, one gradient
+//! read and one path recombination per tuple
+//! ([`IncrementalGf::gradient_step`]) — over a suitable ring:
 //!
 //! 1. [`prf_rank_tree`] — truncated bivariate polynomials
 //!    ([`RankPoly`]): exact PRFω(h)/PT(h) on arbitrary trees in
@@ -17,8 +21,8 @@
 //!    `O(n·h)`-per-tuple full refold (Algorithm 2), which is retained as
 //!    [`prf_rank_tree_refold`] — the differential-test oracle and the
 //!    ablation baseline;
-//! 2. [`prfe_rank_tree`] — scalars wrapped in [`YLin`] (ANDXOR-PRFe-RANK,
-//!    Algorithm 3, made division-free): `O(Σᵢ dᵢ + n log n)` total, generic
+//! 2. [`prfe_rank_tree`] — scalars (ANDXOR-PRFe-RANK, Algorithm 3, made
+//!    division-free): `O(Σᵢ dᵢ + n log n)` total, generic
 //!    over any [`GfValue`] scalar — plain/complex, [`Scaled`], or dual
 //!    numbers — with [`prfe_rank_tree_recompute`] as the full-refold
 //!    oracle;
@@ -37,7 +41,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use prf_numeric::fft::interpolate_from_roots_of_unity;
-use prf_numeric::{Complex, Dual, GfValue, RankPoly, Scaled, YLin};
+use prf_numeric::{Complex, Dual, GfValue, Poly, RankPoly, Scaled, YLin};
 use prf_pdb::tuple::top_k_desc;
 use prf_pdb::{AndXorTree, Tuple, TupleId};
 
@@ -107,22 +111,42 @@ impl TreePrepared {
     }
 }
 
-/// `Υ(t) = Σ_{j ≤ cap} ω(t, j)·[x^{j−1}] B(x)` read off one generating
-/// function — shared by the serial and parallel walks.
+/// `Υ(t) = Σ_{j ≤ cap} ω(t, j)·[x^{j−1}] B(x)` with `B = scale·b` — read
+/// off a walk's gradient or a refolded generating function's `y` part.
 pub(crate) fn upsilon_from_gf(
-    gf: &RankPoly,
+    b: &Poly,
+    scale: f64,
     tv: &Tuple,
     omega: &dyn WeightFunction,
     cap: usize,
 ) -> Complex {
     let mut ups = Complex::ZERO;
-    for j in 1..=cap {
-        let c = gf.rank_probability(j);
+    for (j0, &c) in b.coeffs().iter().enumerate().take(cap) {
         if c != 0.0 {
-            ups += omega.weight(tv, j) * c;
+            ups += omega.weight(tv, j0 + 1) * (scale * c);
         }
     }
     ups
+}
+
+/// The serial score-order walk behind every single-consumer tree ranking:
+/// all leaves start at `unprocessed`; at each tuple of `order`, `read`
+/// sees its rank generating function as the gradient `(G, s)` (see
+/// [`IncrementalGf::gradient`]) and its leaf then flips to `processed`.
+pub(crate) fn gradient_walk<T: GfValue>(
+    plan: &EvalPlan,
+    order: &[TupleId],
+    unprocessed: T,
+    processed: &T,
+    mut read: impl FnMut(TupleId, &T, f64),
+) -> GfStats {
+    let mut inc = plan.evaluator(|_| unprocessed.clone());
+    for &t in order {
+        inc.gradient_step(t, processed);
+        let (g, s) = inc.gradient();
+        read(t, g, s);
+    }
+    inc.stats()
 }
 
 // ---------------------------------------------------------------------
@@ -131,8 +155,9 @@ pub(crate) fn upsilon_from_gf(
 
 /// Υ values for every tuple of a correlated relation under an arbitrary PRF
 /// weight function (ANDXOR-PRF-RANK), via the incremental symbolic engine:
-/// per tuple, two leaf relabels and their `O(depth·log fanout)` path
-/// recombinations replace Algorithm 2's full `O(tree size)` refold.
+/// per tuple, one gradient read of its rank polynomial and one leaf
+/// relabel, each `O(depth·log fanout)` truncated products, replace
+/// Algorithm 2's full `O(tree size)` refold.
 ///
 /// Respects [`WeightFunction::truncation`]: PT(h)/PRFω(h)/U-Rank only expand
 /// the first `h` coefficients. Agreement with the literal Algorithm 2
@@ -154,18 +179,16 @@ pub fn prf_rank_tree_stats(
         return (out, GfStats::default());
     }
     let prep = TreePrepared::new(tree);
-    let mut inc = prep.plan.evaluator(|_| RankPoly::one().with_cap(cap));
-    for (i, &t) in prep.order.iter().enumerate() {
-        if i > 0 {
-            // Previous tuple's label moves from y to x.
-            inc.set_leaf(prep.order[i - 1], RankPoly::x().with_cap(cap));
-        }
-        // Current tuple's label moves from 1 to y.
-        inc.set_leaf(t, RankPoly::y().with_cap(cap));
-        let tv = tuple_view(tree, &prep.marginals, t);
-        out[t.index()] = upsilon_from_gf(inc.root(), &tv, omega, cap);
-    }
-    let stats = inc.stats();
+    let stats = gradient_walk(
+        &prep.plan,
+        &prep.order,
+        RankPoly::one().with_cap(cap),
+        &RankPoly::x().with_cap(cap),
+        |t, g, s| {
+            let tv = tuple_view(tree, &prep.marginals, t);
+            out[t.index()] = upsilon_from_gf(&g.a, s, &tv, omega, cap);
+        },
+    );
     (out, stats)
 }
 
@@ -196,7 +219,7 @@ pub fn prf_rank_tree_refold(tree: &AndXorTree, omega: &dyn WeightFunction) -> Ve
             }
         });
         let tv = tuple_view(tree, &marginals, t);
-        out[t.index()] = upsilon_from_gf(&gf, &tv, omega, cap);
+        out[t.index()] = upsilon_from_gf(&gf.b, 1.0, &tv, omega, cap);
     }
     out
 }
@@ -277,12 +300,12 @@ pub fn prf_rank_tree_interp(tree: &AndXorTree, omega: &dyn WeightFunction) -> Ve
 /// PRFe(α) over an and/xor tree — ANDXOR-PRFe-RANK (Algorithm 3) on the
 /// division-free incremental engine, generic over any [`GfValue`] scalar.
 ///
-/// Each step relabels two leaves of a [`YLin`]-valued evaluator (processed
-/// tuples carry `α`, the current tuple `y`) and reads `Υ = B(α)·α` off the
-/// root. Total cost `O(Σᵢ dᵢ·log fanout + n log n)` where `dᵢ` is the depth
-/// of tuple `i`. Use [`Complex`] / `f64` directly at small scale,
-/// [`Scaled`] scalars (see [`prfe_rank_tree_scaled`]) when products may
-/// underflow, or [`Dual`] for derivatives. Unlike the paper's formulation
+/// Processed tuples' leaves carry `α`, the rest `1`; each step reads
+/// `B(α)` as the current tuple's gradient, takes `Υ = B(α)·α`, and flips
+/// the tuple's leaf to `α`. Total cost `O(Σᵢ dᵢ·log fanout + n log n)`
+/// where `dᵢ` is the depth of tuple `i`. Use [`Complex`] / `f64` directly
+/// at small scale, [`Scaled`] scalars (see [`prfe_rank_tree_scaled`]) when
+/// products may underflow, or [`Dual`] for derivatives. Unlike the paper's formulation
 /// there is **no division**: ∧ nodes recombine cached sibling products, so
 /// `p = 1` leaves, zero-probability edges and `α = 0` need no zero-count
 /// bookkeeping.
@@ -299,19 +322,10 @@ pub fn prfe_rank_tree_stats<T: GfValue>(tree: &AndXorTree, alpha: T) -> (Vec<T>,
     }
     let (order, _) = score_order(tree);
     let plan = EvalPlan::new(tree);
-    let mut inc = plan.evaluator(|_| YLin::<T>::one());
-    let processed = YLin::pure(alpha.clone());
-    for (i, &t) in order.iter().enumerate() {
-        if i > 0 {
-            // Previous tuple's label moves from y to α (the "x" slot).
-            inc.set_leaf(order[i - 1], processed.clone());
-        }
-        // Current tuple's label moves from 1 to y.
-        inc.set_leaf(t, YLin::y());
+    let stats = gradient_walk(&plan, &order, T::one(), &alpha, |t, g, s| {
         // Υ(t) = B(α)·α.
-        out[t.index()] = inc.root().b.mul(&alpha);
-    }
-    let stats = inc.stats();
+        out[t.index()] = g.scale(s).mul(&alpha);
+    });
     (out, stats)
 }
 
@@ -489,18 +503,27 @@ impl<'w> BatchConsumers<'w> {
 pub(crate) struct BatchWalkers<'p> {
     poly: Option<IncrementalGf<'p, RankPoly>>,
     scalars: Vec<ScalarWalker<'p>>,
-    cap: usize,
+    /// The polynomial evaluator's processed label: `x`, capped.
+    x: RankPoly,
 }
 
+/// One scalar evaluator and its processed label `α`.
 #[derive(Clone)]
 enum ScalarWalker<'p> {
-    Complex(IncrementalGf<'p, YLin<Complex>>, Complex),
-    Scaled(
-        IncrementalGf<'p, YLin<Scaled<Complex>>>,
-        Scaled<Complex>,
-        bool,
-    ),
-    Dual(IncrementalGf<'p, YLin<Dual>>, Dual),
+    Complex(IncrementalGf<'p, Complex>, Complex),
+    Scaled(IncrementalGf<'p, Scaled<Complex>>, Scaled<Complex>, bool),
+    Dual(IncrementalGf<'p, Dual>, Dual),
+}
+
+/// An evaluator whose leaves carry `x` where `processed` holds, `1`
+/// elsewhere.
+fn labelled<'p, T: GfValue>(
+    plan: &'p EvalPlan,
+    processed: &mut impl FnMut(TupleId) -> bool,
+    one: T,
+    x: &T,
+) -> IncrementalGf<'p, T> {
+    plan.evaluator(|t| if processed(t) { x.clone() } else { one.clone() })
 }
 
 impl<'p> BatchWalkers<'p> {
@@ -514,59 +537,27 @@ impl<'p> BatchWalkers<'p> {
         mut processed: impl FnMut(TupleId) -> bool,
     ) -> Self {
         let cap = consumers.cap;
-        let poly = (cap > 0).then(|| {
-            plan.evaluator(|t| {
-                if processed(t) {
-                    RankPoly::x().with_cap(cap)
-                } else {
-                    RankPoly::one().with_cap(cap)
-                }
-            })
-        });
+        let x = RankPoly::x().with_cap(cap);
+        let poly =
+            (cap > 0).then(|| labelled(plan, &mut processed, RankPoly::one().with_cap(cap), &x));
         let scalars = consumers
             .scalars
             .iter()
             .map(|&(_, kind)| match kind {
-                ScalarKind::Complex(a) => ScalarWalker::Complex(
-                    plan.evaluator(|t| {
-                        if processed(t) {
-                            YLin::pure(a)
-                        } else {
-                            YLin::one()
-                        }
-                    }),
-                    a,
-                ),
+                ScalarKind::Complex(a) => {
+                    ScalarWalker::Complex(labelled(plan, &mut processed, Complex::ONE, &a), a)
+                }
                 ScalarKind::Scaled(a, log) => {
                     let a = Scaled::new(a);
-                    ScalarWalker::Scaled(
-                        plan.evaluator(|t| {
-                            if processed(t) {
-                                YLin::pure(a)
-                            } else {
-                                YLin::one()
-                            }
-                        }),
-                        a,
-                        log,
-                    )
+                    ScalarWalker::Scaled(labelled(plan, &mut processed, Scaled::one(), &a), a, log)
                 }
                 ScalarKind::Erank => {
                     let a = Dual::variable(1.0);
-                    ScalarWalker::Dual(
-                        plan.evaluator(|t| {
-                            if processed(t) {
-                                YLin::pure(a)
-                            } else {
-                                YLin::one()
-                            }
-                        }),
-                        a,
-                    )
+                    ScalarWalker::Dual(labelled(plan, &mut processed, Dual::ONE, &a), a)
                 }
             })
             .collect();
-        BatchWalkers { poly, scalars, cap }
+        BatchWalkers { poly, scalars, x }
     }
 
     /// Advances every evaluator so the leaves selected by `advance` carry
@@ -575,51 +566,31 @@ impl<'p> BatchWalkers<'p> {
     /// batch walk extends the shared fold prefix from one shard boundary
     /// to the next before cloning a snapshot.
     pub(crate) fn advance_bulk(&mut self, mut advance: impl FnMut(TupleId) -> bool) {
-        let cap = self.cap;
         if let Some(inc) = &mut self.poly {
-            inc.set_leaves_bulk(|t| advance(t).then(|| RankPoly::x().with_cap(cap)));
+            inc.set_leaves_bulk(|t| advance(t).then(|| self.x.clone()));
         }
         for s in &mut self.scalars {
             match s {
-                ScalarWalker::Complex(inc, a) => {
-                    let a = *a;
-                    inc.set_leaves_bulk(|t| advance(t).then(|| YLin::pure(a)));
-                }
+                ScalarWalker::Complex(inc, a) => inc.set_leaves_bulk(|t| advance(t).then_some(*a)),
                 ScalarWalker::Scaled(inc, a, _) => {
-                    let a = *a;
-                    inc.set_leaves_bulk(|t| advance(t).then(|| YLin::pure(a)));
+                    inc.set_leaves_bulk(|t| advance(t).then_some(*a))
                 }
-                ScalarWalker::Dual(inc, a) => {
-                    let a = *a;
-                    inc.set_leaves_bulk(|t| advance(t).then(|| YLin::pure(a)));
-                }
+                ScalarWalker::Dual(inc, a) => inc.set_leaves_bulk(|t| advance(t).then_some(*a)),
             }
         }
     }
 
-    /// One walk step: the previous tuple's label moves `y → x`/`α`, the
-    /// current tuple's `1 → y`, in every evaluator.
-    pub(crate) fn step(&mut self, prev: Option<TupleId>, cur: TupleId) {
-        if let Some(p) = prev {
-            if let Some(inc) = &mut self.poly {
-                inc.set_leaf(p, RankPoly::x().with_cap(self.cap));
-            }
-            for s in &mut self.scalars {
-                match s {
-                    ScalarWalker::Complex(inc, a) => inc.set_leaf(p, YLin::pure(*a)),
-                    ScalarWalker::Scaled(inc, a, _) => inc.set_leaf(p, YLin::pure(*a)),
-                    ScalarWalker::Dual(inc, a) => inc.set_leaf(p, YLin::pure(*a)),
-                }
-            }
-        }
+    /// One walk step at tuple `cur`, in every evaluator: read its gradient
+    /// (for [`BatchWalkers::extract`]), then flip its leaf `1 → x`/`α`.
+    pub(crate) fn step(&mut self, cur: TupleId) {
         if let Some(inc) = &mut self.poly {
-            inc.set_leaf(cur, RankPoly::y().with_cap(self.cap));
+            inc.gradient_step(cur, &self.x);
         }
         for s in &mut self.scalars {
             match s {
-                ScalarWalker::Complex(inc, _) => inc.set_leaf(cur, YLin::y()),
-                ScalarWalker::Scaled(inc, _, _) => inc.set_leaf(cur, YLin::y()),
-                ScalarWalker::Dual(inc, _) => inc.set_leaf(cur, YLin::y()),
+                ScalarWalker::Complex(inc, a) => inc.gradient_step(cur, a),
+                ScalarWalker::Scaled(inc, a, _) => inc.gradient_step(cur, a),
+                ScalarWalker::Dual(inc, a) => inc.gradient_step(cur, a),
             }
         }
     }
@@ -637,21 +608,25 @@ impl<'p> BatchWalkers<'p> {
     ) {
         let t = at;
         if let Some(inc) = &self.poly {
+            let (g, s) = inc.gradient();
             for (req, w, cap) in &consumers.weights {
                 if let SharedAnswer::Complex(buf) = &mut answers[*req] {
-                    buf[t] = upsilon_from_gf(inc.root(), tv, *w, *cap);
+                    buf[t] = upsilon_from_gf(&g.a, s, tv, *w, *cap);
                 }
             }
         }
+        // Υ = B(α)·α, with B(α) = s·G.
         for ((req, _), walker) in consumers.scalars.iter().zip(&self.scalars) {
             match walker {
                 ScalarWalker::Complex(inc, a) => {
                     if let SharedAnswer::Complex(buf) = &mut answers[*req] {
-                        buf[t] = inc.root().b.mul(a);
+                        let (g, s) = inc.gradient();
+                        buf[t] = g.scale(s).mul(a);
                     }
                 }
                 ScalarWalker::Scaled(inc, a, log) => {
-                    let v = inc.root().b.mul(a);
+                    let (g, s) = inc.gradient();
+                    let v = g.scale(s).mul(a);
                     match (&mut answers[*req], log) {
                         (SharedAnswer::Log(buf), true) => {
                             buf[t] = v.magnitude_key() * std::f64::consts::LN_2;
@@ -664,7 +639,8 @@ impl<'p> BatchWalkers<'p> {
                     if let SharedAnswer::Ranks(buf) = &mut answers[*req] {
                         // er₁ for now; the absent-worlds term er₂ is added
                         // after the walk.
-                        buf[t] = inc.root().b.mul(a).d;
+                        let (g, s) = inc.gradient();
+                        buf[t] = g.scale(s).mul(a).d;
                     }
                 }
             }
@@ -692,6 +668,8 @@ impl<'p> BatchWalkers<'p> {
 /// The absent-worlds term of expected ranks,
 /// `er₂(t) = Σ_{pw: t∉pw} Pr(pw)·|pw|`, via a second leaf-relabeling pass
 /// over the shared plan (every other leaf carries `1 + ε`; read `dA/dε`).
+/// This pass keeps its `y` label: `A = F|leaf=0` taken as `F − label·G`
+/// would cancel.
 pub(crate) fn erank_absent_term(plan: &EvalPlan, n: usize) -> Vec<f64> {
     let alpha = Dual::variable(1.0);
     let mut er2 = vec![0.0f64; n];
@@ -823,7 +801,7 @@ fn walk_serial(
         if i & 0xFF == 0 && spec.is_cancelled() {
             return None;
         }
-        walkers.step((i > 0).then(|| prep.order[i - 1]), t);
+        walkers.step(t);
         let tv = tuple_view(tree, &prep.marginals, t);
         walkers.extract(consumers, &tv, answers, t.index());
     }
@@ -1076,6 +1054,29 @@ mod tests {
         for t in 0..tree.n_tuples() {
             assert!((scaled[t].to_plain().re - plain[t].re).abs() < 1e-10);
         }
+    }
+
+    #[test]
+    fn scaled_walk_keeps_edge_products_below_f64_range() {
+        // Tuple 1's path crosses two ∨ edges of 1e-200 before its first ∧
+        // level: their product, 1e-400, is below f64 range, but the scaled
+        // ring carries its own exponent and must keep it.
+        let mut b = TreeBuilder::new(NodeKind::And);
+        let root = b.root();
+        let outer = b.add_inner(root, NodeKind::Xor, 1.0).unwrap();
+        b.add_leaf(outer, 1e-200, 10.0).unwrap();
+        let inner = b.add_inner(outer, NodeKind::Xor, 1e-200).unwrap();
+        b.add_leaf(inner, 1e-200, 5.0).unwrap();
+        b.add_leaf(inner, 0.5, 1.0).unwrap();
+        b.add_leaf(root, 1.0, 0.0).unwrap();
+        let tree = b.build().unwrap();
+        let alpha = 0.5;
+        let vals = prfe_rank_tree_scaled(&tree, Complex::real(alpha));
+        // Tuple 1 is present with probability 1e-400, and then first: the
+        // only tuple above it is exclusive with it. So Υ = 1e-400·α.
+        let want = alpha.log2() - 400.0 * 10f64.log2();
+        let got = vals[1].magnitude_key();
+        assert!((got - want).abs() < 1e-9, "{got} vs {want}");
     }
 
     #[test]

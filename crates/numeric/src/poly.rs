@@ -203,21 +203,39 @@ impl Poly {
     /// Used by PRFω(h) computations where only ranks `≤ h` carry non-zero
     /// weight, giving `O(n·h)` overall work instead of `O(n²)`.
     pub fn mul_truncated(&self, rhs: &Poly, cap: usize) -> Poly {
+        let mut out = Poly::zero();
+        self.mul_truncated_into(rhs, cap, &mut out);
+        out
+    }
+
+    /// [`Poly::mul_truncated`] written into `out`, reusing its buffer — the
+    /// allocation-free product of the incremental tree walks. Bit-identical
+    /// to `mul_truncated`: both run the same loop.
+    ///
+    /// The inner loop zips `out[i..]` with `rhs` instead of indexing
+    /// `out[i + j]`, so it carries no bounds checks and vectorizes; each
+    /// output coefficient still accumulates its terms in increasing `i`.
+    pub fn mul_truncated_into(&self, rhs: &Poly, cap: usize, out: &mut Poly) {
+        out.coeffs.clear();
         if self.is_zero() || rhs.is_zero() || cap == 0 {
-            return Poly::zero();
+            return;
         }
         let n = (self.coeffs.len() + rhs.coeffs.len() - 1).min(cap);
-        let mut out = vec![0.0; n];
+        out.coeffs.resize(n, 0.0);
         for (i, &a) in self.coeffs.iter().enumerate().take(n) {
             if a == 0.0 {
                 continue;
             }
-            let jmax = (n - i).min(rhs.coeffs.len());
-            for (j, &b) in rhs.coeffs.iter().enumerate().take(jmax) {
-                out[i + j] += a * b;
+            for (o, &b) in out.coeffs[i..].iter_mut().zip(&rhs.coeffs) {
+                *o += a * b;
             }
         }
-        Poly::from_coeffs(out)
+        out.normalize();
+    }
+
+    /// `self ← src`, reusing `self`'s buffer.
+    pub fn assign_from(&mut self, src: &Poly) {
+        self.coeffs.clone_from(&src.coeffs);
     }
 
     /// Multiplies in place by the linear factor `a + b·x`, truncated to keep
@@ -395,6 +413,54 @@ mod tests {
             assert_eq!(full.coeff(i), trunc.coeff(i));
         }
         assert!(trunc.degree().unwrap() < 5);
+    }
+
+    /// The indexed schoolbook loop `mul_truncated` ran before its inner
+    /// loop became a zip: the reference the rewrite must match bit for bit.
+    fn mul_truncated_indexed(lhs: &Poly, rhs: &Poly, cap: usize) -> Poly {
+        if lhs.is_zero() || rhs.is_zero() || cap == 0 {
+            return Poly::zero();
+        }
+        let n = (lhs.coeffs.len() + rhs.coeffs.len() - 1).min(cap);
+        let mut out = vec![0.0; n];
+        for (i, &a) in lhs.coeffs.iter().enumerate().take(n) {
+            if a == 0.0 {
+                continue;
+            }
+            let jmax = (n - i).min(rhs.coeffs.len());
+            for (j, &b) in rhs.coeffs.iter().enumerate().take(jmax) {
+                out[i + j] += a * b;
+            }
+        }
+        Poly::from_coeffs(out)
+    }
+
+    #[test]
+    fn truncated_mul_into_is_bit_identical() {
+        let a = Poly::from_coeffs((0..12).map(|i| (i as f64 * 0.71).sin()).collect());
+        let b = Poly::from_coeffs(vec![0.0, 0.3, 0.0, -1.5, 2.25, 1e-300]);
+        let operands = [Poly::zero(), Poly::one(), Poly::linear(0.0, 1.0), a, b];
+        // A dirty, over-long buffer: every product must overwrite it.
+        let mut out = Poly::from_coeffs(vec![9.0; 40]);
+        for l in &operands {
+            for r in &operands {
+                let full = l.coeffs.len() + r.coeffs.len();
+                for cap in [0usize, 1, 2, 7, full, full + 3, usize::MAX] {
+                    l.mul_truncated_into(r, cap, &mut out);
+                    let want = mul_truncated_indexed(l, r, cap);
+                    for got in [&out, &l.mul_truncated(r, cap)] {
+                        assert_eq!(got.coeffs.len(), want.coeffs.len(), "cap {cap}");
+                        for (x, y) in got.coeffs.iter().zip(&want.coeffs) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "cap {cap}");
+                        }
+                    }
+                    // Uncapped, the truncated product is the full product.
+                    if cap >= full {
+                        assert_eq!(out, l.mul_naive(r));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

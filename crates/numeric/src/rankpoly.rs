@@ -167,6 +167,28 @@ impl GfValue for RankPoly {
         RankPoly { a, b, cap }
     }
 
+    fn mul_into(&self, rhs: &Self, out: &mut Self) {
+        let cap = self.cap.min(rhs.cap);
+        if cap == usize::MAX || !(self.b.is_zero() || rhs.b.is_zero()) {
+            *out = self.mul(rhs);
+            return;
+        }
+        out.cap = cap;
+        self.a.mul_truncated_into(&rhs.a, cap, &mut out.a);
+        // B = A·B' + B·A' with at most one non-zero term.
+        if self.b.is_zero() {
+            self.a.mul_truncated_into(&rhs.b, cap, &mut out.b);
+        } else {
+            self.b.mul_truncated_into(&rhs.a, cap, &mut out.b);
+        }
+    }
+
+    fn assign_from(&mut self, src: &Self) {
+        self.a.assign_from(&src.a);
+        self.b.assign_from(&src.b);
+        self.cap = src.cap;
+    }
+
     fn scale(&self, c: f64) -> Self {
         RankPoly {
             a: self.a.scale(c),

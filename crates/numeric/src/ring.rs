@@ -53,6 +53,20 @@ pub trait GfValue: Clone {
         self.add_scaled_assign(&delta, c);
     }
 
+    /// `out ← self·rhs`. The default stores a fresh [`GfValue::mul`];
+    /// heap-backed rings (truncated polynomials) override to write into
+    /// `out`'s existing buffers, so a walk that reuses `out` allocates
+    /// nothing.
+    fn mul_into(&self, rhs: &Self, out: &mut Self) {
+        *out = self.mul(rhs);
+    }
+
+    /// `self ← src`. The default clones; heap-backed rings override to copy
+    /// into `self`'s existing buffers.
+    fn assign_from(&mut self, src: &Self) {
+        *self = src.clone();
+    }
+
     /// Number of heap-allocated scalar coefficients this value currently
     /// retains — the unit of the incremental evaluator's memory accounting
     /// (peak polynomial footprint). Inline scalar rings report `0`.

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use prf::core::parallel::prf_rank_tree_parallel;
-use prf::core::query::{PreparedRelation, QueryBatch, RankQuery, Semantics};
+use prf::core::query::{Algorithm, PreparedRelation, QueryBatch, RankQuery, Semantics};
 use prf::core::tree::{
     expected_ranks_tree, prf_rank_tree, prf_rank_tree_refold, prf_rank_tree_stats, prfe_rank_tree,
     prfe_rank_tree_recompute, prfe_rank_tree_scaled,
@@ -218,6 +218,67 @@ fn degenerate_shapes_match_oracles() {
             })
             .sum();
         assert!((er_t - brute).abs() < 1e-8, "t{t}: {er_t} vs {brute}");
+    }
+}
+
+/// ≈ 200 tuples with marginals near 0.5 in a general (non-x-tuple) shape:
+/// 66 ∨ groups under an ∧ root, each holding one leaf (p = .45) and one ∧
+/// pair of ∨-guarded leaves (group edge .55, leaf p = .9). A tuple near the
+/// bottom of the score order is in the top 5 only if at most 4 of the ~190
+/// tuples above it are present, so its PT(5) value falls to ~1e-50.
+fn deep_tail_tree(seed: u64) -> AndXorTree {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = TreeBuilder::new(NodeKind::And);
+    let root = b.root();
+    for _ in 0..66 {
+        let group = b.add_inner(root, NodeKind::Xor, 1.0).unwrap();
+        b.add_leaf(group, 0.45, rng.gen_range(0.0..1000.0)).unwrap();
+        let pair = b.add_inner(group, NodeKind::And, 0.55).unwrap();
+        for _ in 0..2 {
+            let guard = b.add_inner(pair, NodeKind::Xor, 1.0).unwrap();
+            b.add_leaf(guard, 0.9, rng.gen_range(0.0..1000.0)).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The walk's tail values hold their **relative** precision across ~50
+/// decades: every non-zero refold value is matched within 1e-9 of itself,
+/// and no value goes negative. An absolute tolerance would pass anything
+/// below 1e-9; updating ∧ products additively (`F += (x − 1)·G`) instead of
+/// recomputing them fails here by cancellation.
+#[test]
+fn tail_values_keep_relative_precision() {
+    for seed in 0..3u64 {
+        let tree = deep_tail_tree(seed);
+        let w = StepWeight { h: 5 };
+        let oracle = prf_rank_tree_refold(&tree, &w);
+        let tiniest = oracle
+            .iter()
+            .map(|v| v.re)
+            .filter(|&v| v > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            tiniest < 1e-40,
+            "seed {seed}: the tail must reach deep ({tiniest:e})"
+        );
+        let walked = prf_rank_tree(&tree, &w);
+        let queried = RankQuery::pt(5)
+            .algorithm(Algorithm::ExactGf)
+            .run(&tree)
+            .unwrap();
+        let queried = queried.values.as_complex().unwrap();
+        for (ctx, got) in [("walk", &walked[..]), ("query", queried)] {
+            for (t, (g, o)) in got.iter().zip(&oracle).enumerate() {
+                assert!(g.re >= 0.0, "seed {seed} {ctx} t{t}: negative {g}");
+                assert!(
+                    (*g - *o).abs() <= 1e-9 * o.abs(),
+                    "seed {seed} {ctx} t{t}: {:e} vs {:e}",
+                    g.re,
+                    o.re
+                );
+            }
+        }
     }
 }
 
