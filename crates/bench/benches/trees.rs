@@ -2,8 +2,8 @@
 //! incremental-engine vs full-refold PRFω ablation (the `O(n²·h)` wall of
 //! EXPERIMENTS.md Figure 10(ii)/11(iii)), the incremental (Algorithm 3) vs
 //! recompute PRFe ablation, the x-tuple PT fast path vs the generic
-//! truncated expansion, and the served tree shape: top-10 queries on a
-//! prepared Syn-MED tree of n = 5·10³.
+//! truncated expansion, and the served tree shapes: top-10 queries on the
+//! prepared Syn-MED and Syn-XOR trees of n = 5·10³.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -97,12 +97,34 @@ fn bench_prepared_syn_med(c: &mut Criterion) {
     // `serve-tree` workload registers (same n and dataset seed), prepared
     // once, answering top-10 queries. These walks bound that workload's
     // tail latency.
+    bench_prepared_top10(
+        c,
+        "prepared_syn_med_5k_top10",
+        syn_med_tree(size(5_000, 300), 20090412),
+    );
+}
+
+fn bench_prepared_syn_xor(c: &mut Criterion) {
+    // The other half of `serve-tree`'s traffic: its Syn-XOR relation.
+    // Capped PT and PRFω stop at a block end of the x-tuple kernel; PRFe
+    // still walks the whole tree.
+    bench_prepared_top10(
+        c,
+        "prepared_syn_xor_5k_top10",
+        syn_xor_tree(size(5_000, 300), 20090413),
+    );
+}
+
+/// PT(10)/PT(50)/PT(100), a 50-entry PRFω and PRFe(.9), each top-10 on
+/// `tree` prepared once.
+fn bench_prepared_top10(c: &mut Criterion, group: &str, tree: prf_pdb::AndXorTree) {
     use prf_core::query::{PreparedRelation, RankQuery};
     use prf_core::weights::TabulatedWeight;
-    let prep = PreparedRelation::from_relation(syn_med_tree(size(5_000, 300), 20090412));
+    let prep = PreparedRelation::from_relation(tree);
     let table: Vec<f64> = (0..50).map(|i| 1.0 / (1.0 + i as f64)).collect();
     let queries = [
         ("pt10", RankQuery::pt(10)),
+        ("pt50", RankQuery::pt(50)),
         ("pt100", RankQuery::pt(100)),
         (
             "prfw_table50",
@@ -110,7 +132,7 @@ fn bench_prepared_syn_med(c: &mut Criterion) {
         ),
         ("prfe_0.9", RankQuery::prfe(0.9)),
     ];
-    let mut g = c.benchmark_group("prepared_syn_med_5k_top10");
+    let mut g = c.benchmark_group(group);
     g.sample_size(10);
     for (name, q) in queries {
         let q = q.top_k(10);
@@ -174,6 +196,7 @@ criterion_group!(
     bench_incremental_vs_recompute,
     bench_xtuple_fast_path,
     bench_prepared_syn_med,
+    bench_prepared_syn_xor,
     bench_tree_scaling
 );
 criterion_main!(benches);

@@ -107,7 +107,7 @@ pub fn positional_candidates_tree(tree: &AndXorTree, k: usize) -> PositionalCand
     use crate::weights::PositionWeight;
     let n = tree.n_tuples();
     let mut table = PositionalCandidates::new(k);
-    if tree.x_tuple_groups().is_some() {
+    if tree.is_x_tuple() {
         for j in 1..=k {
             let w = PositionWeight { j };
             let vals =

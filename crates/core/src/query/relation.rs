@@ -137,7 +137,11 @@ pub trait ProbabilisticRelation {
     /// The default answers a fresh carry ([`TopkCarry::is_fresh`]) with a
     /// full walk, which is always valid, and returns `None` for any other
     /// carry: it cannot resume a cut. [`IndependentDb`] stops early and
-    /// resumes; wrappers forward the carry.
+    /// resumes. An [`AndXorTree`] in x-tuple form stops its capped
+    /// truncated weight consumers (PT(h), PRFω(h)) at a block end of the
+    /// x-tuple kernel ([`crate::xtuple`]) on a fresh carry, walks every
+    /// other consumer in full, and cannot resume. Wrappers forward the
+    /// carry.
     fn run_shared_walk_topk(
         &self,
         spec: &SharedWalkSpec,
@@ -287,7 +291,7 @@ impl ProbabilisticRelation for AndXorTree {
     }
 
     fn correlation_class(&self) -> CorrelationClass {
-        if self.x_tuple_groups().is_some() {
+        if self.is_x_tuple() {
             CorrelationClass::XTuple
         } else {
             CorrelationClass::Tree
@@ -306,6 +310,18 @@ impl ProbabilisticRelation for AndXorTree {
         spec: &SharedWalkSpec,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
+        self.run_shared_walk_topk(spec, &mut TopkCarry::default(), prep)
+    }
+
+    fn run_shared_walk_topk(
+        &self,
+        spec: &SharedWalkSpec,
+        carry: &mut TopkCarry,
+        prep: &PreparedState,
+    ) -> Option<SharedWalkOut> {
+        if !carry.is_fresh() {
+            return None;
+        }
         let start = std::time::Instant::now();
         let n = AndXorTree::n_tuples(self);
         let built;
@@ -316,7 +332,7 @@ impl ProbabilisticRelation for AndXorTree {
                 &built
             }
         };
-        crate::tree::batch_walk_tree(self, spec, tp, start)
+        crate::tree::batch_walk_tree(self, spec, carry, tp, start)
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {

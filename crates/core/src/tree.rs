@@ -47,6 +47,7 @@ use prf_pdb::{AndXorTree, Tuple, TupleId};
 
 use crate::incremental::{EvalPlan, GfStats, IncrementalGf};
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use crate::query::cut::{envelope, Cap, Cut, TopkCarry};
 use crate::weights::WeightFunction;
 
 /// Tuple processing order (score descending, id ascending) and its inverse
@@ -714,16 +715,20 @@ fn finish_erank_answers(
 /// [`crate::parallel::PARALLEL_MIN_SHARD_TUPLES`] (sharding below that
 /// floor loses to serial outright, so it degrades to the serial route with
 /// identical answers). On an x-tuple tree, truncated weight requests are
-/// answered by [`crate::xtuple`]'s `O(n·h·log n)` kernel instead — chosen
-/// by the tree's shape, one kernel run at the largest horizon for all of
-/// them — and need no walk at all. `start` marks when the caller began, so
-/// the reported walk time includes any preparation it did.
+/// answered by [`crate::xtuple`]'s blocked kernel instead — chosen by the
+/// tree's shape, one kernel run at the largest horizon for all of them —
+/// and need no walk at all. A request that `carry` caps at `k` and whose
+/// weight has an envelope stops at the first block end that settles its
+/// top `k`, reported in [`SharedWalkOut::prefixes`]. `start` marks when the
+/// caller began, so the reported walk time includes any preparation it
+/// did.
 ///
 /// Returns `None` when the spec's cancellation token trips mid-walk (every
 /// consumer gave up — see `SharedWalkSpec::cancel`).
 pub(crate) fn batch_walk_tree(
     tree: &AndXorTree,
     spec: &SharedWalkSpec,
+    carry: &TopkCarry,
     prep: &TreePrepared,
     start: Instant,
 ) -> Option<SharedWalkOut> {
@@ -755,33 +760,44 @@ pub(crate) fn batch_walk_tree(
     } else {
         None
     };
-    // After the walk: a sharded walk writes back every answer slot.
+    let mut prefixes = Vec::new();
     if let Some(groups) = groups.filter(|_| !consumers.xtuple.is_empty()) {
-        if spec.is_cancelled() {
-            return None;
-        }
-        let weights: Vec<(&dyn WeightFunction, usize)> = consumers
+        let mut xs: Vec<crate::xtuple::Consumer> = consumers
             .xtuple
             .iter()
-            .map(|&(_, w, h)| (w as &dyn WeightFunction, h))
+            .map(|&(req, omega, h)| {
+                let cut = match carry.requests.get(req).map(|r| &r.cap) {
+                    Some(&Cap::Pending(k)) if k < n => envelope(omega, h).map(|e| (Cut::new(k), e)),
+                    _ => None,
+                };
+                crate::xtuple::Consumer {
+                    omega: omega as &dyn WeightFunction,
+                    h,
+                    cut,
+                }
+            })
             .collect();
         let vals = crate::xtuple::rank_groups(
             tree,
             groups,
-            &weights,
+            &mut xs,
             &prep.order,
-            &prep.pos,
             &prep.marginals,
-        );
-        for (&(req, _, _), v) in consumers.xtuple.iter().zip(vals) {
+            || spec.is_cancelled(),
+        )?;
+        prefixes = vec![None; spec.requests.len()];
+        for ((&(req, _, _), v), x) in consumers.xtuple.iter().zip(vals).zip(xs) {
             answers[req] = SharedAnswer::Complex(v);
+            if let Some(e) = x.cut.and_then(|(cut, _)| cut.stop) {
+                prefixes[req] = Some(prep.order[..e].to_vec());
+            }
         }
     }
     Some(SharedWalkOut {
         answers,
         stats,
         walk_seconds: start.elapsed().as_secs_f64(),
-        prefixes: Vec::new(),
+        prefixes,
     })
 }
 

@@ -844,30 +844,40 @@ impl AndXorTree {
         a
     }
 
-    /// If the tree is in x-tuple form — an ∧ root whose children are ∨ nodes
-    /// of leaves (or bare leaves) — returns the groups of mutually exclusive
-    /// tuples. Used to dispatch the `O(n·h)` PT(h) fast path.
+    /// `true` when the tree is in x-tuple form — an ∧ root whose children
+    /// are ∨ nodes of leaves (or bare leaves) — checked without allocating.
+    pub fn is_x_tuple(&self) -> bool {
+        let leaf = |c: &NodeId| matches!(self.kind(*c), NodeKind::Leaf(_));
+        self.kind(self.root()) == NodeKind::And
+            && self
+                .children(self.root())
+                .iter()
+                .all(|&c| match self.kind(c) {
+                    NodeKind::Leaf(_) => true,
+                    NodeKind::Xor => self.children(c).iter().all(leaf),
+                    NodeKind::And => false,
+                })
+    }
+
+    /// If the tree is in x-tuple form ([`Self::is_x_tuple`]), returns the
+    /// groups of mutually exclusive tuples — the input of the
+    /// `O(n·h·log n)` PRFω(h)/PT(h) x-tuple kernel.
     pub fn x_tuple_groups(&self) -> Option<Vec<Vec<TupleId>>> {
-        if self.kind(self.root()) != NodeKind::And {
+        if !self.is_x_tuple() {
             return None;
         }
-        let mut groups = Vec::new();
-        for &c in self.children(self.root()) {
-            match self.kind(c) {
-                NodeKind::Leaf(t) => groups.push(vec![t]),
-                NodeKind::Xor => {
-                    let mut g = Vec::new();
-                    for &gc in self.children(c) {
-                        match self.kind(gc) {
-                            NodeKind::Leaf(t) => g.push(t),
-                            _ => return None,
-                        }
-                    }
-                    groups.push(g);
-                }
-                NodeKind::And => return None,
-            }
-        }
+        let leaf = |c: &NodeId| match self.kind(*c) {
+            NodeKind::Leaf(t) => Some(t),
+            _ => None,
+        };
+        let groups = self
+            .children(self.root())
+            .iter()
+            .map(|c| match leaf(c) {
+                Some(t) => vec![t],
+                None => self.children(*c).iter().filter_map(leaf).collect(),
+            })
+            .collect();
         Some(groups)
     }
 }
@@ -1041,6 +1051,20 @@ mod tests {
         assert!(figure2_tree().x_tuple_groups().is_none());
         // Figure 1's tree is (all groups under an ∧ root).
         assert!(figure1_tree().x_tuple_groups().is_some());
+        // The allocation-free check agrees on every shape.
+        assert!(tree.is_x_tuple());
+        assert!(!figure2_tree().is_x_tuple());
+        assert!(figure1_tree().is_x_tuple());
+        // An ∧ below a ∨ group breaks the form.
+        let mut b = TreeBuilder::new(NodeKind::And);
+        let root = b.root();
+        let group = b.add_inner(root, NodeKind::Xor, 1.0).unwrap();
+        b.add_leaf(group, 0.5, 3.0).unwrap();
+        let and = b.add_inner(group, NodeKind::And, 0.5).unwrap();
+        b.add_leaf(and, 1.0, 2.0).unwrap();
+        let nested = b.build().unwrap();
+        assert!(!nested.is_x_tuple());
+        assert!(nested.x_tuple_groups().is_none());
     }
 
     #[test]

@@ -15,7 +15,10 @@ use prf::pdb::{
     AndXorTree, AttributeUncertainDb, IndependentDb, NodeKind, PdbError, TreeBuilder, TupleId,
     UncertainTuple,
 };
-use prf::prelude::{Algorithm, Complex, NumericMode, QueryBatch, QueryError, RankQuery, Semantics};
+use prf::prelude::{
+    Algorithm, CancelToken, Complex, NumericMode, PreparedRelation, QueryBatch, QueryError,
+    RankQuery, Semantics, Tuple, WeightFunction,
+};
 
 // ---------------------------------------------------------------------
 // Invalid inputs
@@ -550,5 +553,55 @@ fn mixture_of_constant_zero_weight() {
     let ups = mix.upsilons_independent_fast(&db);
     for u in &ups {
         assert!(u.abs() < 1e-9);
+    }
+}
+
+/// A truncated weight that trips `token` the first time it is read.
+struct TripsOnFirstRead {
+    token: CancelToken,
+}
+
+impl WeightFunction for TripsOnFirstRead {
+    fn weight(&self, _tuple: &Tuple, _rank: usize) -> Complex {
+        self.token.cancel();
+        Complex::ONE
+    }
+    fn truncation(&self) -> Option<usize> {
+        Some(3)
+    }
+}
+
+#[test]
+fn the_x_tuple_kernel_polls_cancellation_between_blocks() {
+    // The token trips inside the kernel's first block (the weight's first
+    // read); the poll before the second block must turn the query into
+    // `TimedOut` instead of answering it. Uncapped and capped alike, alone
+    // and prepared.
+    let groups: Vec<Vec<(f64, f64)>> = (0..100)
+        .map(|i| vec![(f64::from(i), 0.3), (f64::from(i) + 0.5, 0.4)])
+        .collect();
+    let tree = AndXorTree::from_x_tuples(&groups).unwrap();
+    let prepared = PreparedRelation::from_relation(tree.clone());
+    for top_k in [None, Some(3)] {
+        for prepared_route in [false, true] {
+            let token = CancelToken::new();
+            let mut query = RankQuery::prf(TripsOnFirstRead {
+                token: token.clone(),
+            })
+            .cancel_token(token);
+            if let Some(k) = top_k {
+                query = query.top_k(k);
+            }
+            let got = if prepared_route {
+                query.run(&prepared)
+            } else {
+                query.run(&tree)
+            };
+            assert!(
+                matches!(got, Err(QueryError::TimedOut)),
+                "top_k {top_k:?}, prepared {prepared_route}: {:?}",
+                got.map(|r| r.ranking.len())
+            );
+        }
     }
 }

@@ -14,6 +14,12 @@
 //! a `k` that crosses one; a shard that cannot resume the walk (an x-tuple
 //! tree) restarts it as a plain walk of every shard.
 //!
+//! An x-tuple tree stops a capped PT or PRFω consumer at a block end of
+//! its x-tuple kernel (64, 128, 256, …). The same rule holds there, bit for
+//! bit on the ranking and on every visited value, over 0–300 tuples with
+//! tied scores across the block ends and groups whose mass is 1, 0 or
+//! 1e-300.
+//!
 //! A capped query's values (exact on the visited prefix, worst beyond it)
 //! must not depend on how it runs: alone, in a batch beside uncapped
 //! entries, through a `PreparedRelation`, a mutated `LiveRelation` or a
@@ -467,4 +473,182 @@ fn every_capped_shape_stops_early_on_iip() {
         .unwrap();
     let scanned = capped.report.tuples_scanned.unwrap();
     assert!(scanned < db.len(), "live log PRFe scanned {scanned}");
+}
+
+// ---------------------------------------------------------------------
+// x-tuple trees
+// ---------------------------------------------------------------------
+
+/// An x-tuple tree of 0–300 tuples in groups of 1–5 alternatives. Scores
+/// come from 40 values, so runs of tied scores straddle the kernel's block
+/// boundaries at 64, 128 and 256. A group's probabilities are random,
+/// sum to 1, or take the edge values 0, 1 and 1e-300.
+fn xtuple_tree() -> impl Strategy<Value = AndXorTree> {
+    let group = (
+        proptest::collection::vec((0u8..40, 0.0f64..=1.0), 1..6),
+        0usize..4,
+    );
+    proptest::collection::vec(group, 0..101).prop_map(|groups| {
+        let mut left = 300usize;
+        let groups: Vec<Vec<(f64, f64)>> = groups
+            .into_iter()
+            .map_while(|(members, class)| {
+                let members = &members[..members.len().min(left)];
+                left -= members.len();
+                (!members.is_empty()).then(|| xtuple_group(members, class))
+            })
+            .collect();
+        AndXorTree::from_x_tuples(&groups).expect("generated groups are valid")
+    })
+}
+
+/// One group's `(score, probability)` pairs from raw draws `(score, u)`:
+/// class 0 and 1 scale the draws to a mass below 1, class 2 fills the
+/// group's mass to 1, class 3 picks probabilities from {0, 1e-300} or one
+/// certain member.
+fn xtuple_group(members: &[(u8, f64)], class: usize) -> Vec<(f64, f64)> {
+    let size = members.len() as f64;
+    let mut mass = 0.0f64;
+    members
+        .iter()
+        .enumerate()
+        .map(|(j, &(score, u))| {
+            let p = match class {
+                2 if j + 1 == members.len() => (1.0 - mass).max(0.0),
+                2 => u / size,
+                3 if j == 0 && u > 0.8 => 1.0,
+                3 if members[0].1 > 0.8 => 0.0,
+                3 => [0.0, 1e-300][usize::from(u < 0.5)],
+                _ => u / size,
+            };
+            mass += p;
+            (f64::from(score), p)
+        })
+        .collect()
+}
+
+/// Tuple ids in score order (score descending, id ascending): the order a
+/// walk visits them in.
+fn visit_order(tree: &AndXorTree) -> Vec<usize> {
+    let scores = tree.scores();
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    order
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// x-tuple trees: capped ≡ uncapped truncated, bit for bit on the
+    /// ranking and on every visited value (an unvisited one is zero), alone
+    /// and in batches that mix capped and uncapped entries.
+    #[test]
+    fn capped_x_tuple_rankings_are_the_uncapped_prefix(
+        tree in xtuple_tree(),
+        h in 1usize..40,
+        k_small in 1usize..12,
+        alpha in 0.0f64..=1.0,
+    ) {
+        let n = tree.n_tuples();
+        let order = visit_order(&tree);
+        let caps = [0, 1, k_small, n / 2, n, n + 5];
+        for q in shapes(h, alpha) {
+            let full = q.run(&tree).unwrap();
+            let (full_bits, full_values) = (ranking_bits(&full), value_bits(&full.values));
+            for k in caps {
+                let capped = q.clone().top_k(k).run(&tree).unwrap();
+                let ctx = format!("{} k={k} n={n}", full.report.semantics);
+                prop_assert_eq!(&ranking_bits(&capped)[..], &full_bits[..k.min(n)], "{}", ctx);
+                prop_assert_eq!(capped.values.len(), n, "{}", ctx);
+                let scanned = capped.report.tuples_scanned.unwrap();
+                prop_assert!(scanned <= n, "{}", ctx);
+                let values = value_bits(&capped.values);
+                for (i, &t) in order.iter().enumerate() {
+                    let want = if i < scanned { full_values[t] } else { (0, 0, 0) };
+                    prop_assert_eq!(values[t], want, "{} tuple {}", ctx, t);
+                }
+            }
+        }
+        let entries: Vec<RankQuery> = shapes(h, alpha)
+            .into_iter()
+            .zip(caps.into_iter().cycle())
+            .flat_map(|(q, k)| [q.clone().top_k(k), q])
+            .collect();
+        let batch = QueryBatch::new().add_queries(entries.clone()).run(&tree).unwrap();
+        for (got, q) in batch.iter().zip(&entries) {
+            let want = q.run(&tree).unwrap();
+            prop_assert_eq!(answer(got), answer(&want), "{}", want.report.semantics);
+        }
+    }
+
+    /// x-tuple trees: a capped query's values, ranking and scan are the
+    /// same alone, prepared, batched beside an uncapped larger-h PT and a
+    /// PRFe, and served.
+    #[test]
+    fn capped_x_tuple_answers_do_not_depend_on_the_route(
+        tree in xtuple_tree(),
+        h in 1usize..40,
+        alpha in 0.0f64..=1.0,
+        k in 0usize..12,
+    ) {
+        let prepared = PreparedRelation::from_relation(tree.clone());
+        let server = RankServer::new(ServeConfig::default());
+        let id = server.register("xtuple", tree.clone());
+        for q in shapes(h, alpha) {
+            let q = q.top_k(k);
+            let alone = answer(&q.run(&tree).unwrap());
+            let ctx = format!("{q:?} n={}", tree.n_tuples());
+            prop_assert_eq!(&answer(&q.run(&prepared).unwrap()), &alone, "prepared {}", ctx);
+            let batch = QueryBatch::new()
+                .add_query(RankQuery::pt(h + 10))
+                .add_query(q.clone())
+                .add_query(RankQuery::prfe(alpha))
+                .run(&tree)
+                .unwrap();
+            prop_assert_eq!(&answer(&batch[1]), &alone, "batched {}", ctx);
+            let served = server.submit(id, q.clone()).unwrap().recv().unwrap();
+            prop_assert_eq!(&answer(&served), &alone, "served {}", ctx);
+        }
+        server.shutdown();
+    }
+}
+
+/// The suites above compare cut answers, not only full walks: on 300-tuple
+/// Syn-XOR trees, capped PT and PRFω consumers stop at each of the block
+/// ends 64, 128 and 256, and nowhere else.
+#[test]
+fn x_tuple_stops_fall_on_block_ends() {
+    let mut stops = std::collections::BTreeSet::new();
+    for seed in 0..4 {
+        let tree = prf::datasets::syn_xor_tree(300, seed);
+        for h in [1, 5, 10, 20, 40, 80] {
+            for k in [1, 10, 50] {
+                for q in [
+                    RankQuery::pt(h),
+                    RankQuery::prf(TabulatedWeight::from_real(&vec![1.0; h])),
+                ] {
+                    let r = q.top_k(k).run(&tree).unwrap();
+                    stops.insert(r.report.tuples_scanned.unwrap());
+                }
+            }
+        }
+    }
+    assert!(stops.is_subset(&[64, 128, 256, 300].into()), "{stops:?}");
+    for e in [64, 128, 256] {
+        assert!(stops.contains(&e), "no stop at {e}: {stops:?}");
+    }
+}
+
+/// `serve-tree`'s Syn-XOR tree (n = 5·10³, its dataset seed): a top-10
+/// PT(100) settles within the first 1,024 tuples, and its ranking is the
+/// uncapped one truncated.
+#[test]
+fn syn_xor_pt100_top10_reads_at_most_1024_tuples() {
+    let tree = prf::datasets::syn_xor_tree(5_000, 20_090_413);
+    let q = RankQuery::pt(100);
+    let capped = q.clone().top_k(10).run(&tree).unwrap();
+    let scanned = capped.report.tuples_scanned.unwrap();
+    assert!(scanned <= 1024, "scanned {scanned}");
+    let full = q.run(&tree).unwrap();
+    assert_eq!(ranking_bits(&capped), ranking_bits(&full)[..10]);
 }
