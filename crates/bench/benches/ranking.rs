@@ -5,8 +5,10 @@
 //! queries at the paper's scale: an `IndependentDb` sorts its tuples by
 //! score once, when it is built, so the sort shows up under
 //! `construct_from_pairs` and the queries pay only the scan and the
-//! ranking. The top-100 queries stop their scan once the answer is
-//! settled. Measure mode runs n = 10⁶ and prints the process's peak RSS;
+//! ranking. The full PRFe(.95) ranking sorts the walk's score-order key
+//! stream; PRFe(.999) and E-Rank keys stray too far from score order, so
+//! those two rows time the by-id fallback. The top-100 queries stop their
+//! scan once the answer is settled. Measure mode runs n = 10⁶ and prints the process's peak RSS;
 //! smoke mode (CI test job) shrinks to n = 20 000.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -103,6 +105,20 @@ fn bench_one_shot(c: &mut Criterion) {
                     .run(&db),
             )
         })
+    });
+    // Its keys drift too far from score order for the walk's stream: the
+    // ranking falls back to the by-id sort, like E-Rank's.
+    g.bench_function("prfe_0.999_log_full", |b| {
+        b.iter(|| {
+            black_box(
+                RankQuery::prfe(0.999)
+                    .algorithm(Algorithm::LogDomain)
+                    .run(&db),
+            )
+        })
+    });
+    g.bench_function("erank_full", |b| {
+        b.iter(|| black_box(RankQuery::erank().run(&db)))
     });
     g.bench_function("pt_100_top_100", |b| {
         b.iter(|| black_box(RankQuery::pt(100).top_k(100).run(&db)))

@@ -23,7 +23,9 @@
 use prf_numeric::{Complex, GfValue, Poly, Scaled};
 use prf_pdb::{IndependentDb, Tuple, TupleId};
 
-use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use prf_pdb::tuple::{packed_desc, push_sorted, sort_tail_within, SORT_BLOCK};
+
+use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec, Visit};
 use crate::query::cut::{envelope, Cap, Cut, TopkCarry};
 use crate::weights::WeightFunction;
 
@@ -170,9 +172,10 @@ pub fn prfe_rank_log(db: &IndependentDb, alpha: f64) -> Option<Vec<f64>> {
     let n = db.len();
     let mut result = vec![f64::NEG_INFINITY; n];
     let mut log_g = 0.0f64;
+    let ln_alpha = alpha.ln();
     for t in db.by_score() {
         if t.prob > 0.0 && alpha > 0.0 && log_g > f64::NEG_INFINITY {
-            result[t.id.index()] = log_g + t.prob.ln() + alpha.ln();
+            result[t.id.index()] = log_g + t.prob.ln() + ln_alpha;
         }
         let factor = 1.0 - t.prob + t.prob * alpha;
         log_g += factor.ln(); // ln(0) = -inf propagates correctly
@@ -221,17 +224,22 @@ pub fn rank_distribution_of(db: &IndependentDb, target: prf_pdb::TupleId) -> Vec
 /// position whose bound on every unread tuple's ranking key is strictly
 /// below its `k`-th best key so far; the walk ends once every consumer has
 /// stopped or the order is exhausted. A stopped consumer's answer is exact
-/// on its visited prefix, reported in [`SharedWalkOut::prefixes`], and
+/// on its visited prefix, reported in [`SharedWalkOut::visits`], and
 /// holds the worst value of its shape beyond it. The stop point depends
-/// only on the relation and that consumer's request and `k`.
+/// only on the relation and that consumer's request and `k`. An uncapped
+/// consumer the carry marks as ranking by its walk key also gets its keys
+/// sorted ([`Visit::Stream`]): they come in score order, nearly sorted, and
+/// are sorted block by block as the walk goes, unless one lands too far
+/// from its score position — finalize then sorts the by-id answer.
 ///
 /// When the carry describes a shard of a larger relation, the walk
 /// resumes the carried cuts, applies the shard's prefix state to each
 /// value as it is computed (the same operations a plain sharded walk
 /// applies afterwards) and writes into the carried global buffers at the
 /// shard's offset; the prefixes it reports then hold global ids of this
-/// shard's visited tuples, for the cuts that stopped here. An uncapped
-/// sharded walk takes this route too, with cuts that never stop.
+/// shard's visited tuples, for the cuts that stopped here, and its streams
+/// carry global ids too. An uncapped sharded walk takes this route, with
+/// cuts that never stop.
 ///
 /// Returns `None` when the spec's cancellation token trips mid-walk (every
 /// consumer gave up — see `SharedWalkSpec::cancel`), and for a log-domain
@@ -265,6 +273,7 @@ pub(crate) fn batch_walk_independent(
         .requests
         .resize_with(spec.requests.len(), Default::default);
     let real_unit = |a: &Complex| a.im == 0.0 && (0.0..=1.0).contains(&a.re);
+    let mut streams = Vec::with_capacity(spec.requests.len());
     for (req, rc) in spec.requests.iter().zip(&mut carry.requests) {
         let point = rc.point.filter(|_| shard.is_some());
         let cap = std::mem::take(&mut rc.cap);
@@ -286,7 +295,7 @@ pub(crate) fn batch_walk_independent(
             SharedRequest::PrfeComplex(a) => (Acc::Complex(Complex::ONE, *a, point), real_unit(a)),
             SharedRequest::PrfeLog(a) => {
                 let shift = point.map(|p| p.magnitude_key() * std::f64::consts::LN_2);
-                (Acc::Log(0.0, *a, shift), true)
+                (Acc::Log(0.0, *a, a.ln(), shift), true)
             }
             SharedRequest::PrfeScaled(a) => (
                 Acc::Scaled(Scaled::<Complex>::one(), Scaled::new(*a), *a, point),
@@ -302,6 +311,7 @@ pub(crate) fn batch_walk_independent(
             }
         };
         accs.push(acc);
+        streams.push((rc.stream && !capped).then(|| Vec::with_capacity(n)));
         // A cut carried in keeps its keys even where this walk has no
         // bound for it: it then never stops here.
         cuts.push(match cap {
@@ -329,23 +339,39 @@ pub(crate) fn batch_walk_independent(
     };
     // Uncapped walks (the common full ranking) compile without the cut
     // bookkeeping.
-    if cuts.iter().any(Option::is_some) {
-        scan::<true>(db, spec, &mut accs, &mut answers, &mut cuts, offset, &bound)?;
+    let mut walk = Walk {
+        accs: &mut accs,
+        answers: &mut answers,
+        cuts: &mut cuts,
+        streams: &mut streams,
+    };
+    if walk.cuts.iter().any(Option::is_some) {
+        walk.scan::<true>(db, spec, offset, &bound)?;
     } else {
-        scan::<false>(db, spec, &mut accs, &mut answers, &mut cuts, offset, &bound)?;
+        walk.scan::<false>(db, spec, offset, &bound)?;
     }
 
-    let prefixes = cuts
+    let visits = cuts
         .iter()
         .zip(&entered_stopped)
-        .map(|(cut, &entered)| {
-            let visited = &db.by_score()[..cut.as_ref().filter(|_| !entered)?.stop?];
-            Some(
-                visited
-                    .iter()
-                    .map(|t| TupleId((offset + t.id.index()) as u32))
-                    .collect(),
-            )
+        .zip(streams)
+        .map(|((cut, &entered), stream)| {
+            // The last block of a stream is still to be sorted in.
+            if let Some(mut keys) = stream {
+                let from = keys.len() - keys.len() % SORT_BLOCK;
+                if sort_tail_within(&mut keys, from) {
+                    return Visit::Stream(keys);
+                }
+            }
+            match cut.as_ref().filter(|_| !entered).and_then(|c| c.stop) {
+                Some(stop) => Visit::Prefix(
+                    db.by_score()[..stop]
+                        .iter()
+                        .map(|t| TupleId((offset + t.id.index()) as u32))
+                        .collect(),
+                ),
+                None => Visit::All,
+            }
         })
         .collect();
     for (rc, cut) in carry.requests.iter_mut().zip(cuts) {
@@ -355,77 +381,101 @@ pub(crate) fn batch_walk_independent(
         answers,
         stats: None, // closed-form kernels: no incremental evaluator
         walk_seconds: start.elapsed().as_secs_f64(),
-        prefixes,
+        visits,
     })
 }
 
-/// The score-order loop of [`batch_walk_independent`]: evaluates every
-/// consumer at every position, writing at `offset + id`, stopping `CAPPED`
-/// consumers at their cuts and the loop once all have stopped. `None` when
-/// cancelled.
-fn scan<const CAPPED: bool>(
-    db: &IndependentDb,
-    spec: &SharedWalkSpec,
-    accs: &mut [Acc],
-    answers: &mut [SharedAnswer],
-    cuts: &mut [Option<Cut>],
-    offset: usize,
-    bound: &Bound,
-) -> Option<()> {
-    // The largest horizon a walking weight consumer reads.
-    let poly_cap = |accs: &[Acc], cuts: &[Option<Cut>]| {
-        accs.iter()
-            .zip(cuts)
-            .filter_map(|(acc, cut)| match acc {
-                Acc::Weight(_, cap, _) if !cut.as_ref().is_some_and(Cut::stopped) => Some(*cap),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    };
-    let mut cap_max = poly_cap(accs, cuts);
-    let mut walking = cuts
-        .iter()
-        .filter(|c| !c.as_ref().is_some_and(Cut::stopped))
-        .count();
-    // The shared prefix polynomial, capped at the largest horizon still
-    // read.
-    let mut g_poly = Poly::one();
-    for (step, t) in db.by_score().iter().enumerate() {
-        if CAPPED && walking == 0 {
-            break;
-        }
-        // Cooperative cancellation: abandon the walk once every consumer
-        // has given up (polled every 256 score steps).
-        if step & 0xFF == 0 && spec.is_cancelled() {
-            return None;
-        }
-        let id = offset + t.id.index();
-        let mut weight_stopped = false;
-        for ((acc, answer), cut) in accs.iter_mut().zip(answers.iter_mut()).zip(cuts.iter_mut()) {
-            if let (true, Some(cut)) = (CAPPED, &mut *cut) {
-                if cut.stopped() {
-                    continue;
+/// The per-consumer state of one [`batch_walk_independent`] run, parallel
+/// to the requests: running accumulators, answer buffers, cuts of capped
+/// consumers and visit-order key streams.
+struct Walk<'a, 'w> {
+    accs: &'a mut [Acc<'w>],
+    answers: &'a mut [SharedAnswer],
+    cuts: &'a mut [Option<Cut>],
+    streams: &'a mut [Option<Vec<u128>>],
+}
+
+impl Walk<'_, '_> {
+    /// The score-order loop of [`batch_walk_independent`]: evaluates every
+    /// consumer at every position, writing at `offset + id` and pushing
+    /// streamed keys, stopping `CAPPED` consumers at their cuts and the
+    /// loop once all have stopped. `None` when cancelled.
+    fn scan<const CAPPED: bool>(
+        &mut self,
+        db: &IndependentDb,
+        spec: &SharedWalkSpec,
+        offset: usize,
+        bound: &Bound,
+    ) -> Option<()> {
+        // The largest horizon a walking weight consumer reads.
+        let poly_cap = |accs: &[Acc], cuts: &[Option<Cut>]| {
+            accs.iter()
+                .zip(cuts)
+                .filter_map(|(acc, cut)| match acc {
+                    Acc::Weight(_, cap, _) if !cut.as_ref().is_some_and(Cut::stopped) => Some(*cap),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0)
+        };
+        let mut cap_max = poly_cap(self.accs, self.cuts);
+        let mut walking = self
+            .cuts
+            .iter()
+            .filter(|c| !c.as_ref().is_some_and(Cut::stopped))
+            .count();
+        // The shared prefix polynomial, capped at the largest horizon still
+        // read.
+        let mut g_poly = Poly::one();
+        for (step, t) in db.by_score().iter().enumerate() {
+            if CAPPED && walking == 0 {
+                break;
+            }
+            // Cooperative cancellation: abandon the walk once every consumer
+            // has given up (polled every 256 score steps).
+            if step & 0xFF == 0 && spec.is_cancelled() {
+                return None;
+            }
+            let id = offset + t.id.index();
+            let mut weight_stopped = false;
+            let consumers = self
+                .accs
+                .iter_mut()
+                .zip(self.answers.iter_mut())
+                .zip(self.cuts.iter_mut())
+                .zip(self.streams.iter_mut());
+            for (((acc, answer), cut), stream) in consumers {
+                if let (true, Some(cut)) = (CAPPED, &mut *cut) {
+                    if cut.stopped() {
+                        continue;
+                    }
+                    if cut.stops_at(step, acc.bound(&g_poly, bound)) {
+                        walking -= 1;
+                        weight_stopped |= matches!(acc, Acc::Weight(..));
+                        continue;
+                    }
                 }
-                if cut.stops_at(step, acc.bound(&g_poly, bound)) {
-                    walking -= 1;
-                    weight_stopped |= matches!(acc, Acc::Weight(..));
-                    continue;
+                let key = acc.eval(answer, t, id, &g_poly);
+                // A key that lands far from its score position ends the
+                // stream: sorting by id is then as good.
+                if let Some(keys) = stream {
+                    if !push_sorted(keys, packed_desc(key, id)) {
+                        *stream = None;
+                    }
+                }
+                if let (true, Some(cut)) = (CAPPED, cut) {
+                    cut.offer(key, id);
                 }
             }
-            acc.eval(answer, t, id, &g_poly);
-            if let (true, Some(cut)) = (CAPPED, cut) {
-                cut.offer(answer.walk_key(id), id);
+            if weight_stopped {
+                cap_max = poly_cap(self.accs, self.cuts);
+            }
+            if cap_max > 0 {
+                g_poly.mul_linear_in_place(1.0 - t.prob, t.prob, cap_max);
             }
         }
-        if weight_stopped {
-            cap_max = poly_cap(accs, cuts);
-        }
-        if cap_max > 0 {
-            g_poly.mul_linear_in_place(1.0 - t.prob, t.prob, cap_max);
-        }
+        Some(())
     }
-    Some(())
 }
 
 /// What a capped consumer's bound needs besides its own running state.
@@ -451,8 +501,8 @@ enum Acc<'w> {
     ),
     /// Running `Gᵢ(α)` in plain complex arithmetic.
     Complex(Complex, Complex, Option<Scaled<Complex>>),
-    /// Running `ln Gᵢ(α)`.
-    Log(f64, f64, Option<f64>),
+    /// Running `ln Gᵢ(α)`, then `α` and `ln α`.
+    Log(f64, f64, f64, Option<f64>),
     /// Running `Gᵢ(α)` in scaled arithmetic.
     Scaled(
         Scaled<Complex>,
@@ -475,12 +525,15 @@ struct Ranks {
 }
 
 impl Acc<'_> {
-    /// Evaluates tuple `t` into `answer[id]` and advances the running
-    /// state; `g_poly` is the shared prefix polynomial, advanced by the
-    /// caller. The same operations in the same order as the closed-form
-    /// kernels, then, on a shard, as the sharded walk's prefix adjustment.
+    /// Evaluates tuple `t` into `answer[id]`, advances the running state
+    /// and returns the tuple's walk key: the ranking key a capped consumer
+    /// tracks (see [`Cut`]) and a stream carries — `ℜ(Υ)`, `ln Υ`,
+    /// `log₂|Υ|` or `−er`. `g_poly` is the shared prefix polynomial,
+    /// advanced by the caller. The same operations in the same order as
+    /// the closed-form kernels, then, on a shard, as the sharded walk's
+    /// prefix adjustment.
     #[inline(always)]
-    fn eval(&mut self, answer: &mut SharedAnswer, t: &Tuple, id: usize, g_poly: &Poly) {
+    fn eval(&mut self, answer: &mut SharedAnswer, t: &Tuple, id: usize, g_poly: &Poly) -> f64 {
         match (self, answer) {
             (Acc::Weight(omega, cap, _), SharedAnswer::Complex(buf)) => {
                 // Identical loop to `prf_rank_truncated`.
@@ -491,6 +544,7 @@ impl Acc<'_> {
                     }
                 }
                 buf[id] = upsilon * t.prob;
+                buf[id].re
             }
             (Acc::Complex(g, alpha, point), SharedAnswer::Complex(buf)) => {
                 // Identical recurrence to `prfe_rank`.
@@ -500,14 +554,16 @@ impl Acc<'_> {
                     None => v,
                 };
                 *g *= Complex::real(1.0 - t.prob) + *alpha * t.prob;
+                buf[id].re
             }
-            (Acc::Log(log_g, alpha, shift), SharedAnswer::Log(buf)) => {
+            (Acc::Log(log_g, alpha, ln_alpha, shift), SharedAnswer::Log(buf)) => {
                 // Identical recurrence to `prfe_rank_log`.
                 if t.prob > 0.0 && *alpha > 0.0 && *log_g > f64::NEG_INFINITY {
-                    let v = *log_g + t.prob.ln() + alpha.ln();
+                    let v = *log_g + t.prob.ln() + *ln_alpha;
                     buf[id] = shift.map_or(v, |s| v + s);
                 }
                 *log_g += (1.0 - t.prob + t.prob * *alpha).ln();
+                buf[id]
             }
             (Acc::Scaled(g, alpha_s, alpha, point), SharedAnswer::Scaled(buf)) => {
                 // Identical recurrence to `prfe_rank_scaled`.
@@ -518,6 +574,7 @@ impl Acc<'_> {
                 };
                 let factor = Scaled::new(Complex::real(1.0 - t.prob) + *alpha * t.prob);
                 *g = g.mul(&factor);
+                buf[id].magnitude_key()
             }
             (Acc::Ranks(r), SharedAnswer::Ranks(buf)) => {
                 // Identical recurrence to `expected_ranks_independent`.
@@ -529,6 +586,7 @@ impl Acc<'_> {
                     None => er,
                 };
                 r.mass += t.prob;
+                -buf[id]
             }
             _ => unreachable!("accumulator shape matches answer shape"),
         }
@@ -552,8 +610,8 @@ impl Acc<'_> {
                     .map_or(v, |p| Scaled::new(v).mul(p).to_plain());
                 Cut::linear(v.re, b.ops)
             }
-            Acc::Log(log_g, alpha, shift) => {
-                let v = log_g + alpha.ln();
+            Acc::Log(log_g, _, ln_alpha, shift) => {
+                let v = log_g + ln_alpha;
                 Cut::log(shift.map_or(v, |s| v + s), b.ops)
             }
             Acc::Scaled(g, alpha_s, _, point) => {
@@ -567,18 +625,6 @@ impl Acc<'_> {
                 }
                 None => Cut::ranks(r.mass, r.world_size, b.max_prob, b.cross),
             },
-        }
-    }
-}
-
-impl SharedAnswer {
-    /// The ranking key of tuple `id` a capped consumer tracks (see [`Cut`]).
-    fn walk_key(&self, id: usize) -> f64 {
-        match self {
-            SharedAnswer::Complex(buf) => buf[id].re,
-            SharedAnswer::Log(buf) => buf[id],
-            SharedAnswer::Scaled(buf) => buf[id].magnitude_key(),
-            SharedAnswer::Ranks(buf) => -buf[id],
         }
     }
 }
@@ -845,6 +891,35 @@ mod tests {
             walk.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn streams_survive_only_near_score_order() {
+        // PRFe(.95) keys stay within the insertion window of their score
+        // positions on IIP data; PRFe(.999) keys and PT(100) values do not.
+        let db = prf_datasets::iip_db(20_000, 1);
+        let visit = |req: SharedRequest| {
+            let spec = SharedWalkSpec {
+                requests: vec![req],
+                threads: None,
+                cancel: None,
+            };
+            let mut carry = TopkCarry::new(&[None]).streaming(&[true]);
+            batch_walk_independent(&db, &spec, &mut carry)
+                .expect("the walk answers")
+                .visits
+                .remove(0)
+        };
+        let Visit::Stream(keys) = visit(SharedRequest::PrfeLog(0.95)) else {
+            panic!("PRFe(.95) keeps its stream");
+        };
+        let want = prfe_rank_log(&db, 0.95).unwrap();
+        let order = prf_pdb::tuple::top_k_desc(&want, want.len(), "no NaN");
+        let ids: Vec<usize> = keys.iter().map(|&p| p as u64 as usize).collect();
+        assert_eq!(ids, order);
+        assert!(matches!(visit(SharedRequest::PrfeLog(0.999)), Visit::All));
+        let pt = SharedRequest::Weight(std::sync::Arc::new(StepWeight { h: 100 }));
+        assert!(matches!(visit(pt), Visit::All));
     }
 
     #[test]

@@ -198,12 +198,26 @@ pub struct SharedWalkOut {
     /// compiled plan; an independent relation's order is stored, so its
     /// walk is the scan alone).
     pub walk_seconds: f64,
-    /// Per request, the ids of the score-order prefix its consumer
-    /// evaluated (in no particular order), when it stopped early on its `top_k`
-    /// (see [`ProbabilisticRelation::run_shared_walk_topk`]); `None` when
-    /// it evaluated every tuple. Walks that never stop early leave the
-    /// vector empty.
-    pub prefixes: Vec<Option<Vec<TupleId>>>,
+    /// Per request, what its consumer visited (see [`Visit`]). Walks that
+    /// visit every tuple and keep no order leave the vector empty.
+    pub visits: Vec<Visit>,
+}
+
+/// What one walk consumer visited, as its finalize needs it.
+#[derive(Clone, Debug, Default)]
+pub enum Visit {
+    /// Every tuple; finalize ranks the answer by id.
+    #[default]
+    All,
+    /// Stopped early on its `top_k` (see
+    /// [`ProbabilisticRelation::run_shared_walk_topk`]): the ids of the
+    /// score-order prefix it evaluated, in no particular order.
+    Prefix(Vec<TupleId>),
+    /// Every tuple, as [`prf_pdb::tuple::packed_desc`]`(walk key, id)`,
+    /// sorted best first: a walk in score order sees its keys nearly
+    /// sorted and sorts them as it goes. Only requests the carry marks as
+    /// ranking by their walk key get one.
+    Stream(Vec<u128>),
 }
 
 // ---------------------------------------------------------------------
@@ -451,7 +465,10 @@ impl QueryBatch {
         };
         // Per request, the top-k its consumer ranks: a lone request may stop
         // early (a DFT mixture sums several points, so it walks in full).
+        // An uncapped lone request that ranks by its walk key may have its
+        // keys streamed in visit order.
         let mut limits: Vec<Option<usize>> = Vec::new();
+        let mut streams: Vec<bool> = Vec::new();
         let mut tokens: Vec<CancelToken> = Vec::new();
         let mut untracked = 0usize;
         let mut slots: Vec<Slot> = Vec::with_capacity(self.entries.len());
@@ -475,8 +492,10 @@ impl QueryBatch {
                 Ok((requests, mix)) => {
                     let first = spec.requests.len();
                     let limit = self.limit(entry, &mix);
+                    let stream = mix.is_none() && ranks_by_walk_key(entry, &requests[0]);
                     spec.requests.extend(requests);
                     limits.resize(spec.requests.len(), limit);
+                    streams.resize(spec.requests.len(), stream);
                     match &entry.cancel {
                         Some(token) => tokens.push(token.clone()),
                         None => untracked += 1,
@@ -505,7 +524,7 @@ impl QueryBatch {
             Ok(None)
         } else {
             guarded(isolate, || {
-                let mut carry = TopkCarry::new(&limits);
+                let mut carry = TopkCarry::new(&limits).streaming(&streams);
                 Ok(rel.run_shared_walk_topk(&spec, &mut carry, &PreparedState::empty()))
             })
         };
@@ -519,7 +538,7 @@ impl QueryBatch {
                 };
                 let mut answers: Vec<Option<SharedAnswer>> =
                     out.answers.into_iter().map(Some).collect();
-                let mut prefixes = out.prefixes;
+                let mut visits = out.visits;
                 for (slot, a) in slots.iter().zip(&mut answered) {
                     if let Slot::Walk { requests, .. } = slot {
                         let answers = answers[requests.clone()]
@@ -530,7 +549,10 @@ impl QueryBatch {
                             answers,
                             cost,
                             stats: out.stats,
-                            prefix: prefixes.get_mut(requests.start).and_then(Option::take),
+                            visit: visits
+                                .get_mut(requests.start)
+                                .map(std::mem::take)
+                                .unwrap_or_default(),
                         }));
                     }
                 }
@@ -549,9 +571,10 @@ impl QueryBatch {
             _ => {
                 for ((slot, a), entry) in slots.iter().zip(&mut answered).zip(&self.entries) {
                     if let Slot::Walk { requests, .. } = slot {
-                        let limits = &limits[requests.clone()];
+                        let carry = TopkCarry::new(&limits[requests.clone()])
+                            .streaming(&streams[requests.clone()]);
                         let requests = spec.requests[requests.clone()].to_vec();
-                        *a = Some(self.walk_alone(rel, entry, requests, limits, isolate));
+                        *a = Some(self.walk_alone(rel, entry, requests, carry, isolate));
                     }
                 }
             }
@@ -644,7 +667,7 @@ impl QueryBatch {
         rel: &(impl ProbabilisticRelation + ?Sized),
         entry: &RankQuery,
         requests: Vec<SharedRequest>,
-        limits: &[Option<usize>],
+        mut carry: TopkCarry,
         isolate: bool,
     ) -> Result<Answered, QueryError> {
         let spec = SharedWalkSpec {
@@ -656,7 +679,6 @@ impl QueryBatch {
             return Err(QueryError::TimedOut);
         }
         let out = guarded(isolate, || {
-            let mut carry = TopkCarry::new(limits);
             Ok(rel.run_shared_walk_topk(&spec, &mut carry, &PreparedState::empty()))
         })?;
         let mut out = out.ok_or_else(|| walk_failure(entry, rel.correlation_class()))?;
@@ -667,7 +689,11 @@ impl QueryBatch {
                 consumers: 1,
             },
             stats: out.stats,
-            prefix: out.prefixes.get_mut(0).and_then(Option::take),
+            visit: out
+                .visits
+                .get_mut(0)
+                .map(std::mem::take)
+                .unwrap_or_default(),
         })
     }
 
@@ -730,11 +756,14 @@ impl QueryBatch {
     ) -> Result<RankedResult, QueryError> {
         let finalize_start = Instant::now();
         let cap = self.cap(entry, n);
-        let order = |default| entry.value_order.unwrap_or(default);
-        let prefix = answered.prefix.as_deref();
+        let visit = answered.visit;
+        let scanned = match &visit {
+            Visit::Prefix(ids) => ids.len(),
+            _ => n,
+        };
         let mut answers = answered.answers.into_iter();
-        let (values, ranking) = match (mix, &entry.semantics) {
-            (Some(weights), _) => {
+        let (values, ranking) = match mix {
+            Some(weights) => {
                 let mut acc = vec![Scaled::<Complex>::zero(); n];
                 for (&u, answer) in weights.iter().zip(answers) {
                     let SharedAnswer::Scaled(vals) = answer else {
@@ -745,34 +774,27 @@ impl QueryBatch {
                         *a = a.add(&v.mul(&us));
                     }
                 }
-                let ranking = rank_scaled(&acc, order(ValueOrder::RealPart), None, cap);
+                let ranking = rank_scaled(&acc, scaled_order(entry, true), Visit::All, cap);
                 (Values::Scaled(acc), ranking)
             }
-            (None, sem) => match answers.next().expect("one answer per request") {
+            None => match answers.next().expect("one answer per request") {
                 SharedAnswer::Complex(vals) => {
-                    // The classical real-valued semantics rank by the real
-                    // part (identical to |Υ| for their non-negative values,
-                    // and bitwise-stable for differential comparisons).
-                    let default = match sem {
-                        Semantics::Pt(_) | Semantics::Consensus(_) => ValueOrder::RealPart,
-                        _ => ValueOrder::Magnitude,
-                    };
-                    let key = order(default);
-                    let ranking = Ranking::select(n, prefix, cap, |i| key.key(vals[i]));
+                    let key = complex_order(entry);
+                    let ranking = rank_visited(visit, n, cap, |i| key.key(vals[i]));
                     (Values::Complex(vals), ranking)
                 }
                 SharedAnswer::Log(keys) => {
-                    let ranking = Ranking::select(n, prefix, cap, |i| keys[i]);
+                    let ranking = rank_visited(visit, n, cap, |i| keys[i]);
                     (Values::LogDomain(keys), ranking)
                 }
                 SharedAnswer::Scaled(vals) => {
-                    let ranking = rank_scaled(&vals, order(ValueOrder::Magnitude), prefix, cap);
+                    let ranking = rank_scaled(&vals, scaled_order(entry, false), visit, cap);
                     (Values::Scaled(vals), ranking)
                 }
                 SharedAnswer::Ranks(er) => {
                     // Negated so that — like every other semantics — higher
                     // values rank better.
-                    let ranking = Ranking::select(n, prefix, cap, |i| -er[i]);
+                    let ranking = rank_visited(visit, n, cap, |i| -er[i]);
                     let vals = er.into_iter().map(|e| Complex::real(-e)).collect();
                     (Values::Complex(vals), ranking)
                 }
@@ -790,7 +812,7 @@ impl QueryBatch {
         report.total_seconds = amortized + finalize_start.elapsed().as_secs_f64();
         report.memory = answered.stats;
         report.batch = Some(answered.cost);
-        report.tuples_scanned = Some(prefix.map_or(n, <[TupleId]>::len));
+        report.tuples_scanned = Some(scanned);
         Ok(RankedResult {
             values,
             ranking,
@@ -889,13 +911,59 @@ impl Slot {
     }
 }
 
-/// A walk consumer's answers with their cost attribution, and the
-/// score-order prefix it was cut to, if it stopped early.
+/// A walk consumer's answers with their cost attribution, and what it
+/// visited.
 struct Answered {
     answers: Vec<SharedAnswer>,
     cost: BatchCost,
     stats: Option<GfStats>,
-    prefix: Option<Vec<TupleId>>,
+    visit: Visit,
+}
+
+/// The order a plain-valued walk answer is ranked by: the classical
+/// real-valued semantics rank by the real part (identical to |Υ| for their
+/// non-negative values, and bitwise-stable for differential comparisons).
+fn complex_order(entry: &RankQuery) -> ValueOrder {
+    entry.value_order.unwrap_or(match entry.semantics {
+        Semantics::Pt(_) | Semantics::Consensus(_) => ValueOrder::RealPart,
+        _ => ValueOrder::Magnitude,
+    })
+}
+
+/// The order a scaled walk answer is ranked by; a DFT mixture's sum
+/// (`mixture`) defaults to the real part.
+fn scaled_order(entry: &RankQuery, mixture: bool) -> ValueOrder {
+    let default = if mixture {
+        ValueOrder::RealPart
+    } else {
+        ValueOrder::Magnitude
+    };
+    entry.value_order.unwrap_or(default)
+}
+
+/// Whether finalize ranks a lone `request` of `entry` by the key the walk
+/// tracks for it ([`SharedAnswer`]'s walk key: `ℜ(Υ)`, `log₂|Υ|`, `ln Υ`,
+/// `−er`), so that the walk's visit-order keys can be sorted directly.
+fn ranks_by_walk_key(entry: &RankQuery, request: &SharedRequest) -> bool {
+    match request {
+        SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
+            complex_order(entry) == ValueOrder::RealPart
+        }
+        SharedRequest::PrfeScaled(_) => scaled_order(entry, false) == ValueOrder::Magnitude,
+        SharedRequest::PrfeLog(_) | SharedRequest::ExpectedRanks => true,
+    }
+}
+
+/// Ranks an `n`-tuple walk answer by `key(id)` from what its consumer
+/// visited, materialising the best `k`: a stream is already sorted by
+/// `key`, a prefix is ranked alone (see [`Ranking::select`]). `None` when
+/// a ranked key is NaN.
+fn rank_visited(visit: Visit, n: usize, k: usize, key: impl Fn(usize) -> f64) -> Option<Ranking> {
+    match visit {
+        Visit::All => Ranking::select(n, None, k, key),
+        Visit::Prefix(ids) => Ranking::select(n, Some(&ids), k, key),
+        Visit::Stream(stream) => Ranking::from_stream(stream, k, key),
+    }
 }
 
 /// Whether a semantics is answered by the walk or directly.
@@ -1006,24 +1074,31 @@ fn guarded<T>(isolate: bool, f: impl FnOnce() -> Result<T, QueryError>) -> Resul
     })
 }
 
-/// Ranks scaled Υ values by `order` — all of them, or only `candidates` —
-/// materialising the best `k`. `None` when a magnitude key is NaN.
+/// Ranks scaled Υ values by `order` from what their consumer visited (see
+/// [`rank_visited`]), materialising the best `k`. `None` when a magnitude
+/// key is NaN.
 fn rank_scaled(
     vals: &[Scaled<Complex>],
     order: ValueOrder,
-    candidates: Option<&[TupleId]>,
+    visit: Visit,
     k: usize,
 ) -> Option<Ranking> {
     let n = vals.len();
     match order {
-        ValueOrder::Magnitude => Ranking::select(n, candidates, k, |i| vals[i].magnitude_key()),
-        ValueOrder::RealPart => Some(Ranking::select_by(
-            n,
-            candidates,
-            k,
-            |i| vals[i].real_part_key(),
-            |k| k.display(),
-        )),
+        ValueOrder::Magnitude => rank_visited(visit, n, k, |i| vals[i].magnitude_key()),
+        ValueOrder::RealPart => {
+            let candidates = match &visit {
+                Visit::Prefix(ids) => Some(&ids[..]),
+                _ => None,
+            };
+            Some(Ranking::select_by(
+                n,
+                candidates,
+                k,
+                |i| vals[i].real_part_key(),
+                |k| k.display(),
+            ))
+        }
     }
 }
 

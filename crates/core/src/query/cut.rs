@@ -42,10 +42,22 @@ impl TopkCarry {
                 .map(|k| RequestCarry {
                     cap: k.map_or(Cap::Full, Cap::Pending),
                     point: None,
+                    stream: false,
                 })
                 .collect(),
             shard: None,
         }
+    }
+
+    /// Marks the requests whose finalize ranks by their walk key
+    /// (`streams`, parallel to the requests): a walk that reads every tuple
+    /// for one of them may report its keys in visit order
+    /// ([`super::batch::Visit::Stream`]).
+    pub(crate) fn streaming(mut self, streams: &[bool]) -> Self {
+        for (rc, &stream) in self.requests.iter_mut().zip(streams) {
+            rc.stream = stream;
+        }
+        self
     }
 
     /// `true` when no walk has started on this carry and it describes no
@@ -69,6 +81,8 @@ pub(crate) struct RequestCarry {
     /// `P_k(α)`, the PRFe point of the higher-scored shards, for a PRFe
     /// request walking a shard.
     pub(crate) point: Option<Scaled<Complex>>,
+    /// Whether finalize ranks this request by its walk key.
+    pub(crate) stream: bool,
 }
 
 /// Where a request stands in its capped walk.

@@ -100,20 +100,23 @@ pub fn positional_candidates_independent(db: &IndependentDb, k: usize) -> Positi
     table
 }
 
-/// Candidate table on an and/xor tree: the `O(n·k·log n)` x-tuple fast path
-/// per position when available, otherwise one truncated symbolic expansion
-/// per tuple.
+/// Candidate table on an and/xor tree: on an x-tuple tree, one run of the
+/// blocked x-tuple kernel serving all `k` positions as truncation views,
+/// otherwise one truncated symbolic expansion per tuple.
 pub fn positional_candidates_tree(tree: &AndXorTree, k: usize) -> PositionalCandidates {
-    use crate::weights::PositionWeight;
+    use crate::weights::{PositionWeight, WeightFunction};
     let n = tree.n_tuples();
     let mut table = PositionalCandidates::new(k);
     if tree.is_x_tuple() {
-        for j in 1..=k {
-            let w = PositionWeight { j };
-            let vals =
-                crate::xtuple::prf_omega_rank_xtuple(tree, &w).expect("x-tuple form checked");
+        // Every position's weight from one run of the blocked kernel.
+        let weights: Vec<PositionWeight> = (1..=k).map(|j| PositionWeight { j }).collect();
+        let omegas: Vec<&dyn WeightFunction> =
+            weights.iter().map(|w| w as &dyn WeightFunction).collect();
+        let vals =
+            crate::xtuple::prf_omega_rank_xtuple_many(tree, &omegas).expect("x-tuple form checked");
+        for (j, vals) in vals.iter().enumerate() {
             for (t, v) in vals.iter().enumerate() {
-                table.push(j - 1, v.re, TupleId(t as u32));
+                table.push(j, v.re, TupleId(t as u32));
             }
         }
     } else {
@@ -409,6 +412,35 @@ pub fn selection_value(db: &IndependentDb, set: &[TupleId]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn xtuple_candidates_match_one_kernel_run_per_position() {
+        use crate::weights::PositionWeight;
+        for (n, seed) in [(0, 0), (1, 1), (300, 2), (700, 3)] {
+            let tree = prf_datasets::syn_xor_tree(n, seed);
+            for k in [0, 1, 7, 50] {
+                let mut per_j = PositionalCandidates::new(k);
+                for j in 1..=k {
+                    let w = PositionWeight { j };
+                    let vals = crate::xtuple::prf_omega_rank_xtuple(&tree, &w).unwrap();
+                    for (t, v) in vals.iter().enumerate() {
+                        per_j.push(j - 1, v.re, TupleId(t as u32));
+                    }
+                }
+                let table = positional_candidates_tree(&tree, k);
+                for pos in 0..k {
+                    let bits = |l: &[(f64, TupleId)]| -> Vec<(u64, TupleId)> {
+                        l.iter().map(|&(p, t)| (p.to_bits(), t)).collect()
+                    };
+                    assert_eq!(
+                        bits(table.at(pos)),
+                        bits(per_j.at(pos)),
+                        "n {n} k {k} pos {pos}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn candidate_table_caps_and_orders() {

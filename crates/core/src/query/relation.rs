@@ -130,7 +130,7 @@ pub trait ProbabilisticRelation {
     /// the shard's prefix state ([`TopkCarry`]). A backend walking in score
     /// order may stop a capped consumer at the first position where no
     /// unread tuple can enter its top `k`, and report the visited prefix in
-    /// [`SharedWalkOut::prefixes`]; that answer is exact on the prefix and
+    /// [`SharedWalkOut::visits`]; that answer is exact on the prefix and
     /// holds the worst value of its shape beyond it. The stop point must
     /// depend only on the relation and the consumer's own request and `k`.
     ///

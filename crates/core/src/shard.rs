@@ -66,10 +66,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use prf_numeric::{Complex, GfValue, Poly, Scaled};
+use prf_pdb::tuple::sort_tail_within;
 use prf_pdb::{Tuple, TupleId};
 
 use crate::incremental::GfStats;
-use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec, Visit};
 use crate::query::cut::{Cap, ShardCarry};
 use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, TopkCarry};
 use crate::weights::{tabulate, TabulatedWeight, WeightFunction};
@@ -461,7 +462,19 @@ impl ShardedRelation {
         let mut point_acc = vec![Scaled::<Complex>::one(); alphas.len()];
         let mut c_pre = 0.0f64;
         let mut answers = spec.answer_buffers(n);
-        let mut prefixes: Vec<Option<Vec<TupleId>>> = vec![None; spec.requests.len()];
+        // A stream is every shard's, in shard order, sorted across each
+        // boundary; plain shard walks keep none.
+        let mut visits: Vec<Visit> = carry
+            .requests
+            .iter()
+            .map(|rc| {
+                if rc.stream && !plain {
+                    Visit::Stream(Vec::new())
+                } else {
+                    Visit::All
+                }
+            })
+            .collect();
         let mut stats: Option<GfStats> = None;
         let empty = PreparedState::empty();
         for (k, shard) in self.shards.iter().enumerate() {
@@ -523,10 +536,23 @@ impl ShardedRelation {
                     answers = out.answers;
                     stats = merge_stats(stats, out.stats);
                     // A consumer that stopped here visited every earlier
-                    // shard.
-                    for (slot, visited) in prefixes.iter_mut().zip(out.prefixes) {
-                        if let Some(visited) = visited {
-                            *slot = Some((0..offset as u32).map(TupleId).chain(visited).collect());
+                    // shard; a stream continues the earlier shards'.
+                    let mut shard_visits = out.visits.into_iter();
+                    for slot in &mut visits {
+                        match (&mut *slot, shard_visits.next().unwrap_or_default()) {
+                            (_, Visit::Prefix(visited)) => {
+                                let ids = (0..offset as u32).map(TupleId).chain(visited);
+                                *slot = Visit::Prefix(ids.collect());
+                            }
+                            (Visit::Stream(all), Visit::Stream(mut keys)) => {
+                                let from = all.len();
+                                all.append(&mut keys);
+                                if !sort_tail_within(all, from) {
+                                    *slot = Visit::All;
+                                }
+                            }
+                            (Visit::Stream(_), _) => *slot = Visit::All,
+                            _ => {}
                         }
                     }
                     if carry.settled() {
@@ -555,7 +581,7 @@ impl ShardedRelation {
             answers,
             stats,
             walk_seconds: start.elapsed().as_secs_f64(),
-            prefixes,
+            visits,
         })
     }
 }

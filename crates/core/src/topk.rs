@@ -6,7 +6,7 @@
 //! imaginary parts and are ranked by real part instead ([`ValueOrder`]).
 
 use prf_numeric::Complex;
-use prf_pdb::tuple::top_k_desc_of;
+use prf_pdb::tuple::{top_k_desc_of, unpack_desc};
 use prf_pdb::TupleId;
 
 /// How complex Υ values are mapped to the totally ordered ranking key.
@@ -100,6 +100,36 @@ impl Ranking {
             keys: idx.iter().map(|&i| key(i)).collect(),
             order: idx.into_iter().map(|i| TupleId(i as u32)).collect(),
         })
+    }
+
+    /// The top-`k` of `sorted`, ascending
+    /// [`prf_pdb::tuple::packed_desc`]`(key(id), id)` entries, unpacked
+    /// straight into the ranking — identical to [`Ranking::select`] over
+    /// the same tuples. `None` when a key is NaN.
+    pub(crate) fn from_stream(
+        sorted: Vec<u128>,
+        k: usize,
+        key: impl Fn(usize) -> f64,
+    ) -> Option<Self> {
+        let mut order = Vec::with_capacity(k.min(sorted.len()));
+        let mut keys = Vec::with_capacity(k.min(sorted.len()));
+        for (rank, p) in sorted.into_iter().enumerate() {
+            let (packed_key, i) = unpack_desc(p);
+            // The packing folds `-0.0` onto `0.0`: read a zero's sign back.
+            let key = if packed_key == 0.0 {
+                key(i)
+            } else {
+                packed_key
+            };
+            if key.is_nan() {
+                return None;
+            }
+            if rank < k {
+                order.push(TupleId(i as u32));
+                keys.push(key);
+            }
+        }
+        Some(Ranking { order, keys })
     }
 
     /// Ranks tuples by arbitrary partially ordered keys (higher is better,

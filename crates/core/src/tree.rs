@@ -46,7 +46,7 @@ use prf_pdb::tuple::top_k_desc;
 use prf_pdb::{AndXorTree, Tuple, TupleId};
 
 use crate::incremental::{EvalPlan, GfStats, IncrementalGf};
-use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
+use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec, Visit};
 use crate::query::cut::{envelope, Cap, Cut, TopkCarry};
 use crate::weights::WeightFunction;
 
@@ -719,7 +719,7 @@ fn finish_erank_answers(
 /// tree's shape, one kernel run at the largest horizon for all of them —
 /// and need no walk at all. A request that `carry` caps at `k` and whose
 /// weight has an envelope stops at the first block end that settles its
-/// top `k`, reported in [`SharedWalkOut::prefixes`]. `start` marks when the
+/// top `k`, reported in [`SharedWalkOut::visits`]. `start` marks when the
 /// caller began, so the reported walk time includes any preparation it
 /// did.
 ///
@@ -760,7 +760,7 @@ pub(crate) fn batch_walk_tree(
     } else {
         None
     };
-    let mut prefixes = Vec::new();
+    let mut visits = Vec::new();
     if let Some(groups) = groups.filter(|_| !consumers.xtuple.is_empty()) {
         let mut xs: Vec<crate::xtuple::Consumer> = consumers
             .xtuple
@@ -785,11 +785,11 @@ pub(crate) fn batch_walk_tree(
             &prep.marginals,
             || spec.is_cancelled(),
         )?;
-        prefixes = vec![None; spec.requests.len()];
+        visits = vec![Visit::All; spec.requests.len()];
         for ((&(req, _, _), v), x) in consumers.xtuple.iter().zip(vals).zip(xs) {
             answers[req] = SharedAnswer::Complex(v);
             if let Some(e) = x.cut.and_then(|(cut, _)| cut.stop) {
-                prefixes[req] = Some(prep.order[..e].to_vec());
+                visits[req] = Visit::Prefix(prep.order[..e].to_vec());
             }
         }
     }
@@ -797,7 +797,7 @@ pub(crate) fn batch_walk_tree(
         answers,
         stats,
         walk_seconds: start.elapsed().as_secs_f64(),
-        prefixes,
+        visits,
     })
 }
 

@@ -110,16 +110,31 @@ pub fn prf_omega_rank_xtuple(
     tree: &AndXorTree,
     omega: &dyn WeightFunction,
 ) -> Option<Vec<Complex>> {
+    prf_omega_rank_xtuple_many(tree, &[omega])?.pop()
+}
+
+/// [`prf_omega_rank_xtuple`] for several truncated weights from one kernel
+/// run, one value vector per weight, each identical to its own run. `None`
+/// when the tree is not in x-tuple form or a weight has no truncation
+/// horizon.
+pub(crate) fn prf_omega_rank_xtuple_many(
+    tree: &AndXorTree,
+    omegas: &[&dyn WeightFunction],
+) -> Option<Vec<Vec<Complex>>> {
     let groups = tree.x_tuple_groups()?;
-    let h = omega.truncation()?;
+    let mut consumers = omegas
+        .iter()
+        .map(|&omega| {
+            Some(Consumer {
+                omega,
+                h: omega.truncation()?,
+                cut: None,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
     let (order, _) = score_order(tree);
     let marginals = tree.marginals();
-    let mut consumers = [Consumer {
-        omega,
-        h,
-        cut: None,
-    }];
-    rank_groups(tree, &groups, &mut consumers, &order, &marginals, || false)?.pop()
+    rank_groups(tree, &groups, &mut consumers, &order, &marginals, || false)
 }
 
 /// The blocked kernel for several truncated weights at once, over the

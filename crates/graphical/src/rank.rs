@@ -359,7 +359,7 @@ impl prf_core::query::ProbabilisticRelation for NetworkRelation {
             answers,
             stats: None,
             walk_seconds: start.elapsed().as_secs_f64(),
-            prefixes: Vec::new(),
+            visits: Vec::new(),
         })
     }
 }

@@ -72,15 +72,104 @@ pub fn packed_desc(key: f64, index: usize) -> u128 {
     (u128::from(!ascending) << 64) | index as u128
 }
 
+/// The key [`packed_desc`] packed into `packed`'s high word, and the index
+/// in its low word. Exact for every key but `-0.0`, which the packing folds
+/// onto `0.0`.
+#[inline]
+pub fn unpack_desc(packed: u128) -> (f64, usize) {
+    let ascending = !((packed >> 64) as u64);
+    let bits = if ascending >> 63 == 1 {
+        ascending & !(1 << 63)
+    } else {
+        !ascending
+    };
+    (f64::from_bits(bits), packed as u64 as usize)
+}
+
+/// How far one element may move in the bounded insertion of
+/// [`sort_packed`] and [`push_sorted`].
+const INSERTION_WINDOW: usize = 64;
+
+/// Sorts `packed` ascending ([`packed_desc`] order: best first) and keeps
+/// its first `k` entries. `k < len` selects the best `k` with
+/// `select_nth_unstable` and sorts only those, giving exactly the full
+/// sort's prefix. A full sort first runs insertion ([`sort_tail_within`]),
+/// which costs one pass plus the total displacement on nearly sorted
+/// input, and falls back to `sort_unstable` as soon as one element would
+/// move further than a fixed window. The keys are distinct (indices break
+/// ties), so every route gives the same result.
+fn sort_packed(packed: &mut Vec<u128>, k: usize) {
+    if k < packed.len() {
+        if k > 0 {
+            packed.select_nth_unstable(k - 1);
+        }
+        packed.truncate(k);
+        packed.sort_unstable();
+    } else if !sort_tail_within(packed, 1) {
+        packed.sort_unstable();
+    }
+}
+
+/// Appends `packed` to `sorted`, an ascending stream being built, and
+/// sorts each block of [`SORT_BLOCK`] entries into the rest by bounded
+/// insertion as it fills, while it is still in cache. `false` once a key
+/// would move further than the insertion window (`sorted` is then left in
+/// some order). A walk that visits tuples in score order builds its sorted
+/// ranking keys this way while they stay close to that order, and ends
+/// with [`sort_tail_within`] over the last, partial block.
+#[inline]
+pub fn push_sorted(sorted: &mut Vec<u128>, packed: u128) -> bool {
+    sorted.push(packed);
+    let len = sorted.len();
+    len % SORT_BLOCK != 0 || sort_tail_within(sorted, len - SORT_BLOCK)
+}
+
+/// How many entries [`push_sorted`] appends between two insertion passes.
+pub const SORT_BLOCK: usize = 4096;
+
+/// Sorts `v[from..]` into the ascending `v[..from]` by insertion: `true`
+/// when no element moved further than a fixed window and `v` is sorted,
+/// `false` (with `v` left in some order) as soon as one would.
+pub fn sort_tail_within(v: &mut [u128], from: usize) -> bool {
+    (from.max(1)..v.len()).all(|i| sift_within(v, i))
+}
+
+/// Moves `v[i]` down into the sorted `v[..i]`; gives up (leaving `v`
+/// unchanged) when it would move more than the insertion window. `true`
+/// when `v[..=i]` is sorted.
+#[inline]
+fn sift_within(v: &mut [u128], i: usize) -> bool {
+    let x = v[i];
+    if i == 0 || v[i - 1] <= x {
+        return true;
+    }
+    // More than the window's worth of larger keys precede `x`.
+    let floor = i.saturating_sub(INSERTION_WINDOW);
+    if floor > 0 && v[floor - 1] > x {
+        return false;
+    }
+    let window = &mut v[floor..=i];
+    let mut j = window.len() - 1;
+    while j > 0 && window[j - 1] > x {
+        window[j] = window[j - 1];
+        j -= 1;
+    }
+    window[j] = x;
+    true
+}
+
 /// Indices of the `k` largest `keys`, best first: key descending, ties by
 /// index ascending (a total order, so the result is deterministic). `k ≥
-/// len` sorts everything; smaller `k` selects the best `k` with
-/// `select_nth_unstable` and sorts only those, giving exactly the full
-/// sort's prefix.
+/// len` sorts everything; smaller `k` selects the best `k` and sorts only
+/// those, giving exactly the full sort's prefix.
 ///
 /// This is the workspace's one `f64` sort: every score order and every
-/// ranking is built here, as an unstable sort of [`packed_desc`] keys.
-/// Already-sorted input (score-sorted shards) costs one linear pass.
+/// ranking is built here, over [`packed_desc`] keys. A full sort first
+/// tries insertion ([`sort_tail_within`]) and falls back to
+/// `sort_unstable` once an element would move further than a fixed
+/// window, so input that is sorted, or nearly so, costs one linear pass
+/// plus the distance its elements move. A walk's ranking keys, nearly
+/// sorted in score order, are sorted as they come ([`push_sorted`]).
 ///
 /// # Panics
 /// Panics with `nan_message` when a key is NaN.
@@ -108,13 +197,7 @@ pub fn top_k_desc_of(
     if nan {
         return None;
     }
-    if k < packed.len() {
-        if k > 0 {
-            packed.select_nth_unstable(k - 1);
-        }
-        packed.truncate(k);
-    }
-    packed.sort_unstable();
+    sort_packed(&mut packed, k);
     Some(packed.into_iter().map(|p| p as u64 as usize).collect())
 }
 
@@ -168,8 +251,136 @@ mod tests {
     }
 
     #[test]
+    fn insertion_moves_at_most_the_window() {
+        // One key `d` places behind its sorted position.
+        let displaced = |d: usize| {
+            let mut v: Vec<u128> = (0..200).collect();
+            v[100..=100 + d].rotate_left(1);
+            v
+        };
+        for d in [INSERTION_WINDOW - 1, INSERTION_WINDOW] {
+            let mut v = displaced(d);
+            assert!(sort_tail_within(&mut v, 1), "displacement {d}");
+            assert!(v.windows(2).all(|w| w[0] < w[1]));
+        }
+        let mut v = displaced(INSERTION_WINDOW + 1);
+        assert!(!sort_tail_within(&mut v, 1));
+        sort_packed(&mut v, 200);
+        assert_eq!(v, (0..200).collect::<Vec<u128>>());
+        // A stream keeps its blocks sorted and stops at the first far key.
+        let mut stream = Vec::new();
+        assert!((0..SORT_BLOCK as u128).all(|p| push_sorted(&mut stream, p ^ 1)));
+        assert_eq!(stream, (0..SORT_BLOCK as u128).collect::<Vec<_>>());
+        let mut stream = Vec::new();
+        let last = SORT_BLOCK as u128 - 1;
+        let far = (0..=last).map(|p| if p == last { 0 } else { p + 1 });
+        assert!(!far.into_iter().all(|p| push_sorted(&mut stream, p)));
+    }
+
+    #[test]
+    fn unpacking_inverts_the_packing() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -5e-324,
+            0.0,
+            5e-324,
+            1.0,
+            f64::INFINITY,
+        ];
+        for (i, &k) in keys.iter().enumerate() {
+            let (key, index) = unpack_desc(packed_desc(k, i));
+            assert_eq!((key.to_bits(), index), (k.to_bits(), i));
+        }
+        // `-0.0` comes back as `0.0`; NaN stays NaN.
+        assert_eq!(unpack_desc(packed_desc(-0.0, 3)).0.to_bits(), 0);
+        assert!(unpack_desc(packed_desc(f64::NAN, 0)).0.is_nan());
+    }
+
+    #[test]
     #[should_panic(expected = "scores must not be NaN")]
     fn nan_keys_panic_with_the_given_message() {
         top_k_desc(&[1.0, f64::NAN], 2, "scores must not be NaN");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle: a comparator sort on `(key desc, index asc)`, `None`
+    /// when a key is NaN.
+    fn comparator_top_k(entries: &[(usize, f64)], k: usize) -> Option<Vec<usize>> {
+        if entries.iter().any(|(_, key)| key.is_nan()) {
+            return None;
+        }
+        let mut sorted = entries.to_vec();
+        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        Some(sorted.into_iter().take(k).map(|(i, _)| i).collect())
+    }
+
+    /// `n` entries of one input shape, from a seeded generator: keys in
+    /// score order with indices shuffled in, so every shape also exercises
+    /// ties broken by index.
+    fn entries(shape: u32, n: usize, seed: u64) -> Vec<(usize, f64)> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.0, -1.0];
+        let mut keys: Vec<f64> = match shape {
+            // Sorted best first, reversed, random.
+            0 => (0..n).map(|i| (n - i) as f64).collect(),
+            1 => (0..n).map(|i| i as f64).collect(),
+            2 => (0..n).map(|_| (next() % 1000) as f64 / 7.0).collect(),
+            // Sorted, then one key displaced below, at or one past the
+            // insertion window.
+            3..=5 => {
+                let mut keys: Vec<f64> = (0..n).map(|i| (n - i) as f64).collect();
+                let d = INSERTION_WINDOW - 4 + shape as usize;
+                if n > d {
+                    let at = (next() as usize) % (n - d);
+                    keys[at..=at + d].rotate_left(1);
+                }
+                keys
+            }
+            // Few distinct keys: ties everywhere.
+            6 => (0..n).map(|_| (next() % 3) as f64).collect(),
+            // Signed zeros and infinities, sometimes a NaN.
+            _ => {
+                let mut keys: Vec<f64> = (0..n)
+                    .map(|_| specials[(next() % specials.len() as u64) as usize])
+                    .collect();
+                if n > 0 && next() % 3 == 0 {
+                    keys[(next() as usize) % n] = f64::NAN;
+                }
+                keys
+            }
+        };
+        // Indices out of order: each key gets a shuffled index.
+        let mut ids: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, (next() as usize) % (i + 1));
+        }
+        keys.truncate(n);
+        ids.into_iter().zip(keys).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn top_k_matches_a_comparator_sort(
+            shape in 0u32..8,
+            n in 0usize..300,
+            seed in 0u64..1_000_000,
+            k in 0usize..320,
+        ) {
+            let entries = entries(shape, n, seed);
+            let want = comparator_top_k(&entries, k);
+            prop_assert_eq!(top_k_desc_of(entries.iter().copied(), k), want);
+        }
     }
 }

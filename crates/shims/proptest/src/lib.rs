@@ -239,9 +239,10 @@ pub mod test_runner {
         h
     }
 
-    /// Upper bound on successful shrink steps per failure — a runaway
-    /// backstop, far above what the halving strategies need.
-    const MAX_SHRINK_STEPS: usize = 1024;
+    /// Property evaluations one failure's shrinking may spend, passing
+    /// candidates included — a deterministic budget, far above what the
+    /// halving strategies need on the shim's own strategies.
+    pub const MAX_SHRINK_EVALUATIONS: usize = 1024;
 
     /// A failing property case after shrinking.
     #[derive(Clone, Debug)]
@@ -253,6 +254,10 @@ pub mod test_runner {
         pub case: u32,
         /// Number of successful shrink steps applied to the raw value.
         pub shrink_steps: usize,
+        /// Property evaluations shrinking spent, at most
+        /// [`MAX_SHRINK_EVALUATIONS`]; at the budget, `message` is the
+        /// smallest failure found so far rather than a local minimum.
+        pub shrink_evaluations: usize,
         /// The assertion message of the raw (as-generated) failing value.
         pub raw_message: String,
         /// The assertion message of the minimal (shrunk) failing value —
@@ -291,11 +296,13 @@ pub mod test_runner {
                     );
                 }
                 Err(TestCaseError::Fail(raw_message)) => {
-                    let (message, shrink_steps) = shrink_failure(tree, raw_message.clone(), case);
+                    let (message, shrink_steps, shrink_evaluations) =
+                        shrink_failure(tree, raw_message.clone(), case);
                     return Err(Failure {
                         seed,
                         case: passed,
                         shrink_steps,
+                        shrink_evaluations,
                         raw_message,
                         message,
                     });
@@ -307,17 +314,23 @@ pub mod test_runner {
 
     /// Greedy shrinking over [`crate::strategy::ValueTree`]s: repeatedly
     /// replace the failing tree by the first simpler candidate whose value
-    /// still fails, until no candidate fails (a local minimum) or the step
-    /// backstop is hit. `prop_assume!` rejections and passing candidates
-    /// are skipped.
+    /// still fails, until no candidate fails (a local minimum) or
+    /// [`MAX_SHRINK_EVALUATIONS`] evaluations are spent. `prop_assume!`
+    /// rejections and passing candidates are skipped, but count. Returns
+    /// the smallest failure's message, the steps taken and the
+    /// evaluations spent.
     fn shrink_failure<T: crate::strategy::ValueTree>(
         mut current: T,
         mut message: String,
         case: &mut impl FnMut(T::Value) -> Result<(), TestCaseError>,
-    ) -> (String, usize) {
-        let mut steps = 0usize;
-        'outer: while steps < MAX_SHRINK_STEPS {
+    ) -> (String, usize, usize) {
+        let (mut steps, mut evaluations) = (0usize, 0usize);
+        'outer: loop {
             for candidate in current.shrink() {
+                if evaluations == MAX_SHRINK_EVALUATIONS {
+                    break 'outer;
+                }
+                evaluations += 1;
                 if let Err(TestCaseError::Fail(msg)) = case(candidate.current()) {
                     current = candidate;
                     message = msg;
@@ -327,7 +340,7 @@ pub mod test_runner {
             }
             break; // no simpler candidate fails: minimal
         }
-        (message, steps)
+        (message, steps, evaluations)
     }
 
     /// Drives one property test: runs `config.cases` cases (with a bounded
@@ -349,9 +362,14 @@ pub mod test_runner {
                     msg = f.message
                 );
             }
+            let budget = if f.shrink_evaluations == MAX_SHRINK_EVALUATIONS {
+                " (shrink budget spent: smallest failure so far)"
+            } else {
+                ""
+            };
             panic!(
                 "proptest '{test_name}' failed at case #{case} (seed {seed:#x}), \
-                 shrunk {steps} steps: {msg}\n(raw case: {raw})",
+                 shrunk {steps} steps{budget}: {msg}\n(raw case: {raw})",
                 case = f.case,
                 seed = f.seed,
                 steps = f.shrink_steps,
@@ -691,6 +709,59 @@ mod tests {
         });
         // 10·(n+3) ≥ 1000 ⇔ n ≥ 97 ⇒ minimal output 1000.
         assert_eq!(f.message, "1000", "raw case: {}", f.raw_message);
+    }
+
+    /// A countdown whose every shrink step offers many passing decoys
+    /// before the one simpler failing value: `(n, decoy)`.
+    #[derive(Clone)]
+    struct Countdown(u64, bool);
+
+    impl ValueTree for Countdown {
+        type Value = (u64, bool);
+        fn current(&self) -> (u64, bool) {
+            (self.0, self.1)
+        }
+        fn shrink(&self) -> Vec<Self> {
+            let next = self.0.saturating_sub(1);
+            let mut candidates = vec![Countdown(next, true); 15];
+            if self.0 > 0 {
+                candidates.push(Countdown(next, false));
+            }
+            candidates
+        }
+    }
+
+    struct CountdownFrom(u64);
+
+    impl Strategy for CountdownFrom {
+        type Value = (u64, bool);
+        type Tree = Countdown;
+        fn new_tree(&self, _: &mut rand::rngs::StdRng) -> Countdown {
+            Countdown(self.0, false)
+        }
+    }
+
+    #[test]
+    fn shrinking_stops_at_its_evaluation_budget() {
+        // Every non-decoy value fails, and each shrink step passes 15
+        // decoys before it finds the next one: the local minimum lies
+        // 1.6 million evaluations away. Shrinking must stop at the budget,
+        // every evaluation counted, with the smallest failure so far.
+        use crate::test_runner::MAX_SHRINK_EVALUATIONS;
+        let mut evaluations = 0usize;
+        let f = collect_failure("shrink_budget", &CountdownFrom(100_000), |(n, decoy)| {
+            evaluations += 1;
+            if decoy {
+                Ok(())
+            } else {
+                Err(TestCaseError::fail(format!("n = {n}")))
+            }
+        });
+        assert_eq!(evaluations, 1 + MAX_SHRINK_EVALUATIONS);
+        assert_eq!(f.shrink_evaluations, MAX_SHRINK_EVALUATIONS);
+        assert_eq!(f.shrink_steps, MAX_SHRINK_EVALUATIONS / 16);
+        assert_eq!(f.message, format!("n = {}", 100_000 - f.shrink_steps));
+        assert_eq!(f.raw_message, "n = 100000");
     }
 
     #[test]
