@@ -455,7 +455,8 @@ impl Walk<'_, '_> {
                         continue;
                     }
                 }
-                let key = acc.eval(answer, t, id, &g_poly);
+                acc.eval(answer, t, id, &g_poly);
+                let key = answer.walk_key(id);
                 // A key that lands far from its score position ends the
                 // stream: sorting by id is then as good.
                 if let Some(keys) = stream {
@@ -525,15 +526,12 @@ struct Ranks {
 }
 
 impl Acc<'_> {
-    /// Evaluates tuple `t` into `answer[id]`, advances the running state
-    /// and returns the tuple's walk key: the ranking key a capped consumer
-    /// tracks (see [`Cut`]) and a stream carries — `ℜ(Υ)`, `ln Υ`,
-    /// `log₂|Υ|` or `−er`. `g_poly` is the shared prefix polynomial,
-    /// advanced by the caller. The same operations in the same order as
-    /// the closed-form kernels, then, on a shard, as the sharded walk's
-    /// prefix adjustment.
+    /// Evaluates tuple `t` into `answer[id]` and advances the running
+    /// state; `g_poly` is the shared prefix polynomial, advanced by the
+    /// caller. The same operations in the same order as the closed-form
+    /// kernels, then, on a shard, as the sharded walk's prefix adjustment.
     #[inline(always)]
-    fn eval(&mut self, answer: &mut SharedAnswer, t: &Tuple, id: usize, g_poly: &Poly) -> f64 {
+    fn eval(&mut self, answer: &mut SharedAnswer, t: &Tuple, id: usize, g_poly: &Poly) {
         match (self, answer) {
             (Acc::Weight(omega, cap, _), SharedAnswer::Complex(buf)) => {
                 // Identical loop to `prf_rank_truncated`.
@@ -544,7 +542,6 @@ impl Acc<'_> {
                     }
                 }
                 buf[id] = upsilon * t.prob;
-                buf[id].re
             }
             (Acc::Complex(g, alpha, point), SharedAnswer::Complex(buf)) => {
                 // Identical recurrence to `prfe_rank`.
@@ -554,7 +551,6 @@ impl Acc<'_> {
                     None => v,
                 };
                 *g *= Complex::real(1.0 - t.prob) + *alpha * t.prob;
-                buf[id].re
             }
             (Acc::Log(log_g, alpha, ln_alpha, shift), SharedAnswer::Log(buf)) => {
                 // Identical recurrence to `prfe_rank_log`.
@@ -563,7 +559,6 @@ impl Acc<'_> {
                     buf[id] = shift.map_or(v, |s| v + s);
                 }
                 *log_g += (1.0 - t.prob + t.prob * *alpha).ln();
-                buf[id]
             }
             (Acc::Scaled(g, alpha_s, alpha, point), SharedAnswer::Scaled(buf)) => {
                 // Identical recurrence to `prfe_rank_scaled`.
@@ -574,7 +569,6 @@ impl Acc<'_> {
                 };
                 let factor = Scaled::new(Complex::real(1.0 - t.prob) + *alpha * t.prob);
                 *g = g.mul(&factor);
-                buf[id].magnitude_key()
             }
             (Acc::Ranks(r), SharedAnswer::Ranks(buf)) => {
                 // Identical recurrence to `expected_ranks_independent`.
@@ -586,7 +580,6 @@ impl Acc<'_> {
                     None => er,
                 };
                 r.mass += t.prob;
-                -buf[id]
             }
             _ => unreachable!("accumulator shape matches answer shape"),
         }

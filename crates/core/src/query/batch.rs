@@ -141,18 +141,22 @@ impl SharedWalkSpec {
     pub(crate) fn answer_buffers(&self, n: usize) -> Vec<SharedAnswer> {
         self.requests
             .iter()
-            .map(|req| {
-                let shape = match req {
-                    SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
-                        SharedAnswer::Complex(Vec::new())
-                    }
-                    SharedRequest::PrfeLog(_) => SharedAnswer::Log(Vec::new()),
-                    SharedRequest::PrfeScaled(_) => SharedAnswer::Scaled(Vec::new()),
-                    SharedRequest::ExpectedRanks => SharedAnswer::Ranks(Vec::new()),
-                };
-                shape.zeroed(n)
-            })
+            .map(|req| req.answer_shape().zeroed(n))
             .collect()
+    }
+}
+
+impl SharedRequest {
+    /// An empty answer of the shape a walk fills for this request.
+    fn answer_shape(&self) -> SharedAnswer {
+        match self {
+            SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
+                SharedAnswer::Complex(Vec::new())
+            }
+            SharedRequest::PrfeLog(_) => SharedAnswer::Log(Vec::new()),
+            SharedRequest::PrfeScaled(_) => SharedAnswer::Scaled(Vec::new()),
+            SharedRequest::ExpectedRanks => SharedAnswer::Ranks(Vec::new()),
+        }
     }
 }
 
@@ -181,6 +185,34 @@ impl SharedAnswer {
             SharedAnswer::Log(_) => SharedAnswer::Log(vec![f64::NEG_INFINITY; len]),
             SharedAnswer::Scaled(_) => SharedAnswer::Scaled(vec![Scaled::zero(); len]),
             SharedAnswer::Ranks(_) => SharedAnswer::Ranks(vec![f64::INFINITY; len]),
+        }
+    }
+
+    /// Tuple `id`'s walk key: `ℜ(Υ)` of plain values, `ln Υ` of log keys,
+    /// `log₂|Υ|` of scaled values, `−er` of expected ranks (negated so
+    /// that, as everywhere, higher ranks better). A capped consumer's cut
+    /// tracks it, a stream carries it, and finalize ranks by it unless
+    /// [`value_order`] names another order of the values.
+    #[inline]
+    pub(crate) fn walk_key(&self, id: usize) -> f64 {
+        match self {
+            SharedAnswer::Complex(buf) => buf[id].re,
+            SharedAnswer::Log(buf) => buf[id],
+            SharedAnswer::Scaled(buf) => buf[id].magnitude_key(),
+            SharedAnswer::Ranks(buf) => -buf[id],
+        }
+    }
+
+    /// The per-tuple values a result reports; expected ranks are negated
+    /// like their walk keys.
+    fn into_values(self) -> Values {
+        match self {
+            SharedAnswer::Complex(vals) => Values::Complex(vals),
+            SharedAnswer::Log(keys) => Values::LogDomain(keys),
+            SharedAnswer::Scaled(vals) => Values::Scaled(vals),
+            SharedAnswer::Ranks(er) => {
+                Values::Complex(er.into_iter().map(|e| Complex::real(-e)).collect())
+            }
         }
     }
 }
@@ -213,10 +245,11 @@ pub enum Visit {
     /// [`ProbabilisticRelation::run_shared_walk_topk`]): the ids of the
     /// score-order prefix it evaluated, in no particular order.
     Prefix(Vec<TupleId>),
-    /// Every tuple, as [`prf_pdb::tuple::packed_desc`]`(walk key, id)`,
-    /// sorted best first: a walk in score order sees its keys nearly
-    /// sorted and sorts them as it goes. Only requests the carry marks as
-    /// ranking by their walk key get one.
+    /// Every tuple, as [`prf_pdb::tuple::packed_desc`]`(walk key, id)`
+    /// (`ℜ(Υ)`, `ln Υ`, `log₂|Υ|` or `−er`, by the answer's shape), sorted
+    /// best first: a walk in score order sees its keys nearly sorted and
+    /// sorts them as it goes. Only requests the carry marks as ranking by
+    /// their walk key get one.
     Stream(Vec<u128>),
 }
 
@@ -465,8 +498,8 @@ impl QueryBatch {
         };
         // Per request, the top-k its consumer ranks: a lone request may stop
         // early (a DFT mixture sums several points, so it walks in full).
-        // An uncapped lone request that ranks by its walk key may have its
-        // keys streamed in visit order.
+        // A lone request whose finalize ranks by its walk key may have its
+        // keys streamed in visit order when it walks in full.
         let mut limits: Vec<Option<usize>> = Vec::new();
         let mut streams: Vec<bool> = Vec::new();
         let mut tokens: Vec<CancelToken> = Vec::new();
@@ -492,7 +525,8 @@ impl QueryBatch {
                 Ok((requests, mix)) => {
                     let first = spec.requests.len();
                     let limit = self.limit(entry, &mix);
-                    let stream = mix.is_none() && ranks_by_walk_key(entry, &requests[0]);
+                    let stream = mix.is_none()
+                        && value_order(entry, &requests[0].answer_shape(), false).is_none();
                     spec.requests.extend(requests);
                     limits.resize(spec.requests.len(), limit);
                     streams.resize(spec.requests.len(), stream);
@@ -510,6 +544,15 @@ impl QueryBatch {
             }
         }
         let consumers = slots.iter().filter(|s| s.walks()).count();
+        // A stream moves its consumer's sort from finalize into the walk,
+        // which is serial. When finalize fans out (see below) with a core
+        // for every consumer, that only lengthens the walk; when consumers
+        // share a core, it still saves that core the sort.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let finalize_threads = crate::parallel::effective_walk_threads(n, self.threads).min(cores);
+        if consumers > 1 && consumers <= finalize_threads {
+            streams.fill(false);
+        }
         // The walk aborts only once *every* consumer has cancelled — with
         // any token-less consumer aboard it can never be abandoned.
         if untracked == 0 && !tokens.is_empty() {
@@ -762,7 +805,7 @@ impl QueryBatch {
             _ => n,
         };
         let mut answers = answered.answers.into_iter();
-        let (values, ranking) = match mix {
+        let (answer, mixture) = match mix {
             Some(weights) => {
                 let mut acc = vec![Scaled::<Complex>::zero(); n];
                 for (&u, answer) in weights.iter().zip(answers) {
@@ -774,32 +817,15 @@ impl QueryBatch {
                         *a = a.add(&v.mul(&us));
                     }
                 }
-                let ranking = rank_scaled(&acc, scaled_order(entry, true), Visit::All, cap);
-                (Values::Scaled(acc), ranking)
+                (SharedAnswer::Scaled(acc), true)
             }
-            None => match answers.next().expect("one answer per request") {
-                SharedAnswer::Complex(vals) => {
-                    let key = complex_order(entry);
-                    let ranking = rank_visited(visit, n, cap, |i| key.key(vals[i]));
-                    (Values::Complex(vals), ranking)
-                }
-                SharedAnswer::Log(keys) => {
-                    let ranking = rank_visited(visit, n, cap, |i| keys[i]);
-                    (Values::LogDomain(keys), ranking)
-                }
-                SharedAnswer::Scaled(vals) => {
-                    let ranking = rank_scaled(&vals, scaled_order(entry, false), visit, cap);
-                    (Values::Scaled(vals), ranking)
-                }
-                SharedAnswer::Ranks(er) => {
-                    // Negated so that — like every other semantics — higher
-                    // values rank better.
-                    let ranking = rank_visited(visit, n, cap, |i| -er[i]);
-                    let vals = er.into_iter().map(|e| Complex::real(-e)).collect();
-                    (Values::Complex(vals), ranking)
-                }
-            },
+            None => (answers.next().expect("one answer per request"), false),
         };
+        let ranking = match value_order(entry, &answer, mixture) {
+            None => rank_visited(&visit, n, cap, |i| answer.walk_key(i)),
+            Some(order) => rank_by_order(&answer, order, &visit, cap),
+        };
+        let values = answer.into_values();
         let ranking = ranking.ok_or_else(|| {
             QueryError::InvalidParameter(format!(
                 "{}: a computed value is NaN and has no rank",
@@ -920,37 +946,63 @@ struct Answered {
     visit: Visit,
 }
 
-/// The order a plain-valued walk answer is ranked by: the classical
-/// real-valued semantics rank by the real part (identical to |Υ| for their
-/// non-negative values, and bitwise-stable for differential comparisons).
-fn complex_order(entry: &RankQuery) -> ValueOrder {
-    entry.value_order.unwrap_or(match entry.semantics {
-        Semantics::Pt(_) | Semantics::Consensus(_) => ValueOrder::RealPart,
-        _ => ValueOrder::Magnitude,
-    })
-}
-
-/// The order a scaled walk answer is ranked by; a DFT mixture's sum
-/// (`mixture`) defaults to the real part.
-fn scaled_order(entry: &RankQuery, mixture: bool) -> ValueOrder {
-    let default = if mixture {
-        ValueOrder::RealPart
-    } else {
-        ValueOrder::Magnitude
-    };
-    entry.value_order.unwrap_or(default)
-}
-
-/// Whether finalize ranks a lone `request` of `entry` by the key the walk
-/// tracks for it ([`SharedAnswer`]'s walk key: `ℜ(Υ)`, `log₂|Υ|`, `ln Υ`,
-/// `−er`), so that the walk's visit-order keys can be sorted directly.
-fn ranks_by_walk_key(entry: &RankQuery, request: &SharedRequest) -> bool {
-    match request {
-        SharedRequest::Weight(_) | SharedRequest::PrfeComplex(_) => {
-            complex_order(entry) == ValueOrder::RealPart
+/// The order finalize ranks `answer`, a walk answer of `entry`, by when
+/// that is not its walk key ([`SharedAnswer::walk_key`]); `None` when it
+/// is. Unless `entry` overrides the order, plain values rank by `ℜ(Υ)`,
+/// their walk key, under the classical real-valued semantics (identical
+/// to `|Υ|` for their non-negative values, and bitwise-stable for
+/// differential comparisons) and by `|Υ|` under the others; scaled values
+/// rank by magnitude, their walk key, except a DFT mixture's summed points
+/// (`mixture`), which rank by the real part. Log keys and expected ranks
+/// always rank by their walk key. The batch streams a request's walk keys
+/// only where this is `None`, so this is the one place that choice is
+/// made.
+fn value_order(entry: &RankQuery, answer: &SharedAnswer, mixture: bool) -> Option<ValueOrder> {
+    let (default, walk) = match answer {
+        SharedAnswer::Complex(_) => {
+            let default = match entry.semantics {
+                Semantics::Pt(_) | Semantics::Consensus(_) => ValueOrder::RealPart,
+                _ => ValueOrder::Magnitude,
+            };
+            (default, ValueOrder::RealPart)
         }
-        SharedRequest::PrfeScaled(_) => scaled_order(entry, false) == ValueOrder::Magnitude,
-        SharedRequest::PrfeLog(_) | SharedRequest::ExpectedRanks => true,
+        SharedAnswer::Scaled(_) if mixture => (ValueOrder::RealPart, ValueOrder::Magnitude),
+        SharedAnswer::Scaled(_) => (ValueOrder::Magnitude, ValueOrder::Magnitude),
+        SharedAnswer::Log(_) | SharedAnswer::Ranks(_) => return None,
+    };
+    Some(entry.value_order.unwrap_or(default)).filter(|&order| order != walk)
+}
+
+/// Ranks `answer`'s values by `order`, which is not their walk key (see
+/// [`value_order`]) — all of them, or the prefix its consumer visited —
+/// materialising the best `k`. `None` when a key is NaN.
+fn rank_by_order(
+    answer: &SharedAnswer,
+    order: ValueOrder,
+    visit: &Visit,
+    k: usize,
+) -> Option<Ranking> {
+    let prefix = match visit {
+        Visit::All => None,
+        Visit::Prefix(ids) => Some(&ids[..]),
+        Visit::Stream(_) => unreachable!("only walk keys are streamed"),
+    };
+    match answer {
+        SharedAnswer::Complex(vals) => {
+            Ranking::select(vals.len(), prefix, k, |i| order.key(vals[i]))
+        }
+        // Scaled values rank by magnitude as their walk key, so this is the
+        // real part.
+        SharedAnswer::Scaled(vals) => Some(Ranking::select_by(
+            vals.len(),
+            prefix,
+            k,
+            |i| vals[i].real_part_key(),
+            |k| k.display(),
+        )),
+        SharedAnswer::Log(_) | SharedAnswer::Ranks(_) => {
+            unreachable!("log keys and expected ranks rank by their walk key")
+        }
     }
 }
 
@@ -958,10 +1010,10 @@ fn ranks_by_walk_key(entry: &RankQuery, request: &SharedRequest) -> bool {
 /// visited, materialising the best `k`: a stream is already sorted by
 /// `key`, a prefix is ranked alone (see [`Ranking::select`]). `None` when
 /// a ranked key is NaN.
-fn rank_visited(visit: Visit, n: usize, k: usize, key: impl Fn(usize) -> f64) -> Option<Ranking> {
+fn rank_visited(visit: &Visit, n: usize, k: usize, key: impl Fn(usize) -> f64) -> Option<Ranking> {
     match visit {
         Visit::All => Ranking::select(n, None, k, key),
-        Visit::Prefix(ids) => Ranking::select(n, Some(&ids), k, key),
+        Visit::Prefix(ids) => Ranking::select(n, Some(ids), k, key),
         Visit::Stream(stream) => Ranking::from_stream(stream, k, key),
     }
 }
@@ -1072,34 +1124,6 @@ fn guarded<T>(isolate: bool, f: impl FnOnce() -> Result<T, QueryError>) -> Resul
             reason: panic_reason(payload.as_ref()),
         })
     })
-}
-
-/// Ranks scaled Υ values by `order` from what their consumer visited (see
-/// [`rank_visited`]), materialising the best `k`. `None` when a magnitude
-/// key is NaN.
-fn rank_scaled(
-    vals: &[Scaled<Complex>],
-    order: ValueOrder,
-    visit: Visit,
-    k: usize,
-) -> Option<Ranking> {
-    let n = vals.len();
-    match order {
-        ValueOrder::Magnitude => rank_visited(visit, n, k, |i| vals[i].magnitude_key()),
-        ValueOrder::RealPart => {
-            let candidates = match &visit {
-                Visit::Prefix(ids) => Some(&ids[..]),
-                _ => None,
-            };
-            Some(Ranking::select_by(
-                n,
-                candidates,
-                k,
-                |i| vals[i].real_part_key(),
-                |k| k.display(),
-            ))
-        }
-    }
 }
 
 /// Single-request views of a relation's walk, for unit tests that compare

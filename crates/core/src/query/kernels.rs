@@ -100,25 +100,23 @@ pub fn positional_candidates_independent(db: &IndependentDb, k: usize) -> Positi
     table
 }
 
-/// Candidate table on an and/xor tree: on an x-tuple tree, one run of the
-/// blocked x-tuple kernel serving all `k` positions as truncation views,
-/// otherwise one truncated symbolic expansion per tuple.
+/// Candidate table on an and/xor tree: on an x-tuple tree, runs of the
+/// blocked x-tuple kernel serving many positions at once as truncation
+/// views, otherwise one truncated symbolic expansion per tuple.
 pub fn positional_candidates_tree(tree: &AndXorTree, k: usize) -> PositionalCandidates {
     use crate::weights::{PositionWeight, WeightFunction};
     let n = tree.n_tuples();
     let mut table = PositionalCandidates::new(k);
     if tree.is_x_tuple() {
-        // Every position's weight from one run of the blocked kernel.
         let weights: Vec<PositionWeight> = (1..=k).map(|j| PositionWeight { j }).collect();
         let omegas: Vec<&dyn WeightFunction> =
             weights.iter().map(|w| w as &dyn WeightFunction).collect();
-        let vals =
-            crate::xtuple::prf_omega_rank_xtuple_many(tree, &omegas).expect("x-tuple form checked");
-        for (j, vals) in vals.iter().enumerate() {
+        crate::xtuple::prf_omega_rank_xtuple_each(tree, &omegas, |j, vals| {
             for (t, v) in vals.iter().enumerate() {
                 table.push(j, v.re, TupleId(t as u32));
             }
-        }
+        })
+        .expect("x-tuple form checked");
     } else {
         let (order, pos) = crate::tree::score_order(tree);
         for (i, &t) in order.iter().enumerate() {

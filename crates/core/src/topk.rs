@@ -107,18 +107,23 @@ impl Ranking {
     /// straight into the ranking — identical to [`Ranking::select`] over
     /// the same tuples. `None` when a key is NaN.
     pub(crate) fn from_stream(
-        sorted: Vec<u128>,
+        sorted: &[u128],
         k: usize,
         key: impl Fn(usize) -> f64,
     ) -> Option<Self> {
         let mut order = Vec::with_capacity(k.min(sorted.len()));
         let mut keys = Vec::with_capacity(k.min(sorted.len()));
-        for (rank, p) in sorted.into_iter().enumerate() {
+        for (rank, &p) in sorted.iter().enumerate() {
             let (packed_key, i) = unpack_desc(p);
             // The packing folds `-0.0` onto `0.0`: read a zero's sign back.
             let key = if packed_key == 0.0 {
                 key(i)
             } else {
+                debug_assert_eq!(
+                    packed_key.to_bits(),
+                    key(i).to_bits(),
+                    "a stream packs the keys it is ranked by"
+                );
                 packed_key
             };
             if key.is_nan() {

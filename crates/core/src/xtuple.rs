@@ -110,31 +110,50 @@ pub fn prf_omega_rank_xtuple(
     tree: &AndXorTree,
     omega: &dyn WeightFunction,
 ) -> Option<Vec<Complex>> {
-    prf_omega_rank_xtuple_many(tree, &[omega])?.pop()
+    let mut vals = None;
+    prf_omega_rank_xtuple_each(tree, &[omega], |_, v| vals = Some(v))?;
+    vals
 }
 
-/// [`prf_omega_rank_xtuple`] for several truncated weights from one kernel
-/// run, one value vector per weight, each identical to its own run. `None`
-/// when the tree is not in x-tuple form or a weight has no truncation
-/// horizon.
-pub(crate) fn prf_omega_rank_xtuple_many(
+/// How many values [`prf_omega_rank_xtuple_each`] holds at once: 16 MB of
+/// `Complex` (64 KB in unit tests, so that small trees run in chunks).
+const EACH_VALUES: usize = if cfg!(test) { 1 << 12 } else { 1 << 20 };
+
+/// [`prf_omega_rank_xtuple`] for several truncated weights, each identical
+/// to its own run: `each(i, values)` receives weight `i`'s values, in
+/// order. The weights run in chunks, one run of the blocked kernel per
+/// chunk, holding at most [`EACH_VALUES`] values (or one weight's) at
+/// once. `None` when the tree is not in x-tuple form or a weight has no
+/// truncation horizon.
+pub(crate) fn prf_omega_rank_xtuple_each(
     tree: &AndXorTree,
     omegas: &[&dyn WeightFunction],
-) -> Option<Vec<Vec<Complex>>> {
+    mut each: impl FnMut(usize, Vec<Complex>),
+) -> Option<()> {
     let groups = tree.x_tuple_groups()?;
-    let mut consumers = omegas
+    let horizons = omegas
         .iter()
-        .map(|&omega| {
-            Some(Consumer {
-                omega,
-                h: omega.truncation()?,
-                cut: None,
-            })
-        })
+        .map(|omega| omega.truncation())
         .collect::<Option<Vec<_>>>()?;
     let (order, _) = score_order(tree);
     let marginals = tree.marginals();
-    rank_groups(tree, &groups, &mut consumers, &order, &marginals, || false)
+    let chunk = (EACH_VALUES / tree.n_tuples().max(1)).max(1);
+    for (c, omegas) in omegas.chunks(chunk).enumerate() {
+        let mut consumers: Vec<Consumer> = omegas
+            .iter()
+            .zip(&horizons[c * chunk..])
+            .map(|(&omega, &h)| Consumer {
+                omega,
+                h,
+                cut: None,
+            })
+            .collect();
+        let vals = rank_groups(tree, &groups, &mut consumers, &order, &marginals, || false)?;
+        for (i, v) in vals.into_iter().enumerate() {
+            each(c * chunk + i, v);
+        }
+    }
+    Some(())
 }
 
 /// The blocked kernel for several truncated weights at once, over the

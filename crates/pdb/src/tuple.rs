@@ -87,28 +87,8 @@ pub fn unpack_desc(packed: u128) -> (f64, usize) {
 }
 
 /// How far one element may move in the bounded insertion of
-/// [`sort_packed`] and [`push_sorted`].
+/// [`push_sorted`] and [`sort_tail_within`].
 const INSERTION_WINDOW: usize = 64;
-
-/// Sorts `packed` ascending ([`packed_desc`] order: best first) and keeps
-/// its first `k` entries. `k < len` selects the best `k` with
-/// `select_nth_unstable` and sorts only those, giving exactly the full
-/// sort's prefix. A full sort first runs insertion ([`sort_tail_within`]),
-/// which costs one pass plus the total displacement on nearly sorted
-/// input, and falls back to `sort_unstable` as soon as one element would
-/// move further than a fixed window. The keys are distinct (indices break
-/// ties), so every route gives the same result.
-fn sort_packed(packed: &mut Vec<u128>, k: usize) {
-    if k < packed.len() {
-        if k > 0 {
-            packed.select_nth_unstable(k - 1);
-        }
-        packed.truncate(k);
-        packed.sort_unstable();
-    } else if !sort_tail_within(packed, 1) {
-        packed.sort_unstable();
-    }
-}
 
 /// Appends `packed` to `sorted`, an ascending stream being built, and
 /// sorts each block of [`SORT_BLOCK`] entries into the rest by bounded
@@ -160,16 +140,17 @@ fn sift_within(v: &mut [u128], i: usize) -> bool {
 
 /// Indices of the `k` largest `keys`, best first: key descending, ties by
 /// index ascending (a total order, so the result is deterministic). `k ≥
-/// len` sorts everything; smaller `k` selects the best `k` and sorts only
-/// those, giving exactly the full sort's prefix.
+/// len` sorts everything; smaller `k` selects the best `k` with
+/// `select_nth_unstable` and sorts only those, giving exactly the full
+/// sort's prefix.
 ///
 /// This is the workspace's one `f64` sort: every score order and every
-/// ranking is built here, over [`packed_desc`] keys. A full sort first
-/// tries insertion ([`sort_tail_within`]) and falls back to
-/// `sort_unstable` once an element would move further than a fixed
-/// window, so input that is sorted, or nearly so, costs one linear pass
-/// plus the distance its elements move. A walk's ranking keys, nearly
-/// sorted in score order, are sorted as they come ([`push_sorted`]).
+/// ranking is built here, as an unstable sort of [`packed_desc`] keys, or
+/// by the bounded insertion of this module.
+/// Already-sorted input (score-sorted shards) costs one linear pass;
+/// nearly sorted input does not, so a walk's ranking keys, nearly sorted
+/// in the score order it visits, are sorted as they come instead
+/// ([`push_sorted`]).
 ///
 /// # Panics
 /// Panics with `nan_message` when a key is NaN.
@@ -197,7 +178,13 @@ pub fn top_k_desc_of(
     if nan {
         return None;
     }
-    sort_packed(&mut packed, k);
+    if k < packed.len() {
+        if k > 0 {
+            packed.select_nth_unstable(k - 1);
+        }
+        packed.truncate(k);
+    }
+    packed.sort_unstable();
     Some(packed.into_iter().map(|p| p as u64 as usize).collect())
 }
 
@@ -265,8 +252,6 @@ mod tests {
         }
         let mut v = displaced(INSERTION_WINDOW + 1);
         assert!(!sort_tail_within(&mut v, 1));
-        sort_packed(&mut v, 200);
-        assert_eq!(v, (0..200).collect::<Vec<u128>>());
         // A stream keeps its blocks sorted and stops at the first far key.
         let mut stream = Vec::new();
         assert!((0..SORT_BLOCK as u128).all(|p| push_sorted(&mut stream, p ^ 1)));
@@ -381,6 +366,31 @@ mod proptests {
             let entries = entries(shape, n, seed);
             let want = comparator_top_k(&entries, k);
             prop_assert_eq!(top_k_desc_of(entries.iter().copied(), k), want);
+        }
+
+        #[test]
+        fn a_kept_stream_matches_a_comparator_sort(
+            shape in 0u32..7,
+            n in 0usize..(3 * SORT_BLOCK),
+            seed in 0u64..1_000_000,
+        ) {
+            let entries = entries(shape, n, seed);
+            let mut stream = Vec::new();
+            let pushed = entries
+                .iter()
+                .all(|&(i, key)| push_sorted(&mut stream, packed_desc(key, i)));
+            let kept = pushed && sort_tail_within(&mut stream, n - n % SORT_BLOCK);
+            // Sorted input, or one key displaced up to the window, is kept;
+            // one key displaced past it is not.
+            match shape {
+                0 | 3 | 4 => prop_assert!(kept),
+                5 if n > INSERTION_WINDOW + 1 => prop_assert!(!kept),
+                _ => {}
+            }
+            if kept {
+                let ids: Vec<usize> = stream.iter().map(|&p| p as u64 as usize).collect();
+                prop_assert_eq!(Some(ids), comparator_top_k(&entries, n));
+            }
         }
     }
 }

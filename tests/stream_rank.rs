@@ -121,3 +121,29 @@ fn streamed_zero_keys_keep_their_sign() {
         "E-Rank of zeros",
     );
 }
+
+#[test]
+fn batched_full_rankings_match_the_closed_form_bitwise() {
+    // Serially each consumer may stream; under `parallel(2)` the finalizes
+    // fan out and none does. Both must give the lone query's ranking.
+    let db = prf::datasets::iip_db(N, 6);
+    let queries = [
+        RankQuery::prfe(0.95).algorithm(Algorithm::LogDomain),
+        RankQuery::erank(),
+        RankQuery::pt(100),
+    ];
+    let want: Vec<Ranking> = queries
+        .iter()
+        .map(|q| q.run(&db).unwrap().ranking)
+        .collect();
+    for threads in [1, 2] {
+        let batch = queries
+            .iter()
+            .fold(QueryBatch::new(), |b, q| b.add_query(q.clone()))
+            .parallel(threads);
+        for (got, want) in batch.run(&db).unwrap().iter().zip(&want) {
+            let what = format!("{:?} in a batch on {threads} threads", got.report.semantics);
+            assert_bitwise(&got.ranking, want, &what);
+        }
+    }
+}
