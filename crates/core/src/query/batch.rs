@@ -547,10 +547,12 @@ impl QueryBatch {
         // A stream moves its consumer's sort from finalize into the walk,
         // which is serial. When finalize fans out (see below) with a core
         // for every consumer, that only lengthens the walk; when consumers
-        // share a core, it still saves that core the sort.
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let finalize_threads = crate::parallel::effective_walk_threads(n, self.threads).min(cores);
-        if consumers > 1 && consumers <= finalize_threads {
+        // share a core, it still saves that core the sort. (The core count
+        // reads the cgroup limits, so a lone consumer never asks.)
+        if consumers > 1
+            && consumers <= crate::parallel::effective_walk_threads(n, self.threads)
+            && consumers <= std::thread::available_parallelism().map_or(1, usize::from)
+        {
             streams.fill(false);
         }
         // The walk aborts only once *every* consumer has cancelled — with
