@@ -545,14 +545,11 @@ impl QueryBatch {
         }
         let consumers = slots.iter().filter(|s| s.walks()).count();
         // A stream moves its consumer's sort from finalize into the walk,
-        // which is serial. When finalize fans out (see below) with a core
-        // for every consumer, that only lengthens the walk; when consumers
-        // share a core, it still saves that core the sort. (The core count
-        // reads the cgroup limits, so a lone consumer never asks.)
-        if consumers > 1
-            && consumers <= crate::parallel::effective_walk_threads(n, self.threads)
-            && consumers <= std::thread::available_parallelism().map_or(1, usize::from)
-        {
+        // which is serial. When several consumers' finalizes fan out over
+        // threads (see below), that can lengthen the walk by more than it
+        // shortens the slowest finalize thread, so only a finalize that
+        // runs on one thread gets streams.
+        if crate::parallel::effective_walk_threads(n, self.threads).min(consumers) > 1 {
             streams.fill(false);
         }
         // The walk aborts only once *every* consumer has cancelled — with
