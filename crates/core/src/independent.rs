@@ -21,9 +21,8 @@
 //! probabilities need no special-casing.
 
 use prf_numeric::{Complex, GfValue, Poly, Scaled};
-use prf_pdb::{IndependentDb, Tuple, TupleId};
-
 use prf_pdb::tuple::{packed_desc, push_sorted, sort_tail_within, SORT_BLOCK};
+use prf_pdb::{IndependentDb, Tuple, TupleId};
 
 use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec, Visit};
 use crate::query::cut::{envelope, Cap, Cut, TopkCarry};
