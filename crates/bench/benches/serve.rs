@@ -53,7 +53,7 @@ fn replay(tree: &prf_pdb::AndXorTree, queries: &[RankQuery], clients: usize) {
         ServeConfig::new()
             .max_delay(Duration::from_millis(2))
             .max_batch(32)
-            .cache_enabled(false),
+            .cache_entries(0),
     );
     let rel = server.register("syn-med", tree.clone());
     thread::scope(|s| {
@@ -125,7 +125,7 @@ fn bench_serve_worker_pool(c: &mut Criterion) {
                         .max_delay(Duration::from_millis(2))
                         .max_batch(32)
                         .workers(workers)
-                        .cache_enabled(false),
+                        .cache_entries(0),
                 );
                 let rels: Vec<_> = trees
                     .iter()
@@ -174,7 +174,7 @@ fn bench_serve_latency_floor(c: &mut Criterion) {
         let server = RankServer::new(
             ServeConfig::new()
                 .max_delay(Duration::ZERO)
-                .cache_enabled(false),
+                .cache_entries(0),
         );
         let rel = server.register("syn-med-2k", tree.clone());
         b.iter(|| {
@@ -213,7 +213,7 @@ fn bench_serve_deadline_classes(c: &mut Criterion) {
         let server = RankServer::new(
             ServeConfig::new()
                 .max_delay(Duration::ZERO)
-                .cache_enabled(false),
+                .cache_entries(0),
         );
         let rel = server.register("syn-med", tree.clone());
         b.iter(|| {
@@ -231,7 +231,7 @@ fn bench_serve_deadline_classes(c: &mut Criterion) {
         let server = RankServer::new(
             ServeConfig::new()
                 .max_delay(Duration::ZERO)
-                .cache_enabled(false),
+                .cache_entries(0),
         );
         let rel = server.register("syn-med", tree.clone());
         let opts = SubmitOptions::new().deadline(Duration::from_secs(3600));
@@ -277,7 +277,7 @@ fn bench_serve_deadline_classes(c: &mut Criterion) {
             ServeConfig::new()
                 .max_delay(Duration::from_millis(1))
                 .max_batch(burst)
-                .cache_enabled(false),
+                .cache_entries(0),
         );
         let rel = server.register("syn-med", tree.clone());
         b.iter(|| {
@@ -316,7 +316,7 @@ fn bench_serve_cache(c: &mut Criterion) {
         let server = RankServer::new(
             ServeConfig::new()
                 .max_delay(Duration::ZERO)
-                .cache_enabled(false),
+                .cache_entries(0),
         );
         let rel = server.register("syn-med", tree.clone());
         b.iter(|| {

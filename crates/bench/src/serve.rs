@@ -130,7 +130,7 @@ pub fn run(scale: Scale) {
             ServeConfig::new()
                 .max_delay(Duration::from_millis(2))
                 .max_batch(32)
-                .cache_enabled(false),
+                .cache_entries(0),
         );
         let rel = server.register("syn-med", tree.clone());
         let paired: Vec<_> = queries.iter().map(|q| (rel, q.clone())).collect();
@@ -181,7 +181,7 @@ pub fn run(scale: Scale) {
                 .max_delay(Duration::from_millis(2))
                 .max_batch(32)
                 .workers(workers)
-                .cache_enabled(false),
+                .cache_entries(0),
         );
         let rels: Vec<_> = trees
             .iter()
@@ -239,7 +239,7 @@ pub fn run(scale: Scale) {
     let server = RankServer::new(
         ServeConfig::new()
             .max_delay(Duration::ZERO)
-            .cache_enabled(false),
+            .cache_entries(0),
     );
     let rel = server.register("small", small.clone());
     let (_, t_served) = timed(|| {
@@ -272,7 +272,7 @@ pub fn run(scale: Scale) {
     let server = RankServer::new(
         ServeConfig::new()
             .max_delay(Duration::ZERO)
-            .cache_enabled(false),
+            .cache_entries(0),
     );
     let rel = server.register("syn-med", tree.clone());
     let (_, t_eval) = timed(|| {

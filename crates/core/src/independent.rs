@@ -28,11 +28,12 @@ use crate::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalk
 use crate::query::cut::{envelope, Cap, Cut, TopkCarry};
 use crate::weights::WeightFunction;
 
-/// Υ values for every tuple under an arbitrary PRF weight function.
+/// Υ values for every tuple under an arbitrary PRF weight function
+/// (Algorithm 1, IND-PRF-RANK).
 ///
-/// Dispatches to the truncated `O(n·h)` algorithm when
-/// [`WeightFunction::truncation`] is available and to the full `O(n²)`
-/// expansion otherwise. The result is indexed by tuple id.
+/// `O(n·h)` when [`WeightFunction::truncation`] gives `h` (coefficients of
+/// rank `> h` are never materialised because `ω` vanishes there), the full
+/// `O(n²)` expansion otherwise. The result is indexed by tuple id.
 ///
 /// ```
 /// use prf_core::independent::prf_rank;
@@ -47,25 +48,8 @@ use crate::weights::WeightFunction;
 /// # Ok::<(), prf_pdb::PdbError>(())
 /// ```
 pub fn prf_rank(db: &IndependentDb, omega: &dyn WeightFunction) -> Vec<Complex> {
-    match omega.truncation() {
-        Some(h) => prf_rank_truncated(db, omega, h),
-        None => prf_rank_full(db, omega),
-    }
-}
-
-/// Full `O(n²)` PRF evaluation (Algorithm 1, IND-PRF-RANK).
-pub fn prf_rank_full(db: &IndependentDb, omega: &dyn WeightFunction) -> Vec<Complex> {
-    prf_rank_truncated(db, omega, db.len())
-}
-
-/// Truncated `O(n·h)` PRF evaluation: coefficients of rank `> h` are never
-/// materialised because `ω` vanishes there.
-pub fn prf_rank_truncated(
-    db: &IndependentDb,
-    omega: &dyn WeightFunction,
-    h: usize,
-) -> Vec<Complex> {
     let n = db.len();
+    let h = omega.truncation().unwrap_or(n);
     let mut result = vec![Complex::ZERO; n];
     if n == 0 || h == 0 {
         return result;
@@ -533,7 +517,7 @@ impl Acc<'_> {
     fn eval(&mut self, answer: &mut SharedAnswer, t: &Tuple, id: usize, g_poly: &Poly) {
         match (self, answer) {
             (Acc::Weight(omega, cap, _), SharedAnswer::Complex(buf)) => {
-                // Identical loop to `prf_rank_truncated`.
+                // Identical loop to `prf_rank`.
                 let mut upsilon = Complex::ZERO;
                 for (m, &c) in g_poly.coeffs().iter().enumerate().take(*cap) {
                     if c != 0.0 {

@@ -62,8 +62,8 @@
 //!   divide-and-conquer over the score sweep;
 //! * [`parallel`] — the thread-parallel tree walk and the
 //!   [`parallel::effective_walk_threads`] gate that decides when it pays;
-//! * [`shard`] — sharded relations: score-contiguous shards walked by a
-//!   persistent worker pool and merged via the presence-GF monoid;
+//! * [`shard`] — sharded relations: score-contiguous shards walked one at
+//!   a time in score order and merged via the presence-GF monoid;
 //! * [`attribute`] — ranking with uncertain scores (Section 4.4);
 //! * [`mixture`] — DFT-based approximation of PRFω by PRFe mixtures
 //!   (Section 5.1);

@@ -37,12 +37,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use prf_numeric::{Complex, Scaled};
+use prf_numeric::Complex;
 use prf_pdb::{AndXorTree, IndependentDb, NodeKind, PdbError, TupleId};
 
 use crate::query::batch::{SharedWalkOut, SharedWalkSpec};
 use crate::query::kernels;
-use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, QueryError, TopkCarry};
+use crate::query::{
+    CorrelationClass, PreparedState, PresenceGf, ProbabilisticRelation, QueryError, TopkCarry,
+};
 
 /// Splice budget: after this many tail splices the compiled plan's stale
 /// orphaned chains outweigh the patch savings and the next insert triggers
@@ -236,15 +238,6 @@ struct LiveInner<B> {
     prepared: PreparedState,
 }
 
-impl<B: MutableRelation> LiveInner<B> {
-    /// The backend's walk over the current prepared state, stopping capped
-    /// consumers early where the backend can.
-    fn walk(&self, spec: &SharedWalkSpec, carry: &mut TopkCarry) -> Option<SharedWalkOut> {
-        self.backend
-            .run_shared_walk_topk(spec, carry, &self.prepared)
-    }
-}
-
 /// A mutable, concurrency-safe [`ProbabilisticRelation`]: a backend, its
 /// prepared state (score order, marginals, compiled plan) kept current under
 /// [`Mutation`]s by incremental patching, with a full rebuild as the
@@ -431,22 +424,15 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
         PreparedState::empty()
     }
 
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        _prep: &PreparedState,
-    ) -> Option<SharedWalkOut> {
-        // Own state always wins: foreign state describes some past version.
-        self.read().walk(spec, &mut TopkCarry::default())
-    }
-
-    fn run_shared_walk_topk(
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
         carry: &mut TopkCarry,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        self.read().walk(spec, carry)
+        // Own state always wins: foreign state describes some past version.
+        let inner = self.read();
+        inner.backend.run_shared_walk(spec, carry, &inner.prepared)
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
@@ -457,16 +443,12 @@ impl<B: MutableRelation> ProbabilisticRelation for LiveRelation<B> {
         self.read().backend.positional_candidates(k)
     }
 
-    fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
+    fn presence_gf(&self, cap: Option<usize>, alphas: &[Complex]) -> Option<PresenceGf> {
         // Forwarded so a live relation can serve as a shard of a
         // [`crate::shard::ShardedRelation`]. Mutations must then preserve
         // the shard's score band; the sharded walk itself is not atomic
         // with respect to concurrent mutations across shards.
-        self.read().backend.presence_gf_coeffs(cap)
-    }
-
-    fn presence_gf_point(&self, alpha: Complex) -> Option<Scaled<Complex>> {
-        self.read().backend.presence_gf_point(alpha)
+        self.read().backend.presence_gf(cap, alphas)
     }
 }
 

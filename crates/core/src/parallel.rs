@@ -1,4 +1,4 @@
-//! Thread-parallel variants of the tree ranking algorithms.
+//! The thread-parallel tree walk.
 //!
 //! The score-order walk of the incremental engine looks inherently serial —
 //! every step depends on the previous labelling — but the fold state at any
@@ -9,14 +9,12 @@
 //! [`EvalPlan`](crate::incremental::EvalPlan); total work is one extra fold
 //! per worker on top of the serial incremental cost.
 
-use prf_numeric::Complex;
 use prf_pdb::AndXorTree;
 
 use crate::incremental::GfStats;
 use crate::query::batch::SharedAnswer;
 use crate::query::CancelToken;
 use crate::tree::{BatchConsumers, BatchWalkers, TreePrepared};
-use crate::weights::WeightFunction;
 
 /// Minimum tuples **per shard** for the sharded batch walk to beat the
 /// serial incremental walk.
@@ -47,47 +45,6 @@ pub fn effective_walk_threads(n: usize, requested: Option<usize>) -> usize {
     match requested {
         Some(t) if t > 1 && n / t >= PARALLEL_MIN_SHARD_TUPLES => t,
         _ => 1,
-    }
-}
-
-/// Parallel ANDXOR-PRF-RANK: identical output to
-/// [`crate::tree::prf_rank_tree`], computed with `threads` workers over
-/// shard-local incremental evaluators.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn prf_rank_tree_parallel(
-    tree: &AndXorTree,
-    omega: &(dyn WeightFunction + Sync),
-    threads: usize,
-) -> Vec<Complex> {
-    prf_rank_tree_parallel_stats(tree, omega, threads).0
-}
-
-/// [`prf_rank_tree_parallel`] plus the merged memory accounting of the
-/// shard evaluators (they are live concurrently, so peaks sum).
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn prf_rank_tree_parallel_stats(
-    tree: &AndXorTree,
-    omega: &(dyn WeightFunction + Sync),
-    threads: usize,
-) -> (Vec<Complex>, GfStats) {
-    assert!(threads > 0, "need at least one thread");
-    let n = tree.n_tuples();
-    let cap = omega.truncation().unwrap_or(n).min(n);
-    if cap == 0 {
-        return (vec![Complex::ZERO; n], GfStats::default());
-    }
-    let mut answers = vec![SharedAnswer::Complex(vec![Complex::ZERO; n])];
-    let consumers = BatchConsumers::weight(omega, cap);
-    let prep = TreePrepared::new(tree);
-    let stats = walk_shards(tree, None, &consumers, &prep, threads, &mut answers)
-        .expect("an uncancellable walk finishes");
-    match answers.pop() {
-        Some(SharedAnswer::Complex(vals)) => (vals, stats),
-        _ => unreachable!("one weight answer"),
     }
 }
 
@@ -200,10 +157,49 @@ fn copy_answer_at(dst: &mut SharedAnswer, src: &SharedAnswer, dst_idx: usize, sr
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::query::batch::{SharedRequest, SharedWalkSpec};
     use crate::tree::prf_rank_tree;
+    use crate::tree::tests::random_tree2;
     use crate::weights::StepWeight;
-    use prf_pdb::AndXorTree;
+    use prf_numeric::Complex;
+
+    /// PT(h) on `threads` workers of [`walk_shards`], with the merged
+    /// accounting.
+    fn parallel_pt(tree: &AndXorTree, h: usize, threads: usize) -> (Vec<Complex>, GfStats) {
+        let spec = SharedWalkSpec {
+            requests: vec![SharedRequest::Weight(Arc::new(StepWeight { h }))],
+            threads: None,
+            cancel: None,
+        };
+        let n = tree.n_tuples();
+        let consumers = BatchConsumers::parse(&spec, n, false);
+        let mut answers = spec.answer_buffers(n);
+        let prep = TreePrepared::new(tree);
+        let stats = walk_shards(tree, None, &consumers, &prep, threads, &mut answers)
+            .expect("an uncancellable walk finishes");
+        match answers.pop() {
+            Some(SharedAnswer::Complex(vals)) => (vals, stats),
+            _ => unreachable!("one weight answer"),
+        }
+    }
+
+    fn assert_matches_serial(tree: &AndXorTree, h: usize, threads: &[usize], ctx: &str) {
+        let serial = prf_rank_tree(tree, &StepWeight { h });
+        for &threads in threads {
+            let (par, _) = parallel_pt(tree, h, threads);
+            for t in 0..tree.n_tuples() {
+                assert!(
+                    par[t].approx_eq(serial[t], 1e-12),
+                    "{ctx} threads={threads} t={t}: {} vs {}",
+                    par[t],
+                    serial[t]
+                );
+            }
+        }
+    }
 
     #[test]
     fn parallel_matches_serial() {
@@ -214,28 +210,26 @@ mod tests {
             vec![(4.0, 1.0)],
         ])
         .unwrap();
-        let w = StepWeight { h: 4 };
-        let serial = prf_rank_tree(&tree, &w);
-        for threads in [1usize, 2, 4, 16] {
-            let par = prf_rank_tree_parallel(&tree, &w, threads);
-            for t in 0..tree.n_tuples() {
-                assert!(
-                    par[t].approx_eq(serial[t], 1e-12),
-                    "threads={threads} t={t}"
-                );
-            }
+        assert_matches_serial(&tree, 4, &[1, 2, 4, 16], "x-tuples");
+    }
+
+    #[test]
+    fn parallel_shards_match_serial_on_general_trees() {
+        // Below the `effective_walk_threads` floor, so only a direct call
+        // shards these.
+        for seed in 0..4u64 {
+            let tree = random_tree2(seed, 40, 4);
+            assert_matches_serial(&tree, 7, &[2, 3, 8], &format!("seed {seed}"));
         }
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
         let tree = AndXorTree::from_x_tuples(&[vec![(1.0, 0.5)]]).unwrap();
-        let w = StepWeight { h: 1 };
-        let par = prf_rank_tree_parallel(&tree, &w, 8);
+        let (par, _) = parallel_pt(&tree, 1, 8);
         assert_eq!(par.len(), 1);
         assert!((par[0].re - 0.5).abs() < 1e-12);
     }
-
     #[test]
     fn sharding_gate_boundary() {
         // Below the per-shard floor the gate degrades to serial; at or
@@ -272,9 +266,8 @@ mod tests {
             vec![(7.0, 0.5), (6.0, 0.2)],
         ])
         .unwrap();
-        let w = StepWeight { h: 3 };
-        let (_, s1) = prf_rank_tree_parallel_stats(&tree, &w, 1);
-        let (_, s2) = prf_rank_tree_parallel_stats(&tree, &w, 2);
+        let (_, s1) = parallel_pt(&tree, 3, 1);
+        let (_, s2) = parallel_pt(&tree, 3, 2);
         assert!(s1.plan_nodes > 0);
         // Two concurrent shards hold two evaluators.
         assert_eq!(s2.plan_nodes, 2 * s1.plan_nodes);

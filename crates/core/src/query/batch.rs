@@ -7,7 +7,7 @@
 //! [`QueryBatch`] exploits that: it compiles N queries against one
 //! [`ProbabilisticRelation`] into a [`BatchPlan`] and answers every walk
 //! consumer from **one** call to
-//! [`ProbabilisticRelation::run_shared_walk_topk`]. PRFe variants
+//! [`ProbabilisticRelation::run_shared_walk`]. PRFe variants
 //! become extra evaluation points of the shared generating function;
 //! PT(h)/PRFω(h) variants become truncation views of one shared
 //! truncated-polynomial evaluator; expected ranks ride along as a
@@ -71,7 +71,7 @@ use crate::weights::{tabulate, WeightFunction};
 
 /// One consumer of a shared score-order walk — the backend-facing form of a
 /// batched query, produced by [`QueryBatch`] compilation and consumed by
-/// [`ProbabilisticRelation::run_shared_walk_prepared`].
+/// [`ProbabilisticRelation::run_shared_walk`].
 #[derive(Clone)]
 pub enum SharedRequest {
     /// Weight-based Υ extraction (PRFω/PT/Consensus): read the first
@@ -242,7 +242,7 @@ pub enum Visit {
     #[default]
     All,
     /// Stopped early on its `top_k` (see
-    /// [`ProbabilisticRelation::run_shared_walk_topk`]): the ids of the
+    /// [`ProbabilisticRelation::run_shared_walk`]): the ids of the
     /// score-order prefix it evaluated, in no particular order.
     Prefix(Vec<TupleId>),
     /// Every tuple, as [`prf_pdb::tuple::packed_desc`]`(walk key, id)`
@@ -386,8 +386,8 @@ impl QueryBatch {
         self
     }
 
-    /// Requests `threads` workers for the shared walk (sharded exactly like
-    /// [`crate::parallel::prf_rank_tree_parallel`]) and for fanning out the
+    /// Requests `threads` workers for the shared walk (a tree walk shards
+    /// its score order, see [`crate::parallel`]) and for fanning out the
     /// per-entry finalization.
     ///
     /// This batch-level setting is the **only** control over the shared
@@ -567,7 +567,7 @@ impl QueryBatch {
         } else {
             guarded(isolate, || {
                 let mut carry = TopkCarry::new(&limits).streaming(&streams);
-                Ok(rel.run_shared_walk_topk(&spec, &mut carry, &PreparedState::empty()))
+                Ok(rel.run_shared_walk(&spec, &mut carry, &PreparedState::empty()))
             })
         };
         let mut answered: Vec<Option<Result<Answered, QueryError>>> =
@@ -721,7 +721,7 @@ impl QueryBatch {
             return Err(QueryError::TimedOut);
         }
         let out = guarded(isolate, || {
-            Ok(rel.run_shared_walk_topk(&spec, &mut carry, &PreparedState::empty()))
+            Ok(rel.run_shared_walk(&spec, &mut carry, &PreparedState::empty()))
         })?;
         let mut out = out.ok_or_else(|| walk_failure(entry, rel.correlation_class()))?;
         Ok(Answered {
@@ -773,7 +773,7 @@ impl QueryBatch {
     }
 
     /// The `top_k` a walk consumer's single request passes to
-    /// [`ProbabilisticRelation::run_shared_walk_topk`]; `None` for an
+    /// [`ProbabilisticRelation::run_shared_walk`]; `None` for an
     /// uncapped entry and for a DFT mixture (weights `mix`), whose points
     /// are summed before ranking.
     fn limit(&self, entry: &RankQuery, mix: &Option<Vec<Complex>>) -> Option<usize> {

@@ -23,9 +23,9 @@ use crate::weights::{tabulate, WeightFunction};
 /// [`TopkCarry::new`] builds a *fresh* carry: caps only, no cut started, no
 /// shard. A backend that cannot stop early may answer a fresh carry with a
 /// full walk, which is always valid; a carry that is not fresh asks the
-/// walk to resume cuts and write global values, so such a backend returns
-/// `None` (the default of
-/// [`ProbabilisticRelation::run_shared_walk_topk`](super::ProbabilisticRelation::run_shared_walk_topk)).
+/// walk to resume cuts and write global values, so a shard backend that
+/// cannot resume returns `None` from
+/// [`ProbabilisticRelation::run_shared_walk`](super::ProbabilisticRelation::run_shared_walk).
 #[derive(Debug, Default)]
 pub struct TopkCarry {
     pub(crate) requests: Vec<RequestCarry>,

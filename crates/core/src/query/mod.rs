@@ -70,7 +70,7 @@ pub use batch::{BatchCost, BatchPlan, BatchRoute, QueryBatch};
 pub use cut::TopkCarry;
 pub use key::QueryKey;
 pub use prepared::{PreparedRelation, PreparedState};
-pub use relation::{CorrelationClass, ProbabilisticRelation};
+pub use relation::{CorrelationClass, PresenceGf, ProbabilisticRelation};
 
 /// Fallback ceiling of [`auto_prfe_exact_max`] for complex or edge-case α
 /// (`α ∉ (0, 1)`), where the per-tuple magnitude decay has no simple
@@ -408,7 +408,7 @@ pub struct EvalReport {
     pub batch: Option<BatchCost>,
     /// Score-order positions the walk evaluated for this answer: `n` for a
     /// full walk, the visited prefix's length when a `top_k` query stopped
-    /// early (see [`ProbabilisticRelation::run_shared_walk_topk`]), `None`
+    /// early (see [`ProbabilisticRelation::run_shared_walk`]), `None`
     /// for the direct routes.
     pub tuples_scanned: Option<usize>,
     /// Serving-layer provenance — `Some` when this query was answered by a
@@ -1058,12 +1058,17 @@ mod tests {
         let r = RankQuery::pt(2).run(&tree).unwrap();
         let mem = r.report.memory.expect("general tree PT runs the engine");
         assert!(mem.peak_coefficients > 0);
-        // …and the scaled mode reports scalar-engine accounting.
+        assert!(mem.peak_coefficients >= mem.resident_coefficients);
+        // …and the scaled mode reports scalar-engine accounting: no heap
+        // coefficients.
         let r = RankQuery::prfe(0.8)
             .algorithm(Algorithm::Scaled)
             .run(&tree)
             .unwrap();
-        assert!(r.report.memory.is_some());
+        let mem = r.report.memory.expect("scaled tree PRFe runs the engine");
+        assert!(mem.plan_nodes > 0);
+        assert_eq!(mem.peak_coefficients, 0);
+        assert!(mem.peak_bytes > 0);
         // Independent backends use closed-form kernels — no evaluator.
         let db = db();
         assert!(RankQuery::pt(2).run(&db).unwrap().report.memory.is_none());

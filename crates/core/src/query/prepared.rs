@@ -11,7 +11,7 @@
 //! [`ProbabilisticRelation`] together with the backend's reusable state
 //! (built once by [`ProbabilisticRelation::prepare`]) and implements the
 //! trait itself, threading the cached state into every call of the one
-//! walk method, [`ProbabilisticRelation::run_shared_walk_prepared`]. Callers —
+//! walk method, [`ProbabilisticRelation::run_shared_walk`]. Callers —
 //! [`RankQuery::run`](super::RankQuery::run), [`QueryBatch`](super::QueryBatch),
 //! the `prf-serve` flush pool — need no new API: a `&PreparedRelation` is a
 //! relation, just one whose sorts and plans are already built.
@@ -42,7 +42,7 @@ use crate::tree::TreePrepared;
 /// plan, and marginals, which its walk would otherwise rebuild per call.
 ///
 /// The state is backend-private: callers hold it and hand it back through
-/// [`ProbabilisticRelation::run_shared_walk_prepared`], they never inspect
+/// [`ProbabilisticRelation::run_shared_walk`], they never inspect
 /// it. A walk receiving a foreign state (another backend's, or
 /// [`PreparedState::empty`]) treats it as "unprepared" and builds what it
 /// needs itself.
@@ -277,23 +277,15 @@ impl ProbabilisticRelation for PreparedRelation {
         PreparedState::empty()
     }
 
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        _prep: &PreparedState,
-    ) -> Option<SharedWalkOut> {
-        // Our own state always wins: a foreign state cannot describe the
-        // wrapped relation better than the one built from it.
-        self.rel.run_shared_walk_prepared(spec, &self.snapshot())
-    }
-
-    fn run_shared_walk_topk(
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
         carry: &mut TopkCarry,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        self.rel.run_shared_walk_topk(spec, carry, &self.snapshot())
+        // Our own state always wins: a foreign state cannot describe the
+        // wrapped relation better than the one built from it.
+        self.rel.run_shared_walk(spec, carry, &self.snapshot())
     }
 
     fn most_probable_topk(&self, k: usize) -> Result<(Vec<TupleId>, f64), QueryError> {
@@ -438,9 +430,10 @@ mod tests {
             fn prepare(&self) -> PreparedState {
                 ProbabilisticRelation::prepare(&*self.db.lock().unwrap())
             }
-            fn run_shared_walk_prepared(
+            fn run_shared_walk(
                 &self,
                 spec: &SharedWalkSpec,
+                _carry: &mut TopkCarry,
                 prep: &PreparedState,
             ) -> Option<SharedWalkOut> {
                 self.db.lock().unwrap().run_shared_walk_prepared(spec, prep)
@@ -518,9 +511,10 @@ mod tests {
                 }
                 state // describes the pre-swap relation
             }
-            fn run_shared_walk_prepared(
+            fn run_shared_walk(
                 &self,
                 spec: &SharedWalkSpec,
+                _carry: &mut TopkCarry,
                 prep: &PreparedState,
             ) -> Option<SharedWalkOut> {
                 self.db.lock().unwrap().run_shared_walk_prepared(spec, prep)

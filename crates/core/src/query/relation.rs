@@ -3,7 +3,7 @@
 //! A [`ProbabilisticRelation`] is anything the engine can rank. Implementing
 //! one takes **metadata plus one walk**: the scored-tuple view (`n_tuples`,
 //! `tuple_scores`, `tuple_marginals`, `correlation_class`) and
-//! [`ProbabilisticRelation::run_shared_walk_prepared`], which answers a list
+//! [`ProbabilisticRelation::run_shared_walk`], which answers a list
 //! of [`SharedRequest`]s — weight-based Υ, PRFe in any numeric mode,
 //! expected ranks — from one pass over the relation. Every semantics of
 //! [`super::Semantics`] is read off those answers by the batch executor
@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use prf_numeric::{Complex, GfValue, Scaled};
+use prf_numeric::{Complex, GfValue, RankPoly, Scaled};
 use prf_pdb::{AndXorTree, IndependentDb, TupleId};
 
 use super::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
@@ -64,10 +64,9 @@ const UTOP_WORLD_LIMIT: usize = 1 << 20;
 /// A probabilistic relation the [`super::RankQuery`] engine can evaluate:
 /// metadata plus one walk (see the module docs).
 ///
-/// Only the four metadata methods and
-/// [`Self::run_shared_walk_prepared`] are required. The provided methods are
-/// capability hooks with conservative defaults: no cacheable preparation,
-/// no early stop for top-k consumers, no exact U-Top, U-Rank through one
+/// Only the four metadata methods and [`Self::run_shared_walk`] are
+/// required. The provided methods are capability hooks with conservative
+/// defaults: no cacheable preparation, no exact U-Top, U-Rank through one
 /// walk of position-indicator weights, and no sharding support.
 pub trait ProbabilisticRelation {
     /// Number of tuples.
@@ -118,40 +117,41 @@ pub trait ProbabilisticRelation {
     /// request has no exact algorithm on this backend: the engine then
     /// retries each query alone and reports
     /// [`QueryError::Unsupported`] for the ones that still get `None`.
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &PreparedState,
-    ) -> Option<SharedWalkOut>;
-
-    /// [`Self::run_shared_walk_prepared`] for consumers that rank only
-    /// their top `k`: `carry` holds each request's `k` and, between the
-    /// shards of a [`crate::shard::ShardedRelation`], its running cut and
-    /// the shard's prefix state ([`TopkCarry`]). A backend walking in score
-    /// order may stop a capped consumer at the first position where no
-    /// unread tuple can enter its top `k`, and report the visited prefix in
+    ///
+    /// `carry` holds each request's top-`k` and, between the shards of a
+    /// [`crate::shard::ShardedRelation`], its running cut and the shard's
+    /// prefix state ([`TopkCarry`]). A backend walking in score order may
+    /// stop a capped consumer at the first position where no unread tuple
+    /// can enter its top `k`, and report the visited prefix in
     /// [`SharedWalkOut::visits`]; that answer is exact on the prefix and
     /// holds the worst value of its shape beyond it. The stop point must
     /// depend only on the relation and the consumer's own request and `k`.
     ///
-    /// The default answers a fresh carry ([`TopkCarry::is_fresh`]) with a
-    /// full walk, which is always valid, and returns `None` for any other
-    /// carry: it cannot resume a cut. [`IndependentDb`] stops early and
+    /// A full walk is always a valid answer to a fresh carry
+    /// ([`TopkCarry::is_fresh`]), so a backend may ignore the carry when it
+    /// cannot be a shard (it has no [`Self::presence_gf`]): only a sharded
+    /// walk passes any other carry. A shard backend that cannot resume a
+    /// carry returns `None` for it. [`IndependentDb`] stops early and
     /// resumes. An [`AndXorTree`] in x-tuple form stops its capped
     /// truncated weight consumers (PT(h), PRFω(h)) at a block end of the
     /// x-tuple kernel ([`crate::xtuple`]) on a fresh carry, walks every
     /// other consumer in full, and cannot resume. Wrappers forward the
     /// carry.
-    fn run_shared_walk_topk(
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
         carry: &mut TopkCarry,
         prep: &PreparedState,
+    ) -> Option<SharedWalkOut>;
+
+    /// [`Self::run_shared_walk`] with a fresh carry: every consumer walks
+    /// in full. A shorthand; backends do not override it.
+    fn run_shared_walk_prepared(
+        &self,
+        spec: &SharedWalkSpec,
+        prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        if !carry.is_fresh() {
-            return None;
-        }
-        self.run_shared_walk_prepared(spec, prep)
+        self.run_shared_walk(spec, &mut TopkCarry::default(), prep)
     }
 
     /// The most probable top-k *set* (score-descending members, ln
@@ -192,29 +192,25 @@ pub trait ProbabilisticRelation {
         table
     }
 
-    /// Coefficients of the presence-count generating function
-    /// `G(x) = Σ_a Pr(|pw ∩ R| = a)·xᵃ`, truncated to `cap` coefficients
-    /// (degrees `< cap`; trailing zeros may be trimmed, missing entries are
-    /// zero). This is the *monoid element* sharding composes: across
+    /// The presence-count generating function
+    /// `G(x) = Σ_a Pr(|pw ∩ R| = a)·xᵃ` from one pass over the relation:
+    /// with `cap`, its coefficients truncated to `cap` (degrees `< cap`;
+    /// trailing zeros may be trimmed, missing entries are zero; empty
+    /// without `cap`), and `G(α)` in scaled arithmetic at each of `alphas`,
+    /// in order. This is the *monoid element* sharding composes: across
     /// independent score-contiguous shards the global GF is the product of
     /// the per-shard GFs, so [`crate::shard::ShardedRelation`] folds these
     /// to build each shard's incoming prefix state. `None` (the default)
-    /// marks a backend that cannot be sharded over.
-    fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
-        let _ = cap;
-        None
-    }
-
-    /// The presence-count generating function evaluated at the point `α`,
-    /// in scaled arithmetic: `G(α) = Σ_a Pr(|pw ∩ R| = a)·αᵃ` — the scalar
-    /// monoid element PRFe sharding composes (see
-    /// [`Self::presence_gf_coeffs`]). `None` (the default) marks a backend
-    /// that cannot be sharded over.
-    fn presence_gf_point(&self, alpha: Complex) -> Option<Scaled<Complex>> {
-        let _ = alpha;
+    /// marks a backend that cannot be a shard.
+    fn presence_gf(&self, cap: Option<usize>, alphas: &[Complex]) -> Option<PresenceGf> {
+        let _ = (cap, alphas);
         None
     }
 }
+
+/// What [`ProbabilisticRelation::presence_gf`] returns: `G`'s truncated
+/// coefficients and its scaled value at each requested point.
+pub type PresenceGf = (Vec<f64>, Vec<Scaled<Complex>>);
 
 impl ProbabilisticRelation for IndependentDb {
     fn n_tuples(&self) -> usize {
@@ -235,15 +231,7 @@ impl ProbabilisticRelation for IndependentDb {
 
     /// The stored score order is the whole of the walk's setup, so there
     /// is nothing to prepare and `prep` is ignored.
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        _prep: &PreparedState,
-    ) -> Option<SharedWalkOut> {
-        crate::independent::batch_walk_independent(self, spec, &mut TopkCarry::default())
-    }
-
-    fn run_shared_walk_topk(
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
         carry: &mut TopkCarry,
@@ -260,20 +248,21 @@ impl ProbabilisticRelation for IndependentDb {
         kernels::positional_candidates_independent(self, k)
     }
 
-    fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
-        let mut g = prf_numeric::Poly::one();
+    /// One linear factor `(1 − p) + p·x` per tuple, in id order,
+    /// multiplied into the coefficients and into every point.
+    fn presence_gf(&self, cap: Option<usize>, alphas: &[Complex]) -> Option<PresenceGf> {
+        let mut coeffs = prf_numeric::Poly::one();
+        let mut points = vec![Scaled::<Complex>::one(); alphas.len()];
         for p in self.probabilities() {
-            g.mul_linear_in_place(1.0 - p, p, cap.max(1));
+            if let Some(cap) = cap {
+                coeffs.mul_linear_in_place(1.0 - p, p, cap.max(1));
+            }
+            for (g, &alpha) in points.iter_mut().zip(alphas) {
+                *g = g.mul(&Scaled::new(Complex::real(1.0 - p) + alpha * p));
+            }
         }
-        Some(g.coeffs().to_vec())
-    }
-
-    fn presence_gf_point(&self, alpha: Complex) -> Option<Scaled<Complex>> {
-        let mut g = Scaled::<Complex>::one();
-        for p in self.probabilities() {
-            g = g.mul(&Scaled::new(Complex::real(1.0 - p) + alpha * p));
-        }
-        Some(g)
+        let coeffs = cap.map_or_else(Vec::new, |_| coeffs.coeffs().to_vec());
+        Some((coeffs, points))
     }
 }
 
@@ -305,15 +294,7 @@ impl ProbabilisticRelation for AndXorTree {
         PreparedState::tree(crate::tree::TreePrepared::new(self))
     }
 
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &PreparedState,
-    ) -> Option<SharedWalkOut> {
-        self.run_shared_walk_topk(spec, &mut TopkCarry::default(), prep)
-    }
-
-    fn run_shared_walk_topk(
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
         carry: &mut TopkCarry,
@@ -353,19 +334,68 @@ impl ProbabilisticRelation for AndXorTree {
         kernels::positional_candidates_tree(self, k)
     }
 
-    fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
+    /// One bottom-up fold of the tree over `PresenceValue`s, so each
+    /// output takes the floating-point operations of its own fold.
+    fn presence_gf(&self, cap: Option<usize>, alphas: &[Complex]) -> Option<PresenceGf> {
         if AndXorTree::n_tuples(self) == 0 {
-            return Some(vec![1.0]);
+            let coeffs = cap.map_or_else(Vec::new, |_| vec![1.0]);
+            return Some((coeffs, vec![Scaled::one(); alphas.len()]));
         }
-        let g = self.generating_function(|_| prf_numeric::RankPoly::x().with_cap(cap.max(1)));
-        Some(g.a.coeffs().to_vec())
+        let x = RankPoly::x().with_cap(cap.unwrap_or(1).max(1));
+        let leaf = PresenceValue(x, alphas.iter().map(|&a| Scaled::new(a)).collect());
+        let g = self.generating_function(|_| leaf.clone());
+        let coeffs = cap.map_or_else(Vec::new, |_| g.0.a.coeffs().to_vec());
+        // The root sits above a leaf, so it holds one point per α.
+        Some((coeffs, g.1))
     }
+}
 
-    fn presence_gf_point(&self, alpha: Complex) -> Option<Scaled<Complex>> {
-        if AndXorTree::n_tuples(self) == 0 {
-            return Some(Scaled::one());
-        }
-        Some(self.generating_function(|_| Scaled::new(alpha)))
+/// A tree's presence GF for every output at once: the coefficient
+/// polynomial and one scaled point per α. A one-point vector is a scalar
+/// broadcast over every α (the identities and the ∨ slack), so each point
+/// takes exactly the operations of its own fold.
+#[derive(Clone)]
+struct PresenceValue(RankPoly, Vec<Scaled<Complex>>);
+
+impl PresenceValue {
+    /// `poly` beside the point-wise `f`, broadcasting a one-point side.
+    fn zip(
+        &self,
+        rhs: &Self,
+        poly: RankPoly,
+        f: impl Fn(&Scaled<Complex>, &Scaled<Complex>) -> Scaled<Complex>,
+    ) -> Self {
+        let (a, b) = (&self.1, &rhs.1);
+        let points = match (a.len(), b.len()) {
+            (1, m) if m != 1 => b.iter().map(|b| f(&a[0], b)).collect(),
+            (_, 1) => a.iter().map(|a| f(a, &b[0])).collect(),
+            _ => a.iter().zip(b).map(|(a, b)| f(a, b)).collect(),
+        };
+        PresenceValue(poly, points)
+    }
+}
+
+impl GfValue for PresenceValue {
+    fn zero() -> Self {
+        PresenceValue(RankPoly::zero(), vec![Scaled::zero()])
+    }
+    fn one() -> Self {
+        PresenceValue(RankPoly::one(), vec![Scaled::one()])
+    }
+    fn from_scalar(c: f64) -> Self {
+        PresenceValue(RankPoly::from_scalar(c), vec![Scaled::from_scalar(c)])
+    }
+    fn add(&self, rhs: &Self) -> Self {
+        self.zip(rhs, self.0.add(&rhs.0), |a, b| a.add(b))
+    }
+    fn mul(&self, rhs: &Self) -> Self {
+        self.zip(rhs, self.0.mul(&rhs.0), |a, b| a.mul(b))
+    }
+    fn scale(&self, c: f64) -> Self {
+        PresenceValue(self.0.scale(c), self.1.iter().map(|a| a.scale(c)).collect())
+    }
+    fn add_scaled(&self, rhs: &Self, c: f64) -> Self {
+        self.zip(rhs, self.0.add_scaled(&rhs.0, c), |a, b| a.add_scaled(b, c))
     }
 }
 
@@ -396,6 +426,69 @@ mod tests {
     }
 
     #[test]
+    fn presence_gf_matches_world_enumeration() {
+        let alphas = [0.0, 0.5, 1.0].map(Complex::real);
+        let alphas = [&alphas[..], &[Complex::new(0.3, 0.4)]].concat();
+        let pairs = [(9.0, 0.3), (8.0, 1.0), (7.0, 0.0), (6.0, 0.55), (5.0, 0.8)];
+        let db = IndependentDb::from_pairs(pairs).unwrap();
+        let groups = [
+            vec![(10.0, 0.2), (4.0, 0.5)],
+            vec![(8.0, 0.9)],
+            vec![(7.0, 0.3), (1.0, 0.4)],
+        ];
+        let xt = AndXorTree::from_x_tuples(&groups).unwrap();
+        let general = crate::tree::tests::random_tree2(1, 8, 3);
+        assert_eq!(general.correlation_class(), CorrelationClass::Tree);
+        let live = crate::live::LiveRelation::new(db.clone());
+        let (empty_db, empty_tree) = (
+            IndependentDb::from_pairs([]).unwrap(),
+            AndXorTree::from_x_tuples(&[]).unwrap(),
+        );
+        let cases: [(&dyn ProbabilisticRelation, _); 6] = [
+            (&db, db.enumerate_worlds(64)),
+            (&xt, xt.enumerate_worlds(64)),
+            (&general, general.enumerate_worlds(256)),
+            (&live, db.enumerate_worlds(64)),
+            (&empty_db, empty_db.enumerate_worlds(1)),
+            (&empty_tree, empty_tree.enumerate_worlds(1)),
+        ];
+        for (case, (rel, worlds)) in cases.iter().enumerate() {
+            // `Pr(|pw| = a)` for `a ≤ n`, by brute force.
+            let mut g = vec![0.0; rel.n_tuples() + 1];
+            for (world, p) in &worlds.as_ref().unwrap().worlds {
+                g[world.len()] += p;
+            }
+            let (none, points) = rel.presence_gf(None, &alphas).expect("a shard backend");
+            assert!(none.is_empty(), "case {case}: no cap, no coefficients");
+            // A lone α takes the operations it takes among others.
+            let lone = rel.presence_gf(None, &alphas[3..]).unwrap().1;
+            assert_eq!(format!("{lone:?}"), format!("{:?}", &points[3..]));
+            for (alpha, point) in alphas.iter().zip(&points) {
+                let want = g
+                    .iter()
+                    .rev()
+                    .fold(Complex::ZERO, |acc, &c| acc * *alpha + Complex::real(c));
+                assert!(
+                    point.to_plain().approx_eq(want, 1e-12),
+                    "case {case} α={alpha}"
+                );
+            }
+            for cap in [1, 3, g.len() + 1] {
+                let (coeffs, capped_points) = rel.presence_gf(Some(cap), &alphas).unwrap();
+                assert!(coeffs.len() <= cap, "case {case} cap={cap}");
+                for a in 0..cap {
+                    let got = coeffs.get(a).copied().unwrap_or(0.0);
+                    let want = g.get(a).copied().unwrap_or(0.0);
+                    assert!((got - want).abs() < 1e-12, "case {case} cap={cap} a={a}");
+                }
+                // The coefficients ride the same pass as the points.
+                assert_eq!(format!("{capped_points:?}"), format!("{points:?}"));
+                assert!(rel.presence_gf(Some(cap), &[]).unwrap().1.is_empty());
+            }
+        }
+    }
+
+    #[test]
     fn default_positional_candidates_match_specialised() {
         let db = IndependentDb::from_pairs([
             (10.0, 0.4),
@@ -420,9 +513,10 @@ mod tests {
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Graphical
             }
-            fn run_shared_walk_prepared(
+            fn run_shared_walk(
                 &self,
                 spec: &SharedWalkSpec,
+                _carry: &mut TopkCarry,
                 prep: &PreparedState,
             ) -> Option<SharedWalkOut> {
                 self.0.run_shared_walk_prepared(spec, prep)

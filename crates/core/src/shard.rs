@@ -50,7 +50,7 @@
 //! truncated, bit for bit. The walk ends inside the first shard where
 //! every consumer has stopped; the later shards are never read.
 //!
-//! A shard whose backend cannot resume a carry (trees, graphical models)
+//! A shard whose backend cannot resume a carry (an and/xor tree)
 //! restarts the walk in *plain* mode: every shard runs its own full walk
 //! on `workers` threads, the scalar consumers get the prefix state applied
 //! afterwards with the same floating-point operations, and the local
@@ -75,9 +75,8 @@ use crate::query::cut::{Cap, ShardCarry};
 use crate::query::{CorrelationClass, PreparedState, ProbabilisticRelation, TopkCarry};
 use crate::weights::{tabulate, TabulatedWeight, WeightFunction};
 
-/// A shard handle: any backend that exposes the presence-GF monoid hooks
-/// ([`ProbabilisticRelation::presence_gf_coeffs`] /
-/// [`ProbabilisticRelation::presence_gf_point`]).
+/// A shard handle: any backend that exposes the presence-GF monoid hook
+/// [`ProbabilisticRelation::presence_gf`].
 pub type ShardHandle = Arc<dyn ProbabilisticRelation + Send + Sync>;
 
 // ---------------------------------------------------------------------
@@ -99,9 +98,9 @@ pub enum ShardError {
         /// Maximum score of the shard below the boundary.
         lower_max: f64,
     },
-    /// The shard's backend does not implement the presence-GF monoid hooks
-    /// (both [`ProbabilisticRelation::presence_gf_coeffs`] and
-    /// [`ProbabilisticRelation::presence_gf_point`] are required).
+    /// The shard's backend does not implement the presence-GF monoid hook
+    /// [`ProbabilisticRelation::presence_gf`]: a graphical model, or a
+    /// sharded relation (shards do not nest).
     Unsupported {
         /// Index of the offending shard.
         shard: usize,
@@ -124,7 +123,7 @@ impl std::fmt::Display for ShardError {
             ),
             ShardError::Unsupported { shard, class } => write!(
                 f,
-                "shard {shard} ({class} backend) lacks the presence-GF hooks"
+                "shard {shard} ({class} backend) lacks the presence-GF hook"
             ),
         }
     }
@@ -216,31 +215,6 @@ fn tabulate_shifted(
 }
 
 // ---------------------------------------------------------------------
-// Prefix folds
-// ---------------------------------------------------------------------
-
-/// Balanced product tournament over presence-GF coefficient vectors,
-/// truncated to `cap` coefficients — the associative combine of the shard
-/// monoid (the same divide-and-conquer shape as `Poly::product`, with
-/// truncation).
-fn coeff_tournament(mut factors: Vec<Poly>, cap: usize) -> Poly {
-    if factors.is_empty() {
-        return Poly::one();
-    }
-    while factors.len() > 1 {
-        factors = factors
-            .chunks(2)
-            .map(|pair| match pair {
-                [a, b] => a.mul_truncated(b, cap),
-                [a] => a.clone(),
-                _ => unreachable!("chunks(2)"),
-            })
-            .collect();
-    }
-    factors.pop().expect("non-empty")
-}
-
-// ---------------------------------------------------------------------
 // ShardedRelation
 // ---------------------------------------------------------------------
 
@@ -318,16 +292,14 @@ impl ShardedRelation {
     /// first) whose plain-mode shard walks (module docs) request `workers`
     /// threads each.
     ///
-    /// Validates that every shard implements the presence-GF monoid hooks
+    /// Validates that every shard implements the presence-GF monoid hook
     /// and that consecutive non-empty shards are score-contiguous
     /// (`min score` above ≥ `max score` below — ties at the boundary are
     /// fine, they resolve by shard order exactly as the global sort
     /// would).
     pub fn new(shards: Vec<ShardHandle>, workers: usize) -> Result<Self, ShardError> {
         for (k, shard) in shards.iter().enumerate() {
-            if shard.presence_gf_coeffs(1).is_none()
-                || shard.presence_gf_point(Complex::ONE).is_none()
-            {
+            if shard.presence_gf(None, &[]).is_none() {
                 return Err(ShardError::Unsupported {
                     shard: k,
                     class: shard.correlation_class(),
@@ -525,7 +497,7 @@ impl ShardedRelation {
                         c_pre,
                         c_other,
                     });
-                    let Some(out) = shard.run_shared_walk_topk(&local_spec, carry, prep) else {
+                    let Some(out) = shard.run_shared_walk(&local_spec, carry, prep) else {
                         carry.shard = None;
                         return if spec.is_cancelled() {
                             None
@@ -563,17 +535,16 @@ impl ShardedRelation {
             if k + 1 == self.shards.len() {
                 break; // no later shard reads the fold
             }
-            if let Some(cap) = coeff_cap {
-                let g = shard
-                    .presence_gf_coeffs(cap)
+            if coeff_cap.is_some() || !alphas.is_empty() {
+                let (coeffs, points) = shard
+                    .presence_gf(coeff_cap, &alphas)
                     .expect("validated at construction");
-                coeff_acc = coeff_acc.mul_truncated(&Poly::from_coeffs(g), cap);
-            }
-            for (alpha, acc) in alphas.iter().zip(&mut point_acc) {
-                let g = shard
-                    .presence_gf_point(*alpha)
-                    .expect("validated at construction");
-                *acc = acc.mul(&g);
+                if let Some(cap) = coeff_cap {
+                    coeff_acc = coeff_acc.mul_truncated(&Poly::from_coeffs(coeffs), cap);
+                }
+                for (acc, g) in point_acc.iter_mut().zip(&points) {
+                    *acc = acc.mul(g);
+                }
             }
             c_pre += summaries[k].world_size;
         }
@@ -818,26 +789,15 @@ impl ProbabilisticRelation for ShardedRelation {
         PreparedState::sharded(states)
     }
 
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &PreparedState,
-    ) -> Option<SharedWalkOut> {
-        self.run_shared_walk_topk(spec, &mut TopkCarry::default(), prep)
-    }
-
-    /// A fresh carry walks the shards in score order and stops early once
-    /// every consumer is capped and has stopped. A carry from an enclosing
-    /// sharded relation cannot be resumed here: `None`.
-    fn run_shared_walk_topk(
+    /// Walks the shards in score order and stops early once every
+    /// consumer is capped and has stopped. A sharded relation is never a
+    /// shard itself (it has no presence hook), so its carry is fresh.
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
         carry: &mut TopkCarry,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
-        if !carry.is_fresh() {
-            return None;
-        }
         let preps = prep
             .sharded_states()
             .filter(|states| states.len() == self.shards.len());
@@ -845,25 +805,8 @@ impl ProbabilisticRelation for ShardedRelation {
             // One shard: the prefix is the identity, delegate wholesale.
             let prep = preps.and_then(|p| p.first());
             let empty = PreparedState::empty();
-            return self.shards[0].run_shared_walk_topk(spec, carry, prep.map_or(&empty, |p| &**p));
+            return self.shards[0].run_shared_walk(spec, carry, prep.map_or(&empty, |p| &**p));
         }
         self.walk(spec, carry, preps, false)
-    }
-
-    fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
-        let factors = self
-            .shards
-            .iter()
-            .map(|s| s.presence_gf_coeffs(cap).map(Poly::from_coeffs))
-            .collect::<Option<Vec<_>>>()?;
-        Some(coeff_tournament(factors, cap.max(1)).coeffs().to_vec())
-    }
-
-    fn presence_gf_point(&self, alpha: Complex) -> Option<Scaled<Complex>> {
-        let mut acc = Scaled::<Complex>::one();
-        for s in &self.shards {
-            acc = acc.mul(&s.presence_gf_point(alpha)?);
-        }
-        Some(acc)
     }
 }

@@ -84,7 +84,7 @@ impl Ranking {
     /// result is the full ranking's prefix whenever every other tuple's key
     /// is strictly below the `k`-th best candidate's — the contract of a
     /// walk's visited prefix (see
-    /// [`crate::query::ProbabilisticRelation::run_shared_walk_topk`]).
+    /// [`crate::query::ProbabilisticRelation::run_shared_walk`]).
     /// `None` when a considered key is NaN.
     pub(crate) fn select(
         n: usize,

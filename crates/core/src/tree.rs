@@ -31,9 +31,6 @@
 //!    (Appendix B.2);
 //! 4. [`expected_ranks_tree`] — the same machinery over dual numbers for
 //!    expected ranks (Cormode et al.) on correlated data.
-//!
-//! The `*_stats` variants additionally report the evaluator's memory
-//! accounting ([`GfStats`]), surfaced by the query engine's `EvalReport`.
 
 #![allow(clippy::needless_range_loop)] // index loops pair several parallel arrays
 
@@ -165,22 +162,14 @@ pub(crate) fn gradient_walk<T: GfValue>(
 /// ([`prf_rank_tree_refold`]) is enforced to 1e-9 by the differential suite
 /// in `tests/incremental_engine.rs`.
 pub fn prf_rank_tree(tree: &AndXorTree, omega: &dyn WeightFunction) -> Vec<Complex> {
-    prf_rank_tree_stats(tree, omega).0
-}
-
-/// [`prf_rank_tree`] plus the evaluator's memory accounting.
-pub fn prf_rank_tree_stats(
-    tree: &AndXorTree,
-    omega: &dyn WeightFunction,
-) -> (Vec<Complex>, GfStats) {
     let n = tree.n_tuples();
     let mut out = vec![Complex::ZERO; n];
     let cap = omega.truncation().unwrap_or(n).min(n);
     if cap == 0 {
-        return (out, GfStats::default());
+        return out;
     }
     let prep = TreePrepared::new(tree);
-    let stats = gradient_walk(
+    gradient_walk(
         &prep.plan,
         &prep.order,
         RankPoly::one().with_cap(cap),
@@ -190,7 +179,7 @@ pub fn prf_rank_tree_stats(
             out[t.index()] = upsilon_from_gf(&g.a, s, &tv, omega, cap);
         },
     );
-    (out, stats)
+    out
 }
 
 /// The literal Algorithm 2: one full bottom-up refold of the entire tree
@@ -311,23 +300,18 @@ pub fn prf_rank_tree_interp(tree: &AndXorTree, omega: &dyn WeightFunction) -> Ve
 /// `p = 1` leaves, zero-probability edges and `α = 0` need no zero-count
 /// bookkeeping.
 pub fn prfe_rank_tree<T: GfValue>(tree: &AndXorTree, alpha: T) -> Vec<T> {
-    prfe_rank_tree_stats(tree, alpha).0
-}
-
-/// [`prfe_rank_tree`] plus the evaluator's memory accounting.
-pub fn prfe_rank_tree_stats<T: GfValue>(tree: &AndXorTree, alpha: T) -> (Vec<T>, GfStats) {
     let n = tree.n_tuples();
     let mut out = vec![T::zero(); n];
     if n == 0 {
-        return (out, GfStats::default());
+        return out;
     }
     let (order, _) = score_order(tree);
     let plan = EvalPlan::new(tree);
-    let stats = gradient_walk(&plan, &order, T::one(), &alpha, |t, g, s| {
+    gradient_walk(&plan, &order, T::one(), &alpha, |t, g, s| {
         // Υ(t) = B(α)·α.
         out[t.index()] = g.scale(s).mul(&alpha);
     });
-    (out, stats)
+    out
 }
 
 /// [`prfe_rank_tree`] in scaled-complex arithmetic — underflow-proof at any
@@ -335,14 +319,6 @@ pub fn prfe_rank_tree_stats<T: GfValue>(tree: &AndXorTree, alpha: T) -> (Vec<T>,
 /// [`Scaled::magnitude_key`](prf_numeric::Scaled::magnitude_key).
 pub fn prfe_rank_tree_scaled(tree: &AndXorTree, alpha: Complex) -> Vec<Scaled<Complex>> {
     prfe_rank_tree(tree, Scaled::new(alpha))
-}
-
-/// [`prfe_rank_tree_scaled`] plus the evaluator's memory accounting.
-pub fn prfe_rank_tree_scaled_stats(
-    tree: &AndXorTree,
-    alpha: Complex,
-) -> (Vec<Scaled<Complex>>, GfStats) {
-    prfe_rank_tree_stats(tree, Scaled::new(alpha))
 }
 
 /// Recompute-from-scratch PRFe on a tree: one full `O(node count)` fold per
@@ -471,16 +447,6 @@ impl<'w> BatchConsumers<'w> {
             weights,
             xtuple: xtuple_weights,
             scalars,
-            cap,
-        }
-    }
-
-    /// One weight `omega`, read at extraction cap `cap` into answer 0.
-    pub(crate) fn weight(omega: &'w (dyn WeightFunction + Sync), cap: usize) -> Self {
-        BatchConsumers {
-            weights: vec![(0, omega, cap)],
-            xtuple: Vec::new(),
-            scalars: Vec::new(),
             cap,
         }
     }
@@ -825,7 +791,7 @@ fn walk_serial(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::weights::*;
     use prf_pdb::{IndependentDb, NodeKind, TreeBuilder};
@@ -851,7 +817,7 @@ mod tests {
 
     /// A random and/xor tree with explicit kind tracking, for differential
     /// testing against brute-force world enumeration.
-    fn random_tree2(seed: u64, target_leaves: usize, max_depth: usize) -> AndXorTree {
+    pub(crate) fn random_tree2(seed: u64, target_leaves: usize, max_depth: usize) -> AndXorTree {
         let mut rng = StdRng::seed_from_u64(seed);
         let root_kind = if rng.gen_bool(0.5) {
             NodeKind::And
@@ -1130,20 +1096,5 @@ mod tests {
             let expect: f64 = dists[t][..2].iter().sum();
             assert!((full[t].re - expect).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn stats_variants_report_memory() {
-        let tree = figure1_tree();
-        let (vals, stats) = prf_rank_tree_stats(&tree, &StepWeight { h: 3 });
-        assert_eq!(vals, prf_rank_tree(&tree, &StepWeight { h: 3 }));
-        assert!(stats.plan_nodes > 0);
-        assert!(stats.peak_coefficients >= stats.resident_coefficients);
-        let (svals, sstats) = prfe_rank_tree_scaled_stats(&tree, Complex::real(0.7));
-        assert_eq!(svals.len(), tree.n_tuples());
-        assert!(sstats.plan_nodes > 0);
-        // Scalar engines hold no heap coefficients.
-        assert_eq!(sstats.peak_coefficients, 0);
-        assert!(sstats.peak_bytes > 0);
     }
 }

@@ -20,7 +20,7 @@
 //! `O(n³)`.
 
 use prf_core::query::batch::{SharedAnswer, SharedRequest, SharedWalkOut, SharedWalkSpec};
-use prf_core::query::PreparedState;
+use prf_core::query::{PreparedState, TopkCarry};
 use prf_numeric::{Complex, Scaled};
 use prf_pdb::tuple::top_k_desc;
 use prf_pdb::{PdbError, Tuple, TupleId};
@@ -316,9 +316,12 @@ impl prf_core::query::ProbabilisticRelation for NetworkRelation {
     /// One junction-tree positional-probability table serves every
     /// request; expected ranks have no exact algorithm here, so a walk
     /// asking for them answers `None` (the engine reports `Unsupported`).
-    fn run_shared_walk_prepared(
+    /// A network is never a shard, so its carry is always fresh and every
+    /// consumer walks in full.
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
+        _carry: &mut TopkCarry,
         _prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
         let start = std::time::Instant::now();

@@ -67,7 +67,7 @@
 //!   flush invalidates them, so a mutate-then-query sequence can never be
 //!   served stale — and identical untracked queries inside one flush
 //!   coalesce onto a single walk slot
-//!   ([`ServeConfig::cache_enabled`] / [`ServeConfig::cache_entries`]);
+//!   ([`ServeConfig::cache_entries`]; 0 turns both off);
 //! * a deterministic **fault-injection harness** (`FaultPlan`, compiled
 //!   under `cfg(any(test, feature = "chaos"))`) arms panics, delays,
 //!   overloads, and worker kills at seven named sites of the flush path,

@@ -84,8 +84,8 @@
 //! offline mutation through a retained handle) is discarded at lookup
 //! rather than served. Within one flush, identical untracked queries
 //! **coalesce**: one representative joins the walk and the rest alias its
-//! answer. [`ServeConfig::cache_enabled`] / [`ServeConfig::cache_entries`]
-//! tune the cache; [`ServeMetrics`] counts hits, misses, and
+//! answer. [`ServeConfig::cache_entries`] sizes the cache (0 turns it and
+//! coalescing off); [`ServeMetrics`] counts hits, misses, and
 //! invalidations.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -144,7 +144,6 @@ pub struct ServeConfig {
     pub(crate) workers: usize,
     pub(crate) max_pending: Option<usize>,
     pub(crate) stuck_after: Duration,
-    pub(crate) cache_enabled: bool,
     pub(crate) cache_entries: usize,
 }
 
@@ -158,7 +157,6 @@ impl Default for ServeConfig {
             workers: 2,
             max_pending: None,
             stuck_after: Duration::from_secs(30),
-            cache_enabled: true,
             cache_entries: 128,
         }
     }
@@ -229,21 +227,15 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables the per-relation result cache (default
-    /// **enabled**). Disabling also disables within-flush coalescing of
+    /// Caps each relation's result cache at `entries` distinct query keys
+    /// (default 128). At the cap the oldest-inserted key is evicted.
+    ///
+    /// `0` turns the cache off, and with it the within-flush coalescing of
     /// identical queries, so every submission pays its own share of a walk
     /// — the right setting for benchmarks that repeat a query to measure
     /// evaluation cost.
-    pub fn cache_enabled(mut self, enabled: bool) -> Self {
-        self.cache_enabled = enabled;
-        self
-    }
-
-    /// Caps each relation's result cache at `entries` distinct query keys
-    /// (clamped to at least 1; default 128). At the cap the oldest-inserted
-    /// key is evicted.
     pub fn cache_entries(mut self, entries: usize) -> Self {
-        self.cache_entries = entries.max(1);
+        self.cache_entries = entries;
         self
     }
 }
@@ -911,7 +903,9 @@ impl RankServer {
     /// shard states.
     ///
     /// Fails (without registering) if the shards overlap in score or a
-    /// shard's backend lacks the presence-GF hooks.
+    /// shard's backend lacks the presence-GF hook
+    /// ([`ProbabilisticRelation::presence_gf`]): a graphical model, or a
+    /// sharded relation (shards do not nest).
     pub fn register_sharded(
         &self,
         name: impl Into<String>,
@@ -1695,7 +1689,7 @@ fn execute_flush(work: &mut FlushWork, shared: &Shared) -> FlushOutcome {
     // Result cache. With the relation's post-mutation generation in hand:
     // purge on any state movement, then serve every entry whose key has a
     // current remembered answer — no walk, no scheduler hop.
-    let cache_on = shared.config.cache_enabled;
+    let cache_on = shared.config.cache_entries > 0;
     let _ = shared.chaos("cache");
     let generation = work.rel.generation();
     if relation_touched {
@@ -2073,7 +2067,7 @@ mod tests {
     #[test]
     fn panicking_backend_resolves_to_internal_and_server_survives() {
         use prf_core::query::batch::{SharedWalkOut, SharedWalkSpec};
-        use prf_core::query::{CorrelationClass, PreparedState};
+        use prf_core::query::{CorrelationClass, PreparedState, TopkCarry};
 
         /// A backend whose kernels die — stands in for any bug that makes
         /// evaluation panic. Panic isolation must resolve the doomed
@@ -2092,9 +2086,10 @@ mod tests {
             fn correlation_class(&self) -> CorrelationClass {
                 CorrelationClass::Graphical
             }
-            fn run_shared_walk_prepared(
+            fn run_shared_walk(
                 &self,
                 _spec: &SharedWalkSpec,
+                _carry: &mut TopkCarry,
                 _prep: &PreparedState,
             ) -> Option<SharedWalkOut> {
                 panic!("injected kernel failure")
@@ -2642,7 +2637,7 @@ mod tests {
             ServeConfig::new()
                 .max_delay(Duration::from_secs(3600))
                 .max_batch(2)
-                .cache_enabled(false),
+                .cache_entries(0),
         );
         let rel = server.register("db", db());
         let a = server.submit(rel, RankQuery::pt(2)).unwrap();

@@ -30,7 +30,7 @@ pub mod strategy;
 
 /// Strategies producing collections.
 pub mod collection {
-    use crate::strategy::{Strategy, ValueTree};
+    use crate::strategy::{Shrinks, Strategy, ValueTree};
     use rand::{rngs::StdRng, Rng};
     use std::ops::Range;
 
@@ -103,35 +103,27 @@ pub mod collection {
             self.elems.iter().map(ValueTree::current).collect()
         }
 
-        fn shrink(&self) -> Vec<Self> {
-            let n = self.elems.len();
-            let min = self.min_len;
-            let mut out: Vec<Self> = Vec::new();
-            let with = |elems: Vec<T>| VecTree {
-                min_len: min,
-                elems,
-            };
-            // Structural shrinks first (smaller vectors), then element-wise.
-            if n > min {
-                let half = (n / 2).max(min);
-                if half < n {
-                    out.push(with(self.elems[..half].to_vec()));
-                    out.push(with(self.elems[n - half..].to_vec()));
-                }
-                for i in 0..n {
-                    let mut v = self.elems.clone();
-                    v.remove(i);
-                    out.push(with(v));
-                }
-            }
-            for (i, elem) in self.elems.iter().enumerate() {
-                for cand in elem.shrink() {
+        fn shrink(&self) -> Shrinks<'_, Self> {
+            let (n, min_len) = (self.elems.len(), self.min_len);
+            let with = move |elems: Vec<T>| VecTree { min_len, elems };
+            // Structural shrinks first (smaller vectors), then element-wise;
+            // a candidate clones the vector only when the runner pulls it.
+            let half = (n / 2).max(min_len);
+            let halves = [0, n - half].into_iter().filter(move |_| half < n);
+            let halves = halves.map(move |lo| with(self.elems[lo..lo + half].to_vec()));
+            let removals = (0..n).filter(move |_| n > min_len).map(move |i| {
+                let mut v = self.elems.clone();
+                v.remove(i);
+                with(v)
+            });
+            let elementwise = self.elems.iter().enumerate().flat_map(move |(i, elem)| {
+                elem.shrink().map(move |cand| {
                     let mut v = self.elems.clone();
                     v[i] = cand;
-                    out.push(with(v));
-                }
-            }
-            out
+                    with(v)
+                })
+            });
+            Box::new(halves.chain(removals).chain(elementwise))
         }
     }
 }
@@ -325,20 +317,27 @@ pub mod test_runner {
         case: &mut impl FnMut(T::Value) -> Result<(), TestCaseError>,
     ) -> (String, usize, usize) {
         let (mut steps, mut evaluations) = (0usize, 0usize);
-        'outer: loop {
-            for candidate in current.shrink() {
-                if evaluations == MAX_SHRINK_EVALUATIONS {
-                    break 'outer;
-                }
+        loop {
+            let mut failing = None;
+            let mut candidates = current.shrink();
+            while evaluations < MAX_SHRINK_EVALUATIONS {
+                let Some(candidate) = candidates.next() else {
+                    break;
+                };
                 evaluations += 1;
                 if let Err(TestCaseError::Fail(msg)) = case(candidate.current()) {
-                    current = candidate;
-                    message = msg;
-                    steps += 1;
-                    continue 'outer;
+                    failing = Some((candidate, msg));
+                    break;
                 }
             }
-            break; // no simpler candidate fails: minimal
+            drop(candidates);
+            // No simpler candidate fails (a minimum), or the budget is spent.
+            let Some((candidate, msg)) = failing else {
+                break;
+            };
+            current = candidate;
+            message = msg;
+            steps += 1;
         }
         (message, steps, evaluations)
     }
@@ -712,22 +711,30 @@ mod tests {
     }
 
     /// A countdown whose every shrink step offers many passing decoys
-    /// before the one simpler failing value: `(n, decoy)`.
-    #[derive(Clone)]
+    /// before the one simpler failing value: `(n, decoy)`. Its clones are
+    /// counted in [`CLONES`].
     struct Countdown(u64, bool);
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Clone for Countdown {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Countdown(self.0, self.1)
+        }
+    }
 
     impl ValueTree for Countdown {
         type Value = (u64, bool);
         fn current(&self) -> (u64, bool) {
             (self.0, self.1)
         }
-        fn shrink(&self) -> Vec<Self> {
+        fn shrink(&self) -> crate::strategy::Shrinks<'_, Self> {
             let next = self.0.saturating_sub(1);
-            let mut candidates = vec![Countdown(next, true); 15];
-            if self.0 > 0 {
-                candidates.push(Countdown(next, false));
-            }
-            candidates
+            let decoys = (0..15).map(move |_| Countdown(next, true));
+            Box::new(decoys.chain((self.0 > 0).then_some(Countdown(next, false))))
         }
     }
 
@@ -762,6 +769,30 @@ mod tests {
         assert_eq!(f.shrink_steps, MAX_SHRINK_EVALUATIONS / 16);
         assert_eq!(f.message, format!("n = {}", 100_000 - f.shrink_steps));
         assert_eq!(f.raw_message, "n = 100000");
+
+        // The same countdown in each of 500 elements, shrunk element-wise:
+        // every candidate is a clone of the whole vector, and only the
+        // candidates the budget evaluates are built.
+        CLONES.with(|c| c.set(0));
+        let mut evaluations = 0usize;
+        let strategy = crate::collection::vec(CountdownFrom(100_000), 500);
+        let f = collect_failure("shrink_budget_vec", &strategy, |v| {
+            evaluations += 1;
+            if v.iter().any(|&(_, decoy)| decoy) {
+                Ok(())
+            } else {
+                Err(TestCaseError::fail(format!("head = {}", v[0].0)))
+            }
+        });
+        assert_eq!(evaluations, 1 + MAX_SHRINK_EVALUATIONS);
+        assert_eq!(f.shrink_steps, MAX_SHRINK_EVALUATIONS / 16);
+        assert_eq!(f.message, format!("head = {}", 100_000 - f.shrink_steps));
+        let built = CLONES.with(|c| c.get());
+        assert_eq!(
+            built,
+            500 * MAX_SHRINK_EVALUATIONS,
+            "one vector clone per candidate"
+        );
     }
 
     #[test]

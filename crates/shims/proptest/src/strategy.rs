@@ -17,18 +17,22 @@ pub trait ValueTree: Clone {
     /// The value the tree currently represents.
     fn current(&self) -> Self::Value;
 
-    /// Proposes strictly simpler candidate trees, simplest first. An empty
-    /// vector means the value is fully shrunk (the default, for values that
-    /// cannot be simplified).
-    fn shrink(&self) -> Vec<Self> {
-        Vec::new()
+    /// Proposes strictly simpler candidate trees, simplest first, built
+    /// one at a time as the runner pulls them, so its evaluation budget
+    /// also bounds how many are built. An empty iterator means the value is
+    /// fully shrunk (the default, for values that cannot be simplified).
+    fn shrink(&self) -> Shrinks<'_, Self> {
+        Box::new(std::iter::empty())
     }
 }
 
+/// The lazy candidate stream of [`ValueTree::shrink`].
+pub type Shrinks<'a, T> = Box<dyn Iterator<Item = T> + 'a>;
+
 /// A recipe for generating random values of an output type.
 ///
-/// Unlike real proptest the tree is not lazy: a strategy deterministically
-/// produces a [`ValueTree`] from an [`StdRng`] state, and the test runner
+/// A strategy deterministically produces a [`ValueTree`] from an
+/// [`StdRng`] state, and the test runner
 /// greedily re-runs the tree's shrink candidates, keeping the first one
 /// that still fails, so reported counterexamples are (locally) minimal.
 pub trait Strategy {
@@ -132,15 +136,11 @@ where
         (self.f)(self.inner.current())
     }
 
-    fn shrink(&self) -> Vec<Self> {
-        self.inner
-            .shrink()
-            .into_iter()
-            .map(|t| MapTree {
-                inner: t,
-                f: Rc::clone(&self.f),
-            })
-            .collect()
+    fn shrink(&self) -> Shrinks<'_, Self> {
+        Box::new(self.inner.shrink().map(|t| MapTree {
+            inner: t,
+            f: Rc::clone(&self.f),
+        }))
     }
 }
 
@@ -206,15 +206,11 @@ where
         v
     }
 
-    fn shrink(&self) -> Vec<Self> {
-        self.inner
-            .shrink()
-            .into_iter()
-            .map(|t| ShuffleTree {
-                inner: t,
-                seed: self.seed,
-            })
-            .collect()
+    fn shrink(&self) -> Shrinks<'_, Self> {
+        Box::new(self.inner.shrink().map(|t| ShuffleTree {
+            inner: t,
+            seed: self.seed,
+        }))
     }
 }
 
@@ -262,11 +258,11 @@ impl ValueTree for NumTree<f64> {
     /// fractions of the distance to it (1/2, 3/4, 7/8, 15/16, 31/32). The
     /// greedy runner keeps the first candidate that still fails, so
     /// repeated shrinking bisects towards the failure boundary.
-    fn shrink(&self) -> Vec<Self> {
+    fn shrink(&self) -> Shrinks<'_, Self> {
         let (lo, value) = (self.lo, self.current);
         // NaN (incomparable) and values at/below the minimum never shrink.
         if value.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
-            return Vec::new();
+            return Box::new(std::iter::empty());
         }
         let mut out = vec![NumTree { lo, current: lo }];
         for frac in [0.5, 0.75, 0.875, 0.9375, 0.96875] {
@@ -275,7 +271,7 @@ impl ValueTree for NumTree<f64> {
                 out.push(NumTree { lo, current: cand });
             }
         }
-        out
+        Box::new(out.into_iter())
     }
 }
 
@@ -312,7 +308,7 @@ macro_rules! impl_strategy_int_range {
                 self.current
             }
 
-            fn shrink(&self) -> Vec<Self> {
+            fn shrink(&self) -> Shrinks<'_, Self> {
                 let (lo, value) = (self.lo, self.current);
                 let mut out: Vec<Self> = Vec::new();
                 if value > lo {
@@ -343,7 +339,7 @@ macro_rules! impl_strategy_int_range {
                             .map(|current| NumTree { lo, current }),
                     );
                 }
-                out
+                Box::new(out.into_iter())
             }
         }
 
@@ -392,17 +388,17 @@ macro_rules! impl_strategy_tuple {
                 ($(self.$idx.current(),)+)
             }
 
-            fn shrink(&self) -> Vec<Self> {
+            fn shrink(&self) -> Shrinks<'_, Self> {
                 // Shrink one component at a time, the others held fixed.
-                let mut out = Vec::new();
+                let out = std::iter::empty();
                 $(
-                    for cand in self.$idx.shrink() {
+                    let out = out.chain(self.$idx.shrink().map(move |cand| {
                         let mut next = self.clone();
                         next.$idx = cand;
-                        out.push(next);
-                    }
+                        next
+                    }));
                 )+
-                out
+                Box::new(out)
             }
         }
     )*};

@@ -44,7 +44,7 @@
 //!
 //! A custom backend implements
 //! [`ProbabilisticRelation`](core::query::ProbabilisticRelation) as its
-//! metadata methods plus one walk, `run_shared_walk_prepared`.
+//! metadata methods plus one walk, `run_shared_walk`.
 //!
 //! Each [`RankedResult`](core::query::RankedResult) carries the per-tuple
 //! values, the [`Ranking`](core::topk::Ranking), the set answer for U-Top,

@@ -10,10 +10,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use prf::core::parallel::prf_rank_tree_parallel;
+use prf::core::parallel::{effective_walk_threads, PARALLEL_MIN_SHARD_TUPLES};
 use prf::core::query::{Algorithm, PreparedRelation, QueryBatch, RankQuery, Semantics};
 use prf::core::tree::{
-    expected_ranks_tree, prf_rank_tree, prf_rank_tree_refold, prf_rank_tree_stats, prfe_rank_tree,
+    expected_ranks_tree, prf_rank_tree, prf_rank_tree_refold, prfe_rank_tree,
     prfe_rank_tree_recompute, prfe_rank_tree_scaled,
 };
 use prf::core::{ConstantWeight, ExponentialWeight, StepWeight};
@@ -284,14 +284,17 @@ fn tail_values_keep_relative_precision() {
 
 #[test]
 fn parallel_shards_match_serial_on_general_trees() {
-    for seed in 0..4u64 {
-        let tree = random_tree(seed, 40, 4);
-        let w = StepWeight { h: 7 };
-        let serial = prf_rank_tree(&tree, &w);
-        for threads in [2usize, 3, 8] {
-            let par = prf_rank_tree_parallel(&tree, &w, threads);
-            assert_all_close(&par, &serial, &format!("seed {seed} threads {threads}"));
-        }
+    // The engine shards a tree walk only from `PARALLEL_MIN_SHARD_TUPLES`
+    // tuples per worker, so every thread count below really shards.
+    let n = 8 * PARALLEL_MIN_SHARD_TUPLES;
+    let tree = random_tree(0, n, 4);
+    let w = StepWeight { h: 7 };
+    let serial = prf_rank_tree(&tree, &w);
+    for threads in [2usize, 3, 8] {
+        assert_eq!(effective_walk_threads(n, Some(threads)), threads);
+        let par = RankQuery::prf(w).parallel(threads).run(&tree).unwrap();
+        let par = par.values.as_complex().unwrap();
+        assert_all_close(par, &serial, &format!("threads {threads}"));
     }
 }
 
@@ -299,7 +302,8 @@ fn parallel_shards_match_serial_on_general_trees() {
 fn stats_peak_covers_resident_on_every_shape() {
     for seed in 0..4u64 {
         let tree = random_tree(seed, 30, 4);
-        let (_, stats) = prf_rank_tree_stats(&tree, &StepWeight { h: 5 });
+        let report = RankQuery::pt(5).run(&tree).unwrap().report;
+        let stats = report.memory.expect("a tree walk reports its memory");
         assert!(stats.plan_nodes >= tree.n_tuples());
         assert!(stats.peak_coefficients >= stats.resident_coefficients);
         assert!(stats.peak_bytes >= stats.peak_coefficients * 8);

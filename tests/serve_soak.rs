@@ -22,7 +22,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use prf::core::query::batch::{SharedWalkOut, SharedWalkSpec};
-use prf::core::query::CorrelationClass;
+use prf::core::query::{CorrelationClass, TopkCarry};
 use prf::prelude::*;
 
 fn small_db(n: usize) -> IndependentDb {
@@ -70,9 +70,10 @@ impl ProbabilisticRelation for SlowRelation {
     fn correlation_class(&self) -> CorrelationClass {
         CorrelationClass::Independent
     }
-    fn run_shared_walk_prepared(
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
+        _carry: &mut TopkCarry,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
         self.stall();

@@ -427,6 +427,10 @@ fn overlapping_shards_are_rejected() {
 #[test]
 fn backends_without_gf_hooks_are_rejected() {
     use prf::graphical::{Factor, MarkovNetwork, VarId};
+    let expect_unsupported = |err: ShardError, at: usize, want: CorrelationClass| match err {
+        ShardError::Unsupported { shard, class } => assert_eq!((shard, class), (at, want)),
+        other => panic!("expected Unsupported, got {other:?}"),
+    };
     let net = MarkovNetwork::new(
         2,
         vec![Factor::new(
@@ -436,13 +440,21 @@ fn backends_without_gf_hooks_are_rejected() {
     );
     let rel = NetworkRelation::new(&net, vec![2.0, 1.0]).expect("valid scores");
     let err = ShardedRelation::new(vec![Arc::new(rel)], 1).unwrap_err();
-    match err {
-        ShardError::Unsupported { shard, class } => {
-            assert_eq!(shard, 0);
-            assert_eq!(class, CorrelationClass::Graphical);
-        }
-        other => panic!("expected Unsupported, got {other:?}"),
-    }
+    expect_unsupported(err, 0, CorrelationClass::Graphical);
+
+    // Shards do not nest: a sharded relation has no presence hook.
+    let pairs = sorted_pairs(9, 12);
+    let nested = |pairs: &[(f64, f64)]| -> ShardHandle {
+        Arc::new(ShardedRelation::new(shard_dbs(pairs, &[pairs.len() / 2]), 2).unwrap())
+    };
+    let flat = |pairs: &[(f64, f64)]| -> ShardHandle { Arc::new(db_from(pairs)) };
+    let (hi, lo) = pairs.split_at(4);
+    let err = ShardedRelation::new(vec![nested(hi), flat(lo)], 2).unwrap_err();
+    expect_unsupported(err, 0, CorrelationClass::Independent);
+    let server = RankServer::new(ServeConfig::new());
+    let err = server.register_sharded("nested", vec![flat(hi), nested(lo)], 2);
+    expect_unsupported(err.unwrap_err(), 1, CorrelationClass::Independent);
+    server.shutdown();
 }
 
 #[test]

@@ -31,8 +31,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use prf::core::query::batch::{SharedWalkOut, SharedWalkSpec};
-use prf::core::query::TopkCarry;
-use prf::numeric::Scaled;
+use prf::core::query::{PresenceGf, TopkCarry};
 use prf::prelude::*;
 
 /// Probabilities at the edges of the recurrences, picked by class.
@@ -360,30 +359,18 @@ impl ProbabilisticRelation for Tripwire {
     fn correlation_class(&self) -> CorrelationClass {
         CorrelationClass::Independent
     }
-    fn run_shared_walk_prepared(
-        &self,
-        spec: &SharedWalkSpec,
-        prep: &PreparedState,
-    ) -> Option<SharedWalkOut> {
-        self.touch();
-        self.inner.run_shared_walk_prepared(spec, prep)
-    }
-    fn run_shared_walk_topk(
+    fn run_shared_walk(
         &self,
         spec: &SharedWalkSpec,
         carry: &mut TopkCarry,
         prep: &PreparedState,
     ) -> Option<SharedWalkOut> {
         self.touch();
-        self.inner.run_shared_walk_topk(spec, carry, prep)
+        self.inner.run_shared_walk(spec, carry, prep)
     }
-    fn presence_gf_coeffs(&self, cap: usize) -> Option<Vec<f64>> {
+    fn presence_gf(&self, cap: Option<usize>, alphas: &[Complex]) -> Option<PresenceGf> {
         self.touch();
-        self.inner.presence_gf_coeffs(cap)
-    }
-    fn presence_gf_point(&self, alpha: Complex) -> Option<Scaled<Complex>> {
-        self.touch();
-        self.inner.presence_gf_point(alpha)
+        self.inner.presence_gf(cap, alphas)
     }
 }
 
