@@ -1,10 +1,13 @@
 //! The `serve` scenario: replays a mixed-semantics query trace through the
-//! deadline-batched [`RankServer`] and compares end-to-end throughput with
-//! dispatching the same trace as individual queries — the serving-workload
-//! experiment the paper's amortization argument (one generating-function
-//! walk answering every PRF-family query) predicts and PR 4's batch layer
-//! enables. Reports per-client-count wall time, speedup, queue-wait
-//! distribution and the flush-trigger mix.
+//! group-commit [`RankServer`] (a relation waits `max_delay` for company
+//! unless its previous flush went out alone) and compares end-to-end
+//! throughput with dispatching the same trace as individual queries — the
+//! serving-workload experiment the paper's amortization argument (one
+//! generating-function walk answering every PRF-family query) predicts and
+//! the batch layer enables. Reports per-client-count wall time, speedup,
+//! queue-wait distribution, the flush count and the flush-trigger mix
+//! (deadline / size / idle / shutdown), for unpaced closed-loop clients
+//! and for 4 clients that pause between queries.
 //!
 //! The serving-layer-v2 sections measure what the flush worker pool and
 //! prepared relations add: a **multi-relation** trace served with 1 vs 4
@@ -48,13 +51,15 @@ fn trace(len: usize, seed: u64) -> Vec<RankQuery> {
 }
 
 /// Replays `(relation, query)` pairs from `clients` threads against an
-/// already-registered server; returns (wall seconds, queue-wait seconds
-/// per query, queries answered per flush trigger).
+/// already-registered server, each client sleeping `pace` after every
+/// answer; returns (wall seconds, queue-wait seconds per query, queries
+/// answered per flush trigger: deadline, size limit, idle, shutdown).
 fn replay_on(
     server: &RankServer,
     trace: &[(RelationId, RankQuery)],
     clients: usize,
-) -> (f64, Vec<f64>, [usize; 3]) {
+    pace: Duration,
+) -> (f64, Vec<f64>, [usize; 4]) {
     let (waits, wall) = timed(|| {
         thread::scope(|s| {
             let workers: Vec<_> = (0..clients)
@@ -72,6 +77,7 @@ fn replay_on(
                                 .expect("query succeeds");
                             let serve = result.report.serve.expect("provenance");
                             waits.push((serve.queue_seconds, serve.trigger));
+                            thread::sleep(pace);
                         }
                         waits
                     })
@@ -84,14 +90,15 @@ fn replay_on(
         })
     });
 
-    let mut triggers = [0usize; 3];
+    let mut triggers = [0usize; 4];
     let mut queue_waits = Vec::with_capacity(waits.len());
     for (wait, trigger) in waits {
         queue_waits.push(wait);
         let slot = match trigger {
             FlushTrigger::Deadline => 0,
             FlushTrigger::SizeLimit => 1,
-            FlushTrigger::Shutdown => 2,
+            FlushTrigger::Idle => 2,
+            FlushTrigger::Shutdown => 3,
         };
         triggers[slot] += 1;
     }
@@ -105,11 +112,14 @@ fn p95(waits: &mut [f64]) -> f64 {
 
 /// Runs the scenario.
 pub fn run(scale: Scale) {
-    header("serve: deadline-batched RankServer vs single dispatch");
+    header("serve: group-commit RankServer vs single dispatch");
     let n = scale.pick(2_000, 10_000);
     let len = scale.pick(24, 48);
     println!("Syn-MED n = {n}, mixed-semantics trace of {len} queries");
-    println!("(deadline 2 ms, max batch 32, serial walks)\n");
+    println!(
+        "(deadline 2 ms, skipped after a lone flush; max batch 32; serial walks; \
+         paced clients sleep 4 ms after each answer)\n"
+    );
 
     let tree = syn_med_tree(n, 3);
     let queries = trace(len, SEED);
@@ -125,7 +135,7 @@ pub fn run(scale: Scale) {
         len as f64 / t_single
     );
 
-    for clients in [1usize, 4, 16] {
+    for (clients, pace) in [(1usize, 0), (4, 0), (4, 4), (16, 0)] {
         let server = RankServer::new(
             ServeConfig::new()
                 .max_delay(Duration::from_millis(2))
@@ -134,13 +144,17 @@ pub fn run(scale: Scale) {
         );
         let rel = server.register("syn-med", tree.clone());
         let paired: Vec<_> = queries.iter().map(|q| (rel, q.clone())).collect();
-        let (wall, mut waits, triggers) = replay_on(&server, &paired, clients);
+        let (wall, mut waits, triggers) =
+            replay_on(&server, &paired, clients, Duration::from_millis(pace));
         server.shutdown();
+        let flushes = server.metrics().flushes;
         let mean = waits.iter().sum::<f64>() / waits.len() as f64;
         let p95 = p95(&mut waits);
         println!(
-            "served, {clients:>2} clients   {:>9} s   ({:.1} q/s, {:.2}x single) \
-             queue wait mean {} s / p95 {} s; triggers: deadline {} size {} shutdown {}",
+            "served, {clients:>2} clients{}   {:>9} s   ({:.1} q/s, {:.2}x single) \
+             queue wait mean {} s / p95 {} s; {flushes} flushes, triggers: \
+             deadline {} size {} idle {} shutdown {}",
+            if pace > 0 { ", paced" } else { "       " },
             fmt(wall),
             len as f64 / wall,
             t_single / wall,
@@ -149,6 +163,7 @@ pub fn run(scale: Scale) {
             triggers[0],
             triggers[1],
             triggers[2],
+            triggers[3],
         );
     }
     println!(
@@ -193,7 +208,7 @@ pub fn run(scale: Scale) {
             .enumerate()
             .map(|(i, q)| (rels[i % 3], q.clone()))
             .collect();
-        let (wall, mut waits, triggers) = replay_on(&server, &paired, 16);
+        let (wall, mut waits, triggers) = replay_on(&server, &paired, 16, Duration::ZERO);
         let shed = server.metrics().shed;
         server.shutdown();
         let speedup = match single_worker_wall {
@@ -207,7 +222,7 @@ pub fn run(scale: Scale) {
         let p95 = p95(&mut waits);
         println!(
             "{workers} worker{}   {:>9} s   ({:.1} q/s{speedup}) queue wait mean {} s / p95 {} s; \
-             triggers: deadline {} size {} shutdown {}; shed {shed}",
+             triggers: deadline {} size {} idle {} shutdown {}; shed {shed}",
             if workers == 1 { " " } else { "s" },
             fmt(wall),
             total as f64 / wall,
@@ -216,6 +231,7 @@ pub fn run(scale: Scale) {
             triggers[0],
             triggers[1],
             triggers[2],
+            triggers[3],
         );
     }
     println!(

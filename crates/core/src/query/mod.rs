@@ -322,7 +322,10 @@ pub struct TopSet {
 
 /// What fired a serving-layer batch flush — recorded by `prf-serve`'s
 /// `RankServer` in [`ServeCost`] so every answer carries its scheduling
-/// provenance.
+/// provenance. A relation waits its deadline for company unless its
+/// previous flush carried a single submission; then it flushes at once
+/// ([`FlushTrigger::Idle`]) until a flush carries two or more again. The
+/// rule has no configuration option.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushTrigger {
     /// The oldest pending query reached the configured deadline (a zero
@@ -332,6 +335,12 @@ pub enum FlushTrigger {
     SizeLimit,
     /// The server was shut down and drained its in-flight queries.
     Shutdown,
+    /// The relation's previous flush carried a single submission, so the
+    /// server flushed at once instead of holding the queue for a deadline
+    /// that gathered no company last time (work-conserving group commit:
+    /// queries that arrive while this flush runs still coalesce into the
+    /// next one). Displayed as `idle`.
+    Idle,
 }
 
 impl std::fmt::Display for FlushTrigger {
@@ -340,6 +349,7 @@ impl std::fmt::Display for FlushTrigger {
             FlushTrigger::Deadline => "deadline",
             FlushTrigger::SizeLimit => "size-limit",
             FlushTrigger::Shutdown => "shutdown",
+            FlushTrigger::Idle => "idle",
         })
     }
 }

@@ -13,7 +13,12 @@
 //! * pending queries are **grouped by relation** and flushed into one
 //!   `QueryBatch` when either the oldest query's **deadline**
 //!   ([`ServeConfig::max_delay`]) or the **maximum batch size**
-//!   ([`ServeConfig::max_batch`]) is hit — or immediately at shutdown;
+//!   ([`ServeConfig::max_batch`]) is hit — or immediately at shutdown. The
+//!   flush is **group commit**: a relation whose previous flush carried a
+//!   single submission flushes its next one at once instead of waiting
+//!   for company that did not come last time, while queries that arrive
+//!   during a flush still coalesce into the next; a flush of two or more
+//!   turns the wait back on (no option controls this);
 //! * every submission returns a [`ResponseHandle`] (blocking
 //!   [`ResponseHandle::recv`] plus non-blocking [`ResponseHandle::try_recv`])
 //!   carrying the [`prf_core::query::RankedResult`] or the per-query
@@ -22,7 +27,8 @@
 //! * each answered query's report records its serving provenance
 //!   ([`prf_core::query::ServeCost`]): queue wait, admission-time queue
 //!   depth, the relation's cumulative shed count, plus which
-//!   [`prf_core::query::FlushTrigger`] (`Deadline | SizeLimit | Shutdown`)
+//!   [`prf_core::query::FlushTrigger`] (`Deadline | SizeLimit | Shutdown |
+//!   Idle`)
 //!   fired the flush that served it;
 //! * flushes execute on a **worker pool** ([`ServeConfig::workers`]) with
 //!   per-relation FIFO ordering — a slow relation's walk occupies one
@@ -104,6 +110,12 @@
 //! ```
 
 #![deny(missing_docs)]
+// Serving code resolves every failure through a handle: no unwrap, expect
+// or panic outside tests, except the documented `#[allow]`s.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 #[cfg(any(test, feature = "chaos"))]
 pub mod fault;

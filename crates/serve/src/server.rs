@@ -10,7 +10,8 @@
 //!   queue (bounded when [`ServeConfig::max_pending`] is set — `submit`
 //!   then applies *backpressure* by blocking until space frees,
 //!   `try_submit` *sheds* with [`QueryError::Overloaded`]). A submission
-//!   that completes a size trigger — or arrives under a zero deadline —
+//!   that makes its relation's flush due — a size trigger, a zero
+//!   deadline, or a relation flushing at once after a lone flush —
 //!   enqueues the flush itself, so the fast path hands work straight to a
 //!   worker without a scheduler hop.
 //! - The **scheduler** thread only computes deadlines: it sleeps until the
@@ -21,7 +22,18 @@
 //!   preserved by an `in_flight` latch: a relation's next flush is not
 //!   enqueued until its previous one completed, so one relation's flushes
 //!   never race each other — but a slow relation's walk occupies only one
-//!   worker, and every other relation keeps flushing on the rest.
+//!   worker, and every other relation keeps flushing on the rest. A worker
+//!   that releases a latch re-checks that relation at once, so work queued
+//!   behind the flush goes out without waiting for the scheduler.
+//!
+//! All three ask one flush predicate per relation: flush when the queue
+//! reached [`ServeConfig::max_batch`], when the oldest entry's deadline
+//! passed, or — group commit — at once when the relation's previous flush
+//! carried a single submission ([`FlushTrigger::Idle`]): that deadline
+//! wait gathered no company, so the next one is not paid. A flush carrying
+//! two or more turns the wait back on, and a fresh relation starts
+//! waiting. The rule is driven by what the last flush showed and adds no
+//! configuration option.
 //!
 //! # Fault tolerance
 //!
@@ -50,7 +62,9 @@
 //!
 //! [`RankServer::submit_with`] attaches [`SubmitOptions`]: a per-query
 //! **deadline** and a **priority class**. [`Priority::Latency`] traffic
-//! flushes on [`ServeConfig::max_delay`]; [`Priority::Bulk`] traffic waits
+//! flushes on [`ServeConfig::max_delay`] — or at once when its relation's
+//! previous flush went out alone (the group-commit rule above, which adds
+//! no option); [`Priority::Bulk`] traffic waits
 //! in a second queue for the (longer) [`ServeConfig::bulk_delay`] cadence
 //! and piggybacks on latency flushes already due. A query whose deadline
 //! expires before a worker dequeues it is shed with
@@ -128,6 +142,19 @@ pub(crate) fn lock_recover<'a, T>(m: &'a Mutex<T>, poisoned: &AtomicU64) -> Mute
     })
 }
 
+/// Starts one of the server's own threads (scheduler, supervisor, a flush
+/// worker). The OS refusing a thread is the one failure the server cannot
+/// route through a handle: [`RankServer::new`] has no error path, and a
+/// server short of its scheduler or workers would wedge every submission,
+/// so it fails loudly here.
+#[allow(clippy::expect_used)] // thread-spawn failure: see above
+pub(crate) fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("the OS refused a prf-serve thread")
+}
+
 /// Tuning knobs of a [`RankServer`].
 ///
 /// The defaults (2 ms deadline, 20 ms bulk deadline, 64-query batches, 2
@@ -135,6 +162,12 @@ pub(crate) fn lock_recover<'a, T>(m: &'a Mutex<T>, poisoned: &AtomicU64) -> Mute
 /// suit a latency-sensitive serving mix; a zero [`ServeConfig::max_delay`]
 /// turns the server into an immediate dispatcher that still batches
 /// whatever has accumulated since a worker last took the queue.
+///
+/// Whatever the deadline, the latency class is work-conserving: a
+/// relation whose previous flush carried a single submission flushes its
+/// next work at once ([`FlushTrigger::Idle`]), and a flush carrying two or
+/// more turns the deadline wait back on. That rule follows the traffic by
+/// itself; there is no option for it.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     pub(crate) max_delay: Duration,
@@ -169,8 +202,12 @@ impl ServeConfig {
         ServeConfig::default()
     }
 
-    /// How long the oldest pending [`Priority::Latency`] query may wait
-    /// before its relation's queue is flushed. Zero flushes on admission.
+    /// How long the oldest pending [`Priority::Latency`] query may wait for
+    /// company before its relation's queue is flushed. Zero flushes on
+    /// admission. A relation whose previous flush carried a single
+    /// submission does not wait at all: its next work flushes at once
+    /// ([`FlushTrigger::Idle`]) until a flush carries two or more again —
+    /// a rule with no option of its own.
     pub fn max_delay(mut self, deadline: Duration) -> Self {
         self.max_delay = deadline;
         self
@@ -518,6 +555,12 @@ struct Slot {
     /// `true` while a flush of this relation sits on the work queue or
     /// executes on a worker — the per-relation FIFO latch.
     in_flight: bool,
+    /// Whether this relation's previous flush carried exactly one
+    /// submission (query or mutation). Its next latency-class work then
+    /// flushes at once ([`FlushTrigger::Idle`]): the last deadline wait
+    /// gathered no company. A flush carrying two or more turns the wait
+    /// back on; a fresh relation starts waiting.
+    last_flush_lone: bool,
     /// Cumulative submissions shed from this slot's bounded queue.
     shed: u64,
     /// Cumulative completed flushes of this slot.
@@ -578,6 +621,43 @@ impl Slot {
             || self
                 .bulk_due_at(config.bulk_delay)
                 .is_some_and(|d| d <= now)
+    }
+
+    /// The earliest deadline among the slot's queues: the latency anchor
+    /// plus [`ServeConfig::max_delay`], or the bulk cadence. `None` exactly
+    /// when the slot is not [`Slot::due`].
+    fn due_at(&self, config: &ServeConfig) -> Option<Instant> {
+        self.anchor()
+            .map(|a| a + config.max_delay)
+            .into_iter()
+            .chain(self.bulk_due_at(config.bulk_delay))
+            .min()
+    }
+
+    /// The flush predicate: what fires a flush of this slot at `now`, if
+    /// anything. Admission, the scheduler, and a worker releasing the FIFO
+    /// latch all ask it — a latched slot never flushes, a draining server
+    /// flushes whatever is queued, and otherwise the size limit, an
+    /// expired deadline, or (after a lone flush) any latency-class work.
+    fn flush_now(
+        &self,
+        config: &ServeConfig,
+        now: Instant,
+        shutdown: bool,
+    ) -> Option<FlushTrigger> {
+        if self.in_flight || !self.due() {
+            None
+        } else if shutdown {
+            Some(FlushTrigger::Shutdown)
+        } else if self.load() >= config.max_batch || self.bulk.len() >= config.max_batch {
+            Some(FlushTrigger::SizeLimit)
+        } else if self.due_at(config).is_some_and(|d| d <= now) {
+            Some(FlushTrigger::Deadline)
+        } else if self.last_flush_lone && self.anchor().is_some() {
+            Some(FlushTrigger::Idle)
+        } else {
+            None
+        }
     }
 }
 
@@ -706,6 +786,7 @@ impl Shared {
     /// on. Release builds without the `chaos` feature compile this to a
     /// constant `None`.
     #[cfg(any(test, feature = "chaos"))]
+    #[allow(clippy::panic)] // an armed `FaultKind::Panic` is the point of the hook
     fn chaos(&self, site: &str) -> Option<FaultAction> {
         let plan = lock_recover(&self.faults, &self.poisoned).clone();
         match plan.fire(site)? {
@@ -726,15 +807,23 @@ impl Shared {
     }
 }
 
-/// Moves `slot`'s queues onto the work queue as one flush (setting the
-/// FIFO latch): latency queries and mutations always, bulk queries only
-/// when `take_bulk` (their own cadence is due). Standing queries are
-/// snapshotted into the flush when it carries mutations — their rankings
-/// may change — or when a new subscriber awaits its initial snapshot.
-/// Callers have checked the trigger and the latch.
-fn take_flush(state: &mut State, slot_idx: usize, trigger: FlushTrigger, take_bulk: bool) {
-    let slot = &mut state.slots[slot_idx];
-    debug_assert!(!slot.in_flight && slot.due());
+/// Asks `slot_idx`'s [`Slot::flush_now`] and, when it fires, moves the
+/// slot's queues onto the work queue as one flush (setting the FIFO latch
+/// and recording whether the flush went out lone). Latency queries and
+/// mutations always go; bulk queries only when their own cadence is due
+/// (or the server drains). Standing queries are snapshotted into the flush
+/// when it carries mutations — their rankings may change — or when a new
+/// subscriber awaits its initial snapshot. Returns whether a flush was
+/// taken.
+fn flush_if_due(state: &mut State, slot_idx: usize, config: &ServeConfig, now: Instant) -> bool {
+    let shutdown = state.shutdown;
+    let Some(slot) = state.slots.get_mut(slot_idx) else {
+        return false;
+    };
+    let Some(trigger) = slot.flush_now(config, now, shutdown) else {
+        return false;
+    };
+    let take_bulk = trigger == FlushTrigger::Shutdown || slot.take_bulk_now(config, now);
     slot.in_flight = true;
     let muts = std::mem::take(&mut slot.muts);
     let syncing = slot.sync_since.take().is_some();
@@ -756,6 +845,7 @@ fn take_flush(state: &mut State, slot_idx: usize, trigger: FlushTrigger, take_bu
     if take_bulk {
         pending.append(&mut slot.bulk);
     }
+    slot.last_flush_lone = pending.len() + muts.len() == 1;
     let work = FlushWork {
         slot: slot_idx,
         rel: Arc::clone(&slot.rel),
@@ -768,29 +858,7 @@ fn take_flush(state: &mut State, slot_idx: usize, trigger: FlushTrigger, take_bu
         cache: Arc::clone(&slot.cache),
     };
     state.work.push_back(work);
-}
-
-/// The admission-side flush trigger: mirrors the scheduler's immediate
-/// conditions so a submission that completes one enqueues the flush itself
-/// — no scheduler hop between admission and a worker. A latched relation
-/// leaves the re-check to its worker's completion (which wakes the
-/// scheduler).
-fn maybe_flush(state: &mut State, slot_idx: usize, config: &ServeConfig) {
-    let slot = &state.slots[slot_idx];
-    if slot.in_flight || !slot.due() {
-        return;
-    }
-    let now = Instant::now();
-    let take_bulk = slot.take_bulk_now(config, now);
-    if slot.load() >= config.max_batch || slot.bulk.len() >= config.max_batch {
-        take_flush(state, slot_idx, FlushTrigger::SizeLimit, take_bulk);
-    } else if config.max_delay.is_zero()
-        && (!slot.queue.is_empty() || !slot.muts.is_empty() || slot.sync_since.is_some())
-    {
-        take_flush(state, slot_idx, FlushTrigger::Deadline, take_bulk);
-    } else if config.bulk_delay.is_zero() && !slot.bulk.is_empty() {
-        take_flush(state, slot_idx, FlushTrigger::Deadline, true);
-    }
+    true
 }
 
 /// A concurrent, deadline-batched front end over registered relations: see
@@ -834,13 +902,10 @@ impl RankServer {
         });
         let scheduler = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("prf-serve-scheduler".into())
-                .spawn(move || {
-                    let _failsafe = Failsafe(&shared);
-                    scheduler_loop(&shared);
-                })
-                .expect("spawning the scheduler thread")
+            spawn_named("prf-serve-scheduler".into(), move || {
+                let _failsafe = Failsafe(&shared);
+                scheduler_loop(&shared);
+            })
         };
         let workers = Arc::new(WorkerTable::new());
         for _ in 0..worker_count {
@@ -849,10 +914,9 @@ impl RankServer {
         let supervisor = {
             let shared = Arc::clone(&shared);
             let workers = Arc::clone(&workers);
-            std::thread::Builder::new()
-                .name("prf-serve-supervisor".into())
-                .spawn(move || supervisor_loop(&shared, &workers))
-                .expect("spawning the supervisor thread")
+            spawn_named("prf-serve-supervisor".into(), move || {
+                supervisor_loop(&shared, &workers)
+            })
         };
         RankServer {
             shared,
@@ -957,6 +1021,7 @@ impl RankServer {
             subs: Vec::new(),
             sync_since: None,
             in_flight: false,
+            last_flush_lone: false,
             shed: 0,
             flushes: 0,
             flushed_queries: 0,
@@ -1101,7 +1166,7 @@ impl RankServer {
             requeued: false,
             tx,
         });
-        maybe_flush(&mut state, relation.0, &self.shared.config);
+        flush_if_due(&mut state, relation.0, &self.shared.config, Instant::now());
         drop(state);
         // Wake a worker (flush enqueued) or the scheduler (deadline
         // bookkeeping) — one condvar serves both roles.
@@ -1155,7 +1220,7 @@ impl RankServer {
             requeued: false,
             tx,
         });
-        maybe_flush(&mut state, relation.0, &self.shared.config);
+        flush_if_due(&mut state, relation.0, &self.shared.config, Instant::now());
         drop(state);
         self.shared.notify();
         Ok(MutationHandle::new(id, rx))
@@ -1204,7 +1269,7 @@ impl RankServer {
         if slot.sync_since.is_none() {
             slot.sync_since = Some(Instant::now());
         }
-        maybe_flush(&mut state, relation.0, &self.shared.config);
+        flush_if_due(&mut state, relation.0, &self.shared.config, Instant::now());
         drop(state);
         self.shared.notify();
         let unsubscribe = {
@@ -1358,84 +1423,50 @@ impl Drop for Failsafe<'_> {
     }
 }
 
-/// The scheduler: pure deadline bookkeeping. Sleeps until the earliest
-/// pending deadline (latency or bulk), moves due (and size-triggered)
-/// queues onto the work queue, and hands them to the pool — it never
-/// evaluates a flush itself. On shutdown it keeps feeding the pool until
+/// The scheduler: pure deadline bookkeeping. Flushes every slot whose
+/// [`Slot::flush_now`] fires, sleeps until the earliest pending deadline
+/// (latency or bulk) of the rest, and hands flushes to the pool — it never
+/// evaluates one itself. On shutdown every slot's predicate fires as soon
+/// as its latch is free, and the scheduler keeps feeding the pool until
 /// every queue is empty and every flush completed, then stops the pool and
 /// exits.
 fn scheduler_loop(shared: &Shared) {
     let config = &shared.config;
     let mut state = shared.lock();
     loop {
-        if state.shutdown {
-            // Drain: move every unlatched queue to the pool, then wait for
-            // the latches to clear (workers re-notify on completion). A
-            // latched relation's refilled queue becomes eligible once its
-            // in-flight flush completes.
-            loop {
-                let mut fed = false;
-                for i in 0..state.slots.len() {
-                    if state.slots[i].due() && !state.slots[i].in_flight {
-                        take_flush(&mut state, i, FlushTrigger::Shutdown, true);
-                        fed = true;
-                    }
-                }
-                if fed {
-                    shared.notify();
-                }
-                let drained =
-                    state.work.is_empty() && state.slots.iter().all(|s| !s.due() && !s.in_flight);
-                if drained {
-                    state.pool_stop = true;
-                    // End every subscription stream: dropping the senders
-                    // disconnects the channels, so subscribers' `recv`
-                    // resolves to `Shutdown` after any final deltas the
-                    // drain already delivered.
-                    for slot in state.slots.iter_mut() {
-                        slot.subs.clear();
-                    }
-                    drop(state);
-                    shared.notify();
-                    return;
-                }
-                state = shared.wait(state);
-            }
-        }
-
         let now = Instant::now();
         let mut next_due: Option<Instant> = None;
         let mut fed = false;
         for i in 0..state.slots.len() {
+            fed |= flush_if_due(&mut state, i, config, now);
             let slot = &state.slots[i];
-            if !slot.due() || slot.in_flight {
-                continue;
-            }
-            let take_bulk = slot.take_bulk_now(config, now);
-            if slot.load() >= config.max_batch || slot.bulk.len() >= config.max_batch {
-                take_flush(&mut state, i, FlushTrigger::SizeLimit, take_bulk);
-                fed = true;
-                continue;
-            }
-            let mut earliest: Option<Instant> = slot.anchor().map(|a| a + config.max_delay);
-            if let Some(bulk_due) = slot.bulk_due_at(config.bulk_delay) {
-                earliest = Some(earliest.map_or(bulk_due, |e| e.min(bulk_due)));
-            }
-            let due = earliest.expect("a due slot has an anchor");
-            if due <= now {
-                take_flush(&mut state, i, FlushTrigger::Deadline, take_bulk);
-                fed = true;
-            } else {
-                next_due = Some(next_due.map_or(due, |d| d.min(due)));
+            if !slot.in_flight {
+                next_due = next_due.into_iter().chain(slot.due_at(config)).min();
             }
         }
         if fed {
             shared.notify();
         }
-
+        if state.shutdown
+            && state.work.is_empty()
+            && state.slots.iter().all(|s| !s.due() && !s.in_flight)
+        {
+            state.pool_stop = true;
+            // End every subscription stream: dropping the senders
+            // disconnects the channels, so subscribers' `recv` resolves to
+            // `Shutdown` after any final deltas the drain already
+            // delivered.
+            for slot in state.slots.iter_mut() {
+                slot.subs.clear();
+            }
+            drop(state);
+            shared.notify();
+            return;
+        }
         state = match next_due {
             // Sleep exactly until the earliest pending deadline (spurious
-            // wake-ups just re-check).
+            // wake-ups just re-check). A latched relation is re-checked by
+            // its worker on completion, which also wakes this thread.
             Some(due) => shared.wait_timeout(state, due.saturating_duration_since(now)),
             None => shared.wait(state),
         };
@@ -1521,7 +1552,7 @@ pub(crate) fn worker_loop(shared: &Shared, ctl: &WorkerCtl) {
             ctl.busy.store(false, Ordering::Release);
             ctl.beats.fetch_add(1, Ordering::Release);
             state = shared.lock();
-            match run {
+            let died = match run {
                 Ok(WorkerRun::Done(outcome)) => {
                     if let Some(slot) = state.slots.get_mut(work.slot) {
                         slot.in_flight = false;
@@ -1545,21 +1576,27 @@ pub(crate) fn worker_loop(shared: &Shared, ctl: &WorkerCtl) {
                             }
                         }
                     }
+                    false
                 }
                 Ok(WorkerRun::Die) => {
                     requeue_interrupted(&mut state, &mut work, "worker killed by injected fault");
-                    drop(state);
-                    shared.notify();
-                    return;
+                    true
                 }
                 Err(payload) => {
                     shared.panics_caught.fetch_add(1, Ordering::Relaxed);
                     let reason = panic_reason(payload.as_ref());
                     requeue_interrupted(&mut state, &mut work, &reason);
+                    false
                 }
-            }
+            };
+            // The latch is free: whatever queued behind this flush goes out
+            // now if the predicate says so, without a scheduler hop.
+            flush_if_due(&mut state, work.slot, &shared.config, Instant::now());
             drop(state);
             shared.notify();
+            if died {
+                return;
+            }
             state = shared.lock();
             continue;
         }
@@ -1796,10 +1833,10 @@ fn execute_flush(work: &mut FlushWork, shared: &Shared) -> FlushOutcome {
     }
     let flush_start = Instant::now();
     let _ = shared.chaos("eval");
-    let results = batch.run_isolated(&*work.rel);
+    let mut results = batch.run_isolated(&*work.rel);
     debug_assert_eq!(results.len(), n_eval + work.subs.len());
-    let mut results: Vec<Option<Answer>> = results.into_iter().map(Some).collect();
     let sub_results = results.split_off(n_eval);
+    let mut results: Vec<Option<Answer>> = results.into_iter().map(Some).collect();
 
     // Remember cacheable answers before delivering: a remembered answer is
     // correct for `(key, generation)` whether or not delivery completes.
@@ -1826,9 +1863,11 @@ fn execute_flush(work: &mut FlushWork, shared: &Shared) -> FlushOutcome {
         let (Src::Eval(ri) | Src::Alias(ri)) = src;
         uses[*ri] += 1;
     }
-    let mut srcs = plan.into_iter();
-    while !work.pending.is_empty() {
-        let src = srcs.next().expect("plan parallels pending");
+    // `plan` parallels `pending` entry for entry.
+    for src in plan {
+        if work.pending.is_empty() {
+            break;
+        }
         let (Src::Eval(ri) | Src::Alias(ri)) = src;
         uses[ri] -= 1;
         let taken = if uses[ri] == 0 {
@@ -1836,7 +1875,13 @@ fn execute_flush(work: &mut FlushWork, shared: &Shared) -> FlushOutcome {
         } else {
             results[ri].clone()
         };
-        let mut result = taken.expect("each walk slot outlives its uses");
+        // Each walk slot outlives its uses; were one ever short, the entry
+        // resolves as an internal error rather than taking the worker down.
+        let mut result = taken.unwrap_or_else(|| {
+            Err(QueryError::Internal {
+                reason: "walk slot delivered past its uses".to_string(),
+            })
+        });
         let p = work.pending.remove(0);
         match &mut result {
             Ok(res) => {
@@ -1866,7 +1911,6 @@ fn execute_flush(work: &mut FlushWork, shared: &Shared) -> FlushOutcome {
         let _ = p.tx.send(result);
     }
     for (sub, result) in std::mem::take(&mut work.subs).into_iter().zip(sub_results) {
-        let result = result.expect("sub slots are never aliased or taken");
         match result {
             Err(err) => {
                 if matches!(err, QueryError::Internal { .. }) {
@@ -1937,6 +1981,7 @@ fn diff_orders(old: Option<&[TupleId]>, new: &[TupleId]) -> OrderDiff {
 mod tests {
     use super::*;
     use prf_pdb::IndependentDb;
+    use std::sync::atomic::AtomicBool;
 
     fn db() -> IndependentDb {
         IndependentDb::from_pairs([
@@ -2676,6 +2721,139 @@ mod tests {
         let repeat = roundtrip(RankQuery::pt(1)); // now remembered again
         assert!(repeat.report.serve.unwrap().served_from_cache);
         assert_eq!(server.metrics().cache_hits, 1);
+    }
+
+    /// A backend whose walk, while the gate is held, blocks until it is
+    /// released, then delegates to [`db`]; it counts the walks it entered.
+    /// A held flush keeps its relation's FIFO latch, so a test can queue
+    /// work behind it and choose the moment it completes.
+    struct Gated {
+        inner: IndependentDb,
+        held: AtomicBool,
+        walks: AtomicU64,
+    }
+
+    impl Gated {
+        fn new() -> Arc<Self> {
+            Arc::new(Gated {
+                inner: db(),
+                held: AtomicBool::new(false),
+                walks: AtomicU64::new(0),
+            })
+        }
+
+        fn hold(&self) {
+            self.held.store(true, Ordering::Release);
+        }
+
+        fn release(&self) {
+            self.held.store(false, Ordering::Release);
+        }
+
+        /// Blocks until at least `n` walks have started.
+        fn await_walks(&self, n: u64) {
+            while self.walks.load(Ordering::Acquire) < n {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl ProbabilisticRelation for Gated {
+        fn n_tuples(&self) -> usize {
+            self.inner.n_tuples()
+        }
+        fn tuple_scores(&self) -> Vec<f64> {
+            self.inner.tuple_scores()
+        }
+        fn tuple_marginals(&self) -> Vec<f64> {
+            self.inner.tuple_marginals()
+        }
+        fn correlation_class(&self) -> prf_core::query::CorrelationClass {
+            self.inner.correlation_class()
+        }
+        fn run_shared_walk(
+            &self,
+            spec: &prf_core::query::batch::SharedWalkSpec,
+            carry: &mut prf_core::query::TopkCarry,
+            prep: &prf_core::query::PreparedState,
+        ) -> Option<prf_core::query::batch::SharedWalkOut> {
+            self.walks.fetch_add(1, Ordering::Release);
+            while self.held.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.inner.run_shared_walk(spec, carry, prep)
+        }
+    }
+
+    fn serve_cost(handle: ResponseHandle) -> ServeCost {
+        handle.recv().unwrap().report.serve.unwrap()
+    }
+
+    #[test]
+    fn a_fresh_relations_first_lone_query_waits_for_its_deadline() {
+        let server = RankServer::new(ServeConfig::new().max_delay(Duration::from_millis(50)));
+        let rel = server.register("db", db());
+        let first = serve_cost(server.submit(rel, RankQuery::pt(2)).unwrap());
+        assert_eq!(first.trigger, FlushTrigger::Deadline);
+        assert!(first.queue_seconds >= 0.049, "{first:?}");
+    }
+
+    #[test]
+    fn after_a_lone_flush_the_next_lone_query_flushes_at_once() {
+        let server = RankServer::new(ServeConfig::new().max_delay(Duration::from_millis(50)));
+        let rel = server.register("db", db());
+        let first = serve_cost(server.submit(rel, RankQuery::pt(2)).unwrap());
+        assert_eq!(first.trigger, FlushTrigger::Deadline);
+        for h in [1, 3] {
+            let next = serve_cost(server.submit(rel, RankQuery::pt(h)).unwrap());
+            assert_eq!(next.trigger, FlushTrigger::Idle, "{next:?}");
+            assert_eq!(next.flush_size, 1);
+            assert!(next.queue_seconds < 0.025, "{next:?}");
+        }
+    }
+
+    #[test]
+    fn a_flush_carrying_two_queries_turns_the_wait_back_on() {
+        let gated = Gated::new();
+        let server = RankServer::new(ServeConfig::new().max_delay(Duration::from_millis(50)));
+        let rel = server.register_shared("gated", gated.clone());
+        // A lone first flush switches the relation to flushing at once.
+        serve_cost(server.submit(rel, RankQuery::pt(1)).unwrap());
+        // The next lone query goes out at once and holds the latch while
+        // two more queue behind it; they leave together on completion.
+        gated.hold();
+        let lone = server.submit(rel, RankQuery::pt(2)).unwrap();
+        gated.await_walks(2);
+        let a = server.submit(rel, RankQuery::pt(3)).unwrap();
+        let b = server.submit(rel, RankQuery::prfe(0.9)).unwrap();
+        gated.release();
+        assert_eq!(serve_cost(lone).trigger, FlushTrigger::Idle);
+        let (a, b) = (serve_cost(a), serve_cost(b));
+        assert_eq!((a.flush_size, b.flush_size), (2, 2));
+        // That flush had company, so the next lone query waits again.
+        let after = serve_cost(server.submit(rel, RankQuery::pt(4)).unwrap());
+        assert_eq!(after.trigger, FlushTrigger::Deadline, "{after:?}");
+        assert!(after.queue_seconds >= 0.049, "{after:?}");
+    }
+
+    #[test]
+    fn a_query_behind_a_slow_lone_flush_leaves_when_it_completes() {
+        let gated = Gated::new();
+        gated.hold();
+        let server = RankServer::new(ServeConfig::new().max_delay(Duration::from_millis(400)));
+        let rel = server.register_shared("gated", gated.clone());
+        // The fresh relation's lone query waits out its deadline, then
+        // holds its walk while a second query queues behind the latch.
+        let first = server.submit(rel, RankQuery::pt(1)).unwrap();
+        gated.await_walks(1);
+        let behind = server.submit(rel, RankQuery::pt(2)).unwrap();
+        gated.release();
+        assert_eq!(serve_cost(first).trigger, FlushTrigger::Deadline);
+        // It leaves as the lone flush completes, not at its own 400 ms
+        // deadline.
+        let behind = serve_cost(behind);
+        assert_eq!(behind.trigger, FlushTrigger::Idle, "{behind:?}");
+        assert!(behind.queue_seconds < 0.2, "{behind:?}");
     }
 
     #[test]

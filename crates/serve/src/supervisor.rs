@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::server::{lock_recover, worker_loop, Shared};
+use crate::server::{lock_recover, spawn_named, worker_loop, Shared};
 
 /// Per-worker control block, shared between the worker thread (writer) and
 /// the supervisor (reader).
@@ -99,13 +99,10 @@ impl WorkerTable {
         let handle = {
             let shared = Arc::clone(shared);
             let ctl = Arc::clone(&ctl);
-            std::thread::Builder::new()
-                .name(format!("prf-serve-worker-{id}"))
-                .spawn(move || {
-                    let _death_certificate = AliveSentinel(Arc::clone(&ctl));
-                    worker_loop(&shared, &ctl);
-                })
-                .expect("spawning a flush worker thread")
+            spawn_named(format!("prf-serve-worker-{id}"), move || {
+                let _death_certificate = AliveSentinel(Arc::clone(&ctl));
+                worker_loop(&shared, &ctl);
+            })
         };
         lock_recover(&self.entries, shared.poisoned()).push(WorkerEntry {
             ctl,

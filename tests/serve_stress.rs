@@ -340,6 +340,209 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------
+// Paced schedules: lone, coalesced and shutdown flushes interleaved
+// ---------------------------------------------------------------------
+
+/// One step of a paced client: sleep past the deadline, submit one query
+/// and await it, or submit a burst and then await every answer.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Pause(Duration),
+    Single(usize, usize),
+    Burst(usize, usize, usize),
+}
+
+/// What a paced schedule observed: per accepted query its relation index,
+/// PT horizon and answer, and the server's count of answered queries
+/// after the drain.
+struct PacedRun {
+    answers: Vec<(usize, usize, Result<RankedResult, QueryError>)>,
+    flushed_queries: u64,
+}
+
+/// One seeded paced schedule: 1–3 closed-loop clients over two relations,
+/// each alternating pauses longer than `max_delay` (so a lone flush can
+/// leave at once next time) with single queries and bursts (which
+/// coalesce behind the FIFO latch or on a deadline), a shutdown that may
+/// race them, and a bulk query on an hour-long cadence that only the
+/// shutdown drain can flush.
+fn run_paced_schedule(seed: u64) -> PacedRun {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x1D1E);
+    let max_delay = Duration::from_millis(rng.gen_range(1..3));
+    let server = RankServer::new(
+        ServeConfig::new()
+            .max_delay(max_delay)
+            .bulk_delay(Duration::from_secs(3600))
+            .max_batch(rng.gen_range(2..7))
+            .workers(rng.gen_range(1..3)),
+    );
+    let sizes = [7usize, 4usize];
+    let rels = [
+        server.register("a", small_db(sizes[0])),
+        server.register("b", small_db(sizes[1])),
+    ];
+    let schedules: Vec<Vec<Step>> = (0..rng.gen_range(1..4usize))
+        .map(|_| {
+            (0..rng.gen_range(2..7))
+                .map(|_| {
+                    let r = rng.gen_range(0..2usize);
+                    let h = rng.gen_range(1..=sizes[r]);
+                    match rng.gen_range(0..3) {
+                        0 => Step::Pause(max_delay * rng.gen_range(2..5)),
+                        1 => Step::Single(r, h),
+                        _ => Step::Burst(r, h, rng.gen_range(2..5)),
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let shutdown_after = rng
+        .gen_bool(0.5)
+        .then(|| Duration::from_millis(rng.gen_range(0..12)));
+
+    let mut answers = thread::scope(|s| {
+        let clients: Vec<_> = schedules
+            .iter()
+            .map(|schedule| {
+                let server = &server;
+                let rels = &rels;
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    for &step in schedule {
+                        let (r, h, count) = match step {
+                            Step::Pause(d) => {
+                                thread::sleep(d);
+                                continue;
+                            }
+                            Step::Single(r, h) => (r, h, 1),
+                            Step::Burst(r, h, k) => (r, h, k),
+                        };
+                        let handles: Vec<_> = (0..count)
+                            .filter_map(|i| {
+                                match server.submit(rels[r], RankQuery::pt(1 + (h + i) % sizes[r]))
+                                {
+                                    Ok(handle) => Some((1 + (h + i) % sizes[r], handle)),
+                                    Err(e) => {
+                                        assert_eq!(
+                                            e,
+                                            QueryError::Shutdown,
+                                            "only clean rejections"
+                                        );
+                                        None
+                                    }
+                                }
+                            })
+                            .collect();
+                        for (h, handle) in handles {
+                            out.push((r, h, handle.recv()));
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
+        if let Some(after) = shutdown_after {
+            let server = &server;
+            s.spawn(move || {
+                thread::sleep(after);
+                server.shutdown();
+            });
+        }
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect::<Vec<_>>()
+    });
+    // The bulk query waits on its hour-long cadence: only the drain below
+    // flushes it (unless the racing shutdown already rejected it).
+    let bulk = server.submit_with(rels[0], RankQuery::pt(2), SubmitOptions::bulk());
+    server.shutdown();
+    match bulk {
+        Ok(handle) => answers.push((0, 2, handle.recv())),
+        Err(e) => assert_eq!(e, QueryError::Shutdown, "only clean rejections"),
+    }
+    PacedRun {
+        answers,
+        flushed_queries: server.metrics().flushed_queries,
+    }
+}
+
+/// Every answer of a paced run is its own query's direct answer at 1e-9,
+/// and the server answered each accepted query exactly once.
+fn check_paced_run(run: &PacedRun) -> Result<(), TestCaseError> {
+    let sizes = [7usize, 4usize];
+    prop_assert_eq!(
+        run.flushed_queries,
+        run.answers.len() as u64,
+        "answered once each"
+    );
+    for (i, (r, h, answer)) in run.answers.iter().enumerate() {
+        let got = match answer {
+            Ok(got) => got,
+            Err(e) => return Err(TestCaseError::fail(format!("query {i} lost: {e}"))),
+        };
+        let want = RankQuery::pt(*h).run(&small_db(sizes[*r])).expect("direct");
+        prop_assert!(got.report.serve.is_some(), "query {} provenance", i);
+        prop_assert_eq!(
+            got.ranking.order(),
+            want.ranking.order(),
+            "query {} order",
+            i
+        );
+        let (g, w) = (got.values.as_complex(), want.values.as_complex());
+        let (Some(g), Some(w)) = (g, w) else {
+            return Err(TestCaseError::fail(format!(
+                "query {i}: PT values are complex"
+            )));
+        };
+        prop_assert_eq!(g.len(), w.len(), "query {} relation", i);
+        for (a, b) in g.iter().zip(w) {
+            prop_assert!((*a - *b).abs() <= 1e-9, "query {}: {} vs {}", i, a, b);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Paced schedules keep the exactly-once and answer-equality
+    /// guarantees while lone flushes go out at once (`Idle`), bursts
+    /// coalesce, and the shutdown drain takes what is left.
+    #[test]
+    fn paced_schedules_answer_each_query_once_and_correctly(seed in 0u64..100_000) {
+        check_paced_run(&run_paced_schedule(seed))?;
+    }
+}
+
+/// The paced schedules do exercise all three kinds of flush: over a fixed
+/// set of seeds some answer left in an `Idle` flush, some in a flush of
+/// two or more, and some in the shutdown drain.
+#[test]
+fn paced_schedules_interleave_idle_coalesced_and_shutdown_flushes() {
+    let (mut idle, mut coalesced, mut drained) = (0, 0, 0);
+    for seed in 0..12 {
+        let run = run_paced_schedule(seed);
+        check_paced_run(&run).expect("paced run is correct");
+        for (_, _, answer) in &run.answers {
+            let serve = answer
+                .as_ref()
+                .expect("answered")
+                .report
+                .serve
+                .expect("provenance");
+            idle += usize::from(serve.trigger == FlushTrigger::Idle);
+            coalesced += usize::from(serve.flush_size >= 2);
+            drained += usize::from(serve.trigger == FlushTrigger::Shutdown);
+        }
+    }
+    assert!(
+        idle > 0 && coalesced > 0 && drained > 0,
+        "idle {idle}, coalesced {coalesced}, drained {drained}"
+    );
+}
+
 #[test]
 fn query_ids_stay_unique_across_concurrent_submitters() {
     let server = RankServer::new(ServeConfig::new().max_delay(Duration::from_micros(100)));
